@@ -293,12 +293,9 @@ func printCacheStats(run *core.Run, cache *analysiscache.Cache) {
 		fmt.Fprintf(os.Stderr, "refcheck: cache: unit hit — skipped analysis of all %d files\n",
 			run.Metric("pipeline.files_skipped"))
 	} else {
-		factsState := "miss"
-		if run.Metric("cache.facts.hit") > 0 {
-			factsState = "hit"
-		}
-		fmt.Fprintf(os.Stderr, "refcheck: cache: unit miss; facts %s; front end: %d hits, %d misses (%d files skipped preprocessing)\n",
-			factsState, run.Metric("frontend.cache.hit"), run.Metric("frontend.cache.miss"),
+		fmt.Fprintf(os.Stderr, "refcheck: cache: unit miss; facts: %d file hits, %d misses; front end: %d hits, %d misses (%d files skipped preprocessing)\n",
+			run.Metric("cache.facts.hit"), run.Metric("cache.facts.miss"),
+			run.Metric("frontend.cache.hit"), run.Metric("frontend.cache.miss"),
 			run.Metric("frontend.cache.hit"))
 	}
 	st := cache.Stats()

@@ -22,8 +22,9 @@ import (
 // runWatch is the -watch mode: poll the directories for source changes and
 // re-analyze on every edit. The tiered cache handle (when -cache is set)
 // stays open across runs, so after the first analysis an edit re-runs the
-// front end for exactly the changed files — while the rendered output of
-// every run is byte-identical to a fresh cold run over the same tree.
+// front end and re-derives the facts for exactly the changed files — while
+// the rendered output of every run is byte-identical to a fresh cold run
+// over the same tree.
 func runWatch(opts *cliopts.Opts, dirs []string, apidbPath string, interval time.Duration, maxRuns int, outFile string) int {
 	if len(dirs) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: refcheck -watch DIR...")
@@ -71,7 +72,8 @@ func runWatch(opts *cliopts.Opts, dirs []string, apidbPath string, interval time
 				Cache: cache, DB: db, ConfigFP: configFP,
 			},
 			// Always a real trace (not opts.Trace's conditional): the status
-			// line below reads the front-end hit/miss counters from it.
+			// line below reads the front-end and facts hit/miss counters
+			// from it.
 			Trace: obs.New("refcheck-watch"),
 		}
 		start := time.Now()
@@ -104,9 +106,10 @@ func runWatch(opts *cliopts.Opts, dirs []string, apidbPath string, interval time
 		if changed != nil {
 			what = fmt.Sprintf("%d files changed", len(changed))
 		}
-		fmt.Fprintf(os.Stderr, "refcheck: watch: run %d (%s): %d files, %d reports in %v (front end: %d hits, %d misses)\n",
+		fmt.Fprintf(os.Stderr, "refcheck: watch: run %d (%s): %d files, %d reports in %v (front end: %d hits, %d misses; facts: %d hits, %d misses)\n",
 			runs, what, len(tree.Sources), len(reports), elapsed.Round(time.Millisecond),
-			run.Metric("frontend.cache.hit"), run.Metric("frontend.cache.miss"))
+			run.Metric("frontend.cache.hit"), run.Metric("frontend.cache.miss"),
+			run.Metric("cache.facts.hit"), run.Metric("cache.facts.miss"))
 		opts.Export("refcheck", req.Trace)
 		return nil
 	}

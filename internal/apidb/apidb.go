@@ -26,7 +26,10 @@
 package apidb
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -197,6 +200,49 @@ func (db *DB) APIs() []*API {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// APIFingerprint hashes the whole API table — every entry Lookup can return,
+// every field — in name order. Anything derived from Lookup results (event
+// extraction, and so the facts layer) can key a cache on it: two DBs with
+// the same fingerprint answer every Lookup identically.
+func (db *DB) APIFingerprint() string {
+	h := sha256.New()
+	var buf []byte
+	str := func(s string) {
+		buf = strconv.AppendInt(buf, int64(len(s)), 10)
+		buf = append(buf, ':')
+		buf = append(buf, s...)
+	}
+	num := func(n int) {
+		buf = strconv.AppendInt(buf, int64(n), 10)
+		buf = append(buf, ',')
+	}
+	flag := func(b bool) {
+		if b {
+			buf = append(buf, '1')
+		} else {
+			buf = append(buf, '0')
+		}
+	}
+	for _, a := range db.APIs() {
+		buf = buf[:0]
+		str(a.Name)
+		num(int(a.Op))
+		num(int(a.Class))
+		num(a.ObjArg)
+		flag(a.ReturnsRef)
+		str(a.Pair)
+		flag(a.IncOnError)
+		flag(a.MayReturnNull)
+		flag(a.HasDecArg)
+		num(a.DecArgObj)
+		flag(a.MayFree)
+		str(a.Struct)
+		flag(a.Discovered)
+		h.Write(buf)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Loops returns all smartloops sorted by name.

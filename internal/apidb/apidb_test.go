@@ -1,6 +1,7 @@
 package apidb
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cast"
@@ -327,5 +328,42 @@ func TestOpAndClassStrings(t *testing.T) {
 	if General.String() != "general" || Specific.String() != "specific" ||
 		Embedded.String() != "refcounting-embedded" {
 		t.Error("Class strings")
+	}
+}
+
+// TestAPIFingerprintCoversEveryField: caches keyed on APIFingerprint are
+// only sound if a change to any API field changes the fingerprint, so each
+// field of API — including any added later — must move it on its own.
+func TestAPIFingerprintCoversEveryField(t *testing.T) {
+	base := func() *DB {
+		db := New()
+		db.AddAPI(&API{Name: "fp_probe_get", ObjArg: -1, DecArgObj: -1})
+		return db
+	}
+	want := base().APIFingerprint()
+	if base().APIFingerprint() != want {
+		t.Fatal("fingerprint is not deterministic")
+	}
+	typ := reflect.TypeOf(API{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		db := base()
+		v := reflect.ValueOf(db.Lookup("fp_probe_get")).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.String:
+			if f.Name == "Name" {
+				continue // the name is the table key; renaming is a different entry
+			}
+			v.SetString("x")
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int:
+			v.SetInt(v.Int() + 2)
+		default:
+			t.Fatalf("field %s has kind %s the test does not know how to vary", f.Name, v.Kind())
+		}
+		if db.APIFingerprint() == want {
+			t.Errorf("changing API.%s does not change APIFingerprint", f.Name)
+		}
 	}
 }

@@ -97,8 +97,17 @@ func returnsNullOnSomePath(fd *cast.FuncDef) bool {
 }
 
 // inferPairs links newly discovered APIs with opposite-direction entries on
-// the same struct when the match is unambiguous.
+// the same struct when the match is unambiguous. Candidates are indexed by
+// struct once up front (pairing only writes Pair, never the Struct or Op
+// the index is built on), so the pass is linear in the table rather than
+// one full-table scan per discovered name.
 func (db *DB) inferPairs(names []string) {
+	byStruct := map[string][]*API{}
+	for _, b := range db.apis {
+		if b.Struct != "" && b.Op != OpNone {
+			byStruct[b.Struct] = append(byStruct[b.Struct], b)
+		}
+	}
 	for _, n := range names {
 		a := db.apis[n]
 		if a.Pair != "" || a.Struct == "" {
@@ -106,8 +115,8 @@ func (db *DB) inferPairs(names []string) {
 		}
 		var match *API
 		count := 0
-		for _, b := range db.apis {
-			if b.Struct == a.Struct && b.Op != a.Op && b.Op != OpNone {
+		for _, b := range byStruct[a.Struct] {
+			if b.Op != a.Op {
 				match = b
 				count++
 			}

@@ -303,7 +303,6 @@ func (*DirectFreeChecker) ID() Pattern { return P7 }
 // either by declared type or because a get was observed earlier on the path.
 func (*DirectFreeChecker) Check(ff *facts.FunctionFacts) []Report {
 	fn := ff.Fn
-	types := ff.VarTypes
 	var out []Report
 	reported := map[dedupKey]bool{}
 	// got collects bases incremented earlier on the trace; a handful of
@@ -334,7 +333,7 @@ func (*DirectFreeChecker) Check(ff *facts.FunctionFacts) []Report {
 				if base == "" {
 					continue
 				}
-				counted := isRefStructVar(ff.Unit.DB, types, base)
+				counted := isRefStructVar(ff.Unit.DB, ff.VarTypes(), base)
 				for _, g := range got {
 					if g == base {
 						counted = true
@@ -348,7 +347,7 @@ func (*DirectFreeChecker) Check(ff *facts.FunctionFacts) []Report {
 					continue
 				}
 				reported[dk(ev.Pos, "", "")] = true
-				put := putExprFor(ff.Unit, types, base)
+				put := putExprFor(ff.Unit, ff.VarTypes(), base)
 				out = append(out, Report{
 					Pattern: P7, Impact: Leak,
 					Function: fn.Def.Name, File: fn.File, Pos: ev.Pos,

@@ -119,7 +119,6 @@ func (*EscapeChecker) ID() Pattern { return P9 }
 // sets — come precomputed from the facts layer.
 func (*EscapeChecker) Check(ff *facts.FunctionFacts) []Report {
 	fn := ff.Fn
-	types := ff.VarTypes
 	// An inc anywhere (before or after the escape point — "around", per the
 	// paper) forgives the escape.
 	incsOf := ff.Data.IncBases
@@ -132,7 +131,7 @@ func (*EscapeChecker) Check(ff *facts.FunctionFacts) []Report {
 		// The escaping value must be a counted pointer: declared as a
 		// pointer to a refcounted struct and NOT a locally owned reference
 		// (escaping a locally acquired reference transfers ownership).
-		if !isRefStructVar(ff.Unit.DB, types, src) || ownedRef[src] {
+		if !isRefStructVar(ff.Unit.DB, ff.VarTypes(), src) || ownedRef[src] {
 			continue
 		}
 		if incsOf[src] {

@@ -72,10 +72,10 @@ type unitEntry struct {
 }
 
 // corpusFP fingerprints the full sorted corpus content (sources and
-// headers). Analysis has cross-file dependencies — API discovery, the
-// inter-paired checker, and the facts layer read the whole unit — so every
-// unit-scoped cache key must cover every file; per-file keys would be
-// unsound.
+// headers). Reports have cross-file dependencies — API discovery and the
+// inter-paired checker read the whole unit — so the unit-level report key
+// must cover every file. (The facts entries are per file: factsCacheKey
+// names the cross-file state they depend on explicitly.)
 func corpusFP(sources []cpg.Source, headers map[string]string) string {
 	h := sha256.New()
 	add := func(s string) {
@@ -113,12 +113,49 @@ func unitCacheKey(configFP, checkersFP, corpus string) string {
 	return analysiscache.KeyOf("unit-v4", configFP, checkersFP, corpus)
 }
 
-// factsCacheKey fingerprints the per-function facts entry. The checker
-// selection is deliberately absent: facts are checker-independent, which is
-// exactly why a subset run can reuse the facts a full run computed (and vice
-// versa) even though their unit-level keys differ.
-func factsCacheKey(configFP, corpus string) string {
-	return analysiscache.KeyOf("facts-v3", configFP, corpus)
+// factsCacheKey fingerprints one file's facts entry: the facts of the
+// functions the file defines. A function's facts are a pure function of its
+// definition (sourceFP: the file's content and include closure) and of the
+// unit-wide extraction state (envFP: the API table after discovery and the
+// global names), so an edit re-derives only the edited file's entry unless
+// it changes discovery. The checker selection is deliberately absent: facts
+// are checker-independent, which is exactly why a subset run can reuse the
+// facts a full run computed (and vice versa) even though their unit-level
+// keys differ.
+func factsCacheKey(configFP, envFP, sourceFP string) string {
+	return analysiscache.KeyOf("facts-v4", configFP, envFP, sourceFP)
+}
+
+// factsEntry is one file's facts entry that missed: its key and the
+// functions it must cover when stored.
+type factsEntry struct {
+	key   string
+	names []string
+}
+
+// preloadFacts seeds uf from the per-file facts entries, counting each file
+// as cache.facts.hit or cache.facts.miss, and returns the entries that
+// missed. A file the build could not fingerprint (no SourceFP) is neither
+// looked up nor stored.
+func preloadFacts(cache *analysiscache.Cache, configFP string, u *cpg.Unit, uf *facts.UnitFacts, reg *obs.Registry) []factsEntry {
+	env := u.ExtractEnvFP()
+	var missed []factsEntry
+	for _, f := range uf.Files() {
+		src := u.SourceFP[f.Path]
+		if src == "" {
+			continue
+		}
+		key := factsCacheKey(configFP, env, src)
+		// The snapshot may be L1-shared across runs; Preload only reads it,
+		// and checkers treat facts as immutable.
+		if v, ok := cache.GetValue(key, decodeFactsValue); ok && uf.Preload(f.Names, v.(map[string]*facts.Data)) {
+			reg.Add("cache.facts.hit", 1)
+			continue
+		}
+		reg.Add("cache.facts.miss", 1)
+		missed = append(missed, factsEntry{key: key, names: f.Names})
+	}
+	return missed
 }
 
 // stripWitnessBlocks deep-copies reports with each witness event's CFG block
@@ -209,7 +246,7 @@ func serveCached(run *Run, ent *unitEntry, req Request, root *obs.Span, reg *obs
 // (so a cancelled call still leaves the partial Run visible to the caller)
 // and returns the stored unit entry when a cache is present. Confirmation
 // is the caller's job — the entry must stay confirmation-agnostic.
-func analyzePipeline(ctx context.Context, req Request, engine *Engine, cache *analysiscache.Cache, key, fKey string, run *Run, root *obs.Span, reg *obs.Registry) (*unitEntry, error) {
+func analyzePipeline(ctx context.Context, req Request, engine *Engine, cache *analysiscache.Cache, key string, run *Run, root *obs.Span, reg *obs.Registry) (*unitEntry, error) {
 	opt := req.Options
 	bsp := root.Child("phase:build")
 	b := &cpg.Builder{DB: opt.DB, Workers: opt.Workers, Cache: cache, Obs: bsp}
@@ -225,18 +262,9 @@ func analyzePipeline(ctx context.Context, req Request, engine *Engine, cache *an
 	}
 
 	uf := facts.NewUnit(u)
-	factsHit := false
+	var missed []factsEntry
 	if cache != nil {
-		if v, ok := cache.GetValue(fKey, decodeFactsValue); ok {
-			// The snapshot may be L1-shared across runs; Preload only reads
-			// it, and checkers treat facts as immutable.
-			factsHit = uf.Preload(v.(map[string]*facts.Data))
-		}
-		if factsHit {
-			reg.Add("cache.facts.hit", 1)
-		} else {
-			reg.Add("cache.facts.miss", 1)
-		}
+		missed = preloadFacts(cache, opt.ConfigFP, u, uf, reg)
 	}
 	csp := root.Child("phase:check")
 	engine.Obs = csp
@@ -260,12 +288,12 @@ func analyzePipeline(ctx context.Context, req Request, engine *Engine, cache *an
 		// visible to other processes without waiting for thresholds.
 		ent = &unitEntry{Summary: run.Summary, Reports: stripWitnessBlocks(reports)}
 		_ = cache.PutValue(key, ent, encodeUnitEntry(ent))
-		if !factsHit {
-			// Snapshot forces any still-uncomputed functions (a subset run
+		for _, m := range missed {
+			// SnapshotOf forces any still-uncomputed functions (a subset run
 			// with only unit-scoped checkers may not have touched them all)
-			// so the facts entry always covers the whole unit.
-			snap := uf.Snapshot()
-			_ = cache.PutValue(fKey, snap, facts.EncodeSnapshot(snap))
+			// so every stored entry covers its whole file.
+			snap := uf.SnapshotOf(m.names)
+			_ = cache.PutValue(m.key, snap, facts.EncodeSnapshot(snap))
 		}
 		_ = cache.Flush()
 		ssp.End()
@@ -286,8 +314,10 @@ func analyzePipeline(ctx context.Context, req Request, engine *Engine, cache *an
 // entry is shared with the waiters (counted as cache.singleflight.wait, and
 // served exactly like a cache hit: Unit stays nil). On a miss it also
 // threads the per-file front-end cache through the CPG builder so only
-// changed files are re-preprocessed, and preloads the per-function facts
-// entry so checking skips path enumeration and event normalization.
+// changed files are re-preprocessed, and preloads the per-file facts
+// entries so checking skips path enumeration and event normalization for
+// every file whose facts inputs are unchanged; only the missed files'
+// entries are re-derived and stored.
 // Reports are byte-identical across {no cache, cold cache, warm cache,
 // L1-warm, facts-only hit, partial hit} at any worker count, with or
 // without a trace attached.
@@ -327,7 +357,7 @@ func Analyze(ctx context.Context, req Request) (*Run, error) {
 		if err != nil {
 			return run, err
 		}
-		_, perr := analyzePipeline(ctx, req, engine, nil, "", "", run, root, reg)
+		_, perr := analyzePipeline(ctx, req, engine, nil, "", run, root, reg)
 		release()
 		if perr != nil {
 			return run, perr
@@ -343,7 +373,6 @@ func Analyze(ctx context.Context, req Request) (*Run, error) {
 	sp := root.Child("phase:cache-lookup")
 	corpus := corpusFP(req.Sources, req.Headers)
 	key := unitCacheKey(opt.ConfigFP, engine.patternsFP(), corpus)
-	fKey := factsCacheKey(opt.ConfigFP, corpus)
 	ent, hit := lookupUnit(cache, key)
 	sp.End()
 	if hit {
@@ -371,7 +400,7 @@ func Analyze(ctx context.Context, req Request) (*Run, error) {
 		defer release()
 		reg.Add("cache.singleflight.leader", 1)
 		computed = true
-		ent, err := analyzePipeline(ctx, req, engine, cache, key, fKey, run, root, reg)
+		ent, err := analyzePipeline(ctx, req, engine, cache, key, run, root, reg)
 		if err != nil {
 			return nil, err
 		}

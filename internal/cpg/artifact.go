@@ -38,6 +38,9 @@ type ArtFile struct {
 	// cppN is how many leading errs entries are preprocessor errors — the
 	// serialization split point.
 	cppN int
+	// fp is the file's front-end input fingerprint (Unit.SourceFP); local
+	// to the building process, never serialized.
+	fp string
 }
 
 // ShardArtifact is the serializable output of a shard-local pass: the files

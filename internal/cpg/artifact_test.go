@@ -139,6 +139,7 @@ func unitFingerprint(u *Unit) string {
 	}
 	for _, name := range u.FunctionNames() {
 		fn := u.Functions[name]
+		fn.Analyze()
 		fmt.Fprintf(&b, "fn %s file=%s defined=%v events=%v\n",
 			name, fn.File, fn.Graph != nil, fn.Events != nil)
 	}

@@ -32,10 +32,37 @@ import (
 
 // Function is one function definition with its analysis artifacts.
 type Function struct {
-	Def    *cast.FuncDef
-	File   string
-	Graph  *cfg.Graph            // nil for prototypes
-	Events *semantics.FuncEvents // nil for prototypes
+	Def  *cast.FuncDef
+	File string
+	// Graph and Events are the function's CFG and event stream, built by
+	// the first Analyze call; nil for prototypes and until then.
+	Graph  *cfg.Graph
+	Events *semantics.FuncEvents
+
+	env  *analysisEnv // nil for prototypes
+	once sync.Once
+}
+
+// analysisEnv is what per-function analysis needs from its unit: the event
+// extractor over the unit's post-discovery DB and global names, and the
+// arena stats the CFG slabs are charged to.
+type analysisEnv struct {
+	ext   *semantics.Extractor
+	stats *arena.Stats
+}
+
+// Analyze builds the function's CFG and event stream on first use; later
+// calls, from any goroutine, return once those are set. It is a no-op for
+// prototypes. Extraction reads the unit's DB when Analyze runs, so the DB
+// must not change its API table after assembly.
+func (fn *Function) Analyze() {
+	if fn.env == nil {
+		return
+	}
+	fn.once.Do(func() {
+		fn.Graph = cfg.BuildArena(fn.Def, fn.env.stats)
+		fn.Events = fn.env.ext.Extract(fn.Graph)
+	})
 }
 
 // CallSite is one static call to a named function.
@@ -70,6 +97,12 @@ type Unit struct {
 	DiscoveredAPIs       []string
 	DiscoveredLoops      []string
 	DiscoveredDeviations []string
+
+	// SourceFP maps each file path to the fingerprint of its complete
+	// front-end input (see sourceFP). Only builds with a Builder.Cache
+	// track include closures, so it is nil otherwise and for files that
+	// arrived as decoded artifacts.
+	SourceFP map[string]string
 }
 
 // Source is one input file.
@@ -89,10 +122,11 @@ type Builder struct {
 	// Predefines are macros defined before each file (e.g. __KERNEL__).
 	Predefines map[string]string
 	// Workers bounds the file-sharded preprocess+parse concurrency
-	// (phase 1) and the per-function analysis concurrency (phase 3);
-	// 0 means GOMAXPROCS, 1 forces sequential building. Results are
-	// byte-identical either way — files and functions are processed
-	// independently and merged in deterministic order.
+	// (phase 1, and the reparse of decoded artifacts); 0 means GOMAXPROCS,
+	// 1 forces sequential building. Results are byte-identical either way —
+	// files are processed independently and merged in deterministic order.
+	// Per-function analysis (phase 3) runs on demand, on whichever worker
+	// first needs a function's facts.
 	Workers int
 	// HeaderCache shares lexed header token lines across the unit's files
 	// (and, if the caller reuses it, across builds); nil means a fresh
@@ -129,6 +163,8 @@ type parsed struct {
 	// pooled per-TU buffer must never escape parseOne, so this is always a
 	// copy.
 	tokens []clex.Token
+	// fp is the file's sourceFP, set when the front end ran with a cache.
+	fp string
 }
 
 // frontEntry is the persisted per-file front-end result: everything the
@@ -157,7 +193,7 @@ type frontEnd struct {
 	// storage (parsed.tokens) so the artifact can be serialized after the
 	// pooled buffers are released.
 	retain bool
-	// workers is the resolved phase 1/3 concurrency (Builder.Workers with
+	// workers is the resolved phase 1 concurrency (Builder.Workers with
 	// the GOMAXPROCS default applied).
 	workers int
 
@@ -217,6 +253,20 @@ func (fe *frontEnd) closureValid(deps []cpp.IncludeDep) bool {
 		}
 	}
 	return true
+}
+
+// sourceFP fingerprints one file's complete front-end input: its front-end
+// cache key (predefines, path, content) plus the include closure the
+// preprocessor resolved. Preprocessing and parsing are deterministic, so an
+// equal fingerprint means an identical token stream, macro table and AST —
+// the per-file half of any downstream per-file cache key.
+func sourceFP(feKey string, closure []cpp.IncludeDep) string {
+	parts := make([]string, 0, 1+2*len(closure))
+	parts = append(parts, feKey)
+	for _, d := range closure {
+		parts = append(parts, d.Path, d.Hash)
+	}
+	return analysiscache.KeyOf(parts...)
 }
 
 // preprocess runs the preprocessor for one source, emitting expanded tokens
@@ -285,7 +335,8 @@ func (fe *frontEnd) parseOne(src Source) parsed {
 				}
 				errs = append(errs, perrs...)
 				return parsed{file: file, macros: ent.Macros, errs: errs,
-					cppN: len(ent.CppErrors), tokens: fe.retainToks(ent.Tokens)}
+					cppN: len(ent.CppErrors), tokens: fe.retainToks(ent.Tokens),
+					fp: sourceFP(key, ent.Closure)}
 			}
 		}
 	} else {
@@ -304,7 +355,8 @@ func (fe *frontEnd) parseOne(src Source) parsed {
 				ent.Macros = map[string]*cpp.Macro{}
 			}
 			return parsed{file: file, macros: ent.Macros, errs: errs,
-				cppN: len(ent.CppErrors), tokens: fe.retainToks(ent.Tokens)}
+				cppN: len(ent.CppErrors), tokens: fe.retainToks(ent.Tokens),
+				fp: sourceFP(key, ent.Closure)}
 		}
 	}
 	fe.reg.Add("frontend.cache.miss", 1)
@@ -325,7 +377,8 @@ func (fe *frontEnd) parseOne(src Source) parsed {
 	errs = append(errs, res.Errors...)
 	errs = append(errs, perrs...)
 	return parsed{file: file, macros: res.Macros, errs: errs,
-		cppN: len(res.Errors), tokens: fe.retainToks(res.Tokens)}
+		cppN: len(res.Errors), tokens: fe.retainToks(res.Tokens),
+		fp: sourceFP(key, res.Includes)}
 }
 
 // retainToks copies a token stream into fresh storage when the build runs in
@@ -368,9 +421,11 @@ func (fe *frontEnd) parseTU(src Source) parsed {
 
 // BuildContext is Build with cancellation. When ctx is cancelled mid-build,
 // the work queues drain cleanly (no goroutine leaks) and the returned Unit
-// holds whatever completed: unfed files are simply absent, unfed functions
-// keep nil Graph/Events and are excluded by DefinedFunctions. Callers that
-// care about partial results check ctx.Err() themselves.
+// holds whatever completed: unfed files are simply absent. Per-function
+// analysis is not part of the build — Function.Analyze runs it on demand,
+// so its cost lands wherever facts are first derived (the checker engine,
+// which honors its own ctx). Callers that care about partial results check
+// ctx.Err() themselves.
 //
 // The build runs in two halves that are also available separately for
 // distributed analysis (see artifact.go): buildArtifact (per-file front end
@@ -424,7 +479,7 @@ func (b *Builder) buildArtifact(ctx context.Context, fe *frontEnd, sources []Sou
 		results[i] = &ArtFile{
 			Path: sorted[i].Path, Tokens: p.tokens, Macros: p.macros,
 			Obs:  apidb.ObserveFile(sorted[i].Path, p.file, p.macros),
-			file: p.file, errs: p.errs, cppN: p.cppN,
+			file: p.file, errs: p.errs, cppN: p.cppN, fp: p.fp,
 		}
 	}
 	if fe.workers > 1 && len(sorted) > 1 {
@@ -554,6 +609,12 @@ func (b *Builder) assembleWith(ctx context.Context, fe *frontEnd, art *ShardArti
 			continue
 		}
 		u.Errors = append(u.Errors, af.errs...)
+		if af.fp != "" {
+			if u.SourceFP == nil {
+				u.SourceFP = make(map[string]string, len(art.Files))
+			}
+			u.SourceFP[af.Path] = af.fp
+		}
 		for name, m := range af.Macros {
 			u.Macros[name] = m
 		}
@@ -590,59 +651,22 @@ func (b *Builder) assembleWith(ctx context.Context, fe *frontEnd, art *ShardArti
 		Int("loops", len(u.DiscoveredLoops)).
 		End()
 
-	// Phase 3: CFGs, events, call graph.
-	workers := fe.workers
-	sem := b.Obs.Child("semantics")
+	// Phase 3: per-function CFGs and events run on demand (Function.Analyze
+	// — in practice when the facts layer first derives a function's facts),
+	// so a function whose facts come from a cache is never analyzed at all.
+	// The extractor captures the DB and global names as they stand now,
+	// after discovery and the declaration merge.
 	globals := make(map[string]bool, len(u.Globals))
 	for name := range u.Globals {
 		globals[name] = true
 	}
-	ext := &semantics.Extractor{DB: db, GlobalNames: globals}
+	env := &analysisEnv{ext: &semantics.Extractor{DB: db, GlobalNames: globals}, stats: fe.stats}
 	names := u.FunctionNames()
-	analyzed := 0
-	if workers > 1 && len(names) > 1 {
-		var wg sync.WaitGroup
-		jobs := make(chan *Function)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for fn := range jobs {
-					fn.Graph = cfg.BuildArena(fn.Def, fe.stats)
-					fn.Events = ext.Extract(fn.Graph)
-				}
-			}()
-		}
-	feedFuncs:
-		for _, name := range names {
-			fn := u.Functions[name]
-			if fn.Def.Body == nil {
-				continue
-			}
-			select {
-			case jobs <- fn:
-				analyzed++
-			case <-ctx.Done():
-				break feedFuncs
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		for _, name := range names {
-			fn := u.Functions[name]
-			if fn.Def.Body == nil {
-				continue
-			}
-			if ctx.Err() != nil {
-				break
-			}
-			fn.Graph = cfg.BuildArena(fn.Def, fe.stats)
-			fn.Events = ext.Extract(fn.Graph)
-			analyzed++
+	for _, name := range names {
+		if fn := u.Functions[name]; fn.Def.Body != nil {
+			fn.env = env
 		}
 	}
-	sem.Int("functions", analyzed).End()
 	// The call graph is assembled sequentially in name order so Calls slices
 	// are deterministic.
 	cg := b.Obs.Child("callgraph")
@@ -683,16 +707,33 @@ func (u *Unit) FunctionNames() []string {
 }
 
 // DefinedFunctions returns the functions that have bodies (and therefore
-// graphs and event streams), in sorted name order — the unit of work for the
-// facts layer and the checker engine. Prototypes are excluded.
+// graphs and event streams, once analyzed), in sorted name order — the unit
+// of work for the facts layer and the checker engine. Prototypes are
+// excluded.
 func (u *Unit) DefinedFunctions() []*Function {
 	var out []*Function
 	for _, name := range u.FunctionNames() {
-		if fn := u.Functions[name]; fn.Graph != nil {
+		if fn := u.Functions[name]; fn.env != nil {
 			out = append(out, fn)
 		}
 	}
 	return out
+}
+
+// ExtractEnvFP fingerprints the unit-wide state phase 3's event extraction
+// reads besides a function's own definition: the DB's API table (every
+// Lookup) and the global variable names (escape classification). A
+// function's graph and events are a pure function of its definition and
+// this fingerprint, so together with the defining file's SourceFP it keys
+// anything derived from them per file.
+func (u *Unit) ExtractEnvFP() string {
+	parts := make([]string, 0, 1+len(u.Globals))
+	parts = append(parts, u.DB.APIFingerprint())
+	for name := range u.Globals {
+		parts = append(parts, name)
+	}
+	sort.Strings(parts[1:])
+	return analysiscache.KeyOf(parts...)
 }
 
 // CallbackBindings resolves driver-ops designated initializers against the

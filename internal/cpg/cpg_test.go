@@ -1,8 +1,10 @@
 package cpg
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/cfg"
 	"repro/internal/cpp"
 )
 
@@ -37,6 +39,10 @@ int foo_probe(struct foo_dev *d)
 		t.Error("struct table missing foo_dev")
 	}
 	fn := u.Functions["foo_probe"]
+	if fn.Graph != nil || fn.Events != nil {
+		t.Error("analysis artifacts built before Analyze")
+	}
+	fn.Analyze()
 	if fn.Graph == nil || fn.Events == nil {
 		t.Error("analysis artifacts missing")
 	}
@@ -66,6 +72,7 @@ void user(struct foo_dev *d)
 	// Events in `user` must classify foo_get as Inc (DB extended before
 	// extraction).
 	fn := u.Functions["user"]
+	fn.Analyze()
 	found := false
 	for _, evs := range fn.Events.ByBlok {
 		for _, ev := range evs {
@@ -105,7 +112,7 @@ int walk(struct device_node *parent)
 	if u.Macros["for_each_child_of_node"] == nil {
 		t.Error("macro from header missing")
 	}
-	if u.Functions["walk"].Graph == nil {
+	if u.Functions["walk"].Analyze(); u.Functions["walk"].Graph == nil {
 		t.Error("walk not analyzed")
 	}
 }
@@ -210,6 +217,8 @@ int b_probe(void)
 	}
 	for name, sf := range seq.Functions {
 		pf := par.Functions[name]
+		sf.Analyze()
+		pf.Analyze()
 		if (sf.Graph == nil) != (pf.Graph == nil) {
 			t.Fatalf("%s: graph presence differs", name)
 		}
@@ -288,5 +297,53 @@ func TestParallelErrorOrderDeterministic(t *testing.T) {
 				t.Fatalf("error %d differs: %v vs %v", j, got.Errors[j], want.Errors[j])
 			}
 		}
+	}
+}
+
+// TestAnalyzeOnDemand: assembly leaves every function unanalyzed, and
+// concurrent Analyze calls build its graph and events exactly once —
+// every caller sees the same values. Prototypes stay unanalyzed.
+func TestAnalyzeOnDemand(t *testing.T) {
+	u := build(t, Source{Path: "a.c", Content: `
+int proto(int x);
+int body(struct device_node *np)
+{
+	of_node_get(np);
+	if (!np)
+		return -1;
+	of_node_put(np);
+	return 0;
+}
+`})
+	fn := u.Functions["body"]
+	if fn.Graph != nil || fn.Events != nil {
+		t.Fatal("assembly analyzed a function eagerly")
+	}
+	var wg sync.WaitGroup
+	graphs := make([]*cfg.Graph, 8)
+	for i := range graphs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fn.Analyze()
+			graphs[i] = fn.Graph
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range graphs {
+		if g == nil || g != graphs[0] {
+			t.Fatalf("caller %d saw graph %p, want one shared non-nil graph %p", i, g, graphs[0])
+		}
+	}
+	if fn.Events == nil || fn.Events.Graph != fn.Graph {
+		t.Fatal("events missing or built over a different graph")
+	}
+	p := u.Functions["proto"]
+	p.Analyze()
+	if p.Graph != nil {
+		t.Fatal("a prototype was analyzed")
+	}
+	if got := len(u.DefinedFunctions()); got != 1 {
+		t.Fatalf("DefinedFunctions = %d, want 1 (prototypes excluded)", got)
 	}
 }

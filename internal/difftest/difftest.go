@@ -30,6 +30,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/cpg"
+	"repro/internal/facts"
 	"repro/internal/obs"
 )
 
@@ -124,7 +125,8 @@ const matrixWorkers = 8
 // every tier of the cache: a second run on the same handle must be served
 // out of the in-memory L1 tier, a run on a reopened handle must be served
 // from the disk packs into a cold L1, and editing one file must miss the
-// unit entry while the untouched files still hit the front-end cache.
+// unit entry while the untouched files still hit the front-end cache and
+// their per-file facts entries (only the edited file's facts re-derive).
 // Because every run carries a trace, the matrix doubles as the
 // observability determinism oracle: for a given cache state, the span tree
 // and every counter must be independent of the worker count. Cache
@@ -154,9 +156,12 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 	// set rather than `want`.
 	edited := ss.Clone()
 	editedWant := ""
+	var wantFactsHit, wantFactsMiss int64
 	if len(edited.Sources) > 0 {
 		edited.Sources[0].Content += "\n/* difftest: invalidation probe */\n"
-		editedWant = RenderRun(Run(edited, 1, nil))
+		editedRun := Run(edited, 1, nil)
+		editedWant = RenderRun(editedRun)
+		wantFactsHit, wantFactsMiss = factsSplit(editedRun.Unit, edited.Sources[0].Path)
 	}
 
 	// Both worker counts see every cache state: each order pair runs one
@@ -218,6 +223,11 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 				return nil, fmt.Errorf("difftest: edited-file run (workers=%d) should front-end-hit the %d untouched files, hit %d",
 					order[1], wantHits, inval.Metric("frontend.cache.hit"))
 			}
+			if hit, miss := inval.Metric("cache.facts.hit"), inval.Metric("cache.facts.miss"); hit != wantFactsHit || miss != wantFactsMiss {
+				os.RemoveAll(dir)
+				return nil, fmt.Errorf("difftest: edited-file run (workers=%d) should re-derive only the edited file's facts: %d hits, %d misses, want %d, %d",
+					order[1], hit, miss, wantFactsHit, wantFactsMiss)
+			}
 		}
 		os.RemoveAll(dir)
 
@@ -251,6 +261,20 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 		}
 	}
 	return base, nil
+}
+
+// factsSplit is the per-file facts cache outcome a one-file edit must
+// produce: the edited file's entry misses (when it defines functions) and
+// every other file's entry hits.
+func factsSplit(u *cpg.Unit, edited string) (hits, misses int64) {
+	for _, f := range facts.NewUnit(u).Files() {
+		if f.Path == edited {
+			misses++
+		} else {
+			hits++
+		}
+	}
+	return hits, misses
 }
 
 // sameObs verifies two same-cache-state runs produced an identical span tree

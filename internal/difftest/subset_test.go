@@ -7,6 +7,7 @@ import (
 	"repro/internal/analysiscache"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/facts"
 	"repro/internal/obs"
 )
 
@@ -26,8 +27,8 @@ func runOpts(ss SourceSet, cache *analysiscache.Cache, checkers []core.Pattern) 
 // TestCheckerSubsetCacheIsolation proves the two cache-key claims the
 // -checkers flag depends on: subset runs and full runs never share a
 // unit-level entry (no poisoning in either direction), while both share the
-// checker-independent facts entry (a subset run against a full-run cache
-// skips straight to the pattern queries).
+// checker-independent per-file facts entries (a subset run against a
+// full-run cache skips straight to the pattern queries).
 func TestCheckerSubsetCacheIsolation(t *testing.T) {
 	ss := FromCorpus(corpus.Generate(corpus.Spec{Seed: 1}))
 	subset := []core.Pattern{core.P1, core.P4}
@@ -44,11 +45,16 @@ func TestCheckerSubsetCacheIsolation(t *testing.T) {
 		t.Fatal("fixture too weak: full and subset runs render identically")
 	}
 
-	// Cold full run populates the unit entry and the facts entry.
+	// Cold full run populates the unit entry and one facts entry per file
+	// that defines functions.
 	cold := runOpts(ss, cache, nil)
 	if cold.Metric("cache.unit.hit") != 0 || cold.Metric("cache.facts.hit") != 0 {
 		t.Fatalf("cold run hit the cache: unit=%d facts=%d",
 			cold.Metric("cache.unit.hit"), cold.Metric("cache.facts.hit"))
+	}
+	files := int64(len(facts.NewUnit(cold.Unit).Files()))
+	if got := cold.Metric("cache.facts.miss"); got != files {
+		t.Fatalf("cold run facts misses = %d, want one per file with functions (%d)", got, files)
 	}
 	if got := RenderRun(cold); got != fullRef {
 		t.Fatalf("cold cached run differs from uncached run:\n%s", firstDiff(fullRef, got))
@@ -60,8 +66,9 @@ func TestCheckerSubsetCacheIsolation(t *testing.T) {
 	if sub.Metric("cache.unit.hit") != 0 {
 		t.Fatal("subset run must not reuse the full run's unit entry")
 	}
-	if sub.Metric("cache.facts.hit") != 1 {
-		t.Fatal("subset run should reuse the checker-independent facts entry")
+	if hit, miss := sub.Metric("cache.facts.hit"), sub.Metric("cache.facts.miss"); hit != files || miss != 0 {
+		t.Fatalf("subset run should reuse every file's checker-independent facts entry: %d hits, %d misses, want %d, 0",
+			hit, miss, files)
 	}
 	if got := RenderRun(sub); got != subsetRef {
 		t.Fatalf("cached subset run differs from uncached subset run:\n%s", firstDiff(subsetRef, got))

@@ -11,12 +11,14 @@
 //
 // The serializable portion (Data) is fully self-contained: CFG block pointers
 // are stripped, branch directions and error-block reachability are resolved
-// at compute time, so a Data round-trips through gob (the analysiscache
-// facts-entry kind) and reproduces byte-identical reports. Checkers must
-// treat every slice and map reachable from FunctionFacts as read-only.
+// at compute time, so a Data round-trips through the binary codec (the
+// analysiscache per-file facts entries) and reproduces byte-identical
+// reports. Checkers must treat every slice and map reachable from
+// FunctionFacts as read-only.
 package facts
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -119,8 +121,17 @@ type FunctionFacts struct {
 	Fn   *cpg.Function
 	Data *Data
 
-	// VarTypes maps local and parameter names to their declared types.
-	VarTypes map[string]cast.Type
+	varTypesOnce sync.Once
+	varTypes     map[string]cast.Type
+}
+
+// VarTypes maps local and parameter names to their declared types. The body
+// walk runs on first use: only checkers with a candidate event (a free, an
+// escape) ask, so most functions — and every function whose Data came from
+// the cache — never pay for it.
+func (ff *FunctionFacts) VarTypes() map[string]cast.Type {
+	ff.varTypesOnce.Do(func() { ff.varTypes = varTypes(ff.Fn) })
+	return ff.varTypes
 }
 
 // IsParam reports whether name is one of the function's parameters. The
@@ -212,12 +223,7 @@ func (uf *UnitFacts) Function(name string) *FunctionFacts {
 			d = computeData(fn)
 			uf.computes.Add(1)
 		}
-		s.ff = &FunctionFacts{
-			Unit:     uf.Unit,
-			Fn:       fn,
-			Data:     d,
-			VarTypes: varTypes(fn),
-		}
+		s.ff = &FunctionFacts{Unit: uf.Unit, Fn: fn, Data: d}
 	})
 	return s.ff
 }
@@ -252,29 +258,58 @@ func (uf *UnitFacts) SmartLoop(ev semantics.Event) bool {
 	return ev.FromMacro != "" && uf.Unit.DB.Loop(ev.FromMacro) != nil
 }
 
-// Preload seeds not-yet-computed slots from a cached snapshot, returning
-// true only when the snapshot covered every defined function. It must be
-// called before checking starts; slots already computed keep their value.
-func (uf *UnitFacts) Preload(snap map[string]*Data) bool {
-	if len(snap) == 0 {
+// FileFuncs is one source file's share of a unit's defined functions: the
+// granularity of the analysis cache's facts entries.
+type FileFuncs struct {
+	Path  string
+	Names []string // sorted
+}
+
+// Files groups the defined functions by defining file, files in path order.
+// A name defined in several files belongs to the file whose definition the
+// unit kept (cpg.Function.File).
+func (uf *UnitFacts) Files() []FileFuncs {
+	byFile := map[string][]string{}
+	for _, name := range uf.names {
+		path := uf.Unit.Functions[name].File
+		byFile[path] = append(byFile[path], name)
+	}
+	out := make([]FileFuncs, 0, len(byFile))
+	for path, names := range byFile {
+		out = append(out, FileFuncs{Path: path, Names: names})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	return out
+}
+
+// Preload seeds the named functions' slots from a cached snapshot when the
+// snapshot covers every name, and reports whether it did; an incomplete
+// snapshot seeds nothing. It must be called before checking starts; slots
+// already computed keep their value.
+func (uf *UnitFacts) Preload(names []string, snap map[string]*Data) bool {
+	if len(names) == 0 {
 		return false
 	}
-	complete := true
-	for name, s := range uf.slots {
-		if d := snap[name]; d != nil {
-			s.pre = d
-		} else {
-			complete = false
+	for _, name := range names {
+		if uf.slots[name] == nil || snap[name] == nil {
+			return false
 		}
 	}
-	return complete
+	for _, name := range names {
+		uf.slots[name].pre = snap[name]
+	}
+	return true
 }
 
 // Snapshot returns every defined function's serializable facts (forcing any
-// not yet computed), keyed by function name — the analysiscache facts entry.
-func (uf *UnitFacts) Snapshot() map[string]*Data {
-	out := make(map[string]*Data, len(uf.names))
-	for _, name := range uf.names {
+// not yet computed), keyed by function name.
+func (uf *UnitFacts) Snapshot() map[string]*Data { return uf.SnapshotOf(uf.names) }
+
+// SnapshotOf is Snapshot restricted to the named defined functions — one
+// file's analysiscache facts entry.
+func (uf *UnitFacts) SnapshotOf(names []string) map[string]*Data {
+	out := make(map[string]*Data, len(names))
+	for _, name := range names {
 		out[name] = uf.Function(name).Data
 	}
 	return out
@@ -284,8 +319,10 @@ func (uf *UnitFacts) Snapshot() map[string]*Data {
 // flattening mirrors the engine's historical per-checker walk exactly: for
 // each path, events in block order with their path positions, branch
 // directions resolved against the successor actually taken, and error-block
-// reachability precomputed as a suffix scan.
+// reachability precomputed as a suffix scan. It is the only consumer of the
+// function's CFG and events, so it is what triggers their construction.
 func computeData(fn *cpg.Function) *Data {
+	fn.Analyze()
 	d := &Data{}
 	paths := fn.Graph.Paths(0)
 	d.Traces = make([]Trace, 0, len(paths))

@@ -71,8 +71,13 @@ func TestMemoizedExactlyOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, n := range names {
-				if ff := uf.Function(n); ff != first[i] {
+				ff := uf.Function(n)
+				if ff != first[i] {
 					t.Errorf("Function(%q) returned a different value concurrently", n)
+				}
+				// The lazily walked declared types are shared the same way.
+				if ff.VarTypes() == nil {
+					t.Errorf("Function(%q).VarTypes() = nil", n)
 				}
 			}
 		}()
@@ -134,8 +139,8 @@ func TestTraceSchema(t *testing.T) {
 }
 
 // TestSnapshotCodecRoundTrip proves the facts cache entry is faithful: a
-// Snapshot survives the production binary codec (what the facts-v2 cache
-// entry actually stores) and a fresh unit preloaded from it serves
+// Snapshot survives the production binary codec (what each per-file facts
+// cache entry actually stores) and a fresh unit preloaded from it serves
 // identical Data without computing anything.
 func TestSnapshotCodecRoundTrip(t *testing.T) {
 	u := buildFixture(t)
@@ -161,7 +166,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}
 
 	uf2 := facts.NewUnit(u)
-	if !uf2.Preload(decoded) {
+	if !uf2.Preload(uf2.FunctionNames(), decoded) {
 		t.Fatal("Preload of a complete snapshot should report true")
 	}
 	for _, name := range uf2.FunctionNames() {
@@ -174,25 +179,58 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPreloadIncomplete: a snapshot missing any function must not count as a
-// facts hit (the missing function would silently recompute and the cache
-// stats would lie).
+// TestPreloadIncomplete: a snapshot missing any requested function must not
+// count as a facts hit and seeds nothing — the file's entry is re-derived
+// and re-stored whole, so the cache stats never lie about what computed.
 func TestPreloadIncomplete(t *testing.T) {
 	u := buildFixture(t)
 	snap := facts.NewUnit(u).Snapshot()
 	delete(snap, "f_plain")
 
 	uf := facts.NewUnit(u)
-	if uf.Preload(snap) {
+	if uf.Preload(uf.FunctionNames(), snap) {
 		t.Fatal("Preload of an incomplete snapshot should report false")
 	}
-	if uf.Function("f_plain") == nil {
-		t.Fatal("missing function must still compute on demand")
+	for _, name := range uf.FunctionNames() {
+		if uf.Function(name) == nil {
+			t.Fatalf("%s must still compute on demand", name)
+		}
 	}
-	if got := uf.Computes(); got != 1 {
-		t.Fatalf("Computes = %d, want 1 (only the missing function)", got)
+	if got := uf.Computes(); got != 3 {
+		t.Fatalf("Computes = %d, want 3 (an incomplete snapshot seeds nothing)", got)
 	}
-	if uf2 := facts.NewUnit(u); uf2.Preload(nil) {
-		t.Fatal("Preload(nil) should report false")
+
+	// A subset the snapshot does cover preloads on its own.
+	uf2 := facts.NewUnit(u)
+	if !uf2.Preload([]string{"f_err", "f_leak"}, snap) {
+		t.Fatal("Preload of a covered subset should report true")
+	}
+	uf2.Snapshot()
+	if got := uf2.Computes(); got != 1 {
+		t.Fatalf("Computes = %d, want 1 (only the function outside the preloaded subset)", got)
+	}
+	if uf3 := facts.NewUnit(u); uf3.Preload(uf3.FunctionNames(), nil) || uf3.Preload(nil, snap) {
+		t.Fatal("Preload with no snapshot or no names should report false")
+	}
+}
+
+// TestFilesGroupsByDefiningFile: the per-file grouping behind the facts cache
+// entries follows the definition the unit kept, so a name defined in two
+// files belongs only to the file whose body won (the later path).
+func TestFilesGroupsByDefiningFile(t *testing.T) {
+	u := (&cpg.Builder{}).Build([]cpg.Source{
+		{Path: "a.c", Content: "void dup(void) { use(1); }\nvoid only_a(void) { use(2); }\n"},
+		{Path: "b.c", Content: "void dup(void) { use(3); }\nvoid only_b(void) { use(4); }\nint proto(void);\n"},
+		{Path: "c.h.c", Content: "int decl_only(void);\n"},
+	})
+	got := facts.NewUnit(u).Files()
+	want := []facts.FileFuncs{
+		{Path: "a.c", Names: []string{"only_a"}},
+		{Path: "b.c", Names: []string{"dup", "only_b"}},
+	}
+	gj, _ := json.Marshal(got)
+	wj, _ := json.Marshal(want)
+	if !bytes.Equal(gj, wj) {
+		t.Fatalf("Files() = %s, want %s", gj, wj)
 	}
 }

@@ -165,3 +165,9 @@ if grep 'watch: run 2 ' "$tmp/watch.log" | grep -q 'front end: 0 hits'; then
     cat "$tmp/watch.log" >&2
     exit 1
 fi
+# The edited file's facts entry is the only one re-derived.
+if ! grep 'watch: run 2 ' "$tmp/watch.log" | grep -Eq 'facts: [1-9][0-9]* hits, 1 misses\)'; then
+    echo "verify: watch re-run did not re-derive exactly the edited file's facts" >&2
+    cat "$tmp/watch.log" >&2
+    exit 1
+fi

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/analysiscache"
 	"repro/internal/core"
+	"repro/internal/facts"
 	"repro/internal/loader"
 	"repro/internal/obs"
 	"repro/internal/render"
@@ -27,9 +28,9 @@ func renderCLI(run *core.Run) string {
 
 // TestWatchIncrementalRerun is the watch-mode guarantee end to end: a watch
 // loop over an on-disk tree with a persistent cache handle re-analyzes after
-// a one-file edit by recomputing exactly that file's front end (every other
-// file is an L1 hit), and the incremental report is byte-identical to a cold
-// run over the edited tree.
+// a one-file edit by recomputing exactly that file's front end and facts
+// (every other file is an L1 hit for both), and the incremental report is
+// byte-identical to a cold run over the edited tree.
 func TestWatchIncrementalRerun(t *testing.T) {
 	dir := t.TempDir()
 	c, sources := kernelCorpus()
@@ -108,6 +109,25 @@ func TestWatchIncrementalRerun(t *testing.T) {
 	}
 	if cold := runs[0].Metric("frontend.cache.miss"); cold != n {
 		t.Errorf("cold run frontend misses = %d, want %d", cold, n)
+	}
+
+	// The same holds one layer down: only the edited file's facts entry
+	// misses, and only its functions' facts are derived again.
+	var files, editedFuncs int64
+	for _, f := range facts.NewUnit(runs[0].Unit).Files() {
+		files++
+		if f.Path == sources[0].Path {
+			editedFuncs = int64(len(f.Names))
+		}
+	}
+	if editedFuncs == 0 {
+		t.Fatalf("fixture too weak: %s defines no functions", sources[0].Path)
+	}
+	if hits, misses := runs[1].Metric("cache.facts.hit"), runs[1].Metric("cache.facts.miss"); hits != files-1 || misses != 1 {
+		t.Errorf("re-run facts entries: %d hits, %d misses, want %d, 1", hits, misses, files-1)
+	}
+	if got := runs[1].Metric("facts.computed"); got != editedFuncs {
+		t.Errorf("re-run computed facts for %d functions, want %d (the edited file's)", got, editedFuncs)
 	}
 
 	// Byte-identity against a cold, cache-free run over the edited tree.
