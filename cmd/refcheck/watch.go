@@ -72,7 +72,7 @@ func runWatch(opts *cliopts.Opts, dirs []string, apidbPath string, interval time
 				Cache: cache, DB: db, ConfigFP: configFP,
 			},
 			// Always a real trace (not opts.Trace's conditional): the status
-			// line below reads the front-end and facts hit/miss counters
+			// line below reads the front-end, parse-reuse and facts counters
 			// from it.
 			Trace: obs.New("refcheck-watch"),
 		}
@@ -106,9 +106,9 @@ func runWatch(opts *cliopts.Opts, dirs []string, apidbPath string, interval time
 		if changed != nil {
 			what = fmt.Sprintf("%d files changed", len(changed))
 		}
-		fmt.Fprintf(os.Stderr, "refcheck: watch: run %d (%s): %d files, %d reports in %v (front end: %d hits, %d misses; facts: %d hits, %d misses)\n",
+		fmt.Fprintf(os.Stderr, "refcheck: watch: run %d (%s): %d files, %d reports in %v (front end: %d hits (%d parses reused), %d misses; facts: %d hits, %d misses)\n",
 			runs, what, len(tree.Sources), len(reports), elapsed.Round(time.Millisecond),
-			run.Metric("frontend.cache.hit"), run.Metric("frontend.cache.miss"),
+			run.Metric("frontend.cache.hit"), run.Metric("frontend.parse.reused"), run.Metric("frontend.cache.miss"),
 			run.Metric("cache.facts.hit"), run.Metric("cache.facts.miss"))
 		opts.Export("refcheck", req.Trace)
 		return nil

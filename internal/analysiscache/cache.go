@@ -14,9 +14,11 @@
 //   - L1 holds already-decoded values (any), sharded into 16 char buckets by
 //     the first hex digit of the key, each bucket an LRU list with a byte
 //     budget (charged at the encoded size, a stable proxy for the decoded
-//     footprint) and a TTL. A warm same-process re-run skips open, read, and
-//     codec decode entirely. Values stored in L1 are shared between every
-//     future getter, so callers must treat them as immutable.
+//     footprint, unless the owner re-charges the entry with Recharge). There
+//     is no expiry: entries are content-addressed, so they never go stale.
+//     A warm same-process re-run skips open, read, and codec decode
+//     entirely. Values stored in L1 are shared between every future getter,
+//     so callers must treat them as immutable.
 //   - L2 is the disk tier. Writes are batched: Put and PutValue only append
 //     to a per-shard pending buffer; a shard is flushed — one pack file
 //     holding every pending entry, named by the content hash of the pack
@@ -69,7 +71,6 @@ var ErrCorrupt = errors.New("analysiscache: corrupt entry")
 // Defaults for Open. WithMemory(0) disables L1 entirely.
 const (
 	DefaultMemory        = 64 << 20
-	DefaultTTL           = 10 * time.Minute
 	defaultFlushBytes    = 8 << 20
 	defaultFlushInterval = 30 * time.Second
 )
@@ -77,7 +78,6 @@ const (
 // config collects the Open options.
 type config struct {
 	mem        int64
-	ttl        time.Duration
 	flushBytes int64
 	flushEvery time.Duration
 }
@@ -89,10 +89,6 @@ type Option func(*config)
 // Zero (or negative) disables the in-memory tier: GetValue then decodes from
 // disk on every call and PutValue only queues the encoded bytes.
 func WithMemory(bytes int64) Option { return func(c *config) { c.mem = bytes } }
-
-// WithTTL sets the L1 entry lifetime; zero means no expiry. Expiry is
-// checked on access (there is no background sweeper).
-func WithTTL(d time.Duration) Option { return func(c *config) { c.ttl = d } }
 
 // WithFlushThreshold sets the per-shard pending-byte level that triggers an
 // inline flush on Put.
@@ -134,7 +130,6 @@ type state struct {
 func Open(dir string, opts ...Option) (*Cache, error) {
 	cfg := config{
 		mem:        DefaultMemory,
-		ttl:        DefaultTTL,
 		flushBytes: defaultFlushBytes,
 		flushEvery: defaultFlushInterval,
 	}
@@ -147,7 +142,7 @@ func Open(dir string, opts ...Option) (*Cache, error) {
 	st := &state{l2: newL2Tier(dir, cfg.flushBytes, cfg.flushEvery)}
 	st.refs.Store(1)
 	if cfg.mem > 0 {
-		st.l1 = newL1Cache(cfg.mem, cfg.ttl)
+		st.l1 = newL1Cache(cfg.mem)
 	}
 	return &Cache{dir: dir, st: st}, nil
 }
@@ -233,11 +228,7 @@ func (c *Cache) GetValue(key string, decode func(data []byte) (any, error)) (any
 	}
 	l1 := c.st.l1
 	if l1 != nil {
-		v, ok, evicted := l1.get(key)
-		if evicted > 0 {
-			c.reg.Add("cache.l1.evict", int64(evicted))
-		}
-		if ok {
+		if v, ok := l1.get(key); ok {
 			c.reg.Add("cache.l1.hit", 1)
 			return v, true
 		}
@@ -305,6 +296,24 @@ func (c *Cache) PutValue(key string, val any, encoded []byte) error {
 	}
 	c.reg.Add("cache.write", 1)
 	return c.maybeFlush(c.st.l2.put(key, encoded))
+}
+
+// Recharge sets the memory-tier charge of key's entry to size, provided the
+// entry still holds val (by identity; val must be comparable, e.g. a
+// pointer). It is for values that grow after insertion — a value that
+// memoizes derived state should be charged for it, so the WithMemory budget
+// keeps bounding what the tier really holds. Evictions it causes are
+// counted as cache.l1.evict. A no-op when the entry is gone or replaced, or
+// when the memory tier is disabled.
+func (c *Cache) Recharge(key string, val any, size int64) {
+	l1 := c.st.l1
+	if l1 == nil {
+		return
+	}
+	if evicted := l1.recharge(key, val, size); evicted > 0 {
+		c.reg.Add("cache.l1.evict", int64(evicted))
+	}
+	c.reg.SetGauge("cache.l1.bytes", float64(l1.bytes.Load()))
 }
 
 // maybeFlush flushes one shard when put reported its threshold or interval
@@ -409,7 +418,7 @@ func (c *Cache) Flight(ctx context.Context, key string, fn func() (any, error)) 
 // the obs registry; this covers the gauges a CLI wants to print at exit).
 type Stats struct {
 	L1Entries int64 // values currently held by the memory tier
-	L1Bytes   int64 // their encoded-size charge against the budget
+	L1Bytes   int64 // their charge against the budget (see Recharge)
 	Pending   int64 // disk-tier entries buffered but not yet flushed
 }
 

@@ -3,7 +3,6 @@ package analysiscache
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // numShards is the char-bucket fanout of both tiers: entries map to a shard
@@ -30,12 +29,12 @@ func hexVal(c byte) (uint8, bool) {
 }
 
 // l1Cache is the in-memory value tier: 16 independently locked shards, each
-// an LRU list over a map, bounded by bytes (the entry's encoded size is the
-// charge — a stable, already-known proxy for the decoded footprint) and by
-// a TTL checked on access.
+// an LRU list over a map, bounded by bytes. An entry's charge is its encoded
+// size — a stable, already-known proxy for the decoded footprint — unless
+// its owner re-charges it (see recharge). Entries are content-addressed, so
+// they never go stale and nothing expires them: only the byte budget evicts.
 type l1Cache struct {
 	shardBudget int64
-	ttl         time.Duration
 	bytes       atomic.Int64 // total charge across shards, for the gauge
 	entries     atomic.Int64
 	shards      [numShards]l1Shard
@@ -53,40 +52,32 @@ type l1Entry struct {
 	key        string
 	val        any
 	size       int64
-	exp        int64 // unix nanos; 0 = never expires
 	prev, next *l1Entry
 }
 
-func newL1Cache(budget int64, ttl time.Duration) *l1Cache {
+func newL1Cache(budget int64) *l1Cache {
 	b := budget / numShards
 	if b < 1 {
 		b = 1
 	}
-	c := &l1Cache{shardBudget: b, ttl: ttl}
+	c := &l1Cache{shardBudget: b}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*l1Entry)
 	}
 	return c
 }
 
-// get returns the live value for key, expiring it instead when its TTL has
-// passed (evicted counts entries removed by this call — 0 or 1).
-func (c *l1Cache) get(key string) (v any, ok bool, evicted int) {
+// get returns the value for key and marks it most recently used.
+func (c *l1Cache) get(key string) (v any, ok bool) {
 	s := &c.shards[shardOf(key)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.m[key]
 	if e == nil {
-		return nil, false, 0
-	}
-	if e.exp != 0 && time.Now().UnixNano() > e.exp {
-		s.remove(e)
-		c.bytes.Add(-e.size)
-		c.entries.Add(-1)
-		return nil, false, 1
+		return nil, false
 	}
 	s.moveFront(e)
-	return e.val, true, 0
+	return e.val, true
 }
 
 // put inserts (or refreshes) key and evicts LRU entries until the shard is
@@ -104,21 +95,48 @@ func (c *l1Cache) put(key string, val any, size int64) (evicted int) {
 		c.bytes.Add(size - e.size)
 		s.bytes += size - e.size
 		e.val, e.size = val, size
-		if c.ttl > 0 {
-			e.exp = time.Now().Add(c.ttl).UnixNano()
-		}
 		s.moveFront(e)
 	} else {
 		e := &l1Entry{key: key, val: val, size: size}
-		if c.ttl > 0 {
-			e.exp = time.Now().Add(c.ttl).UnixNano()
-		}
 		s.m[key] = e
 		s.pushFront(e)
 		s.bytes += size
 		c.bytes.Add(size)
 		c.entries.Add(1)
 	}
+	return c.evictOver(s)
+}
+
+// recharge sets the charge of key's entry to size if the entry still holds
+// val (compared by identity, so val must be comparable — in practice a
+// pointer), then evicts LRU entries until the shard is back under budget,
+// returning how many were evicted. An entry that no longer fits the shard
+// budget at all leaves, exactly as put would have refused it. A missing or
+// replaced entry is left alone: its owner's value is no longer the one the
+// tier holds.
+func (c *l1Cache) recharge(key string, val any, size int64) (evicted int) {
+	s := &c.shards[shardOf(key)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.m[key]
+	if e == nil || e.val != val {
+		return 0
+	}
+	if size > c.shardBudget {
+		s.remove(e)
+		c.bytes.Add(-e.size)
+		c.entries.Add(-1)
+		return 1
+	}
+	c.bytes.Add(size - e.size)
+	s.bytes += size - e.size
+	e.size = size
+	return c.evictOver(s)
+}
+
+// evictOver evicts the shard's LRU entries until it is back under budget;
+// the caller holds s.mu.
+func (c *l1Cache) evictOver(s *l1Shard) (evicted int) {
 	for s.bytes > c.shardBudget && s.tail != nil {
 		victim := s.tail
 		s.remove(victim)

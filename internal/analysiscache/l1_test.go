@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -27,7 +26,7 @@ func sameShardKeys(n int) []string {
 // recently touched survive, and the byte charge tracks what remains.
 func TestL1EvictionUnderBytePressure(t *testing.T) {
 	// 16 shards share the budget evenly: 1600 total → 100 per shard.
-	l1 := newL1Cache(1600, 0)
+	l1 := newL1Cache(1600)
 	keys := sameShardKeys(4)
 
 	// Three 30-byte entries fit in 90/100.
@@ -37,18 +36,18 @@ func TestL1EvictionUnderBytePressure(t *testing.T) {
 		}
 	}
 	// Touch keys[0] so keys[1] is now the LRU victim.
-	if _, ok, _ := l1.get(keys[0]); !ok {
+	if _, ok := l1.get(keys[0]); !ok {
 		t.Fatal("expected hit for resident entry")
 	}
 	// A fourth 30-byte entry pushes the shard to 120 → one eviction.
 	if ev := l1.put(keys[3], keys[3], 30); ev != 1 {
 		t.Fatalf("expected exactly one eviction, got %d", ev)
 	}
-	if _, ok, _ := l1.get(keys[1]); ok {
+	if _, ok := l1.get(keys[1]); ok {
 		t.Fatal("LRU entry must have been evicted")
 	}
 	for _, k := range []string{keys[0], keys[2], keys[3]} {
-		if _, ok, _ := l1.get(k); !ok {
+		if _, ok := l1.get(k); !ok {
 			t.Fatalf("recently used entry %s… must survive", k[:8])
 		}
 	}
@@ -61,30 +60,46 @@ func TestL1EvictionUnderBytePressure(t *testing.T) {
 	if ev := l1.put(keys[1], keys[1], 101); ev != 0 {
 		t.Fatalf("oversized entry must be rejected without evictions, got %d", ev)
 	}
-	if _, ok, _ := l1.get(keys[1]); ok {
+	if _, ok := l1.get(keys[1]); ok {
 		t.Fatal("oversized entry must not be cached")
 	}
 }
 
-// TestL1TTLExpiry checks that entries die on access after their TTL and are
-// counted as evictions, not plain misses.
-func TestL1TTLExpiry(t *testing.T) {
-	l1 := newL1Cache(1<<20, 30*time.Millisecond)
-	key := KeyOf("ttl")
-	l1.put(key, "v", 8)
-	if _, ok, _ := l1.get(key); !ok {
-		t.Fatal("expected hit before TTL")
+// TestL1Recharge checks that re-charging an entry moves the shard's byte
+// count, evicts LRU entries when the new charge overflows the budget, drops
+// an entry that no longer fits at all, and ignores entries whose value was
+// replaced.
+func TestL1Recharge(t *testing.T) {
+	l1 := newL1Cache(1600) // 100 bytes per shard
+	keys := sameShardKeys(3)
+	vals := []*string{new(string), new(string), new(string)}
+	for i, k := range keys {
+		l1.put(k, vals[i], 20)
 	}
-	time.Sleep(50 * time.Millisecond)
-	v, ok, evicted := l1.get(key)
-	if ok || v != nil {
-		t.Fatal("expected expiry after TTL")
+	// keys[0] is the LRU tail; growing keys[2] to 70 puts the shard at 110.
+	if ev := l1.recharge(keys[2], vals[2], 70); ev != 1 {
+		t.Fatalf("recharge over budget: want 1 eviction, got %d", ev)
 	}
-	if evicted != 1 {
-		t.Fatalf("expiry must count as one eviction, got %d", evicted)
+	if _, ok := l1.get(keys[0]); ok {
+		t.Fatal("LRU entry must have been evicted by the recharge")
 	}
-	if entries, bytes := l1.stats(); entries != 0 || bytes != 0 {
-		t.Fatalf("expired entry must release its charge, got entries=%d bytes=%d", entries, bytes)
+	if entries, bytes := l1.stats(); entries != 2 || bytes != 90 {
+		t.Fatalf("stats after recharge: entries=%d bytes=%d, want 2/90", entries, bytes)
+	}
+	// A stale owner (its value was replaced) must not move the charge.
+	l1.put(keys[1], new(string), 20)
+	if ev := l1.recharge(keys[1], vals[1], 60); ev != 0 {
+		t.Fatalf("recharge of a replaced value must be a no-op, got %d evictions", ev)
+	}
+	if _, bytes := l1.stats(); bytes != 90 {
+		t.Fatalf("replaced value's recharge moved the charge to %d", bytes)
+	}
+	// A charge above the whole shard budget drops the entry itself.
+	if ev := l1.recharge(keys[2], vals[2], 101); ev != 1 {
+		t.Fatalf("oversized recharge: want the entry itself evicted, got %d", ev)
+	}
+	if entries, bytes := l1.stats(); entries != 1 || bytes != 20 {
+		t.Fatalf("stats after oversized recharge: entries=%d bytes=%d, want 1/20", entries, bytes)
 	}
 }
 
@@ -158,7 +173,7 @@ func TestGetValueTiered(t *testing.T) {
 func TestConcurrentSameKeyValueOps(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			c := mustOpen(t, t.TempDir(), WithMemory(4096), WithTTL(time.Hour))
+			c := mustOpen(t, t.TempDir(), WithMemory(4096))
 			keys := make([]string, 8)
 			vals := make([]*payload, len(keys))
 			for i := range keys {

@@ -87,6 +87,7 @@ func MergeShardArtifacts(arts ...*ShardArtifact) *ShardArtifact {
 func (b *Builder) BuildArtifactContext(ctx context.Context, sources []Source, retain bool) *ShardArtifact {
 	fe := b.newFrontEnd()
 	fe.retain = retain
+	fe.l1hold = fe.l1hold && !retain
 	return b.buildArtifact(ctx, fe, sources)
 }
 

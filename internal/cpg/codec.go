@@ -291,11 +291,11 @@ func decodeFrontEntry(data []byte, ent *frontEntry, tokBuf []clex.Token) error {
 
 // decodeFrontValue is the value-tier decode callback: it builds a frontEntry
 // in fresh storage (no pooled buffers) suitable for retention in the cache's
-// in-memory tier and sharing across builds. The Macros map is normalized to
-// non-nil here, eagerly, because the shared entry must never be mutated by a
-// reader.
+// in-memory tier and sharing across builds, with an empty parse memo. The
+// Macros map is normalized to non-nil here, eagerly, because the shared
+// entry must never be mutated by a reader.
 func decodeFrontValue(data []byte) (any, error) {
-	ent := new(frontEntry)
+	ent := &frontEntry{memo: &frontMemo{charge: int64(len(data))}}
 	if err := decodeFrontEntry(data, ent, nil); err != nil {
 		return nil, err
 	}

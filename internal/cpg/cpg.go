@@ -134,14 +134,16 @@ type Builder struct {
 	HeaderCache *cpp.HeaderCache
 	// Cache, when non-nil, persists each file's preprocessed form
 	// (tokens + macros + include closure) keyed by content hash, so an
-	// unchanged file skips preprocessing on the next build. Parsing and
-	// everything downstream still run — discovery and the checkers have
-	// cross-file dependencies — which keeps cached and uncached builds
+	// unchanged file skips preprocessing on the next build. With the cache's
+	// memory tier enabled, an unchanged file's parse tree and discovery
+	// observation are reused as well (see frontEntry). Assembly, discovery
+	// replay and everything downstream still run over the whole unit — they
+	// have cross-file dependencies — which keeps cached and uncached builds
 	// byte-identical by construction.
 	Cache *analysiscache.Cache
 	// Obs, when non-nil, is the parent span the build hangs its spans and
 	// counters off: a child span per translation unit plus front-end
-	// counters (frontend.cache.hit/miss, frontend.tokens,
+	// counters (frontend.cache.hit/miss, frontend.parse.reused, frontend.tokens,
 	// frontend.macro_expansions, headercache.hit/miss, lex.tokens) and the
 	// frontend.tu_ms histogram. Nil (or a span from obs.Nop()) disables all
 	// of it at effectively zero cost; the Unit is byte-identical either way.
@@ -163,20 +165,43 @@ type parsed struct {
 	// pooled per-TU buffer must never escape parseOne, so this is always a
 	// copy.
 	tokens []clex.Token
+	// obs is the file's discovery observation.
+	obs apidb.FileObs
 	// fp is the file's sourceFP, set when the front end ran with a cache.
 	fp string
 }
 
-// frontEntry is the persisted per-file front-end result: everything the
+// frontEntry is the per-file front-end cache entry: everything the
 // preprocessor produced for one source, plus the include closure that must
-// still resolve identically for the entry to be reused. Parse trees are NOT
-// cached — the parser is cheap relative to preprocessing, and reparsing from
-// cached tokens sidesteps serializing the AST.
+// still resolve identically for the entry to be reused. Only these fields
+// are encoded, so the disk tier stores tokens, never parse trees: the
+// parser is cheap next to preprocessing, and reparsing cached tokens yields
+// an identical AST without an AST codec.
+//
+// An entry held by the cache's L1 also carries memo, the file's parse and
+// discovery observation, filled once by the first build that reaches the
+// entry and reused by every later build in the process — so an edit loop
+// parses only the files it changed. The memo stays in memory only. Once it
+// is set the parse replaces the token stream (Tokens is nil from then on,
+// so the tier does not hold both), and the entry's L1 charge grows from its
+// encoded size by the parse's arena bytes.
 type frontEntry struct {
 	Closure   []cpp.IncludeDep
 	Tokens    []clex.Token
 	Macros    map[string]*cpp.Macro
 	CppErrors []string
+
+	memo *frontMemo // nil unless the entry is an L1 value
+}
+
+// frontMemo is an L1 front-end entry's parse and observation (see
+// frontEntry). Everything in it is immutable once once has run.
+type frontMemo struct {
+	once   sync.Once
+	file   *cast.File
+	perrs  []error
+	obs    apidb.FileObs
+	charge int64 // the entry's L1 charge: its encoded size, plus the parse once set
 }
 
 // frontEnd is the per-Build front-end state shared by all phase-1 workers.
@@ -185,9 +210,12 @@ type frontEnd struct {
 	hc       *cpp.HeaderCache
 	cache    *analysiscache.Cache
 	predefFP string
-	// l1hold marks a cache with an active in-memory value tier: front-entry
-	// reads then go through GetValue, which retains the decoded entry, so
-	// decoding must not target the pooled token buffer (see parseOne).
+	// l1hold marks a cache with an active in-memory value tier and a build
+	// that does not retain token streams: front-entry reads then go through
+	// GetValue, which retains the decoded entry, so decoding must not target
+	// the pooled token buffer, and the entry's parse is memoized (see
+	// parseOne). A retaining build (artifact export) needs every file's
+	// tokens, which memoized entries drop, so it reads through the byte API.
 	l1hold bool
 	// retain makes parseOne copy each TU's expanded token stream into fresh
 	// storage (parsed.tokens) so the artifact can be serialized after the
@@ -290,8 +318,8 @@ func (fe *frontEnd) preprocess(src Source, buf []clex.Token) *cpp.Result {
 }
 
 // parseOne runs the per-file front end: preprocess (or reuse the cached
-// preprocessed form) then parse. It touches no builder-mutable state, so
-// shards may run concurrently.
+// preprocessed form), parse, and extract the discovery observation. It
+// touches no builder-mutable state, so shards may run concurrently.
 //
 // Each call owns one per-TU arena. The expanded-token stream (the largest
 // per-TU scratch allocation) is borrowed from the build's pool and returned
@@ -311,32 +339,19 @@ func (fe *frontEnd) parseOne(src Source) parsed {
 	if fe.cache == nil {
 		res := fe.preprocess(src, buf)
 		buf = res.Tokens
-		file, perrs := cparse.ParseFileArena(src.Path, res.Tokens, fe.stats)
-		errs := make([]error, 0, len(res.Errors)+len(perrs))
-		errs = append(errs, res.Errors...)
-		errs = append(errs, perrs...)
-		return parsed{file: file, macros: res.Macros, errs: errs,
-			cppN: len(res.Errors), tokens: fe.retainToks(res.Tokens)}
+		return fe.parse(src.Path, res.Tokens, res.Macros, res.Errors, "")
 	}
 	key := analysiscache.KeyOf("fe-v3", fe.predefFP, src.Path, src.Content)
 	if fe.l1hold {
-		// Value-tier path: the decoded entry lands in the cache's L1 and is
-		// shared with every later build, so it must live in fresh storage —
-		// never the pooled buffer — and be treated as immutable from here.
-		// The pooled buf stays untouched and returns to the pool unused.
+		// Value-tier path: the entry lives in the cache's L1 and is shared
+		// with every later build, so it must live in fresh storage — never
+		// the pooled buffer — and be treated as immutable from here. The
+		// pooled buf stays untouched and returns to the pool unused.
 		if v, ok := fe.cache.GetValue(key, decodeFrontValue); ok {
 			ent := v.(*frontEntry)
 			if fe.closureValid(ent.Closure) {
 				fe.reg.Add("frontend.cache.hit", 1)
-				file, perrs := cparse.ParseFileArena(src.Path, ent.Tokens, fe.stats)
-				errs := make([]error, 0, len(ent.CppErrors)+len(perrs))
-				for _, s := range ent.CppErrors {
-					errs = append(errs, errors.New(s))
-				}
-				errs = append(errs, perrs...)
-				return parsed{file: file, macros: ent.Macros, errs: errs,
-					cppN: len(ent.CppErrors), tokens: fe.retainToks(ent.Tokens),
-					fp: sourceFP(key, ent.Closure)}
+				return fe.reuse(key, src.Path, ent)
 			}
 		}
 	} else {
@@ -345,40 +360,86 @@ func (fe *frontEnd) parseOne(src Source) parsed {
 			fe.closureValid(ent.Closure) {
 			fe.reg.Add("frontend.cache.hit", 1)
 			buf = ent.Tokens
-			file, perrs := cparse.ParseFileArena(src.Path, ent.Tokens, fe.stats)
-			errs := make([]error, 0, len(ent.CppErrors)+len(perrs))
-			for _, s := range ent.CppErrors {
-				errs = append(errs, errors.New(s))
-			}
-			errs = append(errs, perrs...)
 			if ent.Macros == nil {
 				ent.Macros = map[string]*cpp.Macro{}
 			}
-			return parsed{file: file, macros: ent.Macros, errs: errs,
-				cppN: len(ent.CppErrors), tokens: fe.retainToks(ent.Tokens),
-				fp: sourceFP(key, ent.Closure)}
+			return fe.parse(src.Path, ent.Tokens, ent.Macros, cppErrors(ent.CppErrors),
+				sourceFP(key, ent.Closure))
 		}
 	}
 	fe.reg.Add("frontend.cache.miss", 1)
 	res := fe.preprocess(src, buf)
 	buf = res.Tokens
-	cppErrs := make([]string, len(res.Errors))
+	ent := &frontEntry{Closure: res.Includes, Tokens: res.Tokens, Macros: res.Macros,
+		CppErrors: make([]string, len(res.Errors))}
 	for i, e := range res.Errors {
-		cppErrs[i] = e.Error()
+		ent.CppErrors[i] = e.Error()
 	}
 	// A Put failure (full disk, unwritable dir) only costs the next run a
 	// recompute; the current result is served from memory either way.
-	_ = fe.cache.Put(key, encodeFrontEntry(&frontEntry{
-		Closure: res.Includes, Tokens: res.Tokens,
-		Macros: res.Macros, CppErrors: cppErrs,
-	}))
-	file, perrs := cparse.ParseFileArena(src.Path, res.Tokens, fe.stats)
-	errs := make([]error, 0, len(res.Errors)+len(perrs))
-	errs = append(errs, res.Errors...)
+	if !fe.l1hold {
+		_ = fe.cache.Put(key, encodeFrontEntry(ent))
+		return fe.parse(src.Path, res.Tokens, res.Macros, res.Errors, sourceFP(key, res.Includes))
+	}
+	// With an L1 this build's parse becomes the entry's memo before the
+	// entry is published, so the next build that hits it reuses the parse
+	// and the pooled token buffer never escapes into the shared entry.
+	enc := encodeFrontEntry(ent)
+	ent.memo = &frontMemo{charge: int64(len(enc))}
+	p := fe.reuse(key, src.Path, ent)
+	_ = fe.cache.PutValue(key, ent, enc)
+	fe.cache.Recharge(key, ent, ent.memo.charge)
+	return p
+}
+
+// parse parses one TU's token stream and extracts its discovery
+// observation, for the front-end paths that keep no memo.
+func (fe *frontEnd) parse(path string, toks []clex.Token, macros map[string]*cpp.Macro, cppErrs []error, fp string) parsed {
+	file, perrs := cparse.ParseFileArena(path, toks, fe.stats)
+	errs := make([]error, 0, len(cppErrs)+len(perrs))
+	errs = append(errs, cppErrs...)
 	errs = append(errs, perrs...)
-	return parsed{file: file, macros: res.Macros, errs: errs,
-		cppN: len(res.Errors), tokens: fe.retainToks(res.Tokens),
-		fp: sourceFP(key, res.Includes)}
+	return parsed{file: file, macros: macros, errs: errs, cppN: len(cppErrs),
+		tokens: fe.retainToks(toks), obs: apidb.ObserveFile(path, file, macros), fp: fp}
+}
+
+// reuse serves one TU from an L1-shared front-end entry: the first build to
+// reach the entry parses its token stream and observes the result into the
+// memo, drops the tokens, and re-charges the entry for the parse; every
+// later build reuses the memo and counts a frontend.parse.reused. Sharing
+// is sound because nothing downstream writes an AST or an observation — CFG
+// construction, event extraction, discovery replay, and the checkers only
+// read them (TestAnalyzeLeavesInputsUntouched in internal/core pins that) —
+// and ent.Tokens is read and cleared only inside the once.
+func (fe *frontEnd) reuse(key, path string, ent *frontEntry) parsed {
+	m := ent.memo
+	reused := true
+	m.once.Do(func() {
+		reused = false
+		var st arena.Stats
+		m.file, m.perrs = cparse.ParseFileArena(path, ent.Tokens, &st)
+		m.obs = apidb.ObserveFile(path, m.file, ent.Macros)
+		m.charge += st.Bytes.Load()
+		ent.Tokens = nil
+		fe.stats.Bytes.Add(st.Bytes.Load())
+		fe.stats.Chunks.Add(st.Chunks.Load())
+		fe.cache.Recharge(key, ent, m.charge)
+	})
+	if reused {
+		fe.reg.Add("frontend.parse.reused", 1)
+	}
+	return parsed{file: m.file, macros: ent.Macros, errs: append(cppErrors(ent.CppErrors), m.perrs...),
+		cppN: len(ent.CppErrors), obs: m.obs, fp: sourceFP(key, ent.Closure)}
+}
+
+// cppErrors turns cached preprocessor error strings back into errors, in a
+// slice of its own (full capacity, so appending copies).
+func cppErrors(msgs []string) []error {
+	errs := make([]error, len(msgs))
+	for i, s := range msgs {
+		errs[i] = errors.New(s)
+	}
+	return errs
 }
 
 // retainToks copies a token stream into fresh storage when the build runs in
@@ -477,8 +538,7 @@ func (b *Builder) buildArtifact(ctx context.Context, fe *frontEnd, sources []Sou
 			return
 		}
 		results[i] = &ArtFile{
-			Path: sorted[i].Path, Tokens: p.tokens, Macros: p.macros,
-			Obs:  apidb.ObserveFile(sorted[i].Path, p.file, p.macros),
+			Path: sorted[i].Path, Tokens: p.tokens, Macros: p.macros, Obs: p.obs,
 			file: p.file, errs: p.errs, cppN: p.cppN, fp: p.fp,
 		}
 	}
@@ -549,8 +609,8 @@ func (b *Builder) assembleWith(ctx context.Context, fe *frontEnd, art *ShardArti
 	reg := fe.reg
 
 	// Decoded artifacts carry token streams, not ASTs (same trade the
-	// front-end cache makes: the parser is cheap, and reparsing identical
-	// tokens yields an identical AST). Reparse them file-sharded.
+	// front-end cache's disk tier makes: the parser is cheap, and reparsing
+	// identical tokens yields an identical AST). Reparse them file-sharded.
 	var toParse []*ArtFile
 	for _, af := range art.Files {
 		if af.file == nil {

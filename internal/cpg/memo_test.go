@@ -1,0 +1,98 @@
+package cpg
+
+import (
+	"testing"
+
+	"repro/internal/analysiscache"
+	"repro/internal/arena"
+	"repro/internal/corpus"
+	"repro/internal/cparse"
+	"repro/internal/cpp"
+	"repro/internal/obs"
+)
+
+// TestParseMemoIsCharged checks that an L1 front-end entry is charged for
+// its memoized parse, not only its encoded size: with a memory budget that
+// holds every encoded entry but not every entry plus its parse, filling the
+// memos must evict, the tier must stay within its budget, and builds on the
+// evicting handle must still produce the uncached unit.
+func TestParseMemoIsCharged(t *testing.T) {
+	c := corpus.Generate(corpus.Spec{Seed: 1})
+	srcs := make([]Source, len(c.Files))
+	for i, f := range c.Files {
+		srcs[i] = Source{Path: f.Path, Content: f.Content}
+	}
+	headers := cpp.NewIndexedFiles(c.Headers)
+	want := unitFingerprint((&Builder{Headers: headers}).Build(srcs))
+
+	dir := t.TempDir()
+	warm, err := analysiscache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	(&Builder{Headers: headers, Cache: warm}).Build(srcs)
+	if err := warm.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Per L1 shard (the first hex digit of the key), the encoded size of its
+	// front-end entries, and that plus their parses' arena bytes.
+	probe, err := analysiscache.Open(dir, analysiscache.WithMemory(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc, full [16]int64
+	predefFP := predefFingerprint(nil)
+	for _, src := range srcs {
+		key := analysiscache.KeyOf("fe-v3", predefFP, src.Path, src.Content)
+		v, ok := probe.GetValue(key, decodeFrontValue)
+		if !ok {
+			t.Fatalf("%s: front-end entry not on disk", src.Path)
+		}
+		ent := v.(*frontEntry)
+		var st arena.Stats
+		cparse.ParseFileArena(src.Path, ent.Tokens, &st)
+		shard := int(key[0] - '0')
+		if key[0] >= 'a' {
+			shard = int(key[0]-'a') + 10
+		}
+		enc[shard] += ent.memo.charge
+		full[shard] += ent.memo.charge + st.Bytes.Load()
+	}
+	var perShard, fullMax int64
+	for s := range enc {
+		perShard = max(perShard, enc[s])
+		fullMax = max(fullMax, full[s])
+	}
+	if fullMax <= perShard {
+		t.Fatal("fixture too weak: parses add nothing to the largest shard")
+	}
+	budget := 16 * perShard
+
+	reg := obs.NewRegistry()
+	tight, err := analysiscache.Open(dir, analysiscache.WithMemory(budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tight.Close()
+	tight = tight.WithRegistry(reg)
+	for run := 1; run <= 2; run++ {
+		tr := obs.New("charge")
+		u := (&Builder{Headers: headers, Cache: tight, Obs: tr.Root()}).Build(srcs)
+		if got := unitFingerprint(u); got != want {
+			t.Fatalf("run %d on the evicting handle differs from an uncached build:\n--- want ---\n%s--- got ---\n%s", run, want, got)
+		}
+		if st := tight.Stats(); st.L1Bytes > budget {
+			t.Fatalf("run %d: L1 holds %d bytes, over its %d budget", run, st.L1Bytes, budget)
+		}
+		if run == 2 {
+			// Evicted entries come back from disk and are parsed again.
+			if reused := tr.Reg().Counter("frontend.parse.reused"); reused >= int64(len(srcs)) {
+				t.Fatalf("run 2 reused all %d parses despite evictions", reused)
+			}
+		}
+	}
+	if reg.Counter("cache.l1.evict") == 0 {
+		t.Fatalf("charging the parses to a budget that fits only the encoded entries evicted nothing")
+	}
+}

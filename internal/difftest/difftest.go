@@ -6,8 +6,8 @@
 //
 //  1. Differential: the same input is analyzed across the full
 //     {workers 1, N} × {no cache, cold, L1-warm, disk-warm,
-//     one-file-invalidated} matrix and every configuration must render
-//     byte-identically (Matrix).
+//     one-file-invalidated from disk and from L1} matrix and every
+//     configuration must render byte-identically (Matrix).
 //  2. Metamorphic: semantics-preserving source transforms (comments,
 //     whitespace, reordering, include restructuring, identifier renaming)
 //     must leave the report signatures invariant up to relocation, while
@@ -118,15 +118,17 @@ func RenderRun(run *core.Run) string {
 const matrixWorkers = 8
 
 // Matrix runs the pipeline over the set across the full {workers 1, N} ×
-// {no cache, cold, L1-warm, disk-warm, one-file-invalidated} matrix,
-// verifies every configuration renders byte-identically to the sequential
-// uncached baseline (the invalidated runs against an uncached baseline of
-// the edited set), and returns the baseline run. The cache states exercise
-// every tier of the cache: a second run on the same handle must be served
-// out of the in-memory L1 tier, a run on a reopened handle must be served
-// from the disk packs into a cold L1, and editing one file must miss the
-// unit entry while the untouched files still hit the front-end cache and
-// their per-file facts entries (only the edited file's facts re-derive).
+// {no cache, cold, L1-warm, disk-warm, one-file-invalidated from disk and
+// from L1} matrix, verifies every configuration renders byte-identically to
+// the sequential uncached baseline (the invalidated runs against an uncached
+// baseline of the edited set), and returns the baseline run. The cache
+// states exercise every tier of the cache: a second run on the same handle
+// must be served out of the in-memory L1 tier, a run on a reopened handle
+// must be served from the disk packs into a cold L1, and editing one file
+// must miss the unit entry while the untouched files still hit the
+// front-end cache and their per-file facts entries (only the edited file's
+// facts re-derive) — and, on a handle whose L1 is warm, reuse their
+// memoized parses (only the edited file is parsed again).
 // Because every run carries a trace, the matrix doubles as the
 // observability determinism oracle: for a given cache state, the span tree
 // and every counter must be independent of the worker count. Cache
@@ -231,6 +233,40 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 		}
 		os.RemoveAll(dir)
 
+		// The L1-warm one-file-invalidated state: a handle that has seen one
+		// cold run holds every front-end entry in L1 with its parse
+		// memoized, so an edit parses only the edited file. (The disk-warm
+		// leg above starts from a cold L1, so it reuses no parse.)
+		var l1inval *core.Run
+		if inval != nil {
+			if reused := inval.Metric("frontend.parse.reused"); reused != 0 {
+				return nil, fmt.Errorf("difftest: edited-file run on a reopened handle (workers=%d) reused %d parses, want 0",
+					order[1], reused)
+			}
+			l1dir, err := os.MkdirTemp("", "difftest-cache-")
+			if err != nil {
+				return nil, err
+			}
+			l1cache, err := analysiscache.Open(l1dir)
+			if err != nil {
+				os.RemoveAll(l1dir)
+				return nil, err
+			}
+			Run(ss, order[0], l1cache)
+			l1inval = Run(edited, order[1], l1cache)
+			os.RemoveAll(l1dir)
+			wantReused := int64(len(ss.Sources) - 1)
+			if reused, miss := l1inval.Metric("frontend.parse.reused"), l1inval.Metric("frontend.cache.miss"); reused != wantReused || miss != 1 {
+				return nil, fmt.Errorf("difftest: L1-warm edited-file run (workers=%d) should reuse the %d untouched files' parses and miss 1: reused %d, missed %d",
+					order[1], wantReused, reused, miss)
+			}
+			if got := RenderRun(l1inval); got != editedWant {
+				return nil, fmt.Errorf("difftest: workers=%d L1-warm one-file-invalidated differs from uncached baseline of the edited set:\n%s",
+					order[1], firstDiff(editedWant, got))
+			}
+			runs[fmt.Sprintf("l1inval-%d", order[1])] = l1inval
+		}
+
 		if err := check(fmt.Sprintf("workers=%d cold-cache", order[0]), cold); err != nil {
 			return nil, err
 		}
@@ -251,7 +287,7 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 		runs[fmt.Sprintf("l1warm-%d", order[1])] = l1warm
 		runs[fmt.Sprintf("diskwarm-%d", order[0])] = diskwarm
 	}
-	for _, state := range []string{"cold", "l1warm", "diskwarm", "inval"} {
+	for _, state := range []string{"cold", "l1warm", "diskwarm", "inval", "l1inval"} {
 		a, b := runs[state+"-1"], runs[fmt.Sprintf("%s-%d", state, matrixWorkers)]
 		if a == nil || b == nil {
 			continue // inval legs are skipped for empty source sets

@@ -110,6 +110,14 @@ func TestWatchIncrementalRerun(t *testing.T) {
 	if cold := runs[0].Metric("frontend.cache.miss"); cold != n {
 		t.Errorf("cold run frontend misses = %d, want %d", cold, n)
 	}
+	// The cold run's parses became the entries' memos, so the re-run parses
+	// only the edited file.
+	if reused := runs[1].Metric("frontend.parse.reused"); reused != n-1 {
+		t.Errorf("re-run reused %d parses, want %d", reused, n-1)
+	}
+	if reused := runs[0].Metric("frontend.parse.reused"); reused != 0 {
+		t.Errorf("cold run reused %d parses, want 0", reused)
+	}
 
 	// The same holds one layer down: only the edited file's facts entry
 	// misses, and only its functions' facts are derived again.
