@@ -170,6 +170,16 @@ func parseFiles(t *testing.T, srcs ...string) []*cast.File {
 	return out
 }
 
+// apply runs discovery over parsed files through its one entry point:
+// observe each file, then replay the observations in file order.
+func apply(db *DB, files []*cast.File) Discovery {
+	obs := make([]FileObs, len(files))
+	for i, f := range files {
+		obs[i] = ObserveFile(f.Name, f, nil)
+	}
+	return db.Apply(obs)
+}
+
 func TestDiscoverStructs(t *testing.T) {
 	files := parseFiles(t, `
 struct my_obj { refcount_t refs; int data; };
@@ -178,7 +188,7 @@ struct deep { struct wrapper w; };
 struct unrelated { int x; };
 `)
 	db := New()
-	added := db.DiscoverStructs(files)
+	added := apply(db, files).Structs
 	if len(added) != 3 {
 		t.Fatalf("added = %v", added)
 	}
@@ -203,7 +213,7 @@ struct l4 { struct l3 a; };
 struct l5 { struct l4 a; };
 `)
 	db := New()
-	db.DiscoverStructs(files)
+	apply(db, files)
 	if !db.IsRefStruct("l0") || !db.IsRefStruct("l1") {
 		t.Error("shallow levels should be refcounted")
 	}
@@ -226,8 +236,7 @@ void foo_put(struct foo_dev *d)
 int unrelated(int x) { return x + 1; }
 `)
 	db := New()
-	db.DiscoverStructs(files)
-	added := db.DiscoverAPIs(files)
+	added := apply(db, files).APIs
 	if len(added) != 2 {
 		t.Fatalf("added = %v", added)
 	}
@@ -251,7 +260,7 @@ void raw_hold(struct raw_obj *o) { o->refcount++; }
 void raw_drop(struct raw_obj *o) { o->refcount--; }
 `)
 	db := New()
-	db.DiscoverAPIs(files)
+	apply(db, files)
 	if a := db.Lookup("raw_hold"); a == nil || a.Op != OpInc {
 		t.Errorf("raw_hold = %+v", a)
 	}
@@ -275,7 +284,7 @@ struct bar *bar_find(int id)
 	db := New()
 	// bar_find gets a kref_get but not on a parameter, so the wrapper rule
 	// does not fire; that conservatism is intentional (no false APIs).
-	added := db.DiscoverAPIs(files)
+	added := apply(db, files).APIs
 	if len(added) != 0 {
 		t.Errorf("added = %v (expected conservative no-op)", added)
 	}
@@ -292,7 +301,7 @@ int dummy;
 	db := New()
 	db.AddAPI(&API{Name: "widget_find_next", Op: OpInc, Class: Embedded,
 		ObjArg: -1, ReturnsRef: true, Pair: "widget_put"})
-	added := db.DiscoverLoops(res.Macros)
+	added := db.Apply([]FileObs{{Path: "t.c", Macros: ObserveMacros(res.Macros)}}).Loops
 	if len(added) != 1 || added[0] != "my_for_each_widget" {
 		t.Fatalf("added = %v", added)
 	}

@@ -6,25 +6,6 @@ import (
 	"repro/internal/cast"
 )
 
-// DiscoverDeviations implements the proactive deviation detection the paper
-// calls for in §5.1.3 ("Another way is to proactively detect such
-// deviations, as an important future work"): it analyzes the *implementation*
-// of increment APIs and flags the two deviation classes behind anti-patterns
-// P1 and P2.
-//
-//   - IncOnError (the pm_runtime_get_sync shape, Listing 3): the function
-//     increments a counter unconditionally but can still return an error
-//     code, so callers must put even on failure.
-//   - MayReturnNull (the mdesc_grab shape): the function returns the counted
-//     pointer, and some path returns NULL.
-//
-// It returns the names of APIs whose entries were annotated, sorted. Like
-// the other Discover* entry points it routes through the observation layer
-// (observe.go), so shard-merged replay annotates identically.
-func (db *DB) DiscoverDeviations(files []*cast.File) []string {
-	return db.applyDeviations(observeDecls(files))
-}
-
 // returnsErrorCode reports whether the function has an int-ish return type
 // and some return of a negative constant or an error-named variable.
 func returnsErrorCode(fd *cast.FuncDef) bool {

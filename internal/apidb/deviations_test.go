@@ -24,9 +24,7 @@ int my_pm_get_sync(struct my_pm_dev *dev)
 }
 `)
 	db := New()
-	db.DiscoverStructs(files)
-	db.DiscoverAPIs(files)
-	annotated := db.DiscoverDeviations(files)
+	annotated := apply(db, files).Deviations
 
 	a := db.Lookup("my_pm_get_sync")
 	if a == nil {
@@ -50,13 +48,12 @@ struct md_handle *my_grab(void)
 }
 `)
 	db := New()
-	db.DiscoverStructs(files)
 	// my_grab isn't a wrapper by the parameter rule; register it manually
 	// as a returns-ref inc (the keyword filter would surface it) and let
 	// deviation discovery annotate the NULL path.
 	db.AddAPI(&API{Name: "my_grab", Op: OpInc, Class: Embedded, ObjArg: -1,
 		ReturnsRef: true, Struct: "md_handle"})
-	annotated := db.DiscoverDeviations(files)
+	annotated := apply(db, files).Deviations
 	a := db.Lookup("my_grab")
 	if !a.MayReturnNull {
 		t.Fatalf("MayReturnNull not detected; annotated = %v", annotated)
@@ -72,9 +69,7 @@ void clean_get(struct obj *o)
 }
 `)
 	db := New()
-	db.DiscoverStructs(files)
-	db.DiscoverAPIs(files)
-	if got := db.DiscoverDeviations(files); len(got) != 0 {
+	if got := apply(db, files).Deviations; len(got) != 0 {
 		t.Fatalf("spurious deviations: %v", got)
 	}
 	if a := db.Lookup("clean_get"); a == nil || a.IncOnError || a.MayReturnNull {
@@ -102,9 +97,7 @@ int my_pm_get_sync(struct my_pm_dev *dev)
 	for i := 0; i < 3; i++ {
 		files := parseFiles(t, src)
 		db := New()
-		db.DiscoverStructs(files)
-		db.DiscoverAPIs(files)
-		got := db.DiscoverDeviations(files)
+		got := apply(db, files).Deviations
 		if len(got) == 0 {
 			t.Fatal("nothing annotated")
 		}

@@ -1,9 +1,6 @@
 package apidb
 
-import (
-	"repro/internal/cast"
-	"repro/internal/cpp"
-)
+import "repro/internal/cast"
 
 // counterFieldTypes are the base types whose presence makes a structure
 // refcounted.
@@ -16,55 +13,6 @@ var counterFieldTypes = map[string]bool{
 // threshold to control the parsing levels as a refcounted object can be used
 // in another structures, which can be nested defined").
 const NestingThreshold = 3
-
-// The Discover* entry points below are AST-facing conveniences: they extract
-// per-file observations (ObserveFile) and replay them through the same
-// deterministic apply stages the distributed exchange uses, so a whole-corpus
-// in-process scan and a shard-merged scan produce identical databases by
-// construction. See observe.go for the observation schema and the apply
-// stages themselves.
-
-// DiscoverStructs scans struct declarations and registers refcounted
-// structures: those containing a counter field directly, or containing an
-// already-refcounted struct within NestingThreshold levels. It returns the
-// names it added, sorted.
-func (db *DB) DiscoverStructs(files []*cast.File) []string {
-	return db.applyStructs(observeDecls(files))
-}
-
-// DiscoverAPIs scans function definitions and registers wrappers around
-// known refcounting APIs: a function that (transitively, one level) calls a
-// known inc or dec API on one of its parameters, or on a field of a
-// parameter, is itself a refcounting API of the same direction. This is the
-// confirmation step behind the paper's second-level patch filter and the
-// "checking if the functions containing the structure instances and
-// operating the refcounters" lexer parser. Returns the names added, in scan
-// order.
-func (db *DB) DiscoverAPIs(files []*cast.File) []string {
-	return db.applyAPIs(observeDecls(files))
-}
-
-// DiscoverLoops registers smartloops from a preprocessor macro table: a
-// function-like loop macro whose body calls a known embedded (returns-ref)
-// API becomes a SmartLoop; the iteration variable is the macro parameter
-// assigned in the loop header. Returns the names added, sorted.
-func (db *DB) DiscoverLoops(macros map[string]*cpp.Macro) []string {
-	return db.applyLoops(ObserveMacros(macros))
-}
-
-// observeDecls extracts declaration observations (structs and functions)
-// from parsed files, preserving file order. Macro tables are handled
-// separately by DiscoverLoops, so they are not observed here.
-func observeDecls(files []*cast.File) []FileObs {
-	out := make([]FileObs, 0, len(files))
-	for _, f := range files {
-		if f == nil {
-			continue
-		}
-		out = append(out, ObserveFile(f.Name, f, nil))
-	}
-	return out
-}
 
 func isCounterField(name string) bool {
 	switch name {

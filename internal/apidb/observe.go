@@ -12,19 +12,17 @@ import (
 //
 // Discovery (§5 of the paper, plus the §5.1.3 deviation analysis) is
 // cross-file: classifying one function as a refcounting wrapper depends on
-// which APIs were already known when the scan reached it, so the legacy
-// mutate-in-place Discover* passes only produce the right database when they
-// see the whole corpus in one process. To shard the front-end across worker
-// processes, each worker instead *observes* its files — a pure, per-file
-// extraction with no DB dependency — and the manager replays all
-// observations through DB.Apply in sorted path order. Apply reproduces the
-// exact decisions (including their order sensitivity) the in-process scan
-// makes, so both paths build byte-identical databases; the in-process build
-// itself now goes through the same observe→apply route, making the
-// equivalence hold by construction rather than by parallel maintenance.
+// which APIs were already known when the scan reached it, so a database is
+// only right when the decisions see the whole corpus in sorted path order.
+// To shard the front-end across worker processes, each worker *observes*
+// its files — a pure, per-file extraction with no DB dependency — and the
+// exchange replays all observations through DB.Apply in sorted path order.
+// Apply is discovery's only entry point: the in-process build goes through
+// the same observe→apply route as a sharded run, so both build
+// byte-identical databases by construction.
 
 // FieldObs is one struct field: its base type name and, when the type names
-// a struct, that struct's name. This is all DiscoverStructs's nesting-depth
+// a struct, that struct's name. This is all applyStructs's nesting-depth
 // walk consults.
 type FieldObs struct {
 	Base   string
@@ -94,8 +92,8 @@ type FileObs struct {
 	Macros  []MacroObs
 }
 
-// Discovery is what Apply added to the DB, mirroring the four Discover*
-// return values. Only the lengths are rendered; the name lists feed tests.
+// Discovery is what Apply added to the DB, one name list per stage. Only
+// the lengths are rendered; the name lists feed tests.
 type Discovery struct {
 	Structs    []string
 	APIs       []string
@@ -238,6 +236,9 @@ func (db *DB) Apply(files []FileObs) Discovery {
 	}
 }
 
+// applyStructs registers refcounted structures: those containing a counter
+// field directly, or containing an already-refcounted struct within
+// NestingThreshold levels. It returns the names it added, sorted.
 func (db *DB) applyStructs(files []FileObs) []string {
 	decls := map[string]*StructObs{}
 	var names []string
@@ -298,6 +299,13 @@ func (db *DB) applyStructs(files []FileObs) []string {
 	return added
 }
 
+// applyAPIs registers wrappers around known refcounting APIs: a function
+// that (transitively, one level) calls a known inc or dec API on one of its
+// parameters, or on a field of a parameter, is itself a refcounting API of
+// the same direction. This is the confirmation step behind the paper's
+// second-level patch filter and the "checking if the functions containing
+// the structure instances and operating the refcounters" lexer parser.
+// Returns the names added, in file order.
 func (db *DB) applyAPIs(files []FileObs) []string {
 	var added []string
 	for fi := range files {
@@ -430,6 +438,10 @@ func mergeMacroObs(files []FileObs) []MacroObs {
 	return out
 }
 
+// applyLoops registers smartloops: a function-like loop macro whose body
+// calls a known embedded (returns-ref) API becomes a SmartLoop; the
+// iteration variable is the macro parameter assigned in the loop header.
+// Returns the names added, in name order.
 func (db *DB) applyLoops(macros []MacroObs) []string {
 	var added []string
 	for i := range macros {
@@ -464,6 +476,19 @@ func (db *DB) applyLoops(macros []MacroObs) []string {
 	return added
 }
 
+// applyDeviations implements the proactive deviation detection the paper
+// calls for in §5.1.3 ("Another way is to proactively detect such
+// deviations, as an important future work"): it analyzes the
+// *implementation* of increment APIs and flags the two deviation classes
+// behind anti-patterns P1 and P2.
+//
+//   - IncOnError (the pm_runtime_get_sync shape, Listing 3): the function
+//     increments a counter unconditionally but can still return an error
+//     code, so callers must put even on failure.
+//   - MayReturnNull (the mdesc_grab shape): the function returns the counted
+//     pointer, and some path returns NULL.
+//
+// It returns the names of APIs whose entries were annotated, sorted.
 func (db *DB) applyDeviations(files []FileObs) []string {
 	fns := map[string]*FuncObs{}
 	var names []string

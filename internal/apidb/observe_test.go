@@ -117,71 +117,56 @@ func dumpDB(db *DB) string {
 	return b.String()
 }
 
-// TestApplyMatchesDiscover is the exchange-determinism pin at the apidb
-// layer: extracting per-file observations independently and replaying them
-// once through Apply must leave the DB in exactly the state the legacy
-// whole-corpus Discover* sequence produces, and report the same added names.
-func TestApplyMatchesDiscover(t *testing.T) {
+// TestApplyStages pins what each of Apply's four stages adds for a corpus
+// built to exercise every order-sensitive discovery decision: structs and
+// deviations come back sorted, wrapper APIs in the file order the replay
+// met them (each classified against the APIs known by then), loops in name
+// order.
+func TestApplyStages(t *testing.T) {
 	parsed := parseCorpus(t)
-
-	// Path A: the whole-corpus scan (as BuildContext historically ran it).
-	dbA := New()
-	var files []*cast.File
-	macros := map[string]*cpp.Macro{}
-	for _, p := range parsed {
-		files = append(files, p.file)
-		for k, v := range p.macros {
-			macros[k] = v
-		}
-	}
-	wantStructs := dbA.DiscoverStructs(files)
-	wantAPIs := dbA.DiscoverAPIs(files)
-	wantLoops := dbA.DiscoverLoops(macros)
-	wantDevs := dbA.DiscoverDeviations(files)
-
-	// Path B: per-file observation (as shard workers run it) + one replay.
-	dbB := New()
+	db := New()
 	var obs []FileObs
 	for _, p := range parsed {
 		obs = append(obs, ObserveFile(p.path, p.file, p.macros))
 	}
-	disc := dbB.Apply(obs)
+	disc := db.Apply(obs)
 
-	if got, want := dumpDB(dbB), dumpDB(dbA); got != want {
-		t.Errorf("replayed DB differs from scanned DB:\n--- scan ---\n%s--- replay ---\n%s", want, got)
-	}
-	checkSame := func(what string, got, want []string) {
-		t.Helper()
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%s: replay added %v, scan added %v", what, got, want)
+	for _, c := range []struct {
+		stage     string
+		got, want []string
+	}{
+		{"structs", disc.Structs, []string{"obj", "zobj"}},
+		{"apis", disc.APIs, []string{"obj_get", "obj_put", "obj_hold", "obj_drop",
+			"obj_hold_err", "obj_find_ref", "helper_inc_err", "outer_get", "late_get"}},
+		{"loops", disc.Loops, []string{"my_for_each_obj"}},
+		{"deviations", disc.Deviations, []string{"helper_inc_err", "obj_hold_err", "outer_get"}},
+	} {
+		if fmt.Sprint(c.got) != fmt.Sprint(c.want) {
+			t.Errorf("%s stage added %v, want %v", c.stage, c.got, c.want)
 		}
 	}
-	checkSame("structs", disc.Structs, wantStructs)
-	checkSame("apis", disc.APIs, wantAPIs)
-	checkSame("loops", disc.Loops, wantLoops)
-	checkSame("deviations", disc.Deviations, wantDevs)
 
-	// The corpus must actually exercise the interesting cases, or the
-	// equivalence above proves nothing.
-	if a := dbB.Lookup("obj_hold"); a == nil || a.Op != OpInc {
+	// The corpus must actually exercise the interesting cases, or the lists
+	// above pin nothing.
+	if a := db.Lookup("obj_hold"); a == nil || a.Op != OpInc {
 		t.Errorf("obj_hold should be a discovered inc wrapper, got %+v", a)
 	}
-	if a := dbB.Lookup("obj_hold_err"); a == nil || !a.IncOnError {
+	if a := db.Lookup("obj_hold_err"); a == nil || !a.IncOnError {
 		t.Errorf("obj_hold_err should be IncOnError, got %+v", a)
 	}
-	if a := dbB.Lookup("outer_get"); a == nil || !a.IncOnError {
+	if a := db.Lookup("outer_get"); a == nil || !a.IncOnError {
 		t.Errorf("outer_get should be IncOnError via tail-call helper, got %+v", a)
 	}
-	if a := dbB.Lookup("obj_find"); a != nil {
+	if a := db.Lookup("obj_find"); a != nil {
 		t.Errorf("obj_find works on a local, must stay unclassified, got %+v", a)
 	}
-	if a := dbB.Lookup("obj_find_ref"); a == nil || !a.ReturnsRef {
+	if a := db.Lookup("obj_find_ref"); a == nil || !a.ReturnsRef {
 		t.Errorf("obj_find_ref should be a returns-ref inc, got %+v", a)
 	}
-	if dbB.Lookup("early_hold") != nil {
-		t.Error("early_hold's target sorts later; the scan misses it and so must the replay")
+	if db.Lookup("early_hold") != nil {
+		t.Error("early_hold's target sorts later, so the replay must not classify it")
 	}
-	if dbB.Loop("my_for_each_obj") == nil {
+	if db.Loop("my_for_each_obj") == nil {
 		t.Error("my_for_each_obj smartloop missing")
 	}
 }

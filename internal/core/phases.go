@@ -16,11 +16,10 @@ import (
 // end, so the split is: Partition the corpus, run a DB-independent LocalPass
 // per shard in any process, Exchange the shards' discovery observations into
 // one global apidb, then run the GlobalPass (assembly + facts + checkers +
-// confirmation) against the merged view. Running the four phases in order in
-// one process is exactly Analyze's uncached pipeline — BuildContext is
-// itself LocalPass+Exchange+Assemble on shared state — so output is
-// byte-identical at any shard count. internal/manager drives these phases
-// across worker processes.
+// confirmation) against the merged view. Analyze is these phases run in
+// process over a single in-memory shard (see compute), so output is
+// byte-identical at any shard count by construction. internal/manager
+// drives the same phases across worker processes.
 
 // Partition splits sources into at most `shards` deterministic, disjoint,
 // non-empty shards: sources are sorted by path and dealt round-robin, so the
@@ -56,12 +55,19 @@ func Partition(sources []cpg.Source, shards int) [][]cpg.Source {
 // token streams keyed by content), which is exactly the shard-local,
 // DB-independent portion of the tiered cache.
 func LocalPass(ctx context.Context, req Request, shard []cpg.Source) (*cpg.ShardArtifact, error) {
+	return localPass(ctx, req, shard, true)
+}
+
+// localPass is LocalPass with the artifact's retention chosen: retain keeps
+// token streams for the wire; without it the artifact stays in memory with
+// its ASTs (Analyze's single in-process shard).
+func localPass(ctx context.Context, req Request, shard []cpg.Source, retain bool) (*cpg.ShardArtifact, error) {
 	sp := req.Trace.Root().Child("phase:local")
 	b := &cpg.Builder{Workers: req.Options.Workers, Cache: req.Options.Cache, Obs: sp}
 	if req.Headers != nil {
 		b.Headers = newHeaderProvider(req.Headers)
 	}
-	art := b.BuildArtifactContext(ctx, shard, true)
+	art := b.BuildArtifactContext(ctx, shard, retain)
 	sp.End()
 	return art, ctx.Err()
 }
@@ -81,45 +87,90 @@ func Exchange(db *apidb.DB, arts []*cpg.ShardArtifact) (*cpg.ShardArtifact, apid
 // GlobalPass runs everything after the exchange: assemble the merged
 // artifact into a unit (reparsing files that crossed a process boundary),
 // compute facts, run the checkers (including cross-file P6), and optionally
-// confirm — mirroring Analyze's uncached pipeline phase for phase.
-// req.Options.DB must be the DB that Exchange populated; the unit-level
-// cache is not consulted (the manager path always computes).
+// confirm. req.Options.DB must be the DB that Exchange populated; no cache
+// is consulted (the manager path always computes).
 func GlobalPass(ctx context.Context, req Request, merged *cpg.ShardArtifact, disc apidb.Discovery) (*Run, error) {
 	opt := req.Options
+	engine, err := newEngine(opt)
+	if err != nil {
+		return nil, err
+	}
+	opt.Cache = nil
+	run := &Run{Trace: req.Trace}
+	if _, err := globalPass(ctx, opt, engine, "", merged, disc, run); err != nil {
+		return run, err
+	}
+	confirm(run, opt)
+	return run, ctx.Err()
+}
+
+// newEngine builds the checker engine for the options' checker selection
+// and worker count.
+func newEngine(opt Options) (*Engine, error) {
 	engine, err := NewEngineFor(opt.Checkers)
 	if err != nil {
 		return nil, err
 	}
 	engine.Workers = opt.Workers
+	return engine, nil
+}
 
-	tr := req.Trace
-	root := tr.Root()
-	reg := tr.Reg()
-	run := &Run{Trace: tr}
+// globalPass is the post-exchange pipeline, written once for Analyze and
+// GlobalPass: assemble (opt.DB must hold the exchange), preload the per-file
+// facts entries when opt.Cache is set, check, and — with a cache — store
+// the unit entry under key plus every facts entry that missed. It fills run
+// in place, so a cancelled call still leaves the partial Run visible, and
+// returns the stored unit entry (nil without a cache). Confirmation is the
+// caller's job: the entry must stay confirmation-agnostic.
+func globalPass(ctx context.Context, opt Options, engine *Engine, key string, merged *cpg.ShardArtifact, disc apidb.Discovery, run *Run) (*unitEntry, error) {
+	root := run.Trace.Root()
+	reg := run.Trace.Reg()
+	cache := opt.Cache
 
-	bsp := root.Child("phase:assemble")
-	b := &cpg.Builder{DB: opt.DB, Workers: opt.Workers, Obs: bsp}
-	u := b.AssembleContext(ctx, merged, &disc)
-	bsp.End()
+	asp := root.Child("phase:assemble")
+	u := (&cpg.Builder{DB: opt.DB, Workers: opt.Workers, Obs: asp}).AssembleContext(ctx, merged, &disc)
+	asp.End()
 	run.Unit = u
 	run.Summary = summarize(u)
 	if err := ctx.Err(); err != nil {
-		return run, err
+		return nil, err
 	}
 
 	uf := facts.NewUnit(u)
+	var missed []factsEntry
+	if cache != nil {
+		missed = preloadFacts(cache, opt.ConfigFP, u, uf, reg)
+	}
 	csp := root.Child("phase:check")
 	engine.Obs = csp
 	run.Reports = engine.CheckUnitFactsContext(ctx, uf)
 	csp.End()
 	uf.Observe(reg)
 	if err := ctx.Err(); err != nil {
-		return run, err
+		// A cancelled check may have skipped functions; the partial report
+		// list must never be cached under the full corpus key.
+		return nil, err
 	}
-	if opt.Confirm {
-		fsp := root.Child("phase:confirm")
-		ConfirmReportsSpan(run.Reports, opt.Workers, fsp)
-		fsp.End()
+	if cache == nil {
+		return nil, nil
 	}
-	return run, ctx.Err()
+
+	ssp := root.Child("phase:cache-store")
+	// Store before confirmation so the entry is confirmation-agnostic; a
+	// write failure only costs the next run a recompute. PutValue lands the
+	// decoded entry in L1 and queues the bytes for the disk tier's batch;
+	// the explicit Flush makes this run's entries durable and visible to
+	// other processes without waiting for thresholds.
+	ent := &unitEntry{Summary: run.Summary, Reports: stripWitnessBlocks(run.Reports)}
+	_ = cache.PutValue(key, ent, encodeUnitEntry(ent))
+	for _, m := range missed {
+		// SnapshotOf forces any still-uncomputed functions (a subset run
+		// with only unit-scoped checkers may not have touched them all) so
+		// every stored entry covers its whole file.
+		snap := uf.SnapshotOf(m.names)
+		_ = cache.PutValue(m.key, snap, facts.EncodeSnapshot(snap))
+	}
+	_ = cache.Flush()
+	ssp.End()
+	return ent, nil
 }

@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"reflect"
+	"sort"
 	"testing"
 
+	"repro/internal/analysiscache"
 	"repro/internal/apidb"
 	"repro/internal/corpus"
 	"repro/internal/cpg"
+	"repro/internal/obs"
 )
 
 // phasesSpec is a compact corpus covering every anti-pattern family plus a
@@ -49,13 +52,13 @@ func phasesCorpus() ([]cpg.Source, map[string]string) {
 
 // runPhased drives the four-phase pipeline in-process at a given shard count,
 // exactly as the multi-process manager does (minus the wire, which
-// cpg's codec tests pin separately).
-func runPhased(t *testing.T, srcs []cpg.Source, headers map[string]string, shards int, opt Options) *Run {
+// cpg's codec tests pin separately), recording into tr (nil disables).
+func runPhased(t *testing.T, srcs []cpg.Source, headers map[string]string, shards int, opt Options, tr *obs.Trace) *Run {
 	t.Helper()
 	ctx := context.Background()
 	db := apidb.New()
 	opt.DB = db
-	req := Request{Sources: srcs, Headers: headers, Options: opt}
+	req := Request{Sources: srcs, Headers: headers, Options: opt, Trace: tr}
 
 	var arts []*cpg.ShardArtifact
 	for _, shard := range Partition(srcs, shards) {
@@ -65,7 +68,9 @@ func runPhased(t *testing.T, srcs []cpg.Source, headers map[string]string, shard
 		}
 		arts = append(arts, art)
 	}
+	sp := tr.Root().Child("phase:exchange")
 	merged, disc := Exchange(db, arts)
+	sp.End()
 	run, err := GlobalPass(ctx, req, merged, disc)
 	if err != nil {
 		t.Fatalf("shards=%d: GlobalPass: %v", shards, err)
@@ -89,7 +94,7 @@ func TestPhasedPipelineMatchesAnalyze(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 3, 7, len(srcs) + 5} {
-		run := runPhased(t, srcs, headers, shards, opt)
+		run := runPhased(t, srcs, headers, shards, opt, nil)
 		if !reflect.DeepEqual(run.Reports, want.Reports) {
 			t.Errorf("shards=%d: reports differ from Analyze (%d vs %d)",
 				shards, len(run.Reports), len(want.Reports))
@@ -99,6 +104,69 @@ func TestPhasedPipelineMatchesAnalyze(t *testing.T) {
 		}
 		if run.Unit == nil || len(run.Unit.Errors) != len(want.Unit.Errors) {
 			t.Errorf("shards=%d: unit errors differ", shards)
+		}
+	}
+}
+
+// TestOneSpanShape pins that every mode runs the same pipeline: the
+// uncached Analyze, a cache-leader Analyze and the phased pipeline the
+// manager drives all emit phase:local, phase:exchange, phase:assemble and
+// phase:check under the root (the leader adds its cache lookup and store),
+// plus phase:confirm when confirming — never a phase of their own.
+func TestOneSpanShape(t *testing.T) {
+	srcs, headers := phasesCorpus()
+	pipeline := []string{"phase:assemble", "phase:check", "phase:exchange", "phase:local"}
+	for _, confirm := range []bool{false, true} {
+		opt := Options{Workers: 2, Confirm: confirm}
+		with := func(names ...string) []string {
+			if confirm {
+				names = append(names, "phase:confirm")
+			}
+			sort.Strings(names)
+			return names
+		}
+		uncached := obs.New("uncached")
+		if _, err := Analyze(context.Background(), Request{Sources: srcs, Headers: headers, Options: opt, Trace: uncached}); err != nil {
+			t.Fatal(err)
+		}
+		cache, err := analysiscache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		leader := obs.New("leader")
+		copt := opt
+		copt.Cache = cache
+		if _, err := Analyze(context.Background(), Request{Sources: srcs, Headers: headers, Options: copt, Trace: leader}); err != nil {
+			t.Fatal(err)
+		}
+		cache.Close()
+		if n := leader.Reg().Counter("cache.singleflight.leader"); n != 1 {
+			t.Fatalf("cache.singleflight.leader = %d, want 1", n)
+		}
+		phased := obs.New("phased")
+		runPhased(t, srcs, headers, 3, opt, phased)
+
+		for _, c := range []struct {
+			mode string
+			tr   *obs.Trace
+			want []string
+		}{
+			{"uncached Analyze", uncached, with(pipeline...)},
+			{"cache-leader Analyze", leader, with(append([]string{"phase:cache-lookup", "phase:cache-store"}, pipeline...)...)},
+			{"phased", phased, with(pipeline...)},
+		} {
+			seen := map[string]bool{}
+			var got []string
+			for _, ph := range obs.Stats(c.tr).Phases {
+				if !seen[ph.Name] {
+					seen[ph.Name] = true
+					got = append(got, ph.Name)
+				}
+			}
+			sort.Strings(got)
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("confirm=%v: %s phases = %v, want %v", confirm, c.mode, got, c.want)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/analysiscache"
+	"repro/internal/apidb"
 	"repro/internal/cpg"
 	"repro/internal/facts"
 	"repro/internal/obs"
@@ -230,82 +231,55 @@ func decodeFactsValue(data []byte) (any, error) {
 // report slice is copied because confirmation writes Confirmed per report
 // while the entry stays shared via L1; the witnesses underneath are
 // replayed read-only, so they can stay shared.
-func serveCached(run *Run, ent *unitEntry, req Request, root *obs.Span, reg *obs.Registry) {
+func serveCached(run *Run, ent *unitEntry, req Request, reg *obs.Registry) {
 	reg.Add("pipeline.files_skipped", int64(len(req.Sources)))
 	run.Reports = append([]Report(nil), ent.Reports...)
 	run.Summary = ent.Summary
-	if req.Options.Confirm {
-		csp := root.Child("phase:confirm")
-		ConfirmReportsSpan(run.Reports, req.Options.Workers, csp)
-		csp.End()
-	}
+	confirm(run, req.Options)
 }
 
-// analyzePipeline is the full build→facts→check→store pipeline shared by
-// the uncached path and the single-flight leader. It mutates run in place
-// (so a cancelled call still leaves the partial Run visible to the caller)
-// and returns the stored unit entry when a cache is present. Confirmation
-// is the caller's job — the entry must stay confirmation-agnostic.
-func analyzePipeline(ctx context.Context, req Request, engine *Engine, cache *analysiscache.Cache, key string, run *Run, root *obs.Span, reg *obs.Registry) (*unitEntry, error) {
+// confirm replays the run's reports through refsim under a phase:confirm
+// span when the options ask for confirmation.
+func confirm(run *Run, opt Options) {
+	if !opt.Confirm {
+		return
+	}
+	sp := run.Trace.Root().Child("phase:confirm")
+	ConfirmReportsSpan(run.Reports, opt.Workers, sp)
+	sp.End()
+}
+
+// compute is Analyze's pipeline, shared by the uncached path and the
+// single-flight leader: the phase API run in process. One local pass covers
+// every source and stays in memory — files keep their ASTs (and their L1
+// parse memos), so nothing is encoded or reparsed — then Exchange replays
+// its observations into the DB and globalPass does the rest. req.Options
+// carries the (registry-bound) cache, or nil. Confirmation is the caller's
+// job — a stored entry must stay confirmation-agnostic.
+func compute(ctx context.Context, req Request, engine *Engine, key string, run *Run) (*unitEntry, error) {
+	art, err := localPass(ctx, req, req.Sources, false)
+	if err != nil {
+		return nil, err
+	}
 	opt := req.Options
-	bsp := root.Child("phase:build")
-	b := &cpg.Builder{DB: opt.DB, Workers: opt.Workers, Cache: cache, Obs: bsp}
-	if req.Headers != nil {
-		b.Headers = newHeaderProvider(req.Headers)
+	if opt.DB == nil {
+		opt.DB = apidb.New()
 	}
-	u := b.BuildContext(ctx, req.Sources)
-	bsp.End()
-	run.Unit = u
-	run.Summary = summarize(u)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	uf := facts.NewUnit(u)
-	var missed []factsEntry
-	if cache != nil {
-		missed = preloadFacts(cache, opt.ConfigFP, u, uf, reg)
-	}
-	csp := root.Child("phase:check")
-	engine.Obs = csp
-	reports := engine.CheckUnitFactsContext(ctx, uf)
-	csp.End()
-	uf.Observe(reg)
-	run.Reports = reports
-	if err := ctx.Err(); err != nil {
-		// A cancelled check may have skipped functions; the partial report
-		// list must never be cached under the full corpus key.
-		return nil, err
-	}
-
-	var ent *unitEntry
-	if cache != nil {
-		ssp := root.Child("phase:cache-store")
-		// Store before confirmation so the entry is confirmation-agnostic; a
-		// write failure only costs the next run a recompute. PutValue lands
-		// the decoded entry in L1 and queues the bytes for the disk tier's
-		// batch; the explicit Flush makes this run's entries durable and
-		// visible to other processes without waiting for thresholds.
-		ent = &unitEntry{Summary: run.Summary, Reports: stripWitnessBlocks(reports)}
-		_ = cache.PutValue(key, ent, encodeUnitEntry(ent))
-		for _, m := range missed {
-			// SnapshotOf forces any still-uncomputed functions (a subset run
-			// with only unit-scoped checkers may not have touched them all)
-			// so every stored entry covers its whole file.
-			snap := uf.SnapshotOf(m.names)
-			_ = cache.PutValue(m.key, snap, facts.EncodeSnapshot(snap))
-		}
-		_ = cache.Flush()
-		ssp.End()
-	}
-	return ent, nil
+	sp := run.Trace.Root().Child("phase:exchange")
+	merged, disc := Exchange(opt.DB, []*cpg.ShardArtifact{art})
+	sp.End()
+	return globalPass(ctx, opt, engine, key, merged, disc, run)
 }
 
 // Analyze is the pipeline entry point: it builds a unit from the request's
 // sources, checks it, and optionally confirms the reports, honoring ctx at
 // every phase and work-queue boundary.
 //
-// With no cache in the options it runs the full pipeline. With a cache set
+// The computation is the phase API run in process (see compute): one
+// LocalPass over every source, Exchange, then GlobalPass's post-exchange
+// steps — the same functions internal/manager drives across processes.
+//
+// With no cache in the options it runs that pipeline. With a cache set
 // it first consults the tiered unit-level report cache — the in-memory L1
 // serves a decoded entry with no I/O at all, the disk tier decodes one pack
 // payload — and an unchanged corpus skips the whole pipeline. On a miss the
@@ -313,7 +287,7 @@ func analyzePipeline(ctx context.Context, req Request, engine *Engine, cache *an
 // same unit key on one cache perform one computation, the leader's stored
 // entry is shared with the waiters (counted as cache.singleflight.wait, and
 // served exactly like a cache hit: Unit stays nil). On a miss it also
-// threads the per-file front-end cache through the CPG builder so only
+// threads the per-file front-end cache through the local pass so only
 // changed files are re-preprocessed, and preloads the per-file facts
 // entries so checking skips path enumeration and event normalization for
 // every file whose facts inputs are unchanged; only the missed files'
@@ -334,21 +308,19 @@ func analyzePipeline(ctx context.Context, req Request, engine *Engine, cache *an
 // retry leadership with their own ctx.
 func Analyze(ctx context.Context, req Request) (*Run, error) {
 	opt := req.Options
-	engine, err := NewEngineFor(opt.Checkers)
+	engine, err := newEngine(opt)
 	if err != nil {
 		return nil, err
 	}
-	engine.Workers = opt.Workers
 
-	tr := req.Trace
-	root := tr.Root()
-	reg := tr.Reg()
+	reg := req.Trace.Reg()
 	cache := opt.Cache
 	if cache != nil && reg != nil {
 		cache = cache.WithRegistry(reg)
 	}
+	req.Options.Cache = cache
 
-	run := &Run{Trace: tr}
+	run := &Run{Trace: req.Trace}
 	if cache == nil {
 		if err := ctx.Err(); err != nil {
 			return run, err
@@ -357,27 +329,23 @@ func Analyze(ctx context.Context, req Request) (*Run, error) {
 		if err != nil {
 			return run, err
 		}
-		_, perr := analyzePipeline(ctx, req, engine, nil, "", run, root, reg)
+		_, err = compute(ctx, req, engine, "", run)
 		release()
-		if perr != nil {
-			return run, perr
+		if err != nil {
+			return run, err
 		}
-		if opt.Confirm {
-			fsp := root.Child("phase:confirm")
-			ConfirmReportsSpan(run.Reports, opt.Workers, fsp)
-			fsp.End()
-		}
+		confirm(run, opt)
 		return run, ctx.Err()
 	}
 
-	sp := root.Child("phase:cache-lookup")
+	sp := req.Trace.Root().Child("phase:cache-lookup")
 	corpus := corpusFP(req.Sources, req.Headers)
 	key := unitCacheKey(opt.ConfigFP, engine.patternsFP(), corpus)
 	ent, hit := lookupUnit(cache, key)
 	sp.End()
 	if hit {
 		reg.Add("cache.unit.hit", 1)
-		serveCached(run, ent, req, root, reg)
+		serveCached(run, ent, req, reg)
 		return run, ctx.Err()
 	}
 	reg.Add("cache.unit.miss", 1)
@@ -400,7 +368,7 @@ func Analyze(ctx context.Context, req Request) (*Run, error) {
 		defer release()
 		reg.Add("cache.singleflight.leader", 1)
 		computed = true
-		ent, err := analyzePipeline(ctx, req, engine, cache, key, run, root, reg)
+		ent, err := compute(ctx, req, engine, key, run)
 		if err != nil {
 			return nil, err
 		}
@@ -413,13 +381,9 @@ func Analyze(ctx context.Context, req Request) (*Run, error) {
 	}
 	if !computed {
 		reg.Add("cache.singleflight.wait", 1)
-		serveCached(run, v.(*unitEntry), req, root, reg)
+		serveCached(run, v.(*unitEntry), req, reg)
 		return run, ctx.Err()
 	}
-	if opt.Confirm {
-		fsp := root.Child("phase:confirm")
-		ConfirmReportsSpan(run.Reports, opt.Workers, fsp)
-		fsp.End()
-	}
+	confirm(run, opt)
 	return run, ctx.Err()
 }

@@ -2,9 +2,7 @@ package cpg
 
 import (
 	"context"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/apidb"
 	"repro/internal/arena"
@@ -12,6 +10,7 @@ import (
 	"repro/internal/clex"
 	"repro/internal/cparse"
 	"repro/internal/cpp"
+	"repro/internal/obs"
 )
 
 // ArtFile is one translation unit's shard-local result: the expanded token
@@ -30,9 +29,8 @@ type ArtFile struct {
 	// file/errs are the in-memory fast path: a locally built artifact keeps
 	// its AST and full error list (cpp + parse) so the single-process build
 	// never reparses. After decode, file is nil and errs holds only the
-	// reconstituted preprocessor errors; assembleWith reparses and appends
-	// the parse errors, restoring the exact error order the monolithic build
-	// produced.
+	// reconstituted preprocessor errors; hydrate reparses and appends the
+	// parse errors, restoring the error order of an in-process build.
 	file *cast.File
 	errs []error
 	// cppN is how many leading errs entries are preprocessor errors — the
@@ -75,34 +73,26 @@ func MergeShardArtifacts(arts ...*ShardArtifact) *ShardArtifact {
 	return m
 }
 
-// BuildArtifactContext runs only the shard-local half of a build: the
-// per-file front end plus discovery observation extraction. With retain set,
-// each file's expanded token stream is copied into fresh storage so the
-// artifact can outlive the build's pooled buffers and be serialized
-// (EncodeShardArtifact requires it); without retain the artifact is only
-// usable in-process, which is how BuildContext itself consumes it.
-//
-// The builder's DB is not consulted: a shard-local pass is DB-independent by
-// design, so stateless workers need no discovery state at all.
-func (b *Builder) BuildArtifactContext(ctx context.Context, sources []Source, retain bool) *ShardArtifact {
-	fe := b.newFrontEnd()
-	fe.retain = retain
-	fe.l1hold = fe.l1hold && !retain
-	return b.buildArtifact(ctx, fe, sources)
+// Hydrate runs assembly's reparse (see hydrate) ahead of assembly: every
+// wire-format file gets its AST and every token stream is dropped. Calling
+// it as each shard artifact arrives makes manager-side memory scale with
+// per-shard AST size instead of whole-corpus retained token streams;
+// assembly then finds nothing left to reparse. workers bounds the parse
+// parallelism (0 = GOMAXPROCS).
+func (a *ShardArtifact) Hydrate(workers int) {
+	a.hydrate(context.TODO(), nil, workers, &arena.Stats{})
 }
 
-// Hydrate parses every wire-format file (af.file == nil) into its AST and
-// releases the token stream, appending parse errors after the preprocessor
-// errors exactly as assembleWith's reparse would. Calling it as each shard
-// artifact arrives makes manager-side memory scale with per-shard AST size
-// instead of whole-corpus retained token streams; assembly then finds
-// nothing left to reparse. Files that already carry an AST only have their
-// token streams dropped. workers bounds the parse parallelism (0 =
-// GOMAXPROCS).
-func (a *ShardArtifact) Hydrate(workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// hydrate is the one reparse of artifact files: every file without an AST
+// (af.file == nil) is parsed from its token stream, file-sharded over
+// workers, and its parse errors are appended after its preprocessor errors,
+// restoring the error order of an in-process build. Every file's token
+// stream is dropped — the AST replaces it, which keeps peak memory
+// per-TU-streaming rather than whole-corpus (the tokens of a large corpus
+// dwarf its ASTs). The reparse hangs a "reparse" span off parent and
+// charges its parser slabs to stats; a file skipped by cancellation keeps
+// a nil AST.
+func (a *ShardArtifact) hydrate(ctx context.Context, parent *obs.Span, workers int, stats *arena.Stats) {
 	var toParse []*ArtFile
 	for _, af := range a.Files {
 		if af.file == nil {
@@ -114,45 +104,13 @@ func (a *ShardArtifact) Hydrate(workers int) {
 	if len(toParse) == 0 {
 		return
 	}
-	stats := &arena.Stats{}
-	hydrate := func(af *ArtFile) {
+	sp := parent.Child("reparse").Int("files", len(toParse))
+	forEach(ctx, workers, len(toParse), func(i int) {
+		af := toParse[i]
 		file, perrs := cparse.ParseFileArena(af.Path, af.Tokens, stats)
 		af.file = file
 		af.errs = append(af.errs, perrs...)
 		af.Tokens = nil
-	}
-	if workers > 1 && len(toParse) > 1 {
-		var wg sync.WaitGroup
-		jobs := make(chan *ArtFile)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for af := range jobs {
-					hydrate(af)
-				}
-			}()
-		}
-		for _, af := range toParse {
-			jobs <- af
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		for _, af := range toParse {
-			hydrate(af)
-		}
-	}
-}
-
-// AssembleContext runs the global half of a build over a (possibly merged,
-// possibly decoded) artifact: reparse wire-format files, merge declarations
-// in sorted path order, apply discovery, and run per-function analysis.
-//
-// disc carries the result of an exchange already applied to b.DB (the
-// manager path, where the same DB must then be shared with the checker
-// engine); nil means no exchange has happened and the artifact's own
-// observations are applied here.
-func (b *Builder) AssembleContext(ctx context.Context, art *ShardArtifact, disc *apidb.Discovery) *Unit {
-	return b.assembleWith(ctx, b.newFrontEnd(), art, disc)
+	})
+	sp.End()
 }

@@ -158,12 +158,12 @@ func unitFingerprint(u *Unit) string {
 
 // TestShardedAssembleMatchesBuild is the cpg-layer determinism pin: sources
 // partitioned across N shard-local passes, serialized over the wire, merged
-// and assembled must reproduce the single-process BuildContext unit — same
+// and assembled must reproduce the single-process Build unit — same
 // functions, errors in the same order, same discovery, same DB behavior.
 func TestShardedAssembleMatchesBuild(t *testing.T) {
 	ctx := context.Background()
 	srcs := artifactSources()
-	whole := (&Builder{Workers: 1}).BuildContext(ctx, srcs)
+	whole := (&Builder{Workers: 1}).Build(srcs)
 	want := unitFingerprint(whole)
 
 	for shards := 1; shards <= 3; shards++ {

@@ -221,9 +221,6 @@ type frontEnd struct {
 	// storage (parsed.tokens) so the artifact can be serialized after the
 	// pooled buffers are released.
 	retain bool
-	// workers is the resolved phase 1 concurrency (Builder.Workers with
-	// the GOMAXPROCS default applied).
-	workers int
 
 	// stats aggregates the build's arena counters (slab chunks in the parser
 	// and CFG builder, pooled token buffers here); atomic, shared by all
@@ -459,9 +456,16 @@ func (fe *frontEnd) retainToks(toks []clex.Token) []clex.Token {
 
 // Build preprocesses, parses and analyzes the sources into a Unit. Inputs
 // are merged in path order so results are deterministic regardless of the
-// worker count. It is BuildContext with a background context.
+// worker count. It runs the two halves of a build that are also available
+// separately for distributed analysis: BuildArtifactContext (the per-file
+// front end plus discovery observation, the shard-local pass) and
+// AssembleContext (discovery, declaration merge and call graph, the global
+// pass) — so the single-process and distributed paths share every line of
+// the phase logic. Per-function analysis is not part of the build:
+// Function.Analyze runs it on demand.
 func (b *Builder) Build(sources []Source) *Unit {
-	return b.BuildContext(context.Background(), sources)
+	ctx := context.TODO()
+	return b.AssembleContext(ctx, b.BuildArtifactContext(ctx, sources, false), nil)
 }
 
 // parseTU runs the per-file front end under a "tu" span, feeding the per-TU
@@ -480,51 +484,83 @@ func (fe *frontEnd) parseTU(src Source) parsed {
 	return p
 }
 
-// BuildContext is Build with cancellation. When ctx is cancelled mid-build,
-// the work queues drain cleanly (no goroutine leaks) and the returned Unit
-// holds whatever completed: unfed files are simply absent. Per-function
-// analysis is not part of the build — Function.Analyze runs it on demand,
-// so its cost lands wherever facts are first derived (the checker engine,
-// which honors its own ctx). Callers that care about partial results check
-// ctx.Err() themselves.
-//
-// The build runs in two halves that are also available separately for
-// distributed analysis (see artifact.go): buildArtifact (per-file front end
-// + discovery observation, the shard-local pass) and assembleWith (exchange
-// + merge + per-function analysis, the global pass). Running them back to
-// back on one front-end state is exactly the old monolithic build, so
-// single-process results are unchanged, and the distributed path shares
-// every line of the phase logic.
-func (b *Builder) BuildContext(ctx context.Context, sources []Source) *Unit {
-	fe := b.newFrontEnd()
-	return b.assembleWith(ctx, fe, b.buildArtifact(ctx, fe, sources), nil)
+// forEach calls fn(i) for every i in [0, n) on up to workers goroutines (0
+// means GOMAXPROCS; 1 runs sequentially on the caller's goroutine). Once ctx
+// is cancelled no further index is handed out, and forEach returns only
+// after every call it started has returned, so a cancelled caller leaks no
+// goroutine and sees no late write. Callers write results into per-index
+// slots and merge them in index order, which keeps output independent of
+// the worker count.
+func forEach(ctx context.Context, workers, n int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			fn(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	jobs := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				fn(i)
+			}
+		}()
+	}
+feed:
+	for i := 0; i < n; i++ {
+		select {
+		case jobs <- i:
+		case <-ctx.Done():
+			break feed
+		}
+	}
+	close(jobs)
+	wg.Wait()
 }
 
 // newFrontEnd resolves the builder's knobs into the per-build front-end
 // state shared by the phase workers.
 func (b *Builder) newFrontEnd() *frontEnd {
-	workers := b.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	hc := b.HeaderCache
 	if hc == nil {
 		hc = cpp.NewHeaderCache()
 	}
 	fe := &frontEnd{b: b, hc: hc, cache: b.Cache,
 		predefFP: predefFingerprint(b.Predefines),
-		reg:      b.Obs.Reg(), stats: &arena.Stats{}, workers: workers}
+		reg:      b.Obs.Reg(), stats: &arena.Stats{}}
 	fe.l1hold = b.Cache != nil && b.Cache.MemoryEnabled()
 	fe.tokPool.Stats = fe.stats
 	return fe
 }
 
-// buildArtifact is phase 1: preprocess + parse, sharded per file (each
-// file's front end is independent), with the file's discovery observation
-// extracted in the same worker pass. The returned artifact lists files in
-// sorted path order; TUs skipped by cancellation are absent, exactly like
-// the nil-file slots the monolithic loop skipped.
-func (b *Builder) buildArtifact(ctx context.Context, fe *frontEnd, sources []Source) *ShardArtifact {
+// BuildArtifactContext runs the shard-local half of a build: preprocess +
+// parse, sharded per file (each file's front end is independent), with the
+// file's discovery observation extracted in the same worker pass. The
+// artifact lists files in sorted path order; TUs skipped by cancellation
+// are absent.
+//
+// With retain set, each file's expanded token stream is copied into fresh
+// storage so the artifact can outlive the build's pooled buffers and be
+// serialized (EncodeShardArtifact requires it). Without retain the artifact
+// is only usable in-process — which is how Build and core.Analyze consume
+// it: the files keep their ASTs (and an L1 front-end entry's parse memo),
+// so assembly reparses nothing and no token is copied.
+//
+// The builder's DB is not consulted: a shard-local pass is DB-independent by
+// design, so stateless workers need no discovery state at all.
+func (b *Builder) BuildArtifactContext(ctx context.Context, sources []Source, retain bool) *ShardArtifact {
+	fe := b.newFrontEnd()
+	fe.retain = retain
+	fe.l1hold = fe.l1hold && !retain
 	sorted := append([]Source(nil), sources...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
 
@@ -532,7 +568,7 @@ func (b *Builder) buildArtifact(ctx context.Context, fe *frontEnd, sources []Sou
 	// delta of its counters, not their absolute values.
 	hc0 := fe.hc.Stats()
 	results := make([]*ArtFile, len(sorted))
-	work := func(i int) {
+	forEach(ctx, b.Workers, len(sorted), func(i int) {
 		p := fe.parseTU(sorted[i])
 		if p.file == nil {
 			return
@@ -541,42 +577,19 @@ func (b *Builder) buildArtifact(ctx context.Context, fe *frontEnd, sources []Sou
 			Path: sorted[i].Path, Tokens: p.tokens, Macros: p.macros, Obs: p.obs,
 			file: p.file, errs: p.errs, cppN: p.cppN, fp: p.fp,
 		}
-	}
-	if fe.workers > 1 && len(sorted) > 1 {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < fe.workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					work(i)
-				}
-			}()
-		}
-	feedFiles:
-		for i := range sorted {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				break feedFiles
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		for i := range sorted {
-			if ctx.Err() != nil {
-				break
-			}
-			work(i)
-		}
-	}
-	if fe.reg != nil {
+	})
+	if reg := fe.reg; reg != nil {
 		hc1 := fe.hc.Stats()
-		fe.reg.Add("headercache.hit", hc1.Hits-hc0.Hits)
-		fe.reg.Add("headercache.miss", hc1.Misses-hc0.Misses)
-		fe.reg.Add("lex.tokens", (hc1.TokensLexed-hc0.TokensLexed)+fe.lexStats.Tokens.Load())
+		reg.Add("headercache.hit", hc1.Hits-hc0.Hits)
+		reg.Add("headercache.miss", hc1.Misses-hc0.Misses)
+		reg.Add("lex.tokens", (hc1.TokensLexed-hc0.TokensLexed)+fe.lexStats.Tokens.Load())
+		// Gauges, not counters: pool hit/miss (and therefore fresh-chunk)
+		// counts depend on goroutine scheduling, and the difftest matrix
+		// requires counters to be identical across worker counts.
+		reg.SetGauge("arena.bytes", float64(fe.stats.Bytes.Load()))
+		reg.SetGauge("arena.chunks", float64(fe.stats.Chunks.Load()))
+		reg.SetGauge("arena.reused", float64(fe.stats.Reused.Load()))
+		reg.SetGauge("arena.released", float64(fe.stats.Released.Load()))
 	}
 	art := &ShardArtifact{}
 	for _, af := range results {
@@ -587,13 +600,18 @@ func (b *Builder) buildArtifact(ctx context.Context, fe *frontEnd, sources []Sou
 	return art
 }
 
-// assembleWith merges artifact files into a Unit — reparsing any that
-// arrived over the wire as decoded token streams — applies discovery, and
-// runs the per-function phase. A nil disc means the exchange has not
-// happened yet: the artifact's own observations are applied to the DB here
-// (the single-process path). A non-nil disc asserts the builder's DB already
-// absorbed the exchange and carries the added-name lists for the unit.
-func (b *Builder) assembleWith(ctx context.Context, fe *frontEnd, art *ShardArtifact, disc *apidb.Discovery) *Unit {
+// AssembleContext runs the global half of a build over a (possibly merged,
+// possibly decoded) artifact: reparse wire-format files (see hydrate), merge
+// declarations in sorted path order, apply discovery, and prepare the
+// per-function phase and the call graph.
+//
+// disc carries the result of an exchange already applied to b.DB (the path
+// core takes, where the same DB is then shared with the checker engine);
+// nil means no exchange has happened and the artifact's own observations
+// are applied here. When ctx is cancelled mid-reparse, the files left
+// unparsed are simply absent from the unit; callers that care check
+// ctx.Err() themselves.
+func (b *Builder) AssembleContext(ctx context.Context, art *ShardArtifact, disc *apidb.Discovery) *Unit {
 	db := b.DB
 	if db == nil {
 		db = apidb.New()
@@ -606,60 +624,8 @@ func (b *Builder) assembleWith(ctx context.Context, fe *frontEnd, art *ShardArti
 		Macros:    map[string]*cpp.Macro{},
 		Calls:     map[string][]CallSite{},
 	}
-	reg := fe.reg
-
-	// Decoded artifacts carry token streams, not ASTs (same trade the
-	// front-end cache's disk tier makes: the parser is cheap, and reparsing
-	// identical tokens yields an identical AST). Reparse them file-sharded.
-	var toParse []*ArtFile
-	for _, af := range art.Files {
-		if af.file == nil {
-			toParse = append(toParse, af)
-		}
-	}
-	if len(toParse) > 0 {
-		rsp := b.Obs.Child("reparse").Int("files", len(toParse))
-		reparse := func(af *ArtFile) {
-			file, perrs := cparse.ParseFileArena(af.Path, af.Tokens, fe.stats)
-			af.file = file
-			af.errs = append(af.errs, perrs...)
-			// The AST replaces the token stream; dropping it here keeps
-			// peak memory per-TU-streaming rather than whole-corpus (the
-			// tokens of a large corpus dwarf its ASTs).
-			af.Tokens = nil
-		}
-		if fe.workers > 1 && len(toParse) > 1 {
-			var wg sync.WaitGroup
-			jobs := make(chan *ArtFile)
-			for w := 0; w < fe.workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for af := range jobs {
-						reparse(af)
-					}
-				}()
-			}
-		feedReparse:
-			for _, af := range toParse {
-				select {
-				case jobs <- af:
-				case <-ctx.Done():
-					break feedReparse
-				}
-			}
-			close(jobs)
-			wg.Wait()
-		} else {
-			for _, af := range toParse {
-				if ctx.Err() != nil {
-					break
-				}
-				reparse(af)
-			}
-		}
-		rsp.End()
-	}
+	stats := &arena.Stats{}
+	art.hydrate(ctx, b.Obs, b.Workers, stats)
 
 	// Merge declarations, macros and errors in sorted path order — the exact
 	// order the sequential loop used, so the unit is deterministic. A nil
@@ -720,7 +686,7 @@ func (b *Builder) assembleWith(ctx context.Context, fe *frontEnd, art *ShardArti
 	for name := range u.Globals {
 		globals[name] = true
 	}
-	env := &analysisEnv{ext: &semantics.Extractor{DB: db, GlobalNames: globals}, stats: fe.stats}
+	env := &analysisEnv{ext: &semantics.Extractor{DB: db, GlobalNames: globals}, stats: stats}
 	names := u.FunctionNames()
 	for _, name := range names {
 		if fn := u.Functions[name]; fn.Def.Body != nil {
@@ -744,15 +710,6 @@ func (b *Builder) assembleWith(ctx context.Context, fe *frontEnd, art *ShardArti
 		}
 	}
 	cg.End()
-	if reg != nil {
-		// Gauges, not counters: pool hit/miss (and therefore fresh-chunk)
-		// counts depend on goroutine scheduling, and the difftest matrix
-		// requires counters to be identical across worker counts.
-		reg.SetGauge("arena.bytes", float64(fe.stats.Bytes.Load()))
-		reg.SetGauge("arena.chunks", float64(fe.stats.Chunks.Load()))
-		reg.SetGauge("arena.reused", float64(fe.stats.Reused.Load()))
-		reg.SetGauge("arena.released", float64(fe.stats.Released.Load()))
-	}
 	return u
 }
 

@@ -39,9 +39,9 @@ type Config struct {
 	CacheDir string
 	CacheMem int
 	// Options configures the manager-side global pass (checkers, confirm,
-	// workers). Options.DB is overwritten with the exchange DB; Cache and
-	// Admit are ignored on the global pass (use CacheDir for the workers'
-	// front-end cache).
+	// workers). Options.DB is overwritten with the DB core.Exchange
+	// populates; core.GlobalPass consults neither Cache nor Admit (use
+	// CacheDir for the workers' front-end cache).
 	Options core.Options
 	// Trace receives manager spans and counters (manager.worker.deaths,
 	// manager.shard.requeues, manager.shard.inline, manager.frontend.hit,
@@ -171,20 +171,13 @@ func Run(ctx context.Context, cfg Config, sources []cpg.Source, headers map[stri
 	}
 	sp.End()
 
-	db := apidb.New()
-	merged, disc := Exchange(db, arts)
 	opt := cfg.Options
-	opt.DB = db
-	opt.Cache = nil
-	opt.Admit = nil
+	opt.DB = apidb.New()
+	xsp := cfg.Trace.Root().Child("phase:exchange")
+	merged, disc := core.Exchange(opt.DB, arts)
+	xsp.End()
 	greq := core.Request{Sources: sources, Headers: headers, Options: opt, Trace: cfg.Trace}
 	return core.GlobalPass(ctx, greq, merged, disc)
-}
-
-// Exchange merges the per-shard artifacts into db (thin re-export so callers
-// of the manager package see the whole pipeline in one place).
-func Exchange(db *apidb.DB, arts []*cpg.ShardArtifact) (*cpg.ShardArtifact, apidb.Discovery) {
-	return core.Exchange(db, arts)
 }
 
 // runSlot owns one worker process: spawn, init, then lockstep shard serving

@@ -40,6 +40,14 @@ grep -q '"ph":"X"' "$tmp/selftest-trace.json" || {
     echo "verify: selftest trace has no complete events" >&2
     exit 1
 }
+# One pipeline: the run must pass through the phase API's stages, so a
+# second pipeline with phases of its own cannot come back silently.
+for phase in local exchange assemble check; do
+    grep -q "\"name\":\"phase:$phase\"" "$tmp/selftest-trace.json" || {
+        echo "verify: selftest trace has no phase:$phase span" >&2
+        exit 1
+    }
+done
 
 # Tiered-cache binary gate: an uncached demo run, a cold cached run, and a
 # warm re-run in a fresh process (served from the batched disk packs into an
