@@ -9,11 +9,9 @@
 //	refcheck-manager [-shards N] -demo
 //
 // With no DIR arguments, -demo is implied. Workers are spawned by
-// re-executing this binary with -worker (override the executable with
-// -worker-bin, e.g. to point at a `refcheck` build — both speak the same
-// pipe protocol). With -cache, every worker opens the shared tiered cache
-// and serves per-file front-end entries from it, so a second manager run
-// over the same tree skips preprocessing shard by shard.
+// re-executing this binary with -worker. With -cache, every worker opens the
+// shared tiered cache and serves per-file front-end entries from it, so a
+// second manager run over the same tree skips preprocessing shard by shard.
 package main
 
 import (
@@ -37,7 +35,6 @@ func main() {
 	var opts cliopts.Opts
 	opts.Register(flag.CommandLine, cliopts.Demo|cliopts.Render|cliopts.Workers|cliopts.Checkers|cliopts.Cache|cliopts.Verbose)
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "number of worker processes; output is identical at any setting")
-	workerBin := flag.String("worker-bin", "", "worker executable (default: this binary); it is invoked with -worker")
 	killAfter := flag.Int("kill-worker-after", 0, "fault injection: make the first worker crash after receiving its Nth shard (output must be unchanged)")
 	workerMode := flag.Bool("worker", false, "run as an analysis worker on stdin/stdout")
 	workerExitAfter := flag.Int("worker-exit-after", 0, "with -worker: crash after receiving the Nth shard")
@@ -65,14 +62,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	bin := *workerBin
-	if bin == "" {
-		self, err := os.Executable()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "refcheck-manager: %v\n", err)
-			os.Exit(1)
-		}
-		bin = self
+	bin, err := os.Executable()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "refcheck-manager: %v\n", err)
+		os.Exit(1)
 	}
 	cfg := manager.Config{
 		Procs:     *shards,
@@ -130,14 +123,8 @@ func main() {
 		}
 	}
 
-	reports := render.FilterPattern(run.Reports, opts.Pattern)
-	if opts.JSON {
-		if err := render.WriteJSON(os.Stdout, reports); err != nil {
-			fmt.Fprintf(os.Stderr, "refcheck-manager: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if _, err := render.Output(os.Stdout, run.Reports, run.Summary, opts.Pattern, opts.JSON); err != nil {
+		fmt.Fprintf(os.Stderr, "refcheck-manager: %v\n", err)
+		os.Exit(1)
 	}
-	render.WriteReports(os.Stdout, reports)
-	render.WriteSummary(os.Stdout, reports, run.Summary)
 }

@@ -6,14 +6,11 @@
 //	refcheck [-json] [-pattern P4] DIR...
 //	refcheck -demo
 //	refcheck -watch DIR...
-//	refcheck -worker
 //
 // DIR arguments are scanned recursively for .c and .h files; -demo checks
 // the built-in synthetic kernel corpus instead. -watch re-analyzes the
 // directories whenever a source file changes (mtime polling), reusing the
-// warm tiered cache so an edit loop costs one file's recompute. -worker
-// turns the process into a shard-analysis worker speaking the
-// refcheck-manager pipe protocol on stdin/stdout (see cmd/refcheck-manager).
+// warm tiered cache so an edit loop costs one file's recompute.
 package main
 
 import (
@@ -37,7 +34,6 @@ import (
 	"repro/internal/cliopts"
 	"repro/internal/core"
 	"repro/internal/difftest"
-	"repro/internal/manager"
 	"repro/internal/patch"
 	"repro/internal/poc"
 	"repro/internal/render"
@@ -54,22 +50,11 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the analysis to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken after analysis) to this file")
 	pprofHTTP := flag.String("pprof-http", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the lifetime of the run")
-	workerMode := flag.Bool("worker", false, "run as a refcheck-manager analysis worker on stdin/stdout")
-	workerExitAfter := flag.Int("worker-exit-after", 0, "with -worker: crash after receiving the Nth shard (recovery-gate fault injection)")
 	watchMode := flag.Bool("watch", false, "poll DIR... for changes and re-analyze on edit (pairs with -cache for incremental runs)")
 	watchInterval := flag.Duration("watch-interval", time.Second, "with -watch: polling interval")
 	watchRuns := flag.Int("watch-runs", 0, "with -watch: exit after N analysis runs (0 = run until interrupted)")
 	watchOut := flag.String("watch-out", "", "with -watch: write each run's reports atomically to this file instead of stdout")
 	flag.Parse()
-
-	if *workerMode {
-		err := manager.Worker(os.Stdin, os.Stdout, manager.WorkerOpts{ExitAfterShards: *workerExitAfter})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "refcheck: worker: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *pprofHTTP != "" {
 		go func() {

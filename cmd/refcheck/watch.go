@@ -85,14 +85,9 @@ func runWatch(opts *cliopts.Opts, dirs []string, apidbPath string, interval time
 		runs++
 
 		var buf bytes.Buffer
-		reports := render.FilterPattern(run.Reports, opts.Pattern)
-		if opts.JSON {
-			if err := render.WriteJSON(&buf, reports); err != nil {
-				return err
-			}
-		} else {
-			render.WriteReports(&buf, reports)
-			render.WriteSummary(&buf, reports, run.Summary)
+		nreports, err := render.Output(&buf, run.Reports, run.Summary, opts.Pattern, opts.JSON)
+		if err != nil {
+			return err
 		}
 		if outFile != "" {
 			if err := writeAtomic(outFile, buf.Bytes()); err != nil {
@@ -107,7 +102,7 @@ func runWatch(opts *cliopts.Opts, dirs []string, apidbPath string, interval time
 			what = fmt.Sprintf("%d files changed", len(changed))
 		}
 		fmt.Fprintf(os.Stderr, "refcheck: watch: run %d (%s): %d files, %d reports in %v (front end: %d hits (%d parses reused), %d misses; facts: %d hits, %d misses)\n",
-			runs, what, len(tree.Sources), len(reports), elapsed.Round(time.Millisecond),
+			runs, what, len(tree.Sources), nreports, elapsed.Round(time.Millisecond),
 			run.Metric("frontend.cache.hit"), run.Metric("frontend.parse.reused"), run.Metric("frontend.cache.miss"),
 			run.Metric("cache.facts.hit"), run.Metric("cache.facts.miss"))
 		opts.Export("refcheck", req.Trace)

@@ -36,7 +36,7 @@
 // Entry payloads are opaque byte slices: each caller owns its encoding
 // (hand-rolled binary codecs built on internal/bincodec — see internal/cpg,
 // internal/facts, internal/core). The cache only moves bytes; the decode
-// callback passed to Load/Get/GetValue interprets them, and any error it
+// callback passed to Get/GetValue interprets them, and any error it
 // returns is treated as corruption. Directories written by earlier formats
 // (two-hex-char shard dirs of .gob or .bin files) are simply never
 // consulted, so a cache root surviving a format change degrades to clean
@@ -52,9 +52,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"sync/atomic"
 	"time"
@@ -62,24 +60,21 @@ import (
 	"repro/internal/obs"
 )
 
-// ErrCorrupt is the sentinel wrapped by Load when an entry exists on disk
-// but cannot be decoded (truncated pack, bit rot, codec version drift).
-// Callers distinguish it from a plain miss with errors.Is; the cache itself
-// always degrades a corrupt entry to a miss.
-var ErrCorrupt = errors.New("analysiscache: corrupt entry")
-
 // Defaults for Open. WithMemory(0) disables L1 entirely.
 const (
-	DefaultMemory        = 64 << 20
-	defaultFlushBytes    = 8 << 20
-	defaultFlushInterval = 30 * time.Second
+	DefaultMemory     = 64 << 20
+	defaultFlushBytes = 8 << 20
 )
+
+// flushInterval is how long a shard may sit dirty before the next Put to it
+// flushes inline. There is no timer goroutine: a process that stops writing
+// must call Flush (or Close) to make its last batch durable.
+const flushInterval = 30 * time.Second
 
 // config collects the Open options.
 type config struct {
 	mem        int64
 	flushBytes int64
-	flushEvery time.Duration
 }
 
 // Option configures Open.
@@ -94,13 +89,6 @@ func WithMemory(bytes int64) Option { return func(c *config) { c.mem = bytes } }
 // inline flush on Put.
 func WithFlushThreshold(bytes int64) Option {
 	return func(c *config) { c.flushBytes = bytes }
-}
-
-// WithFlushInterval sets how long a shard may sit dirty before the next Put
-// to it flushes inline. There is no timer goroutine: a process that stops
-// writing must call Flush (or Close) to make its last batch durable.
-func WithFlushInterval(d time.Duration) Option {
-	return func(c *config) { c.flushEvery = d }
 }
 
 // Cache is the tiered cache handle, safe for concurrent use by multiple
@@ -131,7 +119,6 @@ func Open(dir string, opts ...Option) (*Cache, error) {
 	cfg := config{
 		mem:        DefaultMemory,
 		flushBytes: defaultFlushBytes,
-		flushEvery: defaultFlushInterval,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -139,7 +126,7 @@ func Open(dir string, opts ...Option) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("analysiscache: %w", err)
 	}
-	st := &state{l2: newL2Tier(dir, cfg.flushBytes, cfg.flushEvery)}
+	st := &state{l2: newL2Tier(dir, cfg.flushBytes)}
 	st.refs.Store(1)
 	if cfg.mem > 0 {
 		st.l1 = newL1Cache(cfg.mem)
@@ -165,35 +152,10 @@ func (c *Cache) WithRegistry(reg *obs.Registry) *Cache {
 	return &Cache{dir: c.dir, reg: reg, st: c.st}
 }
 
-// Load reads the entry for key from the disk tier and hands its payload to
-// decode. A missing entry returns an error wrapping fs.ErrNotExist; a
-// present-but-undecodable entry wraps ErrCorrupt. Both are misses to Get.
-// The payload slice is owned by the callback for the duration of the call
-// only.
-func (c *Cache) Load(key string, decode func(data []byte) error) error {
-	if len(key) < 2 || c.st.closed.Load() {
-		c.reg.Add("cache.read.miss", 1)
-		return fmt.Errorf("analysiscache: short key or closed handle: %w", fs.ErrNotExist)
-	}
-	data, corrupt, ok := c.st.l2.lookup(key)
-	if corrupt > 0 {
-		c.reg.Add("cache.read.corrupt", int64(corrupt))
-	}
-	if !ok {
-		c.reg.Add("cache.read.miss", 1)
-		return fmt.Errorf("analysiscache: no entry for key: %w", fs.ErrNotExist)
-	}
-	if err := decode(data); err != nil {
-		c.reg.Add("cache.read.corrupt", 1)
-		return fmt.Errorf("%w: key %s…: %v", ErrCorrupt, key[:8], err)
-	}
-	c.reg.Add("cache.read.hit", 1)
-	return nil
-}
-
 // Get reads the entry for key through decode, bypassing L1 (the decoded
 // result stays caller-owned, so decode may target pooled storage). Any
-// failure — missing entry, torn pack, codec mismatch — is a miss.
+// failure — missing entry, torn pack, codec mismatch — is a miss. The
+// payload slice is owned by the callback for the duration of the call only.
 func (c *Cache) Get(key string, decode func(data []byte) error) bool {
 	if len(key) < 2 || c.st.closed.Load() {
 		c.reg.Add("cache.read.miss", 1)

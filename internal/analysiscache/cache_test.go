@@ -197,10 +197,9 @@ func TestOldFormatDirIsCleanMisses(t *testing.T) {
 	}
 }
 
-// TestShardDirDeletedMidRun is the regression test for the stale shard-dir
-// bitmap: after a flush marks a shard directory as existing, deleting the
-// whole cache root must not make later flushes fail silently — the stale
-// bit is cleared, the directory re-probed, and the batch written.
+// TestShardDirDeletedMidRun: after a flush has created a shard directory,
+// deleting the whole cache root must not make later flushes fail silently —
+// the next flush to that shard recreates the directory and writes the batch.
 func TestShardDirDeletedMidRun(t *testing.T) {
 	dir := t.TempDir()
 	c := mustOpen(t, dir)
@@ -217,7 +216,7 @@ func TestShardDirDeletedMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A second key in the same shard hits the now-stale bitmap bit.
+	// A second key in the same shard, whose directory is gone.
 	k2 := k1
 	for i := 0; k2 == k1 || shardOf(k2) != shardOf(k1); i++ {
 		k2 = KeyOf("second", string(rune('a'+i)))

@@ -4,14 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -34,14 +31,6 @@ const (
 type l2Tier struct {
 	dir        string
 	flushBytes int64
-	flushEvery time.Duration
-
-	// dirs remembers which shard directories are known to exist so a flush
-	// pays the mkdir probe at most once per shard per process. A stale bit
-	// (the cache dir was deleted mid-run) is cleared and re-probed by the
-	// flush path's ErrNotExist fallback, so bits are an optimization, never
-	// a correctness input.
-	dirs atomic.Uint32
 
 	shards [numShards]l2Shard
 }
@@ -63,8 +52,8 @@ type l2Shard struct {
 	loaded bool
 }
 
-func newL2Tier(dir string, flushBytes int64, flushEvery time.Duration) *l2Tier {
-	t := &l2Tier{dir: dir, flushBytes: flushBytes, flushEvery: flushEvery}
+func newL2Tier(dir string, flushBytes int64) *l2Tier {
+	t := &l2Tier{dir: dir, flushBytes: flushBytes}
 	for i := range t.shards {
 		t.shards[i].n = i
 	}
@@ -149,7 +138,7 @@ func (t *l2Tier) put(key string, data []byte) *l2Shard {
 		s.pending[key] = data
 		s.pendingBytes += int64(len(data))
 	}
-	if s.pendingBytes >= t.flushBytes || now.Sub(s.dirtySince) >= t.flushEvery {
+	if s.pendingBytes >= t.flushBytes || now.Sub(s.dirtySince) >= flushInterval {
 		return s
 	}
 	return nil
@@ -205,28 +194,16 @@ func (t *l2Tier) flushShard(s *l2Shard) flushResult {
 	return flushResult{packs: 1, entries: n}
 }
 
-// writePack writes one pack file, negotiating the shard directory through
-// the dirs bitmap: probe with mkdir only on the first write per shard, and
-// when the directory vanished underneath a set bit (ErrNotExist on a shard
-// the bitmap swears exists), clear the stale bit, recreate, and retry once.
+// writePack writes one pack file, creating its shard directory first: the
+// directory may not exist yet, or may have been deleted since the last
+// flush. A flush writes at most one pack per shard, so the probe costs at
+// most numShards stat calls per flush.
 func (t *l2Tier) writePack(shard int, name string, pack []byte) error {
 	dir := t.shardDir(shard)
-	bit := uint32(1) << shard
-	if t.dirs.Load()&bit == 0 {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		t.dirs.Or(bit)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
-	err := os.WriteFile(filepath.Join(dir, name), pack, 0o644)
-	if errors.Is(err, fs.ErrNotExist) {
-		t.dirs.And(^bit)
-		if err = os.MkdirAll(dir, 0o755); err == nil {
-			t.dirs.Or(bit)
-			err = os.WriteFile(filepath.Join(dir, name), pack, 0o644)
-		}
-	}
-	return err
+	return os.WriteFile(filepath.Join(dir, name), pack, 0o644)
 }
 
 func (t *l2Tier) pendingEntries() int64 {

@@ -201,6 +201,3 @@ var keywords = map[string]bool{
 	"__attribute__": true, "__inline__": true, "__asm__": true,
 	"typeof": true, "__typeof__": true, "_Bool": true,
 }
-
-// IsKeyword reports whether s is lexed as a keyword.
-func IsKeyword(s string) bool { return keywords[s] }

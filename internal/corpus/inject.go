@@ -30,10 +30,3 @@ func BugListing(p PatternID, fn string) (text, buggyFn string) {
 	}
 	return "", ""
 }
-
-// CleanListing returns a correct function exercising the refcounting APIs
-// (the same pool Generate draws clean functions from). Appending it to a
-// file must never change any checker's report set.
-func CleanListing(fn string, variant int) string {
-	return genClean(fn, variant)
-}

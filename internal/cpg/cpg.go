@@ -14,7 +14,6 @@ import (
 	"errors"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -119,8 +118,6 @@ type Builder struct {
 	// provider must be safe for concurrent reads (plain maps are: the
 	// parallel front end only ever calls ReadFile).
 	Headers cpp.FileProvider
-	// Predefines are macros defined before each file (e.g. __KERNEL__).
-	Predefines map[string]string
 	// Workers bounds the file-sharded preprocess+parse concurrency
 	// (phase 1, and the reparse of decoded artifacts); 0 means GOMAXPROCS,
 	// 1 forces sequential building. Results are byte-identical either way —
@@ -128,10 +125,6 @@ type Builder struct {
 	// Per-function analysis (phase 3) runs on demand, on whichever worker
 	// first needs a function's facts.
 	Workers int
-	// HeaderCache shares lexed header token lines across the unit's files
-	// (and, if the caller reuses it, across builds); nil means a fresh
-	// per-build cache, so headers are still lexed only once per Build.
-	HeaderCache *cpp.HeaderCache
 	// Cache, when non-nil, persists each file's preprocessed form
 	// (tokens + macros + include closure) keyed by content hash, so an
 	// unchanged file skips preprocessing on the next build. With the cache's
@@ -148,27 +141,6 @@ type Builder struct {
 	// frontend.tu_ms histogram. Nil (or a span from obs.Nop()) disables all
 	// of it at effectively zero cost; the Unit is byte-identical either way.
 	Obs *obs.Span
-}
-
-// parsed is one file's phase-1 output, produced by any worker and merged on
-// the coordinating goroutine in sorted path order.
-type parsed struct {
-	file   *cast.File
-	macros map[string]*cpp.Macro
-	errs   []error
-	// cppN is how many leading errs entries came from the preprocessor; the
-	// artifact codec serializes those as strings (parse errors regenerate on
-	// reparse, so they are never serialized).
-	cppN int
-	// tokens is the retained expanded token stream in fresh storage, set
-	// only when the front end runs in retain mode for artifact export. The
-	// pooled per-TU buffer must never escape parseOne, so this is always a
-	// copy.
-	tokens []clex.Token
-	// obs is the file's discovery observation.
-	obs apidb.FileObs
-	// fp is the file's sourceFP, set when the front end ran with a cache.
-	fp string
 }
 
 // frontEntry is the per-file front-end cache entry: everything the
@@ -206,10 +178,9 @@ type frontMemo struct {
 
 // frontEnd is the per-Build front-end state shared by all phase-1 workers.
 type frontEnd struct {
-	b        *Builder
-	hc       *cpp.HeaderCache
-	cache    *analysiscache.Cache
-	predefFP string
+	b     *Builder
+	hc    *cpp.HeaderCache // fresh per build: headers are lexed once per Build
+	cache *analysiscache.Cache
 	// l1hold marks a cache with an active in-memory value tier and a build
 	// that does not retain token streams: front-entry reads then go through
 	// GetValue, which retains the decoded entry, so decoding must not target
@@ -218,8 +189,9 @@ type frontEnd struct {
 	// tokens, which memoized entries drop, so it reads through the byte API.
 	l1hold bool
 	// retain makes parseOne copy each TU's expanded token stream into fresh
-	// storage (parsed.tokens) so the artifact can be serialized after the
-	// pooled buffers are released.
+	// storage (ArtFile.Tokens) so the artifact can be serialized after the
+	// pooled buffers are released. The pooled per-TU buffer never escapes
+	// parseOne, so a retained stream is always a copy.
 	retain bool
 
 	// stats aggregates the build's arena counters (slab chunks in the parser
@@ -239,21 +211,11 @@ type frontEnd struct {
 	lexStats clex.Stats
 }
 
-// predefFingerprint canonicalizes the predefine table for cache keys.
-func predefFingerprint(predefs map[string]string) string {
-	keys := make([]string, 0, len(predefs))
-	for k := range predefs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		sb.WriteString(predefs[k])
-		sb.WriteByte(0)
-	}
-	return sb.String()
+// frontKey is the front-end cache key of one source file. The preprocessor
+// runs with no predefined macros, so path and content are its whole input
+// apart from the include closure, which each entry records and re-validates.
+func frontKey(path, content string) string {
+	return analysiscache.KeyOf("fe-v4", path, content)
 }
 
 // closureValid reports whether every include recorded when the entry was
@@ -281,10 +243,10 @@ func (fe *frontEnd) closureValid(deps []cpp.IncludeDep) bool {
 }
 
 // sourceFP fingerprints one file's complete front-end input: its front-end
-// cache key (predefines, path, content) plus the include closure the
-// preprocessor resolved. Preprocessing and parsing are deterministic, so an
-// equal fingerprint means an identical token stream, macro table and AST —
-// the per-file half of any downstream per-file cache key.
+// cache key (path, content) plus the include closure the preprocessor
+// resolved. Preprocessing and parsing are deterministic, so an equal
+// fingerprint means an identical token stream, macro table and AST — the
+// per-file half of any downstream per-file cache key.
 func sourceFP(feKey string, closure []cpp.IncludeDep) string {
 	parts := make([]string, 0, 1+2*len(closure))
 	parts = append(parts, feKey)
@@ -305,9 +267,6 @@ func (fe *frontEnd) preprocess(src Source, buf []clex.Token) *cpp.Result {
 	if fe.cache != nil {
 		pp.TrackIncludes()
 	}
-	for k, v := range fe.b.Predefines {
-		pp.Define(k, v)
-	}
 	res := pp.Process(src.Path, src.Content)
 	fe.reg.Add("frontend.tokens", int64(len(res.Tokens)))
 	fe.reg.Add("frontend.macro_expansions", int64(res.Stats.Expansions))
@@ -327,7 +286,7 @@ func (fe *frontEnd) preprocess(src Source, buf []clex.Token) *cpp.Result {
 // themselves come from slabs inside the parser and are retained by the
 // returned file — slab chunks are never recycled, so the release only
 // touches the pooled buffer.
-func (fe *frontEnd) parseOne(src Source) parsed {
+func (fe *frontEnd) parseOne(src Source) *ArtFile {
 	a := arena.New(fe.stats)
 	buf := fe.tokPool.Get(len(src.Content)/6 + 8)
 	a.OnRelease(func() { fe.tokPool.Put(buf) })
@@ -338,7 +297,7 @@ func (fe *frontEnd) parseOne(src Source) parsed {
 		buf = res.Tokens
 		return fe.parse(src.Path, res.Tokens, res.Macros, res.Errors, "")
 	}
-	key := analysiscache.KeyOf("fe-v3", fe.predefFP, src.Path, src.Content)
+	key := frontKey(src.Path, src.Content)
 	if fe.l1hold {
 		// Value-tier path: the entry lives in the cache's L1 and is shared
 		// with every later build, so it must live in fresh storage — never
@@ -383,21 +342,21 @@ func (fe *frontEnd) parseOne(src Source) parsed {
 	// and the pooled token buffer never escapes into the shared entry.
 	enc := encodeFrontEntry(ent)
 	ent.memo = &frontMemo{charge: int64(len(enc))}
-	p := fe.reuse(key, src.Path, ent)
+	af := fe.reuse(key, src.Path, ent)
 	_ = fe.cache.PutValue(key, ent, enc)
 	fe.cache.Recharge(key, ent, ent.memo.charge)
-	return p
+	return af
 }
 
 // parse parses one TU's token stream and extracts its discovery
 // observation, for the front-end paths that keep no memo.
-func (fe *frontEnd) parse(path string, toks []clex.Token, macros map[string]*cpp.Macro, cppErrs []error, fp string) parsed {
+func (fe *frontEnd) parse(path string, toks []clex.Token, macros map[string]*cpp.Macro, cppErrs []error, fp string) *ArtFile {
 	file, perrs := cparse.ParseFileArena(path, toks, fe.stats)
 	errs := make([]error, 0, len(cppErrs)+len(perrs))
 	errs = append(errs, cppErrs...)
 	errs = append(errs, perrs...)
-	return parsed{file: file, macros: macros, errs: errs, cppN: len(cppErrs),
-		tokens: fe.retainToks(toks), obs: apidb.ObserveFile(path, file, macros), fp: fp}
+	return &ArtFile{Path: path, Tokens: fe.retainToks(toks), Macros: macros,
+		Obs: apidb.ObserveFile(path, file, macros), file: file, errs: errs, cppN: len(cppErrs), fp: fp}
 }
 
 // reuse serves one TU from an L1-shared front-end entry: the first build to
@@ -408,7 +367,7 @@ func (fe *frontEnd) parse(path string, toks []clex.Token, macros map[string]*cpp
 // construction, event extraction, discovery replay, and the checkers only
 // read them (TestAnalyzeLeavesInputsUntouched in internal/core pins that) —
 // and ent.Tokens is read and cleared only inside the once.
-func (fe *frontEnd) reuse(key, path string, ent *frontEntry) parsed {
+func (fe *frontEnd) reuse(key, path string, ent *frontEntry) *ArtFile {
 	m := ent.memo
 	reused := true
 	m.once.Do(func() {
@@ -425,8 +384,9 @@ func (fe *frontEnd) reuse(key, path string, ent *frontEntry) parsed {
 	if reused {
 		fe.reg.Add("frontend.parse.reused", 1)
 	}
-	return parsed{file: m.file, macros: ent.Macros, errs: append(cppErrors(ent.CppErrors), m.perrs...),
-		cppN: len(ent.CppErrors), obs: m.obs, fp: sourceFP(key, ent.Closure)}
+	return &ArtFile{Path: path, Macros: ent.Macros, Obs: m.obs, file: m.file,
+		errs: append(cppErrors(ent.CppErrors), m.perrs...), cppN: len(ent.CppErrors),
+		fp: sourceFP(key, ent.Closure)}
 }
 
 // cppErrors turns cached preprocessor error strings back into errors, in a
@@ -470,18 +430,18 @@ func (b *Builder) Build(sources []Source) *Unit {
 
 // parseTU runs the per-file front end under a "tu" span, feeding the per-TU
 // wall time into the frontend.tu_ms histogram.
-func (fe *frontEnd) parseTU(src Source) parsed {
+func (fe *frontEnd) parseTU(src Source) *ArtFile {
 	sp := fe.b.Obs.Child("tu").Str("path", src.Path)
 	var t0 time.Time
 	if sp != nil {
 		t0 = time.Now()
 	}
-	p := fe.parseOne(src)
+	af := fe.parseOne(src)
 	if sp != nil {
 		fe.reg.Observe("frontend.tu_ms", float64(time.Since(t0).Microseconds())/1e3)
 	}
 	sp.End()
-	return p
+	return af
 }
 
 // forEach calls fn(i) for every i in [0, n) on up to workers goroutines (0
@@ -530,13 +490,8 @@ feed:
 // newFrontEnd resolves the builder's knobs into the per-build front-end
 // state shared by the phase workers.
 func (b *Builder) newFrontEnd() *frontEnd {
-	hc := b.HeaderCache
-	if hc == nil {
-		hc = cpp.NewHeaderCache()
-	}
-	fe := &frontEnd{b: b, hc: hc, cache: b.Cache,
-		predefFP: predefFingerprint(b.Predefines),
-		reg:      b.Obs.Reg(), stats: &arena.Stats{}}
+	fe := &frontEnd{b: b, hc: cpp.NewHeaderCache(), cache: b.Cache,
+		reg: b.Obs.Reg(), stats: &arena.Stats{}}
 	fe.l1hold = b.Cache != nil && b.Cache.MemoryEnabled()
 	fe.tokPool.Stats = fe.stats
 	return fe
@@ -564,25 +519,17 @@ func (b *Builder) BuildArtifactContext(ctx context.Context, sources []Source, re
 	sorted := append([]Source(nil), sources...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
 
-	// The header cache may be shared across builds, so charge this build the
-	// delta of its counters, not their absolute values.
-	hc0 := fe.hc.Stats()
 	results := make([]*ArtFile, len(sorted))
 	forEach(ctx, b.Workers, len(sorted), func(i int) {
-		p := fe.parseTU(sorted[i])
-		if p.file == nil {
-			return
-		}
-		results[i] = &ArtFile{
-			Path: sorted[i].Path, Tokens: p.tokens, Macros: p.macros, Obs: p.obs,
-			file: p.file, errs: p.errs, cppN: p.cppN, fp: p.fp,
+		if af := fe.parseTU(sorted[i]); af.file != nil {
+			results[i] = af
 		}
 	})
 	if reg := fe.reg; reg != nil {
-		hc1 := fe.hc.Stats()
-		reg.Add("headercache.hit", hc1.Hits-hc0.Hits)
-		reg.Add("headercache.miss", hc1.Misses-hc0.Misses)
-		reg.Add("lex.tokens", (hc1.TokensLexed-hc0.TokensLexed)+fe.lexStats.Tokens.Load())
+		hc := fe.hc.Stats()
+		reg.Add("headercache.hit", hc.Hits)
+		reg.Add("headercache.miss", hc.Misses)
+		reg.Add("lex.tokens", hc.TokensLexed+fe.lexStats.Tokens.Load())
 		// Gauges, not counters: pool hit/miss (and therefore fresh-chunk)
 		// counts depend on goroutine scheduling, and the difftest matrix
 		// requires counters to be identical across worker counts.

@@ -42,9 +42,8 @@ func TestParseMemoIsCharged(t *testing.T) {
 		t.Fatal(err)
 	}
 	var enc, full [16]int64
-	predefFP := predefFingerprint(nil)
 	for _, src := range srcs {
-		key := analysiscache.KeyOf("fe-v3", predefFP, src.Path, src.Content)
+		key := frontKey(src.Path, src.Content)
 		v, ok := probe.GetValue(key, decodeFrontValue)
 		if !ok {
 			t.Fatalf("%s: front-end entry not on disk", src.Path)

@@ -17,12 +17,12 @@ import (
 // Config configures a multi-process run.
 type Config struct {
 	// Procs is the number of worker processes to drive (default 1). The
-	// corpus is partitioned into Procs*ChunksPerProc shards so a slow or
+	// corpus is partitioned into Procs*chunksPerProc shards so a slow or
 	// dead worker only strands a fraction of the work.
 	Procs int
 	// WorkerCmd is the argv used to spawn each worker; the spawned process
-	// must speak the pipe protocol on stdin/stdout (e.g. `refcheck -worker`,
-	// or a test binary's argv shim). Required unless WorkerCmdFor is set.
+	// must speak the pipe protocol on stdin/stdout (e.g. `refcheck-manager
+	// -worker`, or a test binary's argv shim). Required unless WorkerCmdFor is set.
 	WorkerCmd []string
 	// WorkerCmdFor, when non-nil, overrides WorkerCmd per worker slot —
 	// the crash-recovery tests use it to give one slot a dying worker.
@@ -47,9 +47,11 @@ type Config struct {
 	// manager.shard.requeues, manager.shard.inline, manager.frontend.hit,
 	// manager.frontend.miss); nil disables.
 	Trace *obs.Trace
-	// ChunksPerProc is the work-queue granularity multiplier (default 4).
-	ChunksPerProc int
 }
+
+// chunksPerProc is the work-queue granularity multiplier: each worker
+// process's share of the corpus is split into this many shards.
+const chunksPerProc = 4
 
 // queue is the manager's shard work queue. Shards are handed out in index
 // order; a shard lost to a worker death is pushed back and handed to
@@ -102,10 +104,6 @@ func Run(ctx context.Context, cfg Config, sources []cpg.Source, headers map[stri
 	if procs < 1 {
 		procs = 1
 	}
-	chunks := cfg.ChunksPerProc
-	if chunks < 1 {
-		chunks = 4
-	}
 	cmdFor := cfg.WorkerCmdFor
 	if cmdFor == nil {
 		if len(cfg.WorkerCmd) == 0 {
@@ -114,7 +112,7 @@ func Run(ctx context.Context, cfg Config, sources []cpg.Source, headers map[stri
 		cmdFor = func(int) []string { return cfg.WorkerCmd }
 	}
 
-	shards := core.Partition(sources, procs*chunks)
+	shards := core.Partition(sources, procs*chunksPerProc)
 	reg := cfg.Trace.Reg()
 	sp := cfg.Trace.Root().Child("phase:manager")
 	sp.Int("procs", procs)

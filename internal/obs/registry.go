@@ -87,16 +87,6 @@ func (r *Registry) Counter(name string) int64 {
 	return r.counters[name]
 }
 
-// Gauge returns a gauge's current value (0 when absent or nil).
-func (r *Registry) Gauge(name string) float64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gauges[name]
-}
-
 // Counters returns a copy of every counter.
 func (r *Registry) Counters() map[string]int64 {
 	if r == nil {

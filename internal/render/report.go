@@ -74,11 +74,17 @@ func WriteSummary(w io.Writer, reports []core.Report, sum core.UnitSummary) {
 		sum.DiscoveredStructs, sum.DiscoveredAPIs, sum.DiscoveredLoops)
 }
 
-// WriteText writes the full default (non-JSON) refcheck output: the report
-// listing followed by the summary block.
-func WriteText(w io.Writer, reports []core.Report, sum core.UnitSummary) {
+// Output writes a run's reports the way refcheck prints them: filtered by
+// pattern (see FilterPattern), then either the JSON array or the report
+// listing followed by the summary block. n is the number of reports written.
+func Output(w io.Writer, reports []core.Report, sum core.UnitSummary, pattern string, asJSON bool) (n int, err error) {
+	reports = FilterPattern(reports, pattern)
+	if asJSON {
+		return len(reports), WriteJSON(w, reports)
+	}
 	WriteReports(w, reports)
 	WriteSummary(w, reports, sum)
+	return len(reports), nil
 }
 
 // jsonReport is the -json element shape. The field set (and its order) is

@@ -27,9 +27,12 @@ func sampleReports() []core.Report {
 
 func TestWriteTextShape(t *testing.T) {
 	var b strings.Builder
-	WriteText(&b, sampleReports(), core.UnitSummary{
+	n, err := Output(&b, sampleReports(), core.UnitSummary{
 		Files: 2, Functions: 2, DiscoveredStructs: 1, DiscoveredAPIs: 3, DiscoveredLoops: 0,
-	})
+	}, "", false)
+	if err != nil || n != 2 {
+		t.Fatalf("Output = %d, %v; want 2, nil", n, err)
+	}
 	out := b.String()
 	for _, want := range []string{
 		"    suggestion: kobject_put(dev);\n",
@@ -37,19 +40,21 @@ func TestWriteTextShape(t *testing.T) {
 		"analyzed 2 files, 2 functions (discovered: 1 structs, 3 APIs, 0 smartloops)\n",
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("WriteText output missing %q:\n%s", want, out)
+			t.Errorf("Output missing %q:\n%s", want, out)
 		}
 	}
 	// The per-report diagnostic lines must be the reports' own String form.
 	r := sampleReports()[0]
 	if !strings.Contains(out, r.String()+"\n") {
-		t.Errorf("WriteText output missing report line %q", r.String())
+		t.Errorf("Output missing report line %q", r.String())
 	}
 }
 
 func TestWriteTextEmpty(t *testing.T) {
 	var b strings.Builder
-	WriteText(&b, nil, core.UnitSummary{})
+	if n, err := Output(&b, nil, core.UnitSummary{}, "", false); err != nil || n != 0 {
+		t.Fatalf("Output = %d, %v; want 0, nil", n, err)
+	}
 	want := "\n0 reports — Leak 0, UAF 0, NPD 0\n" +
 		"analyzed 0 files, 0 functions (discovered: 0 structs, 0 APIs, 0 smartloops)\n"
 	if b.String() != want {
@@ -95,5 +100,43 @@ func TestFilterPattern(t *testing.T) {
 	}
 	if got := FilterPattern(rs, "P5"); len(got) != 0 {
 		t.Errorf("P5 filter: got %d reports, want 0", len(got))
+	}
+}
+
+// TestOutputModes pins Output to the CLI's sequence: filter by pattern, then
+// the JSON array alone, or the listing followed by the summary of the
+// filtered reports.
+func TestOutputModes(t *testing.T) {
+	sum := core.UnitSummary{Files: 2, Functions: 2}
+	for _, tc := range []struct {
+		pattern string
+		json    bool
+		wantN   int
+	}{
+		{"", false, 2},
+		{"", true, 2},
+		{"P8", false, 1},
+		{"P8", true, 1},
+		{"P5", false, 0},
+		{"P5", true, 0},
+	} {
+		filtered := FilterPattern(sampleReports(), tc.pattern)
+		var want strings.Builder
+		if tc.json {
+			if err := WriteJSON(&want, filtered); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			WriteReports(&want, filtered)
+			WriteSummary(&want, filtered, sum)
+		}
+		var got strings.Builder
+		n, err := Output(&got, sampleReports(), sum, tc.pattern, tc.json)
+		if err != nil || n != tc.wantN {
+			t.Errorf("pattern=%q json=%v: Output = %d, %v; want %d, nil", tc.pattern, tc.json, n, err, tc.wantN)
+		}
+		if got.String() != want.String() {
+			t.Errorf("pattern=%q json=%v:\n got %q\nwant %q", tc.pattern, tc.json, got.String(), want.String())
+		}
 	}
 }

@@ -1,14 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/cpg"
-	"repro/internal/render"
 )
 
 // This file defines the /v1/analyze wire schema. The response's Output field
@@ -127,18 +124,4 @@ type AnalyzeResponse struct {
 // ErrorResponse is every non-2xx body.
 type ErrorResponse struct {
 	Error string `json:"error"`
-}
-
-// renderOutput produces the CLI-identical stdout bytes for a finished run.
-func renderOutput(run *core.Run, req *AnalyzeRequest) (string, int, error) {
-	reports := render.FilterPattern(run.Reports, req.Pattern)
-	var buf bytes.Buffer
-	if req.JSON {
-		if err := render.WriteJSON(&buf, reports); err != nil {
-			return "", 0, err
-		}
-	} else {
-		render.WriteText(&buf, reports, run.Summary)
-	}
-	return buf.String(), len(reports), nil
 }

@@ -37,6 +37,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -51,15 +52,18 @@ import (
 	"repro/internal/analysiscache"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/render"
 )
 
 // Defaults for Config fields left zero.
 const (
 	DefaultQueue      = 16
 	DefaultMaxTimeout = 5 * time.Minute
-	DefaultTraceRing  = 32
 	maxRequestBody    = 256 << 20
 )
+
+// traceRingSize is how many recent run traces /trace/{id} can serve.
+const traceRingSize = 32
 
 // Config parameterizes New.
 type Config struct {
@@ -82,9 +86,6 @@ type Config struct {
 	// its own reference (released by Close), so a caller's Close cannot
 	// tear the tiers down under in-flight requests.
 	Cache *analysiscache.Cache
-	// TraceRing is how many recent run traces /trace/{id} can serve; 0
-	// means DefaultTraceRing.
-	TraceRing int
 }
 
 // Server is the refcheckd HTTP server state. Create with New; it is safe
@@ -122,9 +123,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxTimeout == 0 {
 		cfg.MaxTimeout = DefaultMaxTimeout
-	}
-	if cfg.TraceRing <= 0 {
-		cfg.TraceRing = DefaultTraceRing
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -315,7 +313,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.observeWall(wall)
-	output, nreports, err := renderOutput(run, &req)
+	// The response carries the CLI-identical stdout bytes of the run.
+	var output bytes.Buffer
+	nreports, err := render.Output(&output, run.Reports, run.Summary, req.Pattern, req.JSON)
 	if err != nil {
 		s.reg.Add("serve.errors", 1)
 		writeError(w, http.StatusInternalServerError, "render: %v", err)
@@ -326,7 +326,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Refcheckd-Run", id)
 	writeJSON(w, http.StatusOK, AnalyzeResponse{
 		ID:      id,
-		Output:  output,
+		Output:  output.String(),
 		Reports: nreports,
 		WallMS:  float64(wall) / 1e6,
 		Metrics: tr.Reg().Counters(),
@@ -352,7 +352,7 @@ func (s *Server) remember(id string, tr *obs.Trace) {
 	defer s.mu.Unlock()
 	s.traces[id] = tr
 	s.order = append(s.order, id)
-	for len(s.order) > s.cfg.TraceRing {
+	for len(s.order) > traceRingSize {
 		delete(s.traces, s.order[0])
 		s.order = s.order[1:]
 	}
@@ -400,7 +400,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	tr := s.traces[id]
 	s.mu.Unlock()
 	if tr == nil {
-		writeError(w, http.StatusNotFound, "no recent run %q (ring keeps the last %d)", id, s.cfg.TraceRing)
+		writeError(w, http.StatusNotFound, "no recent run %q (ring keeps the last %d)", id, traceRingSize)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -25,6 +25,9 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
+# bench/ is its own module, so the root ./... never compiles it; vet it here
+# so an API change that breaks refbench fails now, not in the benchmark run.
+go -C bench vet ./...
 go build ./...
 go test ./...
 go test -race ./...
