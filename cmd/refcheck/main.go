@@ -278,8 +278,9 @@ func printCacheStats(run *core.Run, cache *analysiscache.Cache) {
 		fmt.Fprintf(os.Stderr, "refcheck: cache: unit hit — skipped analysis of all %d files\n",
 			run.Metric("pipeline.files_skipped"))
 	} else {
-		fmt.Fprintf(os.Stderr, "refcheck: cache: unit miss; facts: %d file hits, %d misses; front end: %d hits (%d parses reused), %d misses (%d files skipped preprocessing)\n",
+		fmt.Fprintf(os.Stderr, "refcheck: cache: unit miss; facts: %d file hits, %d misses; reports: %d file hits, %d misses; front end: %d hits (%d parses reused), %d misses (%d files skipped preprocessing)\n",
 			run.Metric("cache.facts.hit"), run.Metric("cache.facts.miss"),
+			run.Metric("cache.reports.hit"), run.Metric("cache.reports.miss"),
 			run.Metric("frontend.cache.hit"), run.Metric("frontend.parse.reused"),
 			run.Metric("frontend.cache.miss"), run.Metric("frontend.cache.hit"))
 	}

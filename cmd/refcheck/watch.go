@@ -21,10 +21,10 @@ import (
 
 // runWatch is the -watch mode: poll the directories for source changes and
 // re-analyze on every edit. The tiered cache handle (when -cache is set)
-// stays open across runs, so after the first analysis an edit re-runs the
-// front end and re-derives the facts for exactly the changed files — while
-// the rendered output of every run is byte-identical to a fresh cold run
-// over the same tree.
+// stays open across runs, so after the first analysis an edit re-reads,
+// re-parses, re-derives the facts of and re-checks exactly the changed
+// files — while the rendered output of every run is byte-identical to a
+// fresh cold run over the same tree.
 func runWatch(opts *cliopts.Opts, dirs []string, apidbPath string, interval time.Duration, maxRuns int, outFile string) int {
 	if len(dirs) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: refcheck -watch DIR...")
@@ -52,8 +52,12 @@ func runWatch(opts *cliopts.Opts, dirs []string, apidbPath string, interval time
 	defer stop()
 
 	runs := 0
+	// tree is the previous run's load: a change tick re-reads only the
+	// files the poller reported (see loader.Reload).
+	var tree *loader.Tree
 	runOnce := func(changed []string) error {
-		tree, err := loader.LoadDirs(dirs...)
+		var err error
+		tree, err = loader.Reload(tree, dirs, changed)
 		if err != nil {
 			return err
 		}
@@ -72,8 +76,8 @@ func runWatch(opts *cliopts.Opts, dirs []string, apidbPath string, interval time
 				Cache: cache, DB: db, ConfigFP: configFP,
 			},
 			// Always a real trace (not opts.Trace's conditional): the status
-			// line below reads the front-end, parse-reuse and facts counters
-			// from it.
+			// line below reads the front-end, parse-reuse, report and facts
+			// counters from it.
 			Trace: obs.New("refcheck-watch"),
 		}
 		start := time.Now()
@@ -101,9 +105,10 @@ func runWatch(opts *cliopts.Opts, dirs []string, apidbPath string, interval time
 		if changed != nil {
 			what = fmt.Sprintf("%d files changed", len(changed))
 		}
-		fmt.Fprintf(os.Stderr, "refcheck: watch: run %d (%s): %d files, %d reports in %v (front end: %d hits (%d parses reused), %d misses; facts: %d hits, %d misses)\n",
+		fmt.Fprintf(os.Stderr, "refcheck: watch: run %d (%s): %d files, %d reports in %v (front end: %d hits (%d parses reused), %d misses; reports: %d hits, %d misses; facts: %d hits, %d misses)\n",
 			runs, what, len(tree.Sources), nreports, elapsed.Round(time.Millisecond),
 			run.Metric("frontend.cache.hit"), run.Metric("frontend.parse.reused"), run.Metric("frontend.cache.miss"),
+			run.Metric("cache.reports.hit"), run.Metric("cache.reports.miss"),
 			run.Metric("cache.facts.hit"), run.Metric("cache.facts.miss"))
 		opts.Export("refcheck", req.Trace)
 		return nil

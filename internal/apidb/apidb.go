@@ -178,6 +178,16 @@ func (db *DB) Callbacks() []CallbackPair { return db.callbacks }
 // embedding a counted structure).
 func (db *DB) IsRefStruct(name string) bool { return db.refStructs[name] }
 
+// RefStructs returns the refcounted struct names, sorted.
+func (db *DB) RefStructs() []string {
+	out := make([]string, 0, len(db.refStructs))
+	for s := range db.refStructs {
+		out = append(out, s)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // AddAPI registers (or overrides) an API entry.
 func (db *DB) AddAPI(a *API) { db.apis[a.Name] = a }
 

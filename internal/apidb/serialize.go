@@ -163,19 +163,8 @@ func (db *DB) SaveExtensions(w io.Writer) error {
 	for _, cb := range db.Callbacks() {
 		f.Callbacks = append(f.Callbacks, callbackJSON(cb))
 	}
-	for s := range db.refStructs {
-		f.Structs = append(f.Structs, s)
-	}
-	sortStrings(f.Structs)
+	f.Structs = db.RefStructs()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(f)
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -135,7 +135,7 @@ func Calls(n Node) []*CallExpr {
 // previous result re-sliced to zero length so one buffer amortizes across
 // the whole sweep. It recurses directly rather than going through Walk: the
 // dst-capturing closure Walk would need costs one heap allocation per call,
-// and this runs once per function in the callgraph sweep. The child
+// and discovery observation runs this once per function. The child
 // enumeration below must mirror Walk's.
 func CallsInto(dst []*CallExpr, n Node) []*CallExpr {
 	if n == nil || isNilNode(n) {

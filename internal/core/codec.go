@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"repro/internal/bincodec"
 	"repro/internal/semantics"
 )
@@ -89,4 +91,59 @@ func decodeUnitEntry(data []byte, ent *unitEntry) error {
 		ent.Reports = append(ent.Reports, rep)
 	}
 	return r.Done()
+}
+
+// reportsFormat versions the per-file report entry encoding; bump on any
+// layout change.
+const reportsFormat = 1
+
+// encodeReportsEntry encodes one file's report entry — function name to
+// that function's checker cells — in name order, so equal entries encode
+// to equal bytes.
+func encodeReportsEntry(ent map[string][][]Report) []byte {
+	names := make([]string, 0, len(ent))
+	for name := range ent {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	w := bincodec.NewWriter(1 << 9)
+	w.U8(reportsFormat)
+	w.U32(uint32(len(names)))
+	for _, name := range names {
+		w.String(name)
+		cells := ent[name]
+		w.U32(uint32(len(cells)))
+		for _, cell := range cells {
+			w.U32(uint32(len(cell)))
+			for i := range cell {
+				encodeReport(w, &cell[i])
+			}
+		}
+	}
+	return w.Bytes()
+}
+
+func decodeReportsValue(data []byte) (any, error) {
+	r := bincodec.NewReader(data)
+	if r.U8() != reportsFormat {
+		r.Fail()
+		return nil, r.Err()
+	}
+	n := r.Count()
+	ent := make(map[string][][]Report, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		name := r.String()
+		cells := make([][]Report, r.Count())
+		for ci := range cells {
+			m := r.Count()
+			for j := 0; j < m && r.Err() == nil; j++ {
+				cells[ci] = append(cells[ci], decodeReport(r))
+			}
+		}
+		ent[name] = cells
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return ent, nil
 }

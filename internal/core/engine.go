@@ -47,9 +47,11 @@ type Engine struct {
 	// the report list is byte-identical at any worker count.
 	Workers int
 	// Obs, when non-nil, is the parent span the engine hangs per-function
-	// "fn" spans and checker counters off (checker.functions, reports.total,
-	// reports.<pattern>, deferrals.<pattern>.<reason>). Nil disables at
-	// effectively zero cost; reports are byte-identical either way.
+	// "fn" spans and checker counters off (checker.functions — the
+	// functions actually checked, not those served from report entries —
+	// reports.total, reports.<pattern>, deferrals.<pattern>.<reason>). Nil
+	// disables at effectively zero cost; reports are byte-identical either
+	// way.
 	Obs *obs.Span
 }
 
@@ -77,6 +79,21 @@ func (e *Engine) CheckUnitFacts(uf *facts.UnitFacts) []Report {
 // return covers only the functions checked before cancellation; callers that
 // must distinguish a partial result check ctx.Err().
 func (e *Engine) CheckUnitFactsContext(ctx context.Context, uf *facts.UnitFacts) []Report {
+	out, _ := e.check(ctx, uf, nil)
+	return out
+}
+
+// check is the engine proper. Its unit of work is one function's cells:
+// cells[fi][ci] holds function-scoped checker ci's raw reports (before
+// deferral, deduplication and sorting) for function fi of
+// uf.FunctionNames(). cells may arrive partly filled — by the per-file
+// report entries (see preloadFiles), whose cell contents are shared and
+// never written — and check runs the checkers only over the functions
+// whose slot is nil, filling it in place (nil cells means none is
+// filled). The unit-scoped checkers (P6), the deferral table and finalize
+// always run over the merged list. check returns the reports and the
+// filled cells; a slot still nil marks a function skipped by cancellation.
+func (e *Engine) check(ctx context.Context, uf *facts.UnitFacts, cells [][][]Report) ([]Report, [][][]Report) {
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -85,18 +102,25 @@ func (e *Engine) CheckUnitFactsContext(ctx context.Context, uf *facts.UnitFacts)
 
 	// Defined functions in name order — the unit of work.
 	fns := uf.FunctionNames()
+	if cells == nil {
+		cells = make([][][]Report, len(fns))
+	}
+	var todo []int
+	for fi, c := range cells {
+		if c == nil {
+			todo = append(todo, fi)
+		}
+	}
 
-	// fnResults[fi][ci] holds checker ci's reports for function fi; each
-	// (function, checker) cell is written by exactly one worker. A nil cell
-	// marks a function skipped by cancellation.
-	fnResults := make([][][]Report, len(fns))
-	// One backing array serves every function's checker cell; each worker
-	// writes only its own function's window, so the windows never overlap.
+	// Each function still to check owns one window of a shared backing
+	// array, and exactly one worker writes it, so the windows never
+	// overlap.
 	nc := len(e.Checkers)
-	cellBacking := make([][]Report, len(fns)*nc)
-	checkFn := func(fi int) {
+	cellBacking := make([][]Report, len(todo)*nc)
+	checkFn := func(ti int) {
+		fi := todo[ti]
 		ff := uf.Function(fns[fi])
-		cell := cellBacking[fi*nc : (fi+1)*nc : (fi+1)*nc]
+		cell := cellBacking[ti*nc : (ti+1)*nc : (ti+1)*nc]
 		found := 0
 		for ci, c := range e.Checkers {
 			if _, unit := c.(UnitChecker); unit {
@@ -105,7 +129,7 @@ func (e *Engine) CheckUnitFactsContext(ctx context.Context, uf *facts.UnitFacts)
 			cell[ci] = c.Check(ff)
 			found += len(cell[ci])
 		}
-		fnResults[fi] = cell
+		cells[fi] = cell
 		// Only candidate-bearing functions get a span: at thousands of
 		// functions per unit, the all-functions span list dominated trace
 		// memory (several allocations apiece) while carrying no signal.
@@ -129,23 +153,23 @@ func (e *Engine) CheckUnitFactsContext(ctx context.Context, uf *facts.UnitFacts)
 	}
 
 	checked := 0
-	if workers > 1 && len(fns) > 1 {
+	if workers > 1 && len(todo) > 1 {
 		var wg sync.WaitGroup
 		jobs := make(chan int)
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for fi := range jobs {
-					checkFn(fi)
+				for ti := range jobs {
+					checkFn(ti)
 				}
 			}()
 		}
 		runUnitScoped()
 	feed:
-		for fi := range fns {
+		for ti := range todo {
 			select {
-			case jobs <- fi:
+			case jobs <- ti:
 				checked++
 			case <-ctx.Done():
 				break feed
@@ -155,11 +179,11 @@ func (e *Engine) CheckUnitFactsContext(ctx context.Context, uf *facts.UnitFacts)
 		wg.Wait()
 	} else {
 		runUnitScoped()
-		for fi := range fns {
+		for ti := range todo {
 			if ctx.Err() != nil {
 				break
 			}
-			checkFn(fi)
+			checkFn(ti)
 			checked++
 		}
 	}
@@ -174,10 +198,10 @@ func (e *Engine) CheckUnitFactsContext(ctx context.Context, uf *facts.UnitFacts)
 			continue
 		}
 		for fi := range fns {
-			if fnResults[fi] == nil {
+			if cells[fi] == nil {
 				continue
 			}
-			all = append(all, fnResults[fi][ci]...)
+			all = append(all, cells[fi][ci]...)
 		}
 	}
 	out := finalize(applyDeferrals(all, reg))
@@ -188,7 +212,7 @@ func (e *Engine) CheckUnitFactsContext(ctx context.Context, uf *facts.UnitFacts)
 			reg.Add("reports."+string(r.Pattern), 1)
 		}
 	}
-	return out
+	return out, cells
 }
 
 // Options configures the one-call pipeline.

@@ -116,12 +116,13 @@ func newEngine(opt Options) (*Engine, error) {
 }
 
 // globalPass is the post-exchange pipeline, written once for Analyze and
-// GlobalPass: assemble (opt.DB must hold the exchange), preload the per-file
-// facts entries when opt.Cache is set, check, and — with a cache — store
-// the unit entry under key plus every facts entry that missed. It fills run
-// in place, so a cancelled call still leaves the partial Run visible, and
-// returns the stored unit entry (nil without a cache). Confirmation is the
-// caller's job: the entry must stay confirmation-agnostic.
+// GlobalPass: assemble (opt.DB must hold the exchange), consult the per-file
+// facts and report entries when opt.Cache is set, check, and — with a
+// cache — store the unit entry under key plus every per-file entry that
+// missed. It fills run in place, so a cancelled call still leaves the
+// partial Run visible, and returns the stored unit entry (nil without a
+// cache). Confirmation is the caller's job: the entry must stay
+// confirmation-agnostic.
 func globalPass(ctx context.Context, opt Options, engine *Engine, key string, merged *cpg.ShardArtifact, disc apidb.Discovery, run *Run) (*unitEntry, error) {
 	root := run.Trace.Root()
 	reg := run.Trace.Reg()
@@ -137,13 +138,13 @@ func globalPass(ctx context.Context, opt Options, engine *Engine, key string, me
 	}
 
 	uf := facts.NewUnit(u)
-	var missed []factsEntry
+	var pre fileEntries
 	if cache != nil {
-		missed = preloadFacts(cache, opt.ConfigFP, u, uf, reg)
+		pre = preloadFiles(cache, opt.ConfigFP, engine, u, uf, reg)
 	}
 	csp := root.Child("phase:check")
 	engine.Obs = csp
-	run.Reports = engine.CheckUnitFactsContext(ctx, uf)
+	run.Reports, pre.cells = engine.check(ctx, uf, pre.cells)
 	csp.End()
 	uf.Observe(reg)
 	if err := ctx.Err(); err != nil {
@@ -163,12 +164,25 @@ func globalPass(ctx context.Context, opt Options, engine *Engine, key string, me
 	// other processes without waiting for thresholds.
 	ent := &unitEntry{Summary: run.Summary, Reports: stripWitnessBlocks(run.Reports)}
 	_ = cache.PutValue(key, ent, encodeUnitEntry(ent))
-	for _, m := range missed {
+	for _, m := range pre.facts {
 		// SnapshotOf forces any still-uncomputed functions (a subset run
 		// with only unit-scoped checkers may not have touched them all) so
 		// every stored entry covers its whole file.
 		snap := uf.SnapshotOf(m.names)
 		_ = cache.PutValue(m.key, snap, facts.EncodeSnapshot(snap))
+	}
+	fns := uf.FunctionNames()
+	for _, m := range pre.reports {
+		rep := make(map[string][][]Report, len(m.names))
+		for _, name := range m.names {
+			fc := pre.cells[sort.SearchStrings(fns, name)]
+			stripped := make([][]Report, len(fc))
+			for ci, cell := range fc {
+				stripped[ci] = stripWitnessBlocks(cell)
+			}
+			rep[name] = stripped
+		}
+		_ = cache.PutValue(m.key, rep, encodeReportsEntry(rep))
 	}
 	_ = cache.Flush()
 	ssp.End()

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"sort"
+	"strconv"
 
 	"repro/internal/analysiscache"
 	"repro/internal/apidb"
@@ -127,20 +128,73 @@ func factsCacheKey(configFP, envFP, sourceFP string) string {
 	return analysiscache.KeyOf("facts-v4", configFP, envFP, sourceFP)
 }
 
-// factsEntry is one file's facts entry that missed: its key and the
-// functions it must cover when stored.
-type factsEntry struct {
+// reportsCacheKey fingerprints one file's report entry: the raw checker
+// cells (see Engine.check) of the functions the file defines. On top of the
+// facts key's inputs — a cell is first of all a function of the function's
+// facts — it names the unit-wide state the function-scoped checkers read
+// beyond them (checkEnvFP) and the checker selection, whose order fixes the
+// cells' layout.
+func reportsCacheKey(configFP, envFP, sourceFP, checkEnv, checkersFP string) string {
+	return analysiscache.KeyOf("reports-v1", configFP, envFP, sourceFP, checkEnv, checkersFP)
+}
+
+// checkEnvFP fingerprints what the function-scoped checkers read from the
+// unit besides a function's facts and definition, and besides what envFP
+// already covers (the API table, the global names): the smartloop table
+// (FunctionFacts.SmartLoop, P3's put API), the refcounted-struct set
+// (isRefStructVar, P7/P9) and the struct table's field names and struct
+// types (putExprFor, P7's suggestion). DESIGN.md tabulates the read sets.
+func checkEnvFP(u *cpg.Unit) string {
+	loops := u.DB.Loops()
+	refStructs := u.DB.RefStructs()
+	parts := make([]string, 0, 3+5*len(loops)+len(refStructs)+2*len(u.Structs))
+	parts = append(parts, strconv.Itoa(len(loops)))
+	for _, l := range loops {
+		parts = append(parts, l.Name, strconv.Itoa(l.IterArg), l.PutAPI, l.EmbeddedAPI, strconv.FormatBool(l.Discovered))
+	}
+	parts = append(parts, strconv.Itoa(len(refStructs)))
+	parts = append(parts, refStructs...)
+	names := make([]string, 0, len(u.Structs))
+	for name := range u.Structs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	parts = append(parts, strconv.Itoa(len(names)))
+	for _, name := range names {
+		fields := u.Structs[name].Fields
+		parts = append(parts, name, strconv.Itoa(len(fields)))
+		for _, f := range fields {
+			parts = append(parts, f.Name, f.Type.StructName())
+		}
+	}
+	return analysiscache.KeyOf(parts...)
+}
+
+// fileEntry is one file's facts or report entry that missed: its key and
+// the functions it must cover when stored.
+type fileEntry struct {
 	key   string
 	names []string
 }
 
-// preloadFacts seeds uf from the per-file facts entries, counting each file
-// as cache.facts.hit or cache.facts.miss, and returns the entries that
-// missed. A file the build could not fingerprint (no SourceFP) is neither
-// looked up nor stored.
-func preloadFacts(cache *analysiscache.Cache, configFP string, u *cpg.Unit, uf *facts.UnitFacts, reg *obs.Registry) []factsEntry {
-	env := u.ExtractEnvFP()
-	var missed []factsEntry
+// fileEntries is what the per-file cache entries give one globalPass: the
+// facts and report entries that missed (stored after checking) and the
+// report hits' cells, aligned with UnitFacts.FunctionNames (nil for
+// functions still to check; Engine.check fills those in).
+type fileEntries struct {
+	facts, reports []fileEntry
+	cells          [][][]Report
+}
+
+// preloadFiles consults both per-file entries of every file that defines
+// functions: it seeds uf from the facts entries and collects the report
+// entries' cells, counting each file as cache.facts.hit/miss and
+// cache.reports.hit/miss. A file the build could not fingerprint (no
+// SourceFP) is neither looked up nor stored.
+func preloadFiles(cache *analysiscache.Cache, configFP string, engine *Engine, u *cpg.Unit, uf *facts.UnitFacts, reg *obs.Registry) fileEntries {
+	env, checkEnv, checkersFP := u.ExtractEnvFP(), checkEnvFP(u), engine.patternsFP()
+	fns := uf.FunctionNames()
+	out := fileEntries{cells: make([][][]Report, len(fns))}
 	for _, f := range uf.Files() {
 		src := u.SourceFP[f.Path]
 		if src == "" {
@@ -151,26 +205,49 @@ func preloadFacts(cache *analysiscache.Cache, configFP string, u *cpg.Unit, uf *
 		// and checkers treat facts as immutable.
 		if v, ok := cache.GetValue(key, decodeFactsValue); ok && uf.Preload(f.Names, v.(map[string]*facts.Data)) {
 			reg.Add("cache.facts.hit", 1)
+		} else {
+			reg.Add("cache.facts.miss", 1)
+			out.facts = append(out.facts, fileEntry{key: key, names: f.Names})
+		}
+		key = reportsCacheKey(configFP, env, src, checkEnv, checkersFP)
+		if v, ok := cache.GetValue(key, decodeReportsValue); ok && covers(v.(map[string][][]Report), f.Names, len(engine.Checkers)) {
+			reg.Add("cache.reports.hit", 1)
+			ent := v.(map[string][][]Report)
+			for _, name := range f.Names {
+				out.cells[sort.SearchStrings(fns, name)] = ent[name]
+			}
 			continue
 		}
-		reg.Add("cache.facts.miss", 1)
-		missed = append(missed, factsEntry{key: key, names: f.Names})
+		reg.Add("cache.reports.miss", 1)
+		out.reports = append(out.reports, fileEntry{key: key, names: f.Names})
 	}
-	return missed
+	return out
 }
 
-// stripWitnessBlocks deep-copies reports with each witness event's CFG block
+// covers reports whether a report entry holds a full cell set for every
+// named function.
+func covers(ent map[string][][]Report, names []string, nc int) bool {
+	for _, name := range names {
+		if len(ent[name]) != nc {
+			return false
+		}
+	}
+	return true
+}
+
+// stripWitnessBlocks copies reports with each witness event's CFG block
 // pointer cleared. Blocks form cycles (Succs/Preds) that no flat encoding
 // can represent — the report codec simply never writes them — and nothing
 // downstream of finalize reads them: refsim replays on Op/Obj/API/Info,
 // patch generation on Pos, so cached reports round-trip to the same
 // rendered output. The facts layer already strips blocks from its
-// normalized traces; this remains as a guard for checkers that attach events
-// from elsewhere.
+// normalized traces, so a witness without a block is shared rather than
+// copied (nothing writes witness events); this remains as a guard for
+// checkers that attach events from elsewhere.
 func stripWitnessBlocks(reports []Report) []Report {
 	out := append([]Report(nil), reports...)
 	for i := range out {
-		if len(out[i].Witness) == 0 {
+		if !hasBlock(out[i].Witness) {
 			continue
 		}
 		w := append([]semantics.Event(nil), out[i].Witness...)
@@ -217,6 +294,16 @@ func lookupUnit(cache *analysiscache.Cache, key string) (*unitEntry, bool) {
 		return nil, false
 	}
 	return v.(*unitEntry), true
+}
+
+// hasBlock reports whether any event still carries a CFG block pointer.
+func hasBlock(evs []semantics.Event) bool {
+	for i := range evs {
+		if evs[i].Block != nil {
+			return true
+		}
+	}
+	return false
 }
 
 func decodeFactsValue(data []byte) (any, error) {

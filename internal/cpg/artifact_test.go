@@ -150,9 +150,6 @@ func unitFingerprint(u *Unit) string {
 	for _, cb := range u.CallbackBindings() {
 		fmt.Fprintf(&b, "cb %s %v %v\n", cb.Pair.Struct, cb.Acquire != nil, cb.Release != nil)
 	}
-	for _, callee := range []string{"node_next", "node_put", "consume"} {
-		fmt.Fprintf(&b, "calls %s=%d\n", callee, len(u.Calls[callee]))
-	}
 	return b.String()
 }
 

@@ -2,8 +2,8 @@
 // paper's "Graph Generation" stage (§6.1, built there with JOERN).
 //
 // A Unit combines, for a set of C sources, the ASTs, per-function CFGs,
-// semantic event streams, struct/global tables, the preprocessor macro
-// table, and a call graph — everything the nine checkers query. Building a
+// semantic event streams, struct/global tables and the preprocessor macro
+// table — everything the nine checkers query. Building a
 // Unit also runs the "Lexer Parsing" stage: refcounted-structure discovery,
 // refcounting-API wrapper discovery, and smartloop discovery extend the API
 // knowledge base before events are extracted.
@@ -64,12 +64,6 @@ func (fn *Function) Analyze() {
 	})
 }
 
-// CallSite is one static call to a named function.
-type CallSite struct {
-	Caller *Function
-	Call   *cast.CallExpr
-}
-
 // CallbackBinding records a designated-initializer binding like
 // `.probe = foo_probe` inside a driver-ops structure (P6 input).
 type CallbackBinding struct {
@@ -88,7 +82,6 @@ type Unit struct {
 	Structs   map[string]*cast.StructDecl
 	Globals   map[string]*cast.VarDecl
 	Macros    map[string]*cpp.Macro
-	Calls     map[string][]CallSite // callee name → sites
 	Errors    []error
 
 	// Discovered names from the lexer-parsing stage (reported by tools).
@@ -419,7 +412,7 @@ func (fe *frontEnd) retainToks(toks []clex.Token) []clex.Token {
 // worker count. It runs the two halves of a build that are also available
 // separately for distributed analysis: BuildArtifactContext (the per-file
 // front end plus discovery observation, the shard-local pass) and
-// AssembleContext (discovery, declaration merge and call graph, the global
+// AssembleContext (discovery and declaration merge, the global
 // pass) — so the single-process and distributed paths share every line of
 // the phase logic. Per-function analysis is not part of the build:
 // Function.Analyze runs it on demand.
@@ -550,7 +543,7 @@ func (b *Builder) BuildArtifactContext(ctx context.Context, sources []Source, re
 // AssembleContext runs the global half of a build over a (possibly merged,
 // possibly decoded) artifact: reparse wire-format files (see hydrate), merge
 // declarations in sorted path order, apply discovery, and prepare the
-// per-function phase and the call graph.
+// per-function phase.
 //
 // disc carries the result of an exchange already applied to b.DB (the path
 // core takes, where the same DB is then shared with the checker engine);
@@ -569,7 +562,6 @@ func (b *Builder) AssembleContext(ctx context.Context, art *ShardArtifact, disc 
 		Structs:   map[string]*cast.StructDecl{},
 		Globals:   map[string]*cast.VarDecl{},
 		Macros:    map[string]*cpp.Macro{},
-		Calls:     map[string][]CallSite{},
 	}
 	stats := &arena.Stats{}
 	art.hydrate(ctx, b.Obs, b.Workers, stats)
@@ -634,29 +626,11 @@ func (b *Builder) AssembleContext(ctx context.Context, art *ShardArtifact, disc 
 		globals[name] = true
 	}
 	env := &analysisEnv{ext: &semantics.Extractor{DB: db, GlobalNames: globals}, stats: stats}
-	names := u.FunctionNames()
-	for _, name := range names {
-		if fn := u.Functions[name]; fn.Def.Body != nil {
+	for _, fn := range u.Functions {
+		if fn.Def.Body != nil {
 			fn.env = env
 		}
 	}
-	// The call graph is assembled sequentially in name order so Calls slices
-	// are deterministic.
-	cg := b.Obs.Child("callgraph")
-	var callBuf []*cast.CallExpr
-	for _, name := range names {
-		fn := u.Functions[name]
-		if fn.Def.Body == nil {
-			continue
-		}
-		callBuf = cast.CallsInto(callBuf[:0], fn.Def.Body)
-		for _, call := range callBuf {
-			if cn := call.Callee(); cn != "" {
-				u.Calls[cn] = append(u.Calls[cn], CallSite{Caller: fn, Call: call})
-			}
-		}
-	}
-	cg.End()
 	return u
 }
 

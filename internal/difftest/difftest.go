@@ -126,8 +126,9 @@ const matrixWorkers = 8
 // must be served out of the in-memory L1 tier, a run on a reopened handle
 // must be served from the disk packs into a cold L1, and editing one file
 // must miss the unit entry while the untouched files still hit the
-// front-end cache and their per-file facts entries (only the edited file's
-// facts re-derive) — and, on a handle whose L1 is warm, reuse their
+// front-end cache and their per-file facts and report entries (only the
+// edited file's facts re-derive and its functions are re-checked) — and,
+// on a handle whose L1 is warm, reuse their
 // memoized parses (only the edited file is parsed again).
 // Because every run carries a trace, the matrix doubles as the
 // observability determinism oracle: for a given cache state, the span tree
@@ -225,10 +226,9 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 				return nil, fmt.Errorf("difftest: edited-file run (workers=%d) should front-end-hit the %d untouched files, hit %d",
 					order[1], wantHits, inval.Metric("frontend.cache.hit"))
 			}
-			if hit, miss := inval.Metric("cache.facts.hit"), inval.Metric("cache.facts.miss"); hit != wantFactsHit || miss != wantFactsMiss {
+			if err := fileSplit("edited-file", order[1], inval, wantFactsHit, wantFactsMiss); err != nil {
 				os.RemoveAll(dir)
-				return nil, fmt.Errorf("difftest: edited-file run (workers=%d) should re-derive only the edited file's facts: %d hits, %d misses, want %d, %d",
-					order[1], hit, miss, wantFactsHit, wantFactsMiss)
+				return nil, err
 			}
 		}
 		os.RemoveAll(dir)
@@ -259,6 +259,9 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 			if reused, miss := l1inval.Metric("frontend.parse.reused"), l1inval.Metric("frontend.cache.miss"); reused != wantReused || miss != 1 {
 				return nil, fmt.Errorf("difftest: L1-warm edited-file run (workers=%d) should reuse the %d untouched files' parses and miss 1: reused %d, missed %d",
 					order[1], wantReused, reused, miss)
+			}
+			if err := fileSplit("L1-warm edited-file", order[1], l1inval, wantFactsHit, wantFactsMiss); err != nil {
+				return nil, err
 			}
 			if got := RenderRun(l1inval); got != editedWant {
 				return nil, fmt.Errorf("difftest: workers=%d L1-warm one-file-invalidated differs from uncached baseline of the edited set:\n%s",
@@ -299,9 +302,10 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 	return base, nil
 }
 
-// factsSplit is the per-file facts cache outcome a one-file edit must
-// produce: the edited file's entry misses (when it defines functions) and
-// every other file's entry hits.
+// factsSplit is the per-file cache outcome a one-file edit must produce,
+// for the facts entries and the report entries alike: the edited file's
+// entry misses (when it defines functions) and every other file's entry
+// hits.
 func factsSplit(u *cpg.Unit, edited string) (hits, misses int64) {
 	for _, f := range facts.NewUnit(u).Files() {
 		if f.Path == edited {
@@ -311,6 +315,21 @@ func factsSplit(u *cpg.Unit, edited string) (hits, misses int64) {
 		}
 	}
 	return hits, misses
+}
+
+// fileSplit checks a one-file-edit run's per-file entries: the facts
+// entries and the report entries must both split hits/misses as factsSplit
+// says — only the edited file's facts are derived and its functions checked
+// again.
+func fileSplit(state string, workers int, run *core.Run, hits, misses int64) error {
+	for _, kind := range []string{"facts", "reports"} {
+		hit, miss := run.Metric("cache."+kind+".hit"), run.Metric("cache."+kind+".miss")
+		if hit != hits || miss != misses {
+			return fmt.Errorf("difftest: %s run (workers=%d) should miss only the edited file's %s entry: %d hits, %d misses, want %d, %d",
+				state, workers, kind, hit, miss, hits, misses)
+		}
+	}
+	return nil
 }
 
 // sameObs verifies two same-cache-state runs produced an identical span tree

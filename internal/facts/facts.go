@@ -235,9 +235,10 @@ func (uf *UnitFacts) Computes() int64 { return uf.computes.Load() }
 
 // Observe records the facts layer's work into reg: facts.computed counts
 // functions whose facts were derived from the CPG this run, facts.preloaded
-// counts functions served from a cache snapshot. Call after checking
-// completes; both totals are deterministic at any worker count because the
-// memoization is exactly-once.
+// counts functions served from a cache snapshot. A function nobody asked
+// about — one whose checker results came from a report entry — counts in
+// neither. Call after checking completes; both totals are deterministic at
+// any worker count because the memoization is exactly-once.
 func (uf *UnitFacts) Observe(reg *obs.Registry) {
 	if reg == nil {
 		return

@@ -4,6 +4,7 @@ package loader
 
 import (
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -54,6 +55,78 @@ func LoadDirs(roots ...string) (*Tree, error) {
 	}
 	sort.Slice(t.Sources, func(i, j int) bool { return t.Sources[i].Path < t.Sources[j].Path })
 	return t, nil
+}
+
+// Reload returns the tree LoadDirs(roots...) would load now, given prev —
+// LoadDirs' result over the same roots — and the files that changed since
+// prev was read, named as a walk of the roots names them (the watch
+// poller's Diff). It re-reads only those files and shares every other
+// file's content with prev, which it leaves untouched. Anything it cannot
+// map with certainty — an added or removed file, a path under no root or
+// under several, a name another root also provides, an extension other
+// than .c/.h — makes it fall back to LoadDirs, as does a nil prev. The
+// result equals LoadDirs' only if changed is complete: a file written
+// without being reported keeps its content from prev.
+func Reload(prev *Tree, roots []string, changed []string) (*Tree, error) {
+	if prev == nil {
+		return LoadDirs(roots...)
+	}
+	t := &Tree{Sources: append([]cpg.Source(nil), prev.Sources...), Headers: maps.Clone(prev.Headers)}
+	for _, path := range changed {
+		rel, ok := relToOneRoot(roots, path)
+		if !ok {
+			return LoadDirs(roots...)
+		}
+		content, err := readFileString(path)
+		if err != nil {
+			return LoadDirs(roots...) // removed, or no longer a file
+		}
+		switch filepath.Ext(path) {
+		case ".c":
+			i := sort.Search(len(t.Sources), func(i int) bool { return t.Sources[i].Path >= rel })
+			if i == len(t.Sources) || t.Sources[i].Path != rel {
+				return LoadDirs(roots...) // added
+			}
+			t.Sources[i].Content = content
+		case ".h":
+			if _, ok := t.Headers[rel]; !ok {
+				return LoadDirs(roots...) // added
+			}
+			t.Headers[rel] = content
+		default:
+			return LoadDirs(roots...)
+		}
+	}
+	return t, nil
+}
+
+// relToOneRoot returns path relative to the one root it lies under, as
+// LoadDirs names it. It fails when the path lies under no root, or when
+// the same relative name exists under another root too (LoadDirs would
+// load it twice, or let the later root's header win).
+func relToOneRoot(roots []string, path string) (string, bool) {
+	rel, found := "", false
+	for _, root := range roots {
+		r, err := filepath.Rel(root, path)
+		if err != nil || strings.HasPrefix(r, "..") {
+			continue
+		}
+		if found {
+			return "", false
+		}
+		rel, found = r, true
+	}
+	if !found {
+		return "", false
+	}
+	for _, root := range roots {
+		if other := filepath.Join(root, rel); filepath.Clean(path) != other {
+			if _, err := os.Lstat(other); err == nil {
+				return "", false
+			}
+		}
+	}
+	return filepath.ToSlash(rel), true
 }
 
 // WriteTree writes sources and headers under dir, creating directories as

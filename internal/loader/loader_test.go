@@ -1,10 +1,16 @@
 package loader
 
 import (
+	"fmt"
+	"maps"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cpg"
+	"repro/internal/watch"
 )
 
 func TestWriteAndLoadRoundTrip(t *testing.T) {
@@ -88,4 +94,151 @@ func TestMultipleRoots(t *testing.T) {
 	if len(tree.Sources) != 2 {
 		t.Fatalf("sources = %+v", tree.Sources)
 	}
+}
+
+// TestReloadMatchesLoadDirs drives Reload the way refcheck -watch does —
+// with the paths watch.Diff reports between two polls — through a modified
+// source, a modified header, an added file and a removed file, and
+// requires each result to equal a full LoadDirs of the same tree while the
+// previous tree stays as it was loaded.
+func TestReloadMatchesLoadDirs(t *testing.T) {
+	dir := t.TempDir()
+	if err := WriteTree(dir, []cpg.Source{
+		{Path: "drivers/a.c", Content: "#include \"inc/x.h\"\nint a;\n"},
+		{Path: "drivers/b.c", Content: "int b;\n"},
+		{Path: "lib/c.c", Content: "int c;\n"},
+	}, map[string]string{"inc/x.h": "#define X 1\n"}); err != nil {
+		t.Fatal(err)
+	}
+	roots := []string{dir}
+	prev, err := LoadDirs(roots...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := watch.Scan(roots)
+	appendTo := func(rel, text string) {
+		f, err := os.OpenFile(filepath.Join(dir, rel), os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(text); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	steps := []struct {
+		name        string
+		incremental bool // served without a full reload
+		edit        func()
+	}{
+		{"modified source", true, func() { appendTo("drivers/a.c", "/* edit */\n") }},
+		{"modified header", true, func() { appendTo("inc/x.h", "#define Y 2\n") }},
+		{"added file", false, func() {
+			if err := os.WriteFile(filepath.Join(dir, "lib/new.c"), []byte("int n;\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"removed file", false, func() {
+			if err := os.Remove(filepath.Join(dir, "drivers/b.c")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, st := range steps {
+		before := cloneTree(prev)
+		st.edit()
+		cur := watch.Scan(roots)
+		changed := watch.Diff(snap, cur)
+		snap = cur
+		got, err := Reload(prev, roots, changed)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		want, err := LoadDirs(roots...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Reload = %+v, LoadDirs = %+v", st.name, got, want)
+		}
+		if !reflect.DeepEqual(prev, before) {
+			t.Fatalf("%s: Reload mutated the previous tree", st.name)
+		}
+		// lib/c.c never changes: an incremental reload shares its content
+		// with the previous tree instead of reading it again.
+		shared := unsafe.StringData(sourceOf(got, "lib/c.c")) == unsafe.StringData(sourceOf(prev, "lib/c.c"))
+		if shared != st.incremental {
+			t.Fatalf("%s: unchanged file shared with the previous tree = %v, want %v", st.name, shared, st.incremental)
+		}
+		prev = got
+	}
+}
+
+// TestReloadRereadsOnlyChangedFiles pins the trigger assumption the watch
+// loop documents: a write the poller did not report keeps the content the
+// previous tree read, until that file is reported changed.
+func TestReloadRereadsOnlyChangedFiles(t *testing.T) {
+	dir := t.TempDir()
+	if err := WriteTree(dir, []cpg.Source{{Path: "a.c", Content: "int a;\n"}, {Path: "b.c", Content: "int b;\n"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	prev, err := LoadDirs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a.c", "b.c"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("int z;\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := Reload(prev, []string{dir}, []string{filepath.Join(dir, "a.c")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Sources[0].Content != "int z;\n" || got.Sources[1].Content != "int b;\n" {
+		t.Fatalf("sources = %+v, want a.c re-read and b.c as previously loaded", got.Sources)
+	}
+}
+
+// TestReloadFallsBackOnSharedNames: a header present under two roots is
+// the later root's in LoadDirs, so an edit to either copy reloads the lot.
+func TestReloadFallsBackOnSharedNames(t *testing.T) {
+	d1, d2 := t.TempDir(), t.TempDir()
+	for i, d := range []string{d1, d2} {
+		if err := WriteTree(d, nil, map[string]string{"x.h": fmt.Sprintf("#define X %d\n", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roots := []string{d1, d2}
+	prev, err := LoadDirs(roots...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(d1, "x.h"), []byte("#define X 9\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Reload(prev, roots, []string{filepath.Join(d1, "x.h")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := LoadDirs(roots...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || got.Headers["x.h"] != "#define X 1\n" {
+		t.Fatalf("Reload = %+v, LoadDirs = %+v", got, want)
+	}
+}
+
+func sourceOf(t *Tree, path string) string {
+	for _, s := range t.Sources {
+		if s.Path == path {
+			return s.Content
+		}
+	}
+	return ""
+}
+
+func cloneTree(t *Tree) *Tree {
+	return &Tree{Sources: append([]cpg.Source(nil), t.Sources...), Headers: maps.Clone(t.Headers)}
 }

@@ -4,6 +4,12 @@
 // platform file-event APIs) keeps the loop portable and deterministic to
 // test; against the tiered analysis cache a one-file edit costs one file's
 // front-end recompute, so even aggressive intervals stay cheap.
+//
+// Trigger assumption: a file whose (size, mtime) pair is unchanged is taken
+// to be unchanged. refcheck -watch re-reads only the files Diff reports
+// (loader.Reload), so a write that keeps both — a same-size rewrite within
+// the filesystem's timestamp granularity — stays unseen until that file
+// changes again.
 package watch
 
 import (

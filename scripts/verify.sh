@@ -190,3 +190,16 @@ if ! grep 'watch: run 2 ' "$tmp/watch.log" | grep -Eq 'facts: [1-9][0-9]* hits, 
     cat "$tmp/watch.log" >&2
     exit 1
 fi
+# ... and its report entry the only one re-checked: as many report hits as
+# facts hits (both count the files that define functions, less the edited
+# one), and one miss.
+fhits="$(printf '%s\n' "$run2" | sed -E 's/.*facts: ([0-9]+) hits.*/\1/')"
+want_rep="reports: $fhits hits, 1 misses;"
+case "$run2" in
+*"$want_rep"*) ;;
+*)
+    echo "verify: watch re-run should show '$want_rep'" >&2
+    cat "$tmp/watch.log" >&2
+    exit 1
+    ;;
+esac

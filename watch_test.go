@@ -28,9 +28,10 @@ func renderCLI(run *core.Run) string {
 
 // TestWatchIncrementalRerun is the watch-mode guarantee end to end: a watch
 // loop over an on-disk tree with a persistent cache handle re-analyzes after
-// a one-file edit by recomputing exactly that file's front end and facts
-// (every other file is an L1 hit for both), and the incremental report is
-// byte-identical to a cold run over the edited tree.
+// a one-file edit by re-reading that file alone and recomputing exactly its
+// front end, facts and checker results (every other file is an L1 hit for
+// all three), and the incremental report is byte-identical to a cold run
+// over the edited tree.
 func TestWatchIncrementalRerun(t *testing.T) {
 	dir := t.TempDir()
 	c, sources := kernelCorpus()
@@ -45,12 +46,14 @@ func TestWatchIncrementalRerun(t *testing.T) {
 	}
 	defer cache.Close()
 
-	// The refcheck -watch analysis closure: reload the tree, analyze with
-	// the shared cache handle, render as the CLI would.
+	// The refcheck -watch analysis closure: reload the changed files,
+	// analyze with the shared cache handle, render as the CLI would.
 	var outputs []string
 	var runs []*core.Run
-	analyze := func() error {
-		tree, err := loader.LoadDirs(dir)
+	var tree *loader.Tree
+	analyze := func(changed []string) error {
+		var err error
+		tree, err = loader.Reload(tree, []string{dir}, changed)
 		if err != nil {
 			return err
 		}
@@ -72,7 +75,7 @@ func TestWatchIncrementalRerun(t *testing.T) {
 		Interval: 10 * time.Millisecond,
 		MaxRuns:  2,
 		Run: func(changed []string) error {
-			if err := analyze(); err != nil {
+			if err := analyze(changed); err != nil {
 				return err
 			}
 			if len(outputs) == 1 {
@@ -137,9 +140,17 @@ func TestWatchIncrementalRerun(t *testing.T) {
 	if got := runs[1].Metric("facts.computed"); got != editedFuncs {
 		t.Errorf("re-run computed facts for %d functions, want %d (the edited file's)", got, editedFuncs)
 	}
+	// And one more: only the edited file's report entry misses, and only
+	// its functions go through the checkers again.
+	if hits, misses := runs[1].Metric("cache.reports.hit"), runs[1].Metric("cache.reports.miss"); hits != files-1 || misses != 1 {
+		t.Errorf("re-run report entries: %d hits, %d misses, want %d, 1", hits, misses, files-1)
+	}
+	if got := runs[1].Metric("checker.functions"); got != editedFuncs {
+		t.Errorf("re-run checked %d functions, want %d (the edited file's)", got, editedFuncs)
+	}
 
 	// Byte-identity against a cold, cache-free run over the edited tree.
-	tree, err := loader.LoadDirs(dir)
+	tree, err = loader.LoadDirs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
