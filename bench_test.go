@@ -3,18 +3,17 @@
 // DESIGN.md. Each benchmark runs the full pipeline for its experiment and
 // reports the headline quantities via b.ReportMetric, so
 // `go test -bench=. -benchmem` regenerates every row the paper reports
-// (EXPERIMENTS.md records the paper-vs-measured comparison).
+// (EXPERIMENTS.md records the paper-vs-measured comparison). Speed is
+// measured by refbench (bench/, BENCHMARK.json); the few speed benchmarks
+// kept here measure what no refbench row does.
 package repro
 
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/analysiscache"
 	"repro/internal/apidb"
@@ -22,11 +21,9 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/cpg"
 	"repro/internal/cpp"
-	"repro/internal/facts"
 	"repro/internal/gitlog"
 	"repro/internal/mine"
 	"repro/internal/obs"
-	"repro/internal/refsim"
 	"repro/internal/study"
 	"repro/internal/word2vec"
 )
@@ -329,29 +326,11 @@ func BenchmarkAblationConfirmation(b *testing.B) {
 	b.ReportMetric(rejected, "refsim_rejected")
 }
 
-// BenchmarkCheckerPipeline measures the raw analysis throughput: source
-// bytes through cpp → parse → CFG → CPG → nine checkers.
-func BenchmarkCheckerPipeline(b *testing.B) {
-	c, sources := kernelCorpus()
-	bytes := 0
-	for _, f := range c.Files {
-		bytes += len(f.Content)
-	}
-	b.SetBytes(int64(bytes))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		unit := (&cpg.Builder{Headers: cpp.NewIndexedFiles(c.Headers)}).Build(sources)
-		core.NewEngine().CheckUnit(unit)
-	}
-}
-
 // BenchmarkPipelineParallel sweeps the Workers knob over the full pipeline —
 // sharded preprocess+parse, CPG assembly, nine checkers, batched refsim
-// confirmation — so the perf trajectory of the parallel path is tracked
-// release over release (scripts/bench_pipeline.sh emits BENCH_pipeline.json
-// from this benchmark). Output is byte-identical at every worker count; only
-// wall time may differ.
+// confirmation. refbench runs every workload at one worker count, so this
+// sweep is the only measure of in-process parallel speedup. Output is
+// byte-identical at every worker count; only wall time may differ.
 func BenchmarkPipelineParallel(b *testing.B) {
 	c, sources := kernelCorpus()
 	bytes := 0
@@ -384,80 +363,12 @@ func BenchmarkPipelineParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineLarge runs the uncached pipeline over a Scale-6 corpus
-// (~1800 files, ~50 KLOC — the same shape `refgen -scale` emits, just small
-// enough for a benchmark loop) and reports peak_heap_mb, the maximum heap
-// in use sampled during the run. This is the number the streaming front end
-// bounds: tokens are released per translation unit as ASTs replace them, so
-// peak memory tracks per-TU working set plus ASTs, not whole-corpus token
-// streams. BENCH_pipeline.json records it so a regression back to
-// whole-corpus retention is loud.
-func BenchmarkPipelineLarge(b *testing.B) {
-	c := corpus.Generate(corpus.Spec{Seed: 1, Scale: 6})
-	sources := make([]cpg.Source, len(c.Files))
-	bytes := 0
-	for i, f := range c.Files {
-		sources[i] = cpg.Source{Path: f.Path, Content: f.Content}
-		bytes += len(f.Content)
-	}
-	headers := map[string]string{}
-	for p, s := range c.Headers {
-		headers[p] = s
-	}
-
-	// Peak-heap sampler: poll HeapInuse while the pipeline runs. Sampling
-	// (vs a single post-run read) catches the mid-run maximum, which is the
-	// quantity streaming is supposed to bound.
-	var peak atomic.Uint64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var ms runtime.MemStats
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(5 * time.Millisecond):
-			}
-			runtime.ReadMemStats(&ms)
-			for {
-				cur := peak.Load()
-				if ms.HeapInuse <= cur || peak.CompareAndSwap(cur, ms.HeapInuse) {
-					break
-				}
-			}
-		}
-	}()
-
-	b.SetBytes(int64(bytes))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var reports []core.Report
-	for i := 0; i < b.N; i++ {
-		run := benchAnalyze(b, sources, headers, core.Options{Confirm: true})
-		reports = run.Reports
-	}
-	b.StopTimer()
-	close(stop)
-	wg.Wait()
-	b.ReportMetric(float64(peak.Load())/(1<<20), "peak_heap_mb")
-	b.ReportMetric(float64(len(reports)), "reports")
-	b.ReportMetric(float64(len(sources)), "files")
-}
-
-// BenchmarkPipelineCache measures the tiered analysis cache end to end:
-// "cold" runs the full pipeline into a fresh cache directory every iteration
-// (the write-through overhead, now batched into per-shard pack files);
-// "warm" reopens a populated directory with a fresh handle every iteration
-// (the disk tier — pack index load plus entry decode, with a cold L1);
-// "l1-warm" re-runs on one long-lived handle (the in-memory tier — decoded
-// entries served straight from L1, no disk I/O and no decode); and
-// "concurrent-dedup" issues four identical requests at once against a cold
-// cache (single-flight: one computation, three runs served from the
-// leader's result). All report the unit-cache hit rate so
-// BENCH_pipeline.json tracks it across PRs.
+// BenchmarkPipelineCache/warm measures the tiered analysis cache's disk
+// tier: it reopens a populated directory with a fresh handle every
+// iteration, so each run re-reads the pack index and re-decodes the entry
+// into an empty L1. refbench has no row that reads the disk tier from a
+// fresh handle (its edit-loop and served-mix workloads keep one handle
+// alive), so this one stays.
 func BenchmarkPipelineCache(b *testing.B) {
 	c, sources := kernelCorpus()
 	bytes := 0
@@ -469,38 +380,8 @@ func BenchmarkPipelineCache(b *testing.B) {
 		headers[p] = s
 	}
 
-	b.Run("cold", func(b *testing.B) {
-		b.SetBytes(int64(bytes))
-		b.ReportAllocs()
-		hits := 0
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dir, err := os.MkdirTemp("", "bench-cache-")
-			if err != nil {
-				b.Fatal(err)
-			}
-			cache, err := analysiscache.Open(dir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			run := benchAnalyze(b, sources, headers, core.Options{Cache: cache, Confirm: true})
-			b.StopTimer()
-			if run.Metric("cache.unit.hit") > 0 {
-				hits++
-			}
-			os.RemoveAll(dir)
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(hits)/float64(b.N), "unit_hit_rate")
-	})
-
 	b.Run("warm", func(b *testing.B) {
-		dir, err := os.MkdirTemp("", "bench-cache-")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
+		dir := b.TempDir()
 		populate, err := analysiscache.Open(dir)
 		if err != nil {
 			b.Fatal(err)
@@ -512,9 +393,6 @@ func BenchmarkPipelineCache(b *testing.B) {
 		hits := 0
 		var reports []core.Report
 		for i := 0; i < b.N; i++ {
-			// A fresh handle per iteration keeps this row honest about the
-			// disk tier: the pack index is re-read and the entry re-decoded
-			// every time, with an empty L1.
 			b.StopTimer()
 			cache, err := analysiscache.Open(dir)
 			if err != nil {
@@ -530,160 +408,6 @@ func BenchmarkPipelineCache(b *testing.B) {
 		b.ReportMetric(float64(hits)/float64(b.N), "unit_hit_rate")
 		b.ReportMetric(float64(len(reports)), "reports")
 	})
-
-	b.Run("l1-warm", func(b *testing.B) {
-		dir, err := os.MkdirTemp("", "bench-cache-")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		cache, err := analysiscache.Open(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchAnalyze(b, sources, headers, core.Options{Cache: cache, Confirm: true}) // populate both tiers
-		b.SetBytes(int64(bytes))
-		b.ReportAllocs()
-		b.ResetTimer()
-		hits := 0
-		var reports []core.Report
-		for i := 0; i < b.N; i++ {
-			run := benchAnalyze(b, sources, headers, core.Options{Cache: cache, Confirm: true})
-			if run.Metric("cache.unit.hit") > 0 {
-				hits++
-			}
-			reports = run.Reports
-		}
-		b.ReportMetric(float64(hits)/float64(b.N), "unit_hit_rate")
-		b.ReportMetric(float64(len(reports)), "reports")
-	})
-
-	b.Run("concurrent-dedup", func(b *testing.B) {
-		const callers = 4
-		b.SetBytes(int64(bytes))
-		b.ReportAllocs()
-		leaders := int64(0)
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dir, err := os.MkdirTemp("", "bench-cache-")
-			if err != nil {
-				b.Fatal(err)
-			}
-			cache, err := analysiscache.Open(dir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			runs := make([]*core.Run, callers)
-			start := make(chan struct{})
-			var wg sync.WaitGroup
-			b.StartTimer()
-			for j := 0; j < callers; j++ {
-				wg.Add(1)
-				go func(j int) {
-					defer wg.Done()
-					<-start
-					runs[j] = benchAnalyze(b, sources, headers, core.Options{Cache: cache, Confirm: true})
-				}(j)
-			}
-			close(start)
-			wg.Wait()
-			b.StopTimer()
-			for _, run := range runs {
-				leaders += run.Metric("cache.singleflight.leader")
-			}
-			os.RemoveAll(dir)
-			b.StartTimer()
-		}
-		b.ReportMetric(float64(leaders)/float64(b.N), "computes_per_4_reqs")
-	})
-}
-
-// BenchmarkPipelineObs measures the observability tax on the full pipeline:
-// "off" runs untraced (obs.Nop(); every span/counter call is a nil-receiver
-// no-op), "on" runs with a live trace recording every span and counter in
-// the catalog. The PR-5 budget is <5% overhead for "off" relative to the
-// pre-obs pipeline and the on/off gap stays small because span creation is
-// per-TU/per-function, not per-token. scripts/bench_pipeline.sh records both
-// in BENCH_pipeline.json so the tax is tracked release over release.
-func BenchmarkPipelineObs(b *testing.B) {
-	c, sources := kernelCorpus()
-	bytes := 0
-	for _, f := range c.Files {
-		bytes += len(f.Content)
-	}
-	headers := map[string]string{}
-	for p, s := range c.Headers {
-		headers[p] = s
-	}
-	opt := core.Options{Confirm: true}
-
-	run := func(b *testing.B, tr func() *obs.Trace) {
-		b.SetBytes(int64(bytes))
-		b.ReportAllocs()
-		var reports []core.Report
-		for i := 0; i < b.N; i++ {
-			r, err := core.Analyze(context.Background(), core.Request{
-				Sources: sources, Headers: headers, Options: opt, Trace: tr(),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			reports = r.Reports
-		}
-		b.ReportMetric(float64(len(reports)), "reports")
-	}
-
-	b.Run("off", func(b *testing.B) { run(b, obs.Nop) })
-	b.Run("on", func(b *testing.B) { run(b, func() *obs.Trace { return obs.New("bench") }) })
-}
-
-// BenchmarkCheckerPhase isolates the checking phase from the front end on a
-// prebuilt unit, in the two states the facts layer creates: "facts-cold"
-// computes every function's facts and runs the nine pattern queries
-// (CheckUnit on a fresh UnitFacts each iteration); "facts-warm" reuses a
-// fully memoized UnitFacts, so each iteration is the pattern queries alone —
-// the work a -checkers run pays after a facts-cache hit. The gap between the
-// two is the cost the shared facts layer computes exactly once.
-// scripts/bench_pipeline.sh records both in BENCH_pipeline.json as the
-// checker-phase timing.
-func BenchmarkCheckerPhase(b *testing.B) {
-	unit := buildUnit()
-
-	b.Run("facts-cold", func(b *testing.B) {
-		b.ReportAllocs()
-		var reports []core.Report
-		for i := 0; i < b.N; i++ {
-			reports = core.NewEngine().CheckUnit(unit)
-		}
-		b.ReportMetric(float64(len(reports)), "reports")
-	})
-
-	b.Run("facts-warm", func(b *testing.B) {
-		uf := facts.NewUnit(unit)
-		core.NewEngine().CheckUnitFacts(uf) // memoize every function's facts
-		b.ReportAllocs()
-		b.ResetTimer()
-		var reports []core.Report
-		for i := 0; i < b.N; i++ {
-			reports = core.NewEngine().CheckUnitFacts(uf)
-		}
-		b.ReportMetric(float64(len(reports)), "reports")
-	})
-}
-
-// BenchmarkRefsimReplay measures the dynamic oracle in isolation.
-func BenchmarkRefsimReplay(b *testing.B) {
-	c, _ := kernelCorpus()
-	unit := buildUnit()
-	reports := core.NewEngine().CheckUnit(unit)
-	_ = c
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range reports {
-			refsim.Replay(r.Witness, refsim.Claim{Impact: r.Impact.String(), Object: r.Object})
-		}
-	}
-	b.ReportMetric(float64(len(reports)), "replays_per_op")
 }
 
 // BenchmarkCheckerScaling sweeps the corpus size (clean functions per

@@ -62,24 +62,13 @@ func (e *Engine) CheckUnit(u *cpg.Unit) []Report {
 }
 
 // CheckUnitFacts runs every checker over the shared facts layer and returns
-// deduplicated, position-sorted reports. It is CheckUnitFactsContext with a
-// background context.
+// deduplicated, position-sorted reports. Each function's facts are computed
+// exactly once (UnitFacts memoizes under sync.Once) no matter how many
+// checkers or workers consume them. After collection the engine applies the
+// deferral table, then cross-pattern rank suppression: P1 (deviation) beats
+// P5/P4 on the same (function, object), and P4 beats P5.
 func (e *Engine) CheckUnitFacts(uf *facts.UnitFacts) []Report {
-	return e.CheckUnitFactsContext(context.Background(), uf)
-}
-
-// CheckUnitFactsContext runs every checker over the shared facts layer and
-// returns deduplicated, position-sorted reports. Each function's facts are
-// computed exactly once (UnitFacts memoizes under sync.Once) no matter how
-// many checkers or workers consume them. After collection the engine applies
-// the deferral table, then cross-pattern rank suppression: P1 (deviation)
-// beats P5/P4 on the same (function, object), and P4 beats P5.
-//
-// When ctx is cancelled mid-check the work queue drains cleanly and the
-// return covers only the functions checked before cancellation; callers that
-// must distinguish a partial result check ctx.Err().
-func (e *Engine) CheckUnitFactsContext(ctx context.Context, uf *facts.UnitFacts) []Report {
-	out, _ := e.check(ctx, uf, nil)
+	out, _ := e.check(context.Background(), uf, nil)
 	return out
 }
 

@@ -129,6 +129,14 @@ func relToOneRoot(roots []string, path string) (string, bool) {
 	return filepath.ToSlash(rel), true
 }
 
+// readFileString returns the file's content as read now. It copies: the
+// watch loop holds a tree across polls while the files under it are edited
+// in place, so the content must not alias the file.
+func readFileString(path string) (string, error) {
+	data, err := os.ReadFile(path)
+	return string(data), err
+}
+
 // WriteTree writes sources and headers under dir, creating directories as
 // needed (the refgen output path).
 func WriteTree(dir string, sources []cpg.Source, headers map[string]string) error {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -227,6 +228,149 @@ func TestReloadFallsBackOnSharedNames(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) || got.Headers["x.h"] != "#define X 1\n" {
 		t.Fatalf("Reload = %+v, LoadDirs = %+v", got, want)
+	}
+}
+
+// TestLoadedContentSurvivesInPlaceEdits: a loaded tree holds each file's
+// bytes as they were when read. refcheck -watch keeps a tree across polls
+// while the files under it are rewritten in place, so the content must be
+// a copy — a string aliasing a mapping of the file would show an insert at
+// the top as shifted bytes and fault once the file shrinks below a page.
+// Both loaders are covered, at every size from empty to many pages.
+func TestLoadedContentSurvivesInPlaceEdits(t *testing.T) {
+	files := []struct{ name, content string }{
+		{"empty.c", ""},
+		{"tiny.c", "int x;\n"},
+		{"page.c", strings.Repeat("/* filler line for one page */\n", 140)},
+		{"big.c", strings.Repeat("int f(void) { return 0; }\n", 4000)},
+		{"big.h", strings.Repeat("#define BIG_HEADER_MACRO 1\n", 400)},
+	}
+	original := func(content string) string { return content }
+	// writeFiles rewrites every file in place with content(original) and
+	// returns the paths written.
+	writeFiles := func(t *testing.T, dir string, content func(string) string) []string {
+		var paths []string
+		for _, f := range files {
+			path := filepath.Join(dir, f.name)
+			if err := os.WriteFile(path, []byte(content(f.content)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			paths = append(paths, path)
+		}
+		return paths
+	}
+	loads := []struct {
+		name string
+		load func(t *testing.T, dir string) *Tree
+	}{
+		{"LoadDirs", func(t *testing.T, dir string) *Tree {
+			writeFiles(t, dir, original)
+			tree, err := LoadDirs(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tree
+		}},
+		{"Reload", func(t *testing.T, dir string) *Tree {
+			writeFiles(t, dir, func(string) string { return "int stale;\n" })
+			prev, err := LoadDirs(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			changed := writeFiles(t, dir, original)
+			tree, err := Reload(prev, []string{dir}, changed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tree
+		}},
+	}
+	edits := []struct {
+		name string
+		edit func(string) string
+	}{
+		{"shift", func(s string) string { return "/* x */\n" + s }},
+		{"shrink", func(string) string { return "int y;\n" }},
+	}
+	check := func(t *testing.T, tree *Tree, when string) {
+		loaded := maps.Clone(tree.Headers)
+		for _, s := range tree.Sources {
+			loaded[s.Path] = s.Content
+		}
+		if len(loaded) != len(files) {
+			t.Fatalf("%s: loaded %d files, want %d", when, len(loaded), len(files))
+		}
+		for _, f := range files {
+			if got := loaded[f.name]; got != f.content {
+				t.Errorf("%s: %s differs from the bytes written (len %d, want %d)", when, f.name, len(got), len(f.content))
+			}
+		}
+	}
+	for _, l := range loads {
+		for _, e := range edits {
+			t.Run(l.name+"/"+e.name, func(t *testing.T) {
+				dir := t.TempDir()
+				tree := l.load(t, dir)
+				check(t, tree, "after load")
+				writeFiles(t, dir, e.edit)
+				check(t, tree, "after "+e.name)
+			})
+		}
+	}
+}
+
+// readFileString must agree byte-for-byte with a plain read at every size
+// from empty to many pages.
+func TestReadFileStringMatchesPlainRead(t *testing.T) {
+	dir := t.TempDir()
+	cases := map[string]string{
+		"empty.c": "",
+		"tiny.c":  "int x;\n",
+		"page.c":  strings.Repeat("/* filler line for one page */\n", 140),
+		"big.c":   strings.Repeat("int f(void) { return 0; }\n", 4000),
+	}
+	for name, content := range cases {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readFileString(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != content {
+			t.Errorf("%s: content mismatch (len got=%d want=%d)", name, len(got), len(content))
+		}
+	}
+}
+
+func TestReadFileStringMissing(t *testing.T) {
+	if _, err := readFileString(filepath.Join(t.TempDir(), "nope.c")); err == nil {
+		t.Fatal("want error for missing file")
+	}
+}
+
+// TestLoadDirsUsesMappedReads keeps the name it had when LoadDirs mapped
+// files of a page or more; it checks that LoadDirs returns a multi-page .c
+// file and a small .h file byte for byte through the single read path.
+func TestLoadDirsUsesMappedReads(t *testing.T) {
+	dir := t.TempDir()
+	src := strings.Repeat("int g(void) { return 1; }\n", 1000)
+	if err := os.WriteFile(filepath.Join(dir, "a.c"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "a.h"), []byte("#define A 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := LoadDirs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tree.Sources) != 1 || tree.Sources[0].Content != src {
+		t.Fatalf("source content mismatch")
+	}
+	if tree.Headers["a.h"] != "#define A 1\n" {
+		t.Fatalf("header content mismatch")
 	}
 }
 

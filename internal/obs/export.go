@@ -13,8 +13,7 @@ import (
 //
 //   - Tree / WriteSummary: human-readable — a canonical span tree (structure
 //     only, deterministic) and a -v summary table (phases + metrics).
-//   - WriteStatsJSON: machine-readable metrics, folded into
-//     BENCH_pipeline.json by scripts/bench_pipeline.sh.
+//   - WriteStatsJSON: machine-readable metrics (the CLIs' -stats-json).
 //   - WriteChromeTrace: Chrome trace-event JSON ("X" complete events),
 //     loadable in chrome://tracing and Perfetto.
 

@@ -2,10 +2,12 @@ package repro
 
 import (
 	"context"
+	"maps"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/study"
 )
 
@@ -75,5 +77,35 @@ func TestFullPipelineWorkerSweep(t *testing.T) {
 			t.Errorf("workers=%d: Table 4 differs from workers=1:\n  got  %+v\n  want %+v",
 				workers, rows, wantRows)
 		}
+	}
+}
+
+// TestObservabilityAllocOverhead pins what observability costs: an
+// uncached analysis of the demo corpus with a live trace (obs.New, every
+// span and counter recorded) may allocate at most 5% more than the same run
+// untraced (obs.Nop, where every span and counter call is a nil-receiver
+// no-op). Allocation counts are the stable signal; wall time on a shared
+// machine is not.
+func TestObservabilityAllocOverhead(t *testing.T) {
+	c, sources := kernelCorpus()
+	headers := maps.Clone(c.Headers)
+	allocs := func(trace func() *obs.Trace) float64 {
+		return testing.AllocsPerRun(3, func() {
+			_, err := core.Analyze(context.Background(), core.Request{
+				Sources: sources,
+				Headers: headers,
+				Options: core.Options{Workers: 1, Confirm: true},
+				Trace:   trace(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	off := allocs(obs.Nop)
+	on := allocs(func() *obs.Trace { return obs.New("obs-overhead") })
+	t.Logf("allocs per run: off %.0f, on %.0f (ratio %.3f)", off, on, on/off)
+	if on > 1.05*off {
+		t.Errorf("observability on allocates %.0f per run, more than 1.05 x off (%.0f); ratio %.3f", on, off, on/off)
 	}
 }

@@ -2,7 +2,7 @@
 # verify.sh — the tier-1 gate: format check, vet, build, the full test
 # suite, then the suite again under the race detector (the pipeline is
 # parallel by default, so a data race is a correctness bug, not a flake),
-# and finally the released-binary selftest with tracing enabled (the golden
+# every root benchmark once, and finally the released-binary selftest with tracing enabled (the golden
 # artifacts must hold with observability on, and the Chrome trace export
 # must produce a loadable event stream).
 #
@@ -31,6 +31,9 @@ go -C bench vet ./...
 go build ./...
 go test ./...
 go test -race ./...
+# Every root benchmark (paper figures, tables, ablations and the speed rows
+# refbench has no twin for) runs once, so a broken benchmark fails here.
+go test -run '^$' -bench . -benchtime 1x .
 
 # End-to-end observability gate: the built binary must reproduce the blessed
 # golden artifacts byte-for-byte while a full trace is being recorded, and
