@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cast"
 	"repro/internal/cparse"
 	"repro/internal/cpp"
 )
@@ -65,20 +64,16 @@ var obsMacroSrc = `
 int dummy;
 `
 
-type obsParsed struct {
-	path   string
-	file   *cast.File
-	macros map[string]*cpp.Macro
-}
-
-func parseCorpus(t *testing.T) []obsParsed {
+// observeCorpus preprocesses, parses and observes every corpus file, in
+// sorted path order.
+func observeCorpus(t *testing.T) []FileObs {
 	t.Helper()
 	paths := make([]string, 0, len(obsCorpus))
 	for p := range obsCorpus {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	var out []obsParsed
+	var out []FileObs
 	for _, p := range paths {
 		pp := cpp.New(nil)
 		src := obsCorpus[p]
@@ -90,7 +85,7 @@ func parseCorpus(t *testing.T) []obsParsed {
 		for _, e := range errs {
 			t.Fatalf("%s: parse: %v", p, e)
 		}
-		out = append(out, obsParsed{path: p, file: f, macros: res.Macros})
+		out = append(out, ObserveFile(p, f, res.Macros))
 	}
 	return out
 }
@@ -123,13 +118,8 @@ func dumpDB(db *DB) string {
 // met them (each classified against the APIs known by then), loops in name
 // order.
 func TestApplyStages(t *testing.T) {
-	parsed := parseCorpus(t)
 	db := New()
-	var obs []FileObs
-	for _, p := range parsed {
-		obs = append(obs, ObserveFile(p.path, p.file, p.macros))
-	}
-	disc := db.Apply(obs)
+	disc := db.Apply(observeCorpus(t))
 
 	for _, c := range []struct {
 		stage     string
@@ -175,22 +165,17 @@ func TestApplyStages(t *testing.T) {
 // but once concatenated in sorted path order the replay is a pure function
 // of that sequence — shard count cannot change the result.
 func TestApplyShardInvariant(t *testing.T) {
-	parsed := parseCorpus(t)
-	var whole []FileObs
-	for _, p := range parsed {
-		whole = append(whole, ObserveFile(p.path, p.file, p.macros))
-	}
+	whole := observeCorpus(t)
 	dbWhole := New()
 	discWhole := dbWhole.Apply(whole)
 	want := dumpDB(dbWhole)
 
-	for _, shards := range []int{2, 3, len(parsed)} {
+	for _, shards := range []int{2, 3, len(whole)} {
 		// Round-robin partition, then merge shard outputs back in path order
 		// — exactly what the manager's exchange step does.
 		parts := make([][]FileObs, shards)
-		for i, p := range parsed {
-			parts[i%shards] = append(parts[i%shards],
-				ObserveFile(p.path, p.file, p.macros))
+		for i, o := range whole {
+			parts[i%shards] = append(parts[i%shards], o)
 		}
 		var merged []FileObs
 		for _, part := range parts {

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
-	"sync"
 
 	"repro/internal/analysiscache"
 	"repro/internal/apidb"
@@ -12,6 +10,7 @@ import (
 	"repro/internal/cpp"
 	"repro/internal/facts"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/refsim"
 	"repro/internal/semantics"
 )
@@ -83,10 +82,6 @@ func (e *Engine) CheckUnitFacts(uf *facts.UnitFacts) []Report {
 // always run over the merged list. check returns the reports and the
 // filled cells; a slot still nil marks a function skipped by cancellation.
 func (e *Engine) check(ctx context.Context, uf *facts.UnitFacts, cells [][][]Report) ([]Report, [][][]Report) {
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	reg := e.Obs.Reg()
 
 	// Defined functions in name order — the unit of work.
@@ -127,55 +122,18 @@ func (e *Engine) check(ctx context.Context, uf *facts.UnitFacts, cells [][][]Rep
 		}
 	}
 
-	// Unit-scoped checkers (P6) stay on the coordinating goroutine while
-	// the function queue drains on workers; concurrent facts access is
-	// safe because UnitFacts memoizes per function.
+	// Unit-scoped checkers (P6) run on the coordinating goroutine before the
+	// function queue feeds; later concurrent facts access is safe because
+	// UnitFacts memoizes per function.
 	unitResults := make([][]Report, len(e.Checkers))
-	runUnitScoped := func() {
-		for ci, c := range e.Checkers {
-			if uc, ok := c.(UnitChecker); ok {
-				sp := e.Obs.Child("pass").Str("pattern", string(c.ID()))
-				unitResults[ci] = uc.CheckUnit(uf)
-				sp.Int("candidates", len(unitResults[ci])).End()
-			}
+	for ci, c := range e.Checkers {
+		if uc, ok := c.(UnitChecker); ok {
+			sp := e.Obs.Child("pass").Str("pattern", string(c.ID()))
+			unitResults[ci] = uc.CheckUnit(uf)
+			sp.Int("candidates", len(unitResults[ci])).End()
 		}
 	}
-
-	checked := 0
-	if workers > 1 && len(todo) > 1 {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ti := range jobs {
-					checkFn(ti)
-				}
-			}()
-		}
-		runUnitScoped()
-	feed:
-		for ti := range todo {
-			select {
-			case jobs <- ti:
-				checked++
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		runUnitScoped()
-		for ti := range todo {
-			if ctx.Err() != nil {
-				break
-			}
-			checkFn(ti)
-			checked++
-		}
-	}
+	par.ForEach(ctx, e.Workers, len(todo), checkFn)
 
 	// Merge in checker-major, function-name order — exactly the order the
 	// sequential loop produced, so finalize sees an identical input stream
@@ -195,6 +153,12 @@ func (e *Engine) check(ctx context.Context, uf *facts.UnitFacts, cells [][][]Rep
 	}
 	out := finalize(applyDeferrals(all, reg))
 	if reg != nil {
+		checked := 0
+		for _, fi := range todo {
+			if cells[fi] != nil {
+				checked++
+			}
+		}
 		reg.Add("checker.functions", int64(checked))
 		reg.Add("reports.total", int64(len(out)))
 		for _, r := range out {

@@ -9,13 +9,14 @@ import (
 	"repro/internal/cast"
 	"repro/internal/clex"
 	"repro/internal/cparse"
-	"repro/internal/cpp"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // ArtFile is one translation unit's shard-local result: the expanded token
-// stream, the macro table, preprocessor errors, and the file's discovery
-// observation. It is the serializable projection of phase 1 — parse trees
+// stream, preprocessor errors, and the file's discovery observation — the
+// per-file record the front-end cache entry carries too (see codec.go). It
+// is the serializable projection of phase 1 — parse trees
 // deliberately stay out (the same trade the front-end cache makes: the
 // parser is cheap relative to preprocessing, and reparsing identical tokens
 // yields an identical AST), so a decoded ArtFile is reparsed during
@@ -23,7 +24,6 @@ import (
 type ArtFile struct {
 	Path   string
 	Tokens []clex.Token
-	Macros map[string]*cpp.Macro
 	Obs    apidb.FileObs
 
 	// file/errs are the in-memory fast path: a locally built artifact keeps
@@ -105,7 +105,7 @@ func (a *ShardArtifact) hydrate(ctx context.Context, parent *obs.Span, workers i
 		return
 	}
 	sp := parent.Child("reparse").Int("files", len(toParse))
-	forEach(ctx, workers, len(toParse), func(i int) {
+	par.ForEach(ctx, workers, len(toParse), func(i int) {
 		af := toParse[i]
 		file, perrs := cparse.ParseFileArena(af.Path, af.Tokens, stats)
 		af.file = file

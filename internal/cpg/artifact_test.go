@@ -79,9 +79,6 @@ func TestShardArtifactRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(af.Obs, want.Obs) {
 			t.Errorf("%s: observations differ:\nwant %+v\ngot  %+v", af.Path, want.Obs, af.Obs)
 		}
-		if len(af.Macros) != len(want.Macros) {
-			t.Errorf("%s: macro count %d != %d", af.Path, len(af.Macros), len(want.Macros))
-		}
 		if af.cppN != want.cppN {
 			t.Errorf("%s: cppN %d != %d", af.Path, af.cppN, want.cppN)
 		}
@@ -111,6 +108,12 @@ func TestShardArtifactCorruptInputs(t *testing.T) {
 		if _, err := DecodeShardArtifact(enc[:cut]); !errors.Is(err, bincodec.ErrCorrupt) {
 			t.Fatalf("cut=%d: err=%v, want ErrCorrupt", cut, err)
 		}
+	}
+	// A frame of the previous format version is corrupt, not misread.
+	stale := bytes.Clone(enc)
+	stale[3]--
+	if _, err := DecodeShardArtifact(stale); !errors.Is(err, bincodec.ErrCorrupt) {
+		t.Fatalf("stale version: err=%v, want ErrCorrupt", err)
 	}
 	long := append(bytes.Clone(enc), 0)
 	if _, err := DecodeShardArtifact(long); !errors.Is(err, bincodec.ErrCorrupt) {
@@ -143,8 +146,7 @@ func unitFingerprint(u *Unit) string {
 		fmt.Fprintf(&b, "fn %s file=%s defined=%v events=%v\n",
 			name, fn.File, fn.Graph != nil, fn.Events != nil)
 	}
-	fmt.Fprintf(&b, "structs=%d globals=%d macros=%d\n",
-		len(u.Structs), len(u.Globals), len(u.Macros))
+	fmt.Fprintf(&b, "structs=%d globals=%d\n", len(u.Structs), len(u.Globals))
 	fmt.Fprintf(&b, "disc=%v/%v/%v/%v\n", u.DiscoveredStructs,
 		u.DiscoveredAPIs, u.DiscoveredLoops, u.DiscoveredDeviations)
 	for _, cb := range u.CallbackBindings() {
@@ -199,7 +201,7 @@ func FuzzShardArtifactCodec(f *testing.F) {
 	f.Add(EncodeShardArtifact(b.BuildArtifactContext(context.Background(), artifactSources(), true)))
 	f.Add(EncodeShardArtifact(&ShardArtifact{}))
 	f.Add([]byte{})
-	f.Add([]byte{'S', 'H', 'A', 1})
+	f.Add(magicOnly(saMagic))
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := DecodeShardArtifact(data)

@@ -1,40 +1,77 @@
 package cpg
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"repro/internal/bincodec"
 )
 
-// TestRegenFuzzSeedCorpus rewrites the checked-in seed corpus for
-// FuzzCacheCodec (testdata/fuzz/FuzzCacheCodec) when REGEN_FUZZ_CORPUS=1 is
-// set — run it after any encoding change so the corpus keeps one valid entry
-// of the current format alongside the malformed probes. Without the variable
-// it only verifies the corpus directory exists and is non-empty.
-func TestRegenFuzzSeedCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzCacheCodec")
-	seeds := map[string][]byte{
-		"seed_valid_full":  encodeFrontEntry(sampleEntry()),
-		"seed_valid_empty": encodeFrontEntry(&frontEntry{}),
-		"seed_magic_only":  {'F', 'E', 'C', 1},
-		"seed_truncated":   encodeFrontEntry(sampleEntry())[:10],
-		"seed_garbage":     {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
-	}
-	if os.Getenv("REGEN_FUZZ_CORPUS") == "" {
-		ents, err := os.ReadDir(dir)
-		if err != nil || len(ents) == 0 {
-			t.Fatalf("seed corpus missing at %s (regenerate with REGEN_FUZZ_CORPUS=1): %v", dir, err)
-		}
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range seeds {
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+// magicOnly is a payload holding nothing but a codec's magic: the probe that
+// gets past the magic check and must then fail cleanly.
+func magicOnly(magic uint32) []byte {
+	w := bincodec.NewWriter(4)
+	w.U32(magic)
+	return w.Bytes()
+}
+
+// checkSeedCorpus keeps the checked-in seed corpus of one fuzz target
+// current. With REGEN_FUZZ_CORPUS=1 it rewrites testdata/fuzz/<target> from
+// seeds; without it, it fails when a seed is missing or differs from what
+// regeneration would write — so a format change that forgets to regenerate
+// fails here instead of leaving the fuzzer only stale probes. Other files in
+// the directory (inputs the fuzzer saved) are left alone.
+func checkSeedCorpus(t *testing.T, target string, seeds map[string][]byte) {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", target)
+	regen := os.Getenv("REGEN_FUZZ_CORPUS") != ""
+	if regen {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for name, data := range seeds {
+		path := filepath.Join(dir, name)
+		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
+		if regen {
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != body {
+			t.Errorf("seed %s is missing or stale (regenerate with REGEN_FUZZ_CORPUS=1 go test -run TestRegen ./internal/cpg): %v", path, err)
+		}
+	}
+}
+
+// TestRegenFuzzSeedCorpus keeps FuzzCacheCodec's seed corpus current: one
+// valid entry of the current format alongside the malformed probes.
+func TestRegenFuzzSeedCorpus(t *testing.T) {
+	full := encodeFrontEntry(sampleEntry())
+	checkSeedCorpus(t, "FuzzCacheCodec", map[string][]byte{
+		"seed_valid_full":  full,
+		"seed_valid_empty": encodeFrontEntry(&frontEntry{}),
+		"seed_magic_only":  magicOnly(feMagic),
+		"seed_truncated":   full[:10],
+		"seed_garbage":     {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
+	})
+}
+
+// TestRegenArtifactFuzzSeedCorpus keeps FuzzShardArtifactCodec's seed corpus
+// current: a valid artifact of the current format, encoded from a real
+// shard-local build, alongside the malformed probes.
+func TestRegenArtifactFuzzSeedCorpus(t *testing.T) {
+	b := &Builder{Workers: 1}
+	real := EncodeShardArtifact(b.BuildArtifactContext(context.Background(), artifactSources(), true))
+	checkSeedCorpus(t, "FuzzShardArtifactCodec", map[string][]byte{
+		"seed_valid_real":  real,
+		"seed_valid_empty": EncodeShardArtifact(&ShardArtifact{}),
+		"seed_magic_only":  magicOnly(saMagic),
+		"seed_truncated":   real[:10],
+		"seed_garbage":     {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
+	})
 }

@@ -6,15 +6,16 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/apidb"
 	"repro/internal/bincodec"
 	"repro/internal/clex"
 	"repro/internal/cpp"
 )
 
 // sampleEntry exercises every field of the encoding: multi-token origin
-// chains, macro variants (object-like, function-like with zero and several
-// params, variadic, predefined), include closure entries with and without
-// hashes, and preprocessor errors.
+// chains, include closure entries with and without hashes, preprocessor
+// errors, and an observation with every list populated (a loop and a
+// non-loop macro among them).
 func sampleEntry() *frontEntry {
 	pos := func(l, c int) clex.Pos { return clex.Pos{File: "drv/a.c", Line: l, Col: c} }
 	return &frontEntry{
@@ -30,22 +31,25 @@ func sampleEntry() *frontEntry {
 			{Kind: clex.RParen, Text: ")", Pos: pos(3, 13), Origin: []string{"GET_OBJ", "WRAP"}},
 			{Kind: clex.Semi, Text: ";", Pos: pos(3, 14)},
 		},
-		Macros: map[string]*cpp.Macro{
-			"OBJLIKE": {Name: "OBJLIKE", DefinedAt: pos(1, 1),
-				Body: []clex.Token{{Kind: clex.IntLit, Text: "1", Pos: pos(1, 17)}}},
-			"ZEROP": {Name: "ZEROP", FuncLike: true, Params: []string{}, DefinedAt: pos(2, 1)},
-			"WRAP": {Name: "WRAP", FuncLike: true, Params: []string{"x", "y"},
-				DefinedAt: pos(2, 9),
-				Body: []clex.Token{
-					{Kind: clex.Ident, Text: "x", Pos: pos(2, 20)},
-					{Kind: clex.Comma, Text: ",", Pos: pos(2, 21)},
-					{Kind: clex.Ident, Text: "y", Pos: pos(2, 22), LeadingSpace: true},
-				}},
-			"VAR": {Name: "VAR", FuncLike: true, Variadic: true, Params: []string{"fmt"},
-				DefinedAt: pos(4, 1)},
-			"__KERNEL__": {Name: "__KERNEL__", Predefined: true},
-		},
 		CppErrors: []string{"a.c:9: unterminated #if"},
+		Obs: apidb.FileObs{
+			Path: "drv/a.c",
+			Structs: []apidb.StructObs{
+				{Name: "obj", Fields: []apidb.FieldObs{{Base: "struct", Struct: "kref"}, {Base: "int"}}},
+				{Name: "empty"},
+			},
+			Funcs: []apidb.FuncObs{{
+				Name: "obj_get", Params: []string{"o"}, RetPointer: true, ReturnsNull: true,
+				Calls:       []apidb.CallObs{{Callee: "kref_get", ArgBases: []string{"o", ""}}, {Callee: "f"}},
+				CounterOps:  []apidb.CounterOpObs{{Base: "o", Inc: true}, {Inc: false}},
+				TailCallees: []string{"obj_find"},
+			}, {Name: "obj_err", ErrorCode: true}},
+			Macros: []apidb.MacroObs{
+				{Name: "OBJLIKE"},
+				{Name: "for_each_obj", Loop: true, Params: []string{"o"},
+					Idents: []apidb.LoopIdentObs{{Name: "o", NextAssign: true}, {Name: "obj_next"}}},
+			},
+		},
 	}
 }
 
@@ -88,6 +92,12 @@ func TestFrontEntryCorruptInputs(t *testing.T) {
 			t.Fatalf("cut=%d: err=%v, want ErrCorrupt", cut, err)
 		}
 	}
+	// A frame of the previous format version is corrupt, not misread.
+	stale := bytes.Clone(enc)
+	stale[3]--
+	if err := decodeFrontEntry(stale, &frontEntry{}, nil); !errors.Is(err, bincodec.ErrCorrupt) {
+		t.Fatalf("stale version: err=%v, want ErrCorrupt", err)
+	}
 	// Trailing garbage is corrupt: a valid entry consumes its input exactly.
 	var ent frontEntry
 	long := append(bytes.Clone(enc), 0)
@@ -104,7 +114,7 @@ func FuzzCacheCodec(f *testing.F) {
 	f.Add(encodeFrontEntry(sampleEntry()))
 	f.Add(encodeFrontEntry(&frontEntry{}))
 	f.Add([]byte{})
-	f.Add([]byte{'F', 'E', 'C', 1})
+	f.Add(magicOnly(feMagic))
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ent frontEntry

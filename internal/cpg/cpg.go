@@ -2,17 +2,19 @@
 // paper's "Graph Generation" stage (§6.1, built there with JOERN).
 //
 // A Unit combines, for a set of C sources, the ASTs, per-function CFGs,
-// semantic event streams, struct/global tables and the preprocessor macro
-// table — everything the nine checkers query. Building a
-// Unit also runs the "Lexer Parsing" stage: refcounted-structure discovery,
-// refcounting-API wrapper discovery, and smartloop discovery extend the API
-// knowledge base before events are extracted.
+// semantic event streams and struct/global tables — everything the nine
+// checkers query. The checkers see macros only through token provenance
+// (clex.Token.Origin); the preprocessor's macro table ends at each file's
+// discovery observation (apidb.ObserveFile), which is all the smartloop
+// stage reads. Building a Unit also runs the "Lexer Parsing" stage:
+// refcounted-structure discovery, refcounting-API wrapper discovery, and
+// smartloop discovery extend the API knowledge base before events are
+// extracted.
 package cpg
 
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -26,6 +28,7 @@ import (
 	"repro/internal/cparse"
 	"repro/internal/cpp"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/semantics"
 )
 
@@ -81,7 +84,6 @@ type Unit struct {
 	Functions map[string]*Function
 	Structs   map[string]*cast.StructDecl
 	Globals   map[string]*cast.VarDecl
-	Macros    map[string]*cpp.Macro
 	Errors    []error
 
 	// Discovered names from the lexer-parsing stage (reported by tools).
@@ -118,14 +120,15 @@ type Builder struct {
 	// Per-function analysis (phase 3) runs on demand, on whichever worker
 	// first needs a function's facts.
 	Workers int
-	// Cache, when non-nil, persists each file's preprocessed form
-	// (tokens + macros + include closure) keyed by content hash, so an
-	// unchanged file skips preprocessing on the next build. With the cache's
-	// memory tier enabled, an unchanged file's parse tree and discovery
-	// observation are reused as well (see frontEntry). Assembly, discovery
-	// replay and everything downstream still run over the whole unit — they
-	// have cross-file dependencies — which keeps cached and uncached builds
-	// byte-identical by construction.
+	// Cache, when non-nil, persists each file's front-end record (expanded
+	// tokens, preprocessor errors, discovery observation and include
+	// closure) keyed by content hash, so an unchanged file skips
+	// preprocessing and observation on the next build. With the cache's
+	// memory tier enabled, an unchanged file's parse tree is reused as well
+	// (see frontEntry). Assembly, discovery replay and everything
+	// downstream still run over the whole unit — they have cross-file
+	// dependencies — which keeps cached and uncached builds byte-identical
+	// by construction.
 	Cache *analysiscache.Cache
 	// Obs, when non-nil, is the parent span the build hangs its spans and
 	// counters off: a child span per translation unit plus front-end
@@ -136,36 +139,39 @@ type Builder struct {
 	Obs *obs.Span
 }
 
-// frontEntry is the per-file front-end cache entry: everything the
-// preprocessor produced for one source, plus the include closure that must
-// still resolve identically for the entry to be reused. Only these fields
-// are encoded, so the disk tier stores tokens, never parse trees: the
-// parser is cheap next to preprocessing, and reparsing cached tokens yields
-// an identical AST without an AST codec.
+// frontEntry is the per-file front-end cache entry: the file's record (the
+// expanded tokens, preprocessor errors and discovery observation — the same
+// record a shard artifact carries per file, see codec.go), plus the include
+// closure that must still resolve identically for the entry to be reused.
+// The observation is computed once, on the miss, from the very tokens and
+// macro table the key and closure cover, so a hit never observes again and
+// the macro table is never stored. Only these fields are encoded, so the
+// disk tier stores tokens, never parse trees: the parser is cheap next to
+// preprocessing, and reparsing cached tokens yields an identical AST
+// without an AST codec.
 //
-// An entry held by the cache's L1 also carries memo, the file's parse and
-// discovery observation, filled once by the first build that reaches the
-// entry and reused by every later build in the process — so an edit loop
-// parses only the files it changed. The memo stays in memory only. Once it
-// is set the parse replaces the token stream (Tokens is nil from then on,
-// so the tier does not hold both), and the entry's L1 charge grows from its
-// encoded size by the parse's arena bytes.
+// An entry held by the cache's L1 also carries memo, the file's parse,
+// filled once by the first build that reaches the entry and reused by every
+// later build in the process — so an edit loop parses only the files it
+// changed. The memo stays in memory only. Once it is set the parse replaces
+// the token stream (Tokens is nil from then on, so the tier does not hold
+// both), and the entry's L1 charge grows from its encoded size by the
+// parse's arena bytes.
 type frontEntry struct {
 	Closure   []cpp.IncludeDep
 	Tokens    []clex.Token
-	Macros    map[string]*cpp.Macro
 	CppErrors []string
+	Obs       apidb.FileObs
 
 	memo *frontMemo // nil unless the entry is an L1 value
 }
 
-// frontMemo is an L1 front-end entry's parse and observation (see
-// frontEntry). Everything in it is immutable once once has run.
+// frontMemo is an L1 front-end entry's parse (see frontEntry). Everything
+// in it is immutable once once has run.
 type frontMemo struct {
 	once   sync.Once
 	file   *cast.File
 	perrs  []error
-	obs    apidb.FileObs
 	charge int64 // the entry's L1 charge: its encoded size, plus the parse once set
 }
 
@@ -208,7 +214,7 @@ type frontEnd struct {
 // runs with no predefined macros, so path and content are its whole input
 // apart from the include closure, which each entry records and re-validates.
 func frontKey(path, content string) string {
-	return analysiscache.KeyOf("fe-v4", path, content)
+	return analysiscache.KeyOf("fe-v5", path, content)
 }
 
 // closureValid reports whether every include recorded when the entry was
@@ -238,7 +244,7 @@ func (fe *frontEnd) closureValid(deps []cpp.IncludeDep) bool {
 // sourceFP fingerprints one file's complete front-end input: its front-end
 // cache key (path, content) plus the include closure the preprocessor
 // resolved. Preprocessing and parsing are deterministic, so an equal
-// fingerprint means an identical token stream, macro table and AST — the
+// fingerprint means an identical token stream, observation and AST — the
 // per-file half of any downstream per-file cache key.
 func sourceFP(feKey string, closure []cpp.IncludeDep) string {
 	parts := make([]string, 0, 1+2*len(closure))
@@ -266,8 +272,8 @@ func (fe *frontEnd) preprocess(src Source, buf []clex.Token) *cpp.Result {
 	return res
 }
 
-// parseOne runs the per-file front end: preprocess (or reuse the cached
-// preprocessed form), parse, and extract the discovery observation. It
+// parseOne runs the per-file front end: preprocess, parse and observe (or
+// reuse the cached record, which already holds the observation). It
 // touches no builder-mutable state, so shards may run concurrently.
 //
 // Each call owns one per-TU arena. The expanded-token stream (the largest
@@ -285,99 +291,116 @@ func (fe *frontEnd) parseOne(src Source) *ArtFile {
 	a.OnRelease(func() { fe.tokPool.Put(buf) })
 	defer a.Release()
 
-	if fe.cache == nil {
-		res := fe.preprocess(src, buf)
-		buf = res.Tokens
-		return fe.parse(src.Path, res.Tokens, res.Macros, res.Errors, "")
-	}
-	key := frontKey(src.Path, src.Content)
-	if fe.l1hold {
-		// Value-tier path: the entry lives in the cache's L1 and is shared
-		// with every later build, so it must live in fresh storage — never
-		// the pooled buffer — and be treated as immutable from here. The
-		// pooled buf stays untouched and returns to the pool unused.
-		if v, ok := fe.cache.GetValue(key, decodeFrontValue); ok {
-			ent := v.(*frontEntry)
-			if fe.closureValid(ent.Closure) {
+	var key string
+	if fe.cache != nil {
+		key = frontKey(src.Path, src.Content)
+		if fe.l1hold {
+			// Value-tier path: the entry lives in the cache's L1 and is
+			// shared with every later build, so it must live in fresh
+			// storage — never the pooled buffer — and be treated as
+			// immutable from here. The pooled buf stays untouched and
+			// returns to the pool unused.
+			if v, ok := fe.cache.GetValue(key, decodeFrontValue); ok {
+				ent := v.(*frontEntry)
+				if fe.closureValid(ent.Closure) {
+					fe.reg.Add("frontend.cache.hit", 1)
+					return fe.reuse(key, src.Path, ent)
+				}
+			}
+		} else {
+			var ent frontEntry
+			if fe.cache.Get(key, func(data []byte) error { return decodeFrontEntry(data, &ent, buf) }) &&
+				fe.closureValid(ent.Closure) {
 				fe.reg.Add("frontend.cache.hit", 1)
-				return fe.reuse(key, src.Path, ent)
+				buf = ent.Tokens
+				af, _ := fe.parse(src.Path, ent.Tokens, cppErrors(ent.CppErrors), sourceFP(key, ent.Closure))
+				af.Obs = ent.Obs
+				return af
 			}
 		}
-	} else {
-		var ent frontEntry
-		if fe.cache.Get(key, func(data []byte) error { return decodeFrontEntry(data, &ent, buf) }) &&
-			fe.closureValid(ent.Closure) {
-			fe.reg.Add("frontend.cache.hit", 1)
-			buf = ent.Tokens
-			if ent.Macros == nil {
-				ent.Macros = map[string]*cpp.Macro{}
-			}
-			return fe.parse(src.Path, ent.Tokens, ent.Macros, cppErrors(ent.CppErrors),
-				sourceFP(key, ent.Closure))
-		}
+		fe.reg.Add("frontend.cache.miss", 1)
 	}
-	fe.reg.Add("frontend.cache.miss", 1)
 	res := fe.preprocess(src, buf)
 	buf = res.Tokens
-	ent := &frontEntry{Closure: res.Includes, Tokens: res.Tokens, Macros: res.Macros,
-		CppErrors: make([]string, len(res.Errors))}
+	fp := ""
+	if fe.cache != nil {
+		fp = sourceFP(key, res.Includes)
+	}
+	af, parseBytes := fe.parse(src.Path, res.Tokens, res.Errors, fp)
+	af.Obs = apidb.ObserveFile(src.Path, af.file, res.Macros)
+	if fe.cache == nil {
+		return af
+	}
+	ent := &frontEntry{Closure: res.Includes, Tokens: res.Tokens,
+		CppErrors: make([]string, len(res.Errors)), Obs: af.Obs}
 	for i, e := range res.Errors {
 		ent.CppErrors[i] = e.Error()
 	}
+	enc := encodeFrontEntry(ent)
 	// A Put failure (full disk, unwritable dir) only costs the next run a
 	// recompute; the current result is served from memory either way.
 	if !fe.l1hold {
-		_ = fe.cache.Put(key, encodeFrontEntry(ent))
-		return fe.parse(src.Path, res.Tokens, res.Macros, res.Errors, sourceFP(key, res.Includes))
+		_ = fe.cache.Put(key, enc)
+		return af
 	}
 	// With an L1 this build's parse becomes the entry's memo before the
 	// entry is published, so the next build that hits it reuses the parse
 	// and the pooled token buffer never escapes into the shared entry.
-	enc := encodeFrontEntry(ent)
-	ent.memo = &frontMemo{charge: int64(len(enc))}
-	af := fe.reuse(key, src.Path, ent)
+	ent.Tokens = nil
+	m := &frontMemo{charge: int64(len(enc)) + parseBytes}
+	m.once.Do(func() { m.file, m.perrs = af.file, af.errs[af.cppN:] })
+	ent.memo = m
 	_ = fe.cache.PutValue(key, ent, enc)
-	fe.cache.Recharge(key, ent, ent.memo.charge)
+	fe.cache.Recharge(key, ent, m.charge)
 	return af
 }
 
-// parse parses one TU's token stream and extracts its discovery
-// observation, for the front-end paths that keep no memo.
-func (fe *frontEnd) parse(path string, toks []clex.Token, macros map[string]*cpp.Macro, cppErrs []error, fp string) *ArtFile {
-	file, perrs := cparse.ParseFileArena(path, toks, fe.stats)
+// parse parses one TU's token stream into an ArtFile (its Obs left for the
+// caller to set) and returns it with the parse's arena bytes.
+func (fe *frontEnd) parse(path string, toks []clex.Token, cppErrs []error, fp string) (*ArtFile, int64) {
+	file, perrs, n := fe.parseTokens(path, toks)
 	errs := make([]error, 0, len(cppErrs)+len(perrs))
 	errs = append(errs, cppErrs...)
 	errs = append(errs, perrs...)
-	return &ArtFile{Path: path, Tokens: fe.retainToks(toks), Macros: macros,
-		Obs: apidb.ObserveFile(path, file, macros), file: file, errs: errs, cppN: len(cppErrs), fp: fp}
+	return &ArtFile{Path: path, Tokens: fe.retainToks(toks), file: file, errs: errs,
+		cppN: len(cppErrs), fp: fp}, n
+}
+
+// parseTokens parses one token stream and returns the AST, the parse errors
+// and the bytes of parser slabs, which are also charged to the build's
+// stats.
+func (fe *frontEnd) parseTokens(path string, toks []clex.Token) (*cast.File, []error, int64) {
+	var st arena.Stats
+	file, perrs := cparse.ParseFileArena(path, toks, &st)
+	fe.stats.Bytes.Add(st.Bytes.Load())
+	fe.stats.Chunks.Add(st.Chunks.Load())
+	return file, perrs, st.Bytes.Load()
 }
 
 // reuse serves one TU from an L1-shared front-end entry: the first build to
-// reach the entry parses its token stream and observes the result into the
-// memo, drops the tokens, and re-charges the entry for the parse; every
-// later build reuses the memo and counts a frontend.parse.reused. Sharing
-// is sound because nothing downstream writes an AST or an observation — CFG
-// construction, event extraction, discovery replay, and the checkers only
-// read them (TestAnalyzeLeavesInputsUntouched in internal/core pins that) —
-// and ent.Tokens is read and cleared only inside the once.
+// reach the entry parses its token stream into the memo, drops the tokens,
+// and re-charges the entry for the parse; every later build reuses the memo
+// and counts a frontend.parse.reused. The observation comes from the entry
+// either way. Sharing is sound because nothing downstream writes an AST or
+// an observation — CFG construction, event extraction, discovery replay,
+// and the checkers only read them (TestAnalyzeLeavesInputsUntouched in
+// internal/core pins that) — and ent.Tokens is read and cleared only inside
+// the once.
 func (fe *frontEnd) reuse(key, path string, ent *frontEntry) *ArtFile {
 	m := ent.memo
 	reused := true
 	m.once.Do(func() {
 		reused = false
-		var st arena.Stats
-		m.file, m.perrs = cparse.ParseFileArena(path, ent.Tokens, &st)
-		m.obs = apidb.ObserveFile(path, m.file, ent.Macros)
-		m.charge += st.Bytes.Load()
+		var parseBytes int64
+		m.file, m.perrs, parseBytes = fe.parseTokens(path, ent.Tokens)
+		m.charge += parseBytes
 		ent.Tokens = nil
-		fe.stats.Bytes.Add(st.Bytes.Load())
-		fe.stats.Chunks.Add(st.Chunks.Load())
 		fe.cache.Recharge(key, ent, m.charge)
 	})
 	if reused {
 		fe.reg.Add("frontend.parse.reused", 1)
 	}
-	return &ArtFile{Path: path, Macros: ent.Macros, Obs: m.obs, file: m.file,
+	return &ArtFile{Path: path, Obs: ent.Obs, file: m.file,
 		errs: append(cppErrors(ent.CppErrors), m.perrs...), cppN: len(ent.CppErrors),
 		fp: sourceFP(key, ent.Closure)}
 }
@@ -437,49 +460,6 @@ func (fe *frontEnd) parseTU(src Source) *ArtFile {
 	return af
 }
 
-// forEach calls fn(i) for every i in [0, n) on up to workers goroutines (0
-// means GOMAXPROCS; 1 runs sequentially on the caller's goroutine). Once ctx
-// is cancelled no further index is handed out, and forEach returns only
-// after every call it started has returned, so a cancelled caller leaks no
-// goroutine and sees no late write. Callers write results into per-index
-// slots and merge them in index order, which keeps output independent of
-// the worker count.
-func forEach(ctx context.Context, workers, n int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n && ctx.Err() == nil; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-}
-
 // newFrontEnd resolves the builder's knobs into the per-build front-end
 // state shared by the phase workers.
 func (b *Builder) newFrontEnd() *frontEnd {
@@ -492,8 +472,8 @@ func (b *Builder) newFrontEnd() *frontEnd {
 
 // BuildArtifactContext runs the shard-local half of a build: preprocess +
 // parse, sharded per file (each file's front end is independent), with the
-// file's discovery observation extracted in the same worker pass. The
-// artifact lists files in sorted path order; TUs skipped by cancellation
+// file's discovery observation extracted in the same worker pass (or served
+// from the file's front-end cache entry). The artifact lists files in sorted path order; TUs skipped by cancellation
 // are absent.
 //
 // With retain set, each file's expanded token stream is copied into fresh
@@ -513,7 +493,7 @@ func (b *Builder) BuildArtifactContext(ctx context.Context, sources []Source, re
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
 
 	results := make([]*ArtFile, len(sorted))
-	forEach(ctx, b.Workers, len(sorted), func(i int) {
+	par.ForEach(ctx, b.Workers, len(sorted), func(i int) {
 		if af := fe.parseTU(sorted[i]); af.file != nil {
 			results[i] = af
 		}
@@ -561,12 +541,11 @@ func (b *Builder) AssembleContext(ctx context.Context, art *ShardArtifact, disc 
 		Functions: map[string]*Function{},
 		Structs:   map[string]*cast.StructDecl{},
 		Globals:   map[string]*cast.VarDecl{},
-		Macros:    map[string]*cpp.Macro{},
 	}
 	stats := &arena.Stats{}
 	art.hydrate(ctx, b.Obs, b.Workers, stats)
 
-	// Merge declarations, macros and errors in sorted path order — the exact
+	// Merge declarations and errors in sorted path order — the exact
 	// order the sequential loop used, so the unit is deterministic. A nil
 	// file marks a TU whose reparse was skipped by cancellation.
 	for _, af := range art.Files {
@@ -579,9 +558,6 @@ func (b *Builder) AssembleContext(ctx context.Context, art *ShardArtifact, disc 
 				u.SourceFP = make(map[string]string, len(art.Files))
 			}
 			u.SourceFP[af.Path] = af.fp
-		}
-		for name, m := range af.Macros {
-			u.Macros[name] = m
 		}
 		u.Files = append(u.Files, af.file)
 		for _, d := range af.file.Decls {

@@ -1,6 +1,8 @@
 package cpg
 
 import (
+	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -91,7 +93,7 @@ func TestHeadersResolved(t *testing.T) {
 `,
 	}
 	b := &Builder{Headers: headers}
-	u := b.Build([]Source{{Path: "drivers/x.c", Content: `
+	srcs := []Source{{Path: "drivers/x.c", Content: `
 #include <linux/of.h>
 int walk(struct device_node *parent)
 {
@@ -101,12 +103,21 @@ int walk(struct device_node *parent)
 	}
 	return 0;
 }
-`}})
+`}}
+	u := b.Build(srcs)
 	for _, e := range u.Errors {
 		t.Fatalf("err: %v", e)
 	}
-	if u.Macros["for_each_child_of_node"] == nil {
-		t.Error("macro from header missing")
+	// The header's macro table ends at the including file's observation: its
+	// loop macro must reach it as a smartloop candidate.
+	loop := false
+	for _, m := range b.BuildArtifactContext(context.Background(), srcs, false).Files[0].Obs.Macros {
+		if m.Name == "for_each_child_of_node" {
+			loop = m.Loop
+		}
+	}
+	if !loop {
+		t.Error("loop macro from header missing from the file's observation")
 	}
 	if u.Functions["walk"].Analyze(); u.Functions["walk"].Graph == nil {
 		t.Error("walk not analyzed")
@@ -196,6 +207,7 @@ void a_put(struct a_dev *d) { kref_put(&d->ref); }
 int a_user(struct a_dev *d) { a_get(d); a_put(d); return 0; }
 `},
 		{Path: "b.c", Content: `
+#define for_each_b(n) for (n = b_first(); n; n = b_next(n))
 int b_probe(void)
 {
 	struct device_node *np = of_find_node_by_path("/b");
@@ -235,8 +247,8 @@ int b_probe(void)
 			t.Errorf("%s: event counts differ (%d vs %d)", name, sevs, pevs)
 		}
 	}
-	// Phase 1 is sharded too: merged declarations, macros, and errors must
-	// agree between the sequential and parallel front ends.
+	// Phase 1 is sharded too: merged declarations, per-file observations
+	// and errors must agree between the sequential and parallel front ends.
 	if len(seq.Files) != len(par.Files) {
 		t.Errorf("file counts differ (%d vs %d)", len(seq.Files), len(par.Files))
 	}
@@ -245,13 +257,14 @@ int b_probe(void)
 			t.Errorf("file %d: %s vs %s", i, seq.Files[i].Name, par.Files[i].Name)
 		}
 	}
-	if len(seq.Macros) != len(par.Macros) {
-		t.Errorf("macro counts differ (%d vs %d)", len(seq.Macros), len(par.Macros))
+	ctx := context.Background()
+	seqObs := (&Builder{Workers: 1}).BuildArtifactContext(ctx, srcs, false).Observations()
+	parObs := (&Builder{Workers: 8}).BuildArtifactContext(ctx, srcs, false).Observations()
+	if len(seqObs) != 2 || len(seqObs[1].Macros) != 1 || !seqObs[1].Macros[0].Loop {
+		t.Fatalf("fixture too weak: observations %+v", seqObs)
 	}
-	for name := range seq.Macros {
-		if par.Macros[name] == nil {
-			t.Errorf("macro %s missing from parallel build", name)
-		}
+	if !reflect.DeepEqual(seqObs, parObs) {
+		t.Errorf("per-file observations differ:\nseq %+v\npar %+v", seqObs, parObs)
 	}
 	if len(seq.Structs) != len(par.Structs) || len(seq.Globals) != len(par.Globals) {
 		t.Errorf("declaration tables differ")

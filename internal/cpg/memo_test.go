@@ -1,9 +1,12 @@
 package cpg
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/analysiscache"
+	"repro/internal/apidb"
 	"repro/internal/arena"
 	"repro/internal/corpus"
 	"repro/internal/cparse"
@@ -93,5 +96,64 @@ func TestParseMemoIsCharged(t *testing.T) {
 	}
 	if reg.Counter("cache.l1.evict") == 0 {
 		t.Fatalf("charging the parses to a budget that fits only the encoded entries evicted nothing")
+	}
+}
+
+// TestCachedObservationMatchesFresh is what makes caching the observation
+// sound: for every demo-corpus file, the observation a front-end entry
+// serves — from disk on a reopened handle, from the L1 (with the parse
+// memo), and through the byte API a retaining build reads — equals a fresh
+// apidb.ObserveFile over the file's own preprocess and parse.
+func TestCachedObservationMatchesFresh(t *testing.T) {
+	c := corpus.Generate(corpus.Spec{Seed: 1})
+	headers := cpp.NewIndexedFiles(c.Headers)
+	srcs := make([]Source, len(c.Files))
+	want := map[string]apidb.FileObs{}
+	for i, f := range c.Files {
+		srcs[i] = Source{Path: f.Path, Content: f.Content}
+		res := cpp.New(headers).Process(f.Path, f.Content)
+		file, _ := cparse.ParseFile(f.Path, res.Tokens)
+		want[f.Path] = apidb.ObserveFile(f.Path, file, res.Macros)
+	}
+
+	dir := t.TempDir()
+	cold, err := analysiscache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	(&Builder{Headers: headers, Cache: cold}).BuildArtifactContext(context.Background(), srcs, false)
+	if err := cold.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	warm, err := analysiscache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	for _, leg := range []struct {
+		name    string
+		retain  bool
+		counter string // must count every file
+	}{
+		{"disk-warm", false, "frontend.cache.hit"},
+		{"L1", false, "frontend.parse.reused"},
+		{"byte API", true, "frontend.cache.hit"},
+	} {
+		tr := obs.New(leg.name)
+		art := (&Builder{Headers: headers, Cache: warm, Obs: tr.Root()}).
+			BuildArtifactContext(context.Background(), srcs, leg.retain)
+		if n := tr.Reg().Counter(leg.counter); n != int64(len(srcs)) {
+			t.Fatalf("%s: %s = %d, want %d (every file served from its entry)", leg.name, leg.counter, n, len(srcs))
+		}
+		if len(art.Files) != len(srcs) {
+			t.Fatalf("%s: %d files, want %d", leg.name, len(art.Files), len(srcs))
+		}
+		for _, af := range art.Files {
+			if !reflect.DeepEqual(af.Obs, want[af.Path]) {
+				t.Errorf("%s: %s: cached observation differs from a fresh one:\nwant %+v\ngot  %+v",
+					leg.name, af.Path, want[af.Path], af.Obs)
+			}
+		}
 	}
 }

@@ -1,10 +1,10 @@
 package refsim
 
 import (
-	"runtime"
-	"sync"
+	"context"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/semantics"
 )
 
@@ -30,7 +30,10 @@ func ReplayAll(jobs []Job, workers int) []Verdict {
 func ReplayAllSpan(jobs []Job, workers int, parent *obs.Span) []Verdict {
 	sp := parent.Child("refsim").Int("jobs", len(jobs))
 	defer sp.End()
-	out := replayAll(jobs, workers)
+	out := make([]Verdict, len(jobs))
+	par.ForEach(context.Background(), workers, len(jobs), func(i int) {
+		out[i] = Replay(jobs[i].Witness, jobs[i].Claim)
+	})
 	if reg := sp.Reg(); reg != nil {
 		confirmed := int64(0)
 		for _, v := range out {
@@ -40,36 +43,6 @@ func ReplayAllSpan(jobs []Job, workers int, parent *obs.Span) []Verdict {
 		}
 		reg.Add("refsim.replays", int64(len(jobs)))
 		reg.Add("refsim.confirmed", confirmed)
-	}
-	return out
-}
-
-func replayAll(jobs []Job, workers int) []Verdict {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([]Verdict, len(jobs))
-	if workers > 1 && len(jobs) > 1 {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					out[i] = Replay(jobs[i].Witness, jobs[i].Claim)
-				}
-			}()
-		}
-		for i := range jobs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	} else {
-		for i := range jobs {
-			out[i] = Replay(jobs[i].Witness, jobs[i].Claim)
-		}
 	}
 	return out
 }
