@@ -10,8 +10,10 @@
 //
 // With no DIR arguments, -demo is implied. Workers are spawned by
 // re-executing this binary with -worker. With -cache, every worker opens the
-// shared tiered cache and serves per-file front-end entries from it, so a
-// second manager run over the same tree skips preprocessing shard by shard.
+// shared tiered cache and serves per-file front-end, facts and report
+// entries from it, so a second manager run over the same tree skips
+// preprocessing and checking file by file. -v prints the worker and cache
+// lines plus the run's phase and counter summary.
 package main
 
 import (
@@ -35,9 +37,9 @@ func main() {
 	var opts cliopts.Opts
 	opts.Register(flag.CommandLine, cliopts.Demo|cliopts.Render|cliopts.Workers|cliopts.Checkers|cliopts.Cache|cliopts.Verbose)
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "number of worker processes; output is identical at any setting")
-	killAfter := flag.Int("kill-worker-after", 0, "fault injection: make the first worker crash after receiving its Nth shard (output must be unchanged)")
+	killAfter := flag.Int("kill-worker-after", 0, "fault injection: make the first worker crash after receiving its Nth work frame — its round-1 shards, then the round-2 request (output must be unchanged)")
 	workerMode := flag.Bool("worker", false, "run as an analysis worker on stdin/stdout")
-	workerExitAfter := flag.Int("worker-exit-after", 0, "with -worker: crash after receiving the Nth shard")
+	workerExitAfter := flag.Int("worker-exit-after", 0, "with -worker: crash after receiving the Nth work frame (round-1 shards, then the round-2 request)")
 	flag.Parse()
 
 	if *workerMode {
@@ -70,7 +72,6 @@ func main() {
 	cfg := manager.Config{
 		Procs:     *shards,
 		WorkerCmd: []string{bin, "-worker"},
-		Workers:   opts.Workers,
 		CacheDir:  opts.CacheDir,
 		CacheMem:  opts.CacheMem,
 		Options:   core.Options{Workers: opts.Workers, Checkers: selected},
@@ -93,7 +94,6 @@ func main() {
 	start := time.Now()
 	run, err := manager.Run(ctx, cfg, sources, headers)
 	elapsed := time.Since(start)
-	tr.Done()
 	if err != nil {
 		switch {
 		case errors.Is(err, core.ErrUnknownPattern):
@@ -120,8 +120,12 @@ func main() {
 		if opts.CacheDir != "" {
 			fmt.Fprintf(os.Stderr, "refcheck-manager: front-end cache: %d hits, %d misses across workers\n",
 				stats.Counters["manager.frontend.hit"], stats.Counters["manager.frontend.miss"])
+			fmt.Fprintf(os.Stderr, "refcheck-manager: facts: %d hits, %d misses; reports: %d hits, %d misses across workers\n",
+				stats.Counters["manager.facts.hit"], stats.Counters["manager.facts.miss"],
+				stats.Counters["manager.reports.hit"], stats.Counters["manager.reports.miss"])
 		}
 	}
+	opts.Export("refcheck-manager", tr)
 
 	if _, err := render.Output(os.Stdout, run.Reports, run.Summary, opts.Pattern, opts.JSON); err != nil {
 		fmt.Fprintf(os.Stderr, "refcheck-manager: %v\n", err)

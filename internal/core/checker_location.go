@@ -172,32 +172,71 @@ var namePairSuffixes = [][2]string{
 	{"_connect", "_shutdown"},
 }
 
-// CheckUnit inspects callback bindings and name-paired functions.
-func (c *InterPairedChecker) CheckUnit(uf *facts.UnitFacts) []Report {
-	u := uf.Unit
-	var out []Report
-	seen := map[dedupKey]bool{}
-	for _, cb := range u.CallbackBindings() {
-		if cb.Acquire == nil {
+// interPair is one acquire→release pairing P6 checks: a callback binding
+// or a name convention. rel is "" when a binding leaves the release field
+// unbound.
+type interPair struct {
+	acq, rel, desc string
+}
+
+// interPairs lists the pairings the exchange implies: callback bindings
+// (globals in name order), then name-paired functions (prototypes
+// included) in name order.
+func interPairs(db *apidb.DB, d *cpg.Decls) []interPair {
+	var out []interPair
+	for _, cb := range d.CallbackBindings(db) {
+		if cb.Acquire == "" {
 			continue
 		}
-		out = append(out, c.checkPair(uf, cb.Acquire, cb.Release,
-			fmt.Sprintf("%s.%s/%s", cb.Pair.Struct, cb.Pair.Acquire, cb.Pair.Release), seen)...)
+		out = append(out, interPair{cb.Acquire, cb.Release,
+			fmt.Sprintf("%s.%s/%s", cb.Pair.Struct, cb.Pair.Acquire, cb.Pair.Release)})
 	}
-	// Name-paired conventions.
-	for _, name := range u.FunctionNames() {
+	// Name pairs in name order; only names with an acquire suffix can
+	// start one, so only those are sorted.
+	var acquirers []string
+	for name := range d.Funcs {
+		for _, sfx := range namePairSuffixes {
+			if strings.HasSuffix(name, sfx[0]) {
+				acquirers = append(acquirers, name)
+				break
+			}
+		}
+	}
+	sort.Strings(acquirers)
+	for _, name := range acquirers {
 		for _, sfx := range namePairSuffixes {
 			if !strings.HasSuffix(name, sfx[0]) {
 				continue
 			}
-			base := strings.TrimSuffix(name, sfx[0])
-			rel := u.Functions[base+sfx[1]]
-			if rel == nil {
-				continue // no release counterpart defined here: skip (cross-TU)
+			rel := strings.TrimSuffix(name, sfx[0]) + sfx[1]
+			if _, ok := d.Funcs[rel]; !ok {
+				continue // no release counterpart declared: skip (cross-TU)
 			}
-			out = append(out, c.checkPair(uf, u.Functions[name], rel,
-				name+"/"+rel.Def.Name, seen)...)
+			out = append(out, interPair{name, rel, name + "/" + rel})
 		}
+	}
+	return out
+}
+
+// Inputs names every function bound by a callback initializer or paired by
+// name — the functions whose facts CheckUnit may read.
+func (*InterPairedChecker) Inputs(db *apidb.DB, d *cpg.Decls) []string {
+	var names []string
+	for _, p := range interPairs(db, d) {
+		names = append(names, p.acq)
+		if p.rel != "" {
+			names = append(names, p.rel)
+		}
+	}
+	return names
+}
+
+// CheckUnit inspects callback bindings and name-paired functions.
+func (c *InterPairedChecker) CheckUnit(v *UnitView) []Report {
+	var out []Report
+	seen := map[dedupKey]bool{}
+	for _, p := range interPairs(v.DB, v.Decls) {
+		out = append(out, c.checkPair(v, p, seen)...)
 	}
 	return out
 }
@@ -205,13 +244,13 @@ func (c *InterPairedChecker) CheckUnit(uf *facts.UnitFacts) []Report {
 // checkPair reports acquire-side increments kept past acquire with no
 // family-matching decrement in release. Smartloop iteration increments are
 // emitted as tagged candidates (P3 owns them) rather than skipped inline.
-func (*InterPairedChecker) checkPair(uf *facts.UnitFacts, acq, rel *cpg.Function, pairDesc string, seen map[dedupKey]bool) []Report {
-	ffAcq := uf.Function(acq.Def.Name)
-	if ffAcq == nil {
+func (*InterPairedChecker) checkPair(v *UnitView, p interPair, seen map[dedupKey]bool) []Report {
+	acq := v.Facts(p.acq)
+	if acq == nil {
 		return nil // prototype: no body to analyze
 	}
 	// Collect unbalanced increments in acquire (whole-function view).
-	all := ffAcq.All()
+	all := acq.All
 	type keptInc struct {
 		ev  semantics.Event
 		why DeferralReason
@@ -222,7 +261,7 @@ func (*InterPairedChecker) checkPair(uf *facts.UnitFacts, acq, rel *cpg.Function
 			continue
 		}
 		var why DeferralReason
-		if uf.SmartLoop(ev) {
+		if v.SmartLoop(ev) {
 			why = DeferSmartLoop
 		}
 		balanced := false
@@ -238,7 +277,7 @@ func (*InterPairedChecker) checkPair(uf *facts.UnitFacts, acq, rel *cpg.Function
 	var out []Report
 	for _, ki := range kept {
 		ev := ki.ev
-		if releaseHasFamilyDec(uf, rel, ev) {
+		if releaseHasFamilyDec(v, p.rel, ev) {
 			continue
 		}
 		key := dk(ev.Pos, ev.Obj, string(ki.why))
@@ -247,8 +286,8 @@ func (*InterPairedChecker) checkPair(uf *facts.UnitFacts, acq, rel *cpg.Function
 		}
 		seen[key] = true
 		relName := "<missing>"
-		if rel != nil {
-			relName = rel.Def.Name
+		if p.rel != "" {
+			relName = p.rel
 		}
 		pair := "the paired put"
 		if ev.Info.Pair != "" {
@@ -256,9 +295,9 @@ func (*InterPairedChecker) checkPair(uf *facts.UnitFacts, acq, rel *cpg.Function
 		}
 		out = append(out, Report{
 			Pattern: P6, Impact: Leak,
-			Function: acq.Def.Name, File: acq.File, Pos: ev.Pos,
+			Function: p.acq, File: v.Decls.Funcs[p.acq].File, Pos: ev.Pos,
 			Object: ev.Obj, API: ev.API,
-			Message:    fmt.Sprintf("%s keeps a reference (%s) but the paired callback %s (%s) never puts it", acq.Def.Name, ev.API, relName, pairDesc),
+			Message:    fmt.Sprintf("%s keeps a reference (%s) but the paired callback %s (%s) never puts it", p.acq, ev.API, relName, p.desc),
 			Suggestion: fmt.Sprintf("call %s in %s", pair, relName),
 			Witness:    all,
 			Deferred:   ki.why,
@@ -267,17 +306,19 @@ func (*InterPairedChecker) checkPair(uf *facts.UnitFacts, acq, rel *cpg.Function
 	return out
 }
 
-// releaseHasFamilyDec reports whether rel calls the decrement family that
-// balances inc (the pair API, or any dec on the same counted struct).
-func releaseHasFamilyDec(uf *facts.UnitFacts, rel *cpg.Function, inc semantics.Event) bool {
-	if rel == nil {
+// releaseHasFamilyDec reports whether the release function calls the
+// decrement family that balances inc (the pair API, or any dec on the same
+// counted struct).
+func releaseHasFamilyDec(v *UnitView, rel string, inc semantics.Event) bool {
+	if rel == "" {
 		return false
 	}
-	ffRel := uf.Function(rel.Def.Name)
-	if ffRel == nil {
+	d := v.Facts(rel)
+	if d == nil {
 		return false
 	}
-	for _, ev := range ffRel.Decs() {
+	for _, di := range d.DecIdx {
+		ev := d.All[di]
 		if inc.Info.Pair != "" && ev.API == inc.Info.Pair {
 			return true
 		}
@@ -376,9 +417,9 @@ func putExprFor(u *cpg.Unit, types map[string]castType, name string) string {
 			return fmt.Sprintf("%s(%s)", a.Name, name)
 		}
 	}
-	if sd := u.Structs[s]; sd != nil {
+	if sd := u.Decls.Structs[s]; sd != nil {
 		for _, f := range sd.Fields {
-			switch f.Type.StructName() {
+			switch f.Struct {
 			case "kref":
 				return fmt.Sprintf("kref_put(&%s->%s)", name, f.Name)
 			case "kobject":

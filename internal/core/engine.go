@@ -28,9 +28,28 @@ type Checker interface {
 	Check(ff *facts.FunctionFacts) []Report
 }
 
-// UnitChecker is implemented by checkers that need whole-unit context.
+// UnitChecker is implemented by checkers that need whole-unit context. It
+// declares its read set: Inputs names, from the exchange alone, the
+// functions whose facts CheckUnit may read, so a process that holds only
+// some of the corpus's files knows which facts to hand on.
 type UnitChecker interface {
-	CheckUnit(uf *facts.UnitFacts) []Report
+	Inputs(db *apidb.DB, d *cpg.Decls) []string
+	CheckUnit(v *UnitView) []Report
+}
+
+// UnitView is what unit-scoped checkers read: the post-exchange DB, the
+// declaration table, and the facts of the functions their Inputs named
+// (Facts returns nil for a prototype or an undeclared name).
+type UnitView struct {
+	DB    *apidb.DB
+	Decls *cpg.Decls
+	Facts func(name string) *facts.Data
+}
+
+// SmartLoop reports whether the event was injected by a registered
+// smartloop macro (see facts.FunctionFacts.SmartLoop).
+func (v *UnitView) SmartLoop(ev semantics.Event) bool {
+	return ev.FromMacro != "" && v.DB.Loop(ev.FromMacro) != nil
 }
 
 // Engine runs a checker suite over units. Engines are built from the pass
@@ -67,23 +86,37 @@ func (e *Engine) CheckUnit(u *cpg.Unit) []Report {
 // deferral table, then cross-pattern rank suppression: P1 (deviation) beats
 // P5/P4 on the same (function, object), and P4 beats P5.
 func (e *Engine) CheckUnitFacts(uf *facts.UnitFacts) []Report {
-	out, _ := e.check(context.Background(), uf, nil)
-	return out
+	cells := e.checkFunctions(context.Background(), uf, nil)
+	u := uf.Unit
+	return e.finish(cells, &UnitView{DB: u.DB, Decls: u.Decls, Facts: func(name string) *facts.Data {
+		if ff := uf.Function(name); ff != nil {
+			return ff.Data
+		}
+		return nil
+	}})
 }
 
-// check is the engine proper. Its unit of work is one function's cells:
-// cells[fi][ci] holds function-scoped checker ci's raw reports (before
-// deferral, deduplication and sorting) for function fi of
+// unitInputs lists the names in the unit-scoped checkers' read sets; a name
+// may repeat.
+func (e *Engine) unitInputs(db *apidb.DB, d *cpg.Decls) []string {
+	var names []string
+	for _, c := range e.Checkers {
+		if uc, ok := c.(UnitChecker); ok {
+			names = append(names, uc.Inputs(db, d)...)
+		}
+	}
+	return names
+}
+
+// checkFunctions runs the function-scoped checkers. Its unit of work is one
+// function's cells: cells[fi][ci] holds function-scoped checker ci's raw
+// reports (before deferral, deduplication and sorting) for function fi of
 // uf.FunctionNames(). cells may arrive partly filled — by the per-file
 // report entries (see preloadFiles), whose cell contents are shared and
-// never written — and check runs the checkers only over the functions
-// whose slot is nil, filling it in place (nil cells means none is
-// filled). The unit-scoped checkers (P6), the deferral table and finalize
-// always run over the merged list. check returns the reports and the
-// filled cells; a slot still nil marks a function skipped by cancellation.
-func (e *Engine) check(ctx context.Context, uf *facts.UnitFacts, cells [][][]Report) ([]Report, [][][]Report) {
-	reg := e.Obs.Reg()
-
+// never written — and the checkers run only over the functions whose slot
+// is nil, filling it in place (nil cells means none is filled). It returns
+// the cells; a slot still nil marks a function skipped by cancellation.
+func (e *Engine) checkFunctions(ctx context.Context, uf *facts.UnitFacts, cells [][][]Report) [][][]Report {
 	// Defined functions in name order — the unit of work.
 	fns := uf.FunctionNames()
 	if cells == nil {
@@ -121,38 +154,9 @@ func (e *Engine) check(ctx context.Context, uf *facts.UnitFacts, cells [][][]Rep
 			e.Obs.Child("fn").Str("name", fns[fi]).Int("candidates", found).End()
 		}
 	}
-
-	// Unit-scoped checkers (P6) run on the coordinating goroutine before the
-	// function queue feeds; later concurrent facts access is safe because
-	// UnitFacts memoizes per function.
-	unitResults := make([][]Report, len(e.Checkers))
-	for ci, c := range e.Checkers {
-		if uc, ok := c.(UnitChecker); ok {
-			sp := e.Obs.Child("pass").Str("pattern", string(c.ID()))
-			unitResults[ci] = uc.CheckUnit(uf)
-			sp.Int("candidates", len(unitResults[ci])).End()
-		}
-	}
 	par.ForEach(ctx, e.Workers, len(todo), checkFn)
 
-	// Merge in checker-major, function-name order — exactly the order the
-	// sequential loop produced, so finalize sees an identical input stream
-	// (duplicate survival and tie-breaks match byte for byte).
-	var all []Report
-	for ci, c := range e.Checkers {
-		if _, unit := c.(UnitChecker); unit {
-			all = append(all, unitResults[ci]...)
-			continue
-		}
-		for fi := range fns {
-			if cells[fi] == nil {
-				continue
-			}
-			all = append(all, cells[fi][ci]...)
-		}
-	}
-	out := finalize(applyDeferrals(all, reg))
-	if reg != nil {
+	if reg := e.Obs.Reg(); reg != nil {
 		checked := 0
 		for _, fi := range todo {
 			if cells[fi] != nil {
@@ -160,12 +164,42 @@ func (e *Engine) check(ctx context.Context, uf *facts.UnitFacts, cells [][][]Rep
 			}
 		}
 		reg.Add("checker.functions", int64(checked))
+	}
+	return cells
+}
+
+// finish turns the whole unit's cells — aligned with the defined function
+// names in sorted order, from one process or many — into the report list:
+// it runs the unit-scoped checkers (P6) over v on the coordinating
+// goroutine, merges in checker-major, function-name order — exactly the
+// order the sequential loop produced, so finalize sees an identical input
+// stream (duplicate survival and tie-breaks match byte for byte) — then
+// applies the deferral table and finalize.
+func (e *Engine) finish(cells [][][]Report, v *UnitView) []Report {
+	reg := e.Obs.Reg()
+	var all []Report
+	for ci, c := range e.Checkers {
+		if uc, ok := c.(UnitChecker); ok {
+			sp := e.Obs.Child("pass").Str("pattern", string(c.ID()))
+			found := uc.CheckUnit(v)
+			sp.Int("candidates", len(found)).End()
+			all = append(all, found...)
+			continue
+		}
+		for _, cell := range cells {
+			if cell != nil {
+				all = append(all, cell[ci]...)
+			}
+		}
+	}
+	out := finalize(applyDeferrals(all, reg))
+	if reg != nil {
 		reg.Add("reports.total", int64(len(out)))
 		for _, r := range out {
 			reg.Add("reports."+string(r.Pattern), 1)
 		}
 	}
-	return out, cells
+	return out
 }
 
 // Options configures the one-call pipeline.

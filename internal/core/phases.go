@@ -4,22 +4,28 @@ import (
 	"context"
 	"sort"
 
+	"repro/internal/analysiscache"
 	"repro/internal/apidb"
 	"repro/internal/cpg"
 	"repro/internal/facts"
+	"repro/internal/obs"
 )
 
-// The distributed phase API: Analyze split at its natural barrier.
+// The distributed phase API: Analyze split at its natural barriers.
 //
-// The pipeline's cross-file dependencies (API discovery, the inter-paired
-// callback checker P6, the facts layer) all live *after* the per-file front
-// end, so the split is: Partition the corpus, run a DB-independent LocalPass
-// per shard in any process, Exchange the shards' discovery observations into
-// one global apidb, then run the GlobalPass (assembly + facts + checkers +
-// confirmation) against the merged view. Analyze is these phases run in
-// process over a single in-memory shard (see compute), so output is
-// byte-identical at any shard count by construction. internal/manager
-// drives the same phases across worker processes.
+// The pipeline's cross-file dependencies (API discovery, the declaration
+// table, the inter-paired callback checker P6) are small next to the
+// per-file work, so the split is two rounds around one exchange. Partition
+// the corpus; in round 1 (LocalRound) each process runs the DB-independent
+// front end over its shard and keeps the ASTs, handing on one small
+// cpg.FileRecord per file; every process runs the same exchange
+// (cpg.ExchangeRecords) over all the records; in round 2 (CheckRound) each
+// process assembles its own files against the exchange, derives their facts
+// and runs the function-scoped checkers; Finish drops every process's cells
+// into the whole unit's slots and runs P6, the deferral table and finalize.
+// Analyze is these functions run in process over a single shard (see
+// compute), so output is byte-identical at any shard count by construction.
+// internal/manager drives the same functions across worker processes.
 
 // Partition splits sources into at most `shards` deterministic, disjoint,
 // non-empty shards: sources are sorted by path and dealt round-robin, so the
@@ -45,22 +51,25 @@ func Partition(sources []cpg.Source, shards int) [][]cpg.Source {
 	return out
 }
 
-// LocalPass runs the shard-local half of the pipeline on one shard:
-// preprocess, parse, and extract discovery observations, producing a
-// serializable artifact. It is deliberately DB-independent — workers carry
-// no discovery state, so they are stateless and interchangeable (any worker
-// may process any shard, and a re-queued shard lands wherever). Only
-// req.Headers, req.Options.Workers, req.Options.Cache and req.Trace are
-// consulted; the cache serves per-file front-end entries (preprocessed
-// token streams keyed by content), which is exactly the shard-local,
-// DB-independent portion of the tiered cache.
+// LocalRound is round 1 on one shard: preprocess, parse and observe every
+// file. It is deliberately DB-independent — a process needs no discovery
+// state for it, so any shard may run in any process. The artifact stays in
+// memory with its ASTs (and an L1 front-end entry's parse memo) for round
+// 2; art.Records() is all of it the exchange needs. Only req.Headers,
+// req.Options.Workers, req.Options.Cache and req.Trace are consulted; the
+// cache serves per-file front-end entries.
+func LocalRound(ctx context.Context, req Request, shard []cpg.Source) (*cpg.ShardArtifact, error) {
+	return localPass(ctx, req, shard, false)
+}
+
+// LocalPass is LocalRound with token retention: each file's expanded token
+// stream is copied so the artifact can be serialized with
+// cpg.EncodeShardArtifact. The two-round pipeline never ships tokens; this
+// form remains for measuring the artifact wire.
 func LocalPass(ctx context.Context, req Request, shard []cpg.Source) (*cpg.ShardArtifact, error) {
 	return localPass(ctx, req, shard, true)
 }
 
-// localPass is LocalPass with the artifact's retention chosen: retain keeps
-// token streams for the wire; without it the artifact stays in memory with
-// its ASTs (Analyze's single in-process shard).
 func localPass(ctx context.Context, req Request, shard []cpg.Source, retain bool) (*cpg.ShardArtifact, error) {
 	sp := req.Trace.Root().Child("phase:local")
 	b := &cpg.Builder{Workers: req.Options.Workers, Cache: req.Options.Cache, Obs: sp}
@@ -72,36 +81,211 @@ func localPass(ctx context.Context, req Request, shard []cpg.Source, retain bool
 	return art, ctx.Err()
 }
 
-// Exchange is the manager-side barrier between the local and global halves:
-// shard artifacts are merged back into global sorted path order and their
-// discovery observations replayed into db, which afterward holds exactly the
-// entries a single-process whole-corpus scan would have built (the replay is
-// a pure function of the ordered observation sequence; see apidb.Apply). The
-// returned artifact and discovery feed GlobalPass, whose Options.DB must be
-// this same db.
+// Exchange merges shard artifacts back into global sorted path order and
+// replays their discovery observations into db: the artifact form of the
+// exchange, whose result cpg.Builder.AssembleContext consumes. The
+// two-round pipeline runs cpg.ExchangeRecords instead.
 func Exchange(db *apidb.DB, arts []*cpg.ShardArtifact) (*cpg.ShardArtifact, apidb.Discovery) {
 	merged := cpg.MergeShardArtifacts(arts...)
 	return merged, db.Apply(merged.Observations())
 }
 
-// GlobalPass runs everything after the exchange: assemble the merged
-// artifact into a unit (reparsing files that crossed a process boundary),
-// compute facts, run the checkers (including cross-file P6), and optionally
-// confirm. req.Options.DB must be the DB that Exchange populated; no cache
-// is consulted (the manager path always computes).
-func GlobalPass(ctx context.Context, req Request, merged *cpg.ShardArtifact, disc apidb.Discovery) (*Run, error) {
+// ShardResult is round 2's output for one process's files: the raw checker
+// cells (see Engine.checkFunctions) of the functions whose winning
+// definition those files hold, and the facts of those among them that the
+// unit-scoped checkers read. A worker process sends it back with Encode.
+type ShardResult struct {
+	names []string // owned defined functions, sorted
+	cells [][][]Report
+	facts map[string]*facts.Data
+
+	// uf and pending are what storeFiles needs: the shard's facts and the
+	// per-file cache entries that missed.
+	uf      *facts.UnitFacts
+	pending fileEntries
+}
+
+// Encode serializes the result: the cells in the per-file report entry's
+// codec (reports-v1, which never writes witness blocks) and the facts as a
+// facts.EncodeSnapshot snapshot.
+func (r *ShardResult) Encode() (cells, factsData []byte) {
+	ent := make(map[string][][]Report, len(r.names))
+	for i, name := range r.names {
+		ent[name] = r.cells[i]
+	}
+	return encodeReportsEntry(ent), facts.EncodeSnapshot(r.facts)
+}
+
+// DecodeShardResult parses what Encode wrote; malformed input returns
+// bincodec.ErrCorrupt.
+func DecodeShardResult(cells, factsData []byte) (*ShardResult, error) {
+	v, err := decodeReportsValue(cells)
+	if err != nil {
+		return nil, err
+	}
+	snap, err := facts.DecodeSnapshot(factsData)
+	if err != nil {
+		return nil, err
+	}
+	ent := v.(map[string][][]Report)
+	r := &ShardResult{facts: snap, names: make([]string, 0, len(ent))}
+	for name := range ent {
+		r.names = append(r.names, name)
+	}
+	sort.Strings(r.names)
+	r.cells = make([][][]Report, len(r.names))
+	for i, name := range r.names {
+		r.cells[i] = ent[name]
+	}
+	return r, nil
+}
+
+// CheckRound is round 2 over one process's files: assemble art (a
+// LocalRound artifact, or several merged) against the exchange x —
+// req.Options.DB must be the DB x's discovery was applied to — then derive
+// facts and run the function-scoped checkers, consulting and storing the
+// per-file facts and report entries when req.Options.Cache is set.
+func CheckRound(ctx context.Context, req Request, x *cpg.Exchange, art *cpg.ShardArtifact) (*ShardResult, error) {
 	opt := req.Options
 	engine, err := newEngine(opt)
 	if err != nil {
 		return nil, err
 	}
-	opt.Cache = nil
-	run := &Run{Trace: req.Trace}
-	if _, err := globalPass(ctx, opt, engine, "", merged, disc, run); err != nil {
-		return run, err
+	root := req.Trace.Root()
+	u := assembleRound(opt, x, art, root)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	csp := root.Child("phase:check")
+	engine.Obs = csp
+	res, err := checkRound(ctx, opt, engine, x, u, req.Trace.Reg())
+	csp.End()
+	if err != nil || opt.Cache == nil {
+		return res, err
+	}
+	ssp := root.Child("phase:cache-store")
+	res.storeFiles(opt.Cache)
+	_ = opt.Cache.Flush()
+	ssp.End()
+	return res, nil
+}
+
+// Finish ends a run from every process's round-2 results: it drops their
+// cells into the whole unit's slots, runs the unit-scoped checkers, the
+// deferral table and finalize, summarizes from the exchange and optionally
+// confirms. req.Options.DB must hold x's discovery.
+func Finish(ctx context.Context, req Request, x *cpg.Exchange, results []*ShardResult) (*Run, error) {
+	opt := req.Options
+	engine, err := newEngine(opt)
+	if err != nil {
+		return nil, err
+	}
+	run := &Run{Trace: req.Trace, Summary: summarize(x)}
+	csp := req.Trace.Root().Child("phase:check")
+	engine.Obs = csp
+	run.Reports = finishRun(engine, opt.DB, x, results)
+	csp.End()
 	confirm(run, opt)
 	return run, ctx.Err()
+}
+
+// assembleRound assembles a round-1 artifact against the exchange under a
+// phase:assemble span.
+func assembleRound(opt Options, x *cpg.Exchange, art *cpg.ShardArtifact, root *obs.Span) *cpg.Unit {
+	sp := root.Child("phase:assemble")
+	u := (&cpg.Builder{DB: opt.DB, Workers: opt.Workers, Obs: sp}).AssembleShard(art, x)
+	sp.End()
+	return u
+}
+
+// checkRound is round 2's checking half over an assembled unit, under
+// engine.Obs: seed the facts and cells from the per-file entries when
+// opt.Cache is set, check the rest, and collect the unit-scoped checkers'
+// inputs among the unit's functions.
+func checkRound(ctx context.Context, opt Options, engine *Engine, x *cpg.Exchange, u *cpg.Unit, reg *obs.Registry) (*ShardResult, error) {
+	uf := facts.NewUnit(u)
+	res := &ShardResult{uf: uf, names: uf.FunctionNames()}
+	if opt.Cache != nil {
+		res.pending = preloadFiles(opt.Cache, opt.ConfigFP, engine, u, uf, reg)
+	}
+	res.cells = engine.checkFunctions(ctx, uf, res.pending.cells)
+	if err := ctx.Err(); err != nil {
+		// A cancelled check may have skipped functions; partial cells must
+		// never be finished or cached.
+		return res, err
+	}
+	res.facts = map[string]*facts.Data{}
+	for _, name := range engine.unitInputs(u.DB, x.Decls) {
+		if ff := uf.Function(name); ff != nil {
+			res.facts[name] = ff.Data
+		}
+	}
+	uf.Observe(reg)
+	return res, nil
+}
+
+// finishRun merges the results' cells into the whole unit's slot array —
+// every defined function, in name order, each owned by exactly one result —
+// and runs Engine.finish over it with the results' facts.
+func finishRun(engine *Engine, db *apidb.DB, x *cpg.Exchange, results []*ShardResult) []Report {
+	var cells [][][]Report
+	if len(results) == 1 {
+		cells = results[0].cells // one process held the whole unit
+	} else {
+		type slot struct {
+			name  string
+			cells [][]Report
+		}
+		var slots []slot
+		for _, r := range results {
+			for i, name := range r.names {
+				slots = append(slots, slot{name, r.cells[i]})
+			}
+		}
+		sort.Slice(slots, func(i, j int) bool { return slots[i].name < slots[j].name })
+		cells = make([][][]Report, len(slots))
+		for i, s := range slots {
+			cells[i] = s.cells
+		}
+	}
+	lookup := func(name string) *facts.Data {
+		for _, r := range results {
+			if d := r.facts[name]; d != nil {
+				return d
+			}
+		}
+		return nil
+	}
+	return engine.finish(cells, &UnitView{DB: db, Decls: x.Decls, Facts: lookup})
+}
+
+// storeFiles stores every per-file facts and report entry that missed. A
+// write failure only costs the next run a recompute.
+func (r *ShardResult) storeFiles(cache *analysiscache.Cache) {
+	for _, m := range r.pending.facts {
+		// SnapshotOf forces any still-uncomputed functions (a subset run
+		// with only unit-scoped checkers may not have touched them all) so
+		// every stored entry covers its whole file.
+		snap := r.uf.SnapshotOf(m.names)
+		_ = cache.PutValue(m.key, snap, facts.EncodeSnapshot(snap))
+	}
+	for _, m := range r.pending.reports {
+		rep := make(map[string][][]Report, len(m.names))
+		for _, name := range m.names {
+			rep[name] = stripCells(r.cells[sort.SearchStrings(r.names, name)])
+		}
+		_ = cache.PutValue(m.key, rep, encodeReportsEntry(rep))
+	}
+}
+
+// stripCells copies one function's cells with witness blocks stripped (see
+// stripWitnessBlocks).
+func stripCells(fc [][]Report) [][]Report {
+	out := make([][]Report, len(fc))
+	for ci, cell := range fc {
+		out[ci] = stripWitnessBlocks(cell)
+	}
+	return out
 }
 
 // newEngine builds the checker engine for the options' checker selection
@@ -113,78 +297,4 @@ func newEngine(opt Options) (*Engine, error) {
 	}
 	engine.Workers = opt.Workers
 	return engine, nil
-}
-
-// globalPass is the post-exchange pipeline, written once for Analyze and
-// GlobalPass: assemble (opt.DB must hold the exchange), consult the per-file
-// facts and report entries when opt.Cache is set, check, and — with a
-// cache — store the unit entry under key plus every per-file entry that
-// missed. It fills run in place, so a cancelled call still leaves the
-// partial Run visible, and returns the stored unit entry (nil without a
-// cache). Confirmation is the caller's job: the entry must stay
-// confirmation-agnostic.
-func globalPass(ctx context.Context, opt Options, engine *Engine, key string, merged *cpg.ShardArtifact, disc apidb.Discovery, run *Run) (*unitEntry, error) {
-	root := run.Trace.Root()
-	reg := run.Trace.Reg()
-	cache := opt.Cache
-
-	asp := root.Child("phase:assemble")
-	u := (&cpg.Builder{DB: opt.DB, Workers: opt.Workers, Obs: asp}).AssembleContext(ctx, merged, &disc)
-	asp.End()
-	run.Unit = u
-	run.Summary = summarize(u)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	uf := facts.NewUnit(u)
-	var pre fileEntries
-	if cache != nil {
-		pre = preloadFiles(cache, opt.ConfigFP, engine, u, uf, reg)
-	}
-	csp := root.Child("phase:check")
-	engine.Obs = csp
-	run.Reports, pre.cells = engine.check(ctx, uf, pre.cells)
-	csp.End()
-	uf.Observe(reg)
-	if err := ctx.Err(); err != nil {
-		// A cancelled check may have skipped functions; the partial report
-		// list must never be cached under the full corpus key.
-		return nil, err
-	}
-	if cache == nil {
-		return nil, nil
-	}
-
-	ssp := root.Child("phase:cache-store")
-	// Store before confirmation so the entry is confirmation-agnostic; a
-	// write failure only costs the next run a recompute. PutValue lands the
-	// decoded entry in L1 and queues the bytes for the disk tier's batch;
-	// the explicit Flush makes this run's entries durable and visible to
-	// other processes without waiting for thresholds.
-	ent := &unitEntry{Summary: run.Summary, Reports: stripWitnessBlocks(run.Reports)}
-	_ = cache.PutValue(key, ent, encodeUnitEntry(ent))
-	for _, m := range pre.facts {
-		// SnapshotOf forces any still-uncomputed functions (a subset run
-		// with only unit-scoped checkers may not have touched them all) so
-		// every stored entry covers its whole file.
-		snap := uf.SnapshotOf(m.names)
-		_ = cache.PutValue(m.key, snap, facts.EncodeSnapshot(snap))
-	}
-	fns := uf.FunctionNames()
-	for _, m := range pre.reports {
-		rep := make(map[string][][]Report, len(m.names))
-		for _, name := range m.names {
-			fc := pre.cells[sort.SearchStrings(fns, name)]
-			stripped := make([][]Report, len(fc))
-			for ci, cell := range fc {
-				stripped[ci] = stripWitnessBlocks(cell)
-			}
-			rep[name] = stripped
-		}
-		_ = cache.PutValue(m.key, rep, encodeReportsEntry(rep))
-	}
-	_ = cache.Flush()
-	ssp.End()
-	return ent, nil
 }

@@ -50,36 +50,55 @@ func phasesCorpus() ([]cpg.Source, map[string]string) {
 	return srcs, c.Headers
 }
 
-// runPhased drives the four-phase pipeline in-process at a given shard count,
-// exactly as the multi-process manager does (minus the wire, which
-// cpg's codec tests pin separately), recording into tr (nil disables).
+// runPhased drives the two-round pipeline in-process at a given shard
+// count, exactly as the multi-process manager does: a local round per
+// shard, one exchange over every shard's records, a check round per shard
+// whose result crosses the result codec, and the finish — recording into
+// tr (nil disables). The returned Run's Unit holds the shards' errors.
 func runPhased(t *testing.T, srcs []cpg.Source, headers map[string]string, shards int, opt Options, tr *obs.Trace) *Run {
 	t.Helper()
 	ctx := context.Background()
-	db := apidb.New()
-	opt.DB = db
+	opt.DB = apidb.New()
 	req := Request{Sources: srcs, Headers: headers, Options: opt, Trace: tr}
 
 	var arts []*cpg.ShardArtifact
+	var recs []cpg.FileRecord
 	for _, shard := range Partition(srcs, shards) {
-		art, err := LocalPass(ctx, req, shard)
+		art, err := LocalRound(ctx, req, shard)
 		if err != nil {
-			t.Fatalf("shards=%d: LocalPass: %v", shards, err)
+			t.Fatalf("shards=%d: LocalRound: %v", shards, err)
 		}
 		arts = append(arts, art)
+		recs = append(recs, art.Records()...)
 	}
 	sp := tr.Root().Child("phase:exchange")
-	merged, disc := Exchange(db, arts)
+	x := cpg.ExchangeRecords(opt.DB, recs)
 	sp.End()
-	run, err := GlobalPass(ctx, req, merged, disc)
-	if err != nil {
-		t.Fatalf("shards=%d: GlobalPass: %v", shards, err)
+	var results []*ShardResult
+	unit := &cpg.Unit{}
+	for _, art := range arts {
+		res, err := CheckRound(ctx, req, x, art)
+		if err != nil {
+			t.Fatalf("shards=%d: CheckRound: %v", shards, err)
+		}
+		unit.Errors = append(unit.Errors, (&cpg.Builder{DB: opt.DB}).AssembleShard(art, x).Errors...)
+		dec, err := DecodeShardResult(res.Encode())
+		if err != nil {
+			t.Fatalf("shards=%d: result round trip: %v", shards, err)
+		}
+		results = append(results, dec)
 	}
+	run, err := Finish(ctx, req, x, results)
+	if err != nil {
+		t.Fatalf("shards=%d: Finish: %v", shards, err)
+	}
+	run.Unit = unit
 	return run
 }
 
 // TestPhasedPipelineMatchesAnalyze is the core-layer determinism pin:
-// Partition → LocalPass per shard → Exchange → GlobalPass must reproduce
+// Partition → LocalRound per shard → exchange → CheckRound per shard →
+// Finish must reproduce
 // Analyze's reports and summary exactly at every shard count, including
 // shard counts exceeding the file count.
 func TestPhasedPipelineMatchesAnalyze(t *testing.T) {

@@ -147,24 +147,25 @@ func reportsCacheKey(configFP, envFP, sourceFP, checkEnv, checkersFP string) str
 func checkEnvFP(u *cpg.Unit) string {
 	loops := u.DB.Loops()
 	refStructs := u.DB.RefStructs()
-	parts := make([]string, 0, 3+5*len(loops)+len(refStructs)+2*len(u.Structs))
+	structs := u.Decls.Structs
+	parts := make([]string, 0, 3+5*len(loops)+len(refStructs)+2*len(structs))
 	parts = append(parts, strconv.Itoa(len(loops)))
 	for _, l := range loops {
 		parts = append(parts, l.Name, strconv.Itoa(l.IterArg), l.PutAPI, l.EmbeddedAPI, strconv.FormatBool(l.Discovered))
 	}
 	parts = append(parts, strconv.Itoa(len(refStructs)))
 	parts = append(parts, refStructs...)
-	names := make([]string, 0, len(u.Structs))
-	for name := range u.Structs {
+	names := make([]string, 0, len(structs))
+	for name := range structs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	parts = append(parts, strconv.Itoa(len(names)))
 	for _, name := range names {
-		fields := u.Structs[name].Fields
+		fields := structs[name].Fields
 		parts = append(parts, name, strconv.Itoa(len(fields)))
 		for _, f := range fields {
-			parts = append(parts, f.Name, f.Type.StructName())
+			parts = append(parts, f.Name, f.Struct)
 		}
 	}
 	return analysiscache.KeyOf(parts...)
@@ -177,10 +178,10 @@ type fileEntry struct {
 	names []string
 }
 
-// fileEntries is what the per-file cache entries give one globalPass: the
+// fileEntries is what the per-file cache entries give one round 2: the
 // facts and report entries that missed (stored after checking) and the
 // report hits' cells, aligned with UnitFacts.FunctionNames (nil for
-// functions still to check; Engine.check fills those in).
+// functions still to check; Engine.checkFunctions fills those in).
 type fileEntries struct {
 	facts, reports []fileEntry
 	cells          [][][]Report
@@ -268,14 +269,16 @@ func admit(ctx context.Context, opt Options) (func(), error) {
 	return opt.Admit.Acquire(ctx)
 }
 
-func summarize(u *cpg.Unit) UnitSummary {
+// summarize reads the run's counts from the exchange: every file, every
+// declared function (prototypes included), and the discovery result.
+func summarize(x *cpg.Exchange) UnitSummary {
 	return UnitSummary{
-		Files:                len(u.Files),
-		Functions:            len(u.Functions),
-		DiscoveredStructs:    len(u.DiscoveredStructs),
-		DiscoveredAPIs:       len(u.DiscoveredAPIs),
-		DiscoveredLoops:      len(u.DiscoveredLoops),
-		DiscoveredDeviations: len(u.DiscoveredDeviations),
+		Files:                x.Files,
+		Functions:            len(x.Decls.Funcs),
+		DiscoveredStructs:    len(x.Disc.Structs),
+		DiscoveredAPIs:       len(x.Disc.APIs),
+		DiscoveredLoops:      len(x.Disc.Loops),
+		DiscoveredDeviations: len(x.Disc.Deviations),
 	}
 }
 
@@ -337,12 +340,16 @@ func confirm(run *Run, opt Options) {
 }
 
 // compute is Analyze's pipeline, shared by the uncached path and the
-// single-flight leader: the phase API run in process. One local pass covers
-// every source and stays in memory — files keep their ASTs (and their L1
-// parse memos), so nothing is encoded or reparsed — then Exchange replays
-// its observations into the DB and globalPass does the rest. req.Options
-// carries the (registry-bound) cache, or nil. Confirmation is the caller's
-// job — a stored entry must stay confirmation-agnostic.
+// single-flight leader: the two rounds run in process over one shard. The
+// local round covers every source and stays in memory — files keep their
+// ASTs (and their L1 parse memos), so nothing is encoded or reparsed — then
+// the exchange runs over its records, round 2 checks the whole unit, and
+// finishRun turns its cells into the report list. req.Options carries the
+// (registry-bound) cache, or nil; with a cache, the unit entry is stored
+// under key along with every per-file entry that missed. It fills run in
+// place, so a cancelled call still leaves the partial Run visible, and
+// returns the stored unit entry (nil without a cache). Confirmation is the
+// caller's job — a stored entry must stay confirmation-agnostic.
 func compute(ctx context.Context, req Request, engine *Engine, key string, run *Run) (*unitEntry, error) {
 	art, err := localPass(ctx, req, req.Sources, false)
 	if err != nil {
@@ -352,19 +359,47 @@ func compute(ctx context.Context, req Request, engine *Engine, key string, run *
 	if opt.DB == nil {
 		opt.DB = apidb.New()
 	}
-	sp := run.Trace.Root().Child("phase:exchange")
-	merged, disc := Exchange(opt.DB, []*cpg.ShardArtifact{art})
+	root := run.Trace.Root()
+	sp := root.Child("phase:exchange")
+	x := cpg.ExchangeRecords(opt.DB, art.Records())
 	sp.End()
-	return globalPass(ctx, opt, engine, key, merged, disc, run)
+	run.Summary = summarize(x)
+	run.Unit = assembleRound(opt, x, art, root)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	csp := root.Child("phase:check")
+	engine.Obs = csp
+	res, err := checkRound(ctx, opt, engine, x, run.Unit, run.Trace.Reg())
+	if err == nil {
+		run.Reports = finishRun(engine, opt.DB, x, []*ShardResult{res})
+	}
+	csp.End()
+	if err != nil || opt.Cache == nil {
+		return nil, err
+	}
+
+	ssp := root.Child("phase:cache-store")
+	// Store before confirmation so the entry is confirmation-agnostic. PutValue
+	// lands the decoded entry in L1 and queues the bytes for the disk tier's
+	// batch; the explicit Flush makes this run's entries durable and visible
+	// to other processes without waiting for thresholds.
+	ent := &unitEntry{Summary: run.Summary, Reports: stripWitnessBlocks(run.Reports)}
+	_ = opt.Cache.PutValue(key, ent, encodeUnitEntry(ent))
+	res.storeFiles(opt.Cache)
+	_ = opt.Cache.Flush()
+	ssp.End()
+	return ent, nil
 }
 
 // Analyze is the pipeline entry point: it builds a unit from the request's
 // sources, checks it, and optionally confirms the reports, honoring ctx at
 // every phase and work-queue boundary.
 //
-// The computation is the phase API run in process (see compute): one
-// LocalPass over every source, Exchange, then GlobalPass's post-exchange
-// steps — the same functions internal/manager drives across processes.
+// The computation is the phase API run in process (see compute): one local
+// round over every source, the exchange, round 2 and the finish — the same
+// functions internal/manager drives across processes.
 //
 // With no cache in the options it runs that pipeline. With a cache set
 // it first consults the tiered unit-level report cache — the in-memory L1

@@ -31,8 +31,9 @@ type ArtFile struct {
 	// never reparses. After decode, file is nil and errs holds only the
 	// reconstituted preprocessor errors; hydrate reparses and appends the
 	// parse errors, restoring the error order of an in-process build.
-	file *cast.File
-	errs []error
+	file  *cast.File
+	decls FileDecls // the file's declaration record, derived with file
+	errs  []error
 	// cppN is how many leading errs entries are preprocessor errors — the
 	// serialization split point.
 	cppN int
@@ -108,7 +109,7 @@ func (a *ShardArtifact) hydrate(ctx context.Context, parent *obs.Span, workers i
 	par.ForEach(ctx, workers, len(toParse), func(i int) {
 		af := toParse[i]
 		file, perrs := cparse.ParseFileArena(af.Path, af.Tokens, stats)
-		af.file = file
+		af.file, af.decls = file, fileDecls(file)
 		af.errs = append(af.errs, perrs...)
 		af.Tokens = nil
 	})

@@ -146,11 +146,11 @@ func unitFingerprint(u *Unit) string {
 		fmt.Fprintf(&b, "fn %s file=%s defined=%v events=%v\n",
 			name, fn.File, fn.Graph != nil, fn.Events != nil)
 	}
-	fmt.Fprintf(&b, "structs=%d globals=%d\n", len(u.Structs), len(u.Globals))
+	fmt.Fprintf(&b, "structs=%d globals=%d\n", len(u.Decls.Structs), len(u.Decls.Globals))
 	fmt.Fprintf(&b, "disc=%v/%v/%v/%v\n", u.DiscoveredStructs,
 		u.DiscoveredAPIs, u.DiscoveredLoops, u.DiscoveredDeviations)
-	for _, cb := range u.CallbackBindings() {
-		fmt.Fprintf(&b, "cb %s %v %v\n", cb.Pair.Struct, cb.Acquire != nil, cb.Release != nil)
+	for _, cb := range u.Decls.CallbackBindings(u.DB) {
+		fmt.Fprintf(&b, "cb %s %q %q\n", cb.Pair.Struct, cb.Acquire, cb.Release)
 	}
 	return b.String()
 }

@@ -2,11 +2,11 @@
 // paper's "Graph Generation" stage (§6.1, built there with JOERN).
 //
 // A Unit combines, for a set of C sources, the ASTs, per-function CFGs,
-// semantic event streams and struct/global tables — everything the nine
-// checkers query. The checkers see macros only through token provenance
-// (clex.Token.Origin); the preprocessor's macro table ends at each file's
-// discovery observation (apidb.ObserveFile), which is all the smartloop
-// stage reads. Building a Unit also runs the "Lexer Parsing" stage:
+// semantic event streams and the corpus's declaration table (Decls) —
+// everything the nine checkers query. The checkers see macros only through
+// token provenance (clex.Token.Origin); the preprocessor's macro table ends
+// at each file's discovery observation (apidb.ObserveFile), which is all the
+// smartloop stage reads. Building a Unit also runs the "Lexer Parsing" stage:
 // refcounted-structure discovery, refcounting-API wrapper discovery, and
 // smartloop discovery extend the API knowledge base before events are
 // extracted.
@@ -67,24 +67,16 @@ func (fn *Function) Analyze() {
 	})
 }
 
-// CallbackBinding records a designated-initializer binding like
-// `.probe = foo_probe` inside a driver-ops structure (P6 input).
-type CallbackBinding struct {
-	Pair    apidb.CallbackPair
-	Var     *cast.VarDecl
-	Acquire *Function // may be nil when the bound name is not defined here
-	Release *Function
-	File    string
-}
-
 // Unit is the code property graph of a source tree.
 type Unit struct {
 	DB        *apidb.DB
 	Files     []*cast.File
 	Functions map[string]*Function
-	Structs   map[string]*cast.StructDecl
-	Globals   map[string]*cast.VarDecl
-	Errors    []error
+	// Decls is the exchange's declaration table: every function, struct
+	// and global of the corpus, including those declared in files this
+	// unit does not hold.
+	Decls  *Decls
+	Errors []error
 
 	// Discovered names from the lexer-parsing stage (reported by tools).
 	DiscoveredStructs    []string
@@ -150,10 +142,11 @@ type Builder struct {
 // preprocessing, and reparsing cached tokens yields an identical AST
 // without an AST codec.
 //
-// An entry held by the cache's L1 also carries memo, the file's parse,
-// filled once by the first build that reaches the entry and reused by every
-// later build in the process — so an edit loop parses only the files it
-// changed. The memo stays in memory only. Once it is set the parse replaces
+// An entry held by the cache's L1 also carries memo, the file's parse (and
+// the declaration record derived from it), filled once by the first build
+// that reaches the entry and reused by every later build in the process —
+// so an edit loop parses only the files it changed. The memo stays in
+// memory only. Once it is set the parse replaces
 // the token stream (Tokens is nil from then on, so the tier does not hold
 // both), and the entry's L1 charge grows from its encoded size by the
 // parse's arena bytes.
@@ -172,6 +165,7 @@ type frontMemo struct {
 	once   sync.Once
 	file   *cast.File
 	perrs  []error
+	decls  FileDecls
 	charge int64 // the entry's L1 charge: its encoded size, plus the parse once set
 }
 
@@ -348,7 +342,7 @@ func (fe *frontEnd) parseOne(src Source) *ArtFile {
 	// and the pooled token buffer never escapes into the shared entry.
 	ent.Tokens = nil
 	m := &frontMemo{charge: int64(len(enc)) + parseBytes}
-	m.once.Do(func() { m.file, m.perrs = af.file, af.errs[af.cppN:] })
+	m.once.Do(func() { m.file, m.perrs, m.decls = af.file, af.errs[af.cppN:], af.decls })
 	ent.memo = m
 	_ = fe.cache.PutValue(key, ent, enc)
 	fe.cache.Recharge(key, ent, m.charge)
@@ -362,7 +356,7 @@ func (fe *frontEnd) parse(path string, toks []clex.Token, cppErrs []error, fp st
 	errs := make([]error, 0, len(cppErrs)+len(perrs))
 	errs = append(errs, cppErrs...)
 	errs = append(errs, perrs...)
-	return &ArtFile{Path: path, Tokens: fe.retainToks(toks), file: file, errs: errs,
+	return &ArtFile{Path: path, Tokens: fe.retainToks(toks), file: file, decls: fileDecls(file), errs: errs,
 		cppN: len(cppErrs), fp: fp}, n
 }
 
@@ -393,6 +387,7 @@ func (fe *frontEnd) reuse(key, path string, ent *frontEntry) *ArtFile {
 		reused = false
 		var parseBytes int64
 		m.file, m.perrs, parseBytes = fe.parseTokens(path, ent.Tokens)
+		m.decls = fileDecls(m.file)
 		m.charge += parseBytes
 		ent.Tokens = nil
 		fe.cache.Recharge(key, ent, m.charge)
@@ -400,7 +395,7 @@ func (fe *frontEnd) reuse(key, path string, ent *frontEntry) *ArtFile {
 	if reused {
 		fe.reg.Add("frontend.parse.reused", 1)
 	}
-	return &ArtFile{Path: path, Obs: ent.Obs, file: m.file,
+	return &ArtFile{Path: path, Obs: ent.Obs, file: m.file, decls: m.decls,
 		errs: append(cppErrors(ent.CppErrors), m.perrs...), cppN: len(ent.CppErrors),
 		fp: sourceFP(key, ent.Closure)}
 }
@@ -479,12 +474,13 @@ func (b *Builder) newFrontEnd() *frontEnd {
 // With retain set, each file's expanded token stream is copied into fresh
 // storage so the artifact can outlive the build's pooled buffers and be
 // serialized (EncodeShardArtifact requires it). Without retain the artifact
-// is only usable in-process — which is how Build and core.Analyze consume
-// it: the files keep their ASTs (and an L1 front-end entry's parse memo),
-// so assembly reparses nothing and no token is copied.
+// is only usable in-process — which is how Build, core.Analyze and the
+// manager's workers consume it: the files keep their ASTs (and an L1
+// front-end entry's parse memo), so assembly reparses nothing and no token
+// is copied; Records is what leaves the process.
 //
 // The builder's DB is not consulted: a shard-local pass is DB-independent by
-// design, so stateless workers need no discovery state at all.
+// design, so a process needs no discovery state to run it.
 func (b *Builder) BuildArtifactContext(ctx context.Context, sources []Source, retain bool) *ShardArtifact {
 	fe := b.newFrontEnd()
 	fe.retain = retain
@@ -521,36 +517,50 @@ func (b *Builder) BuildArtifactContext(ctx context.Context, sources []Source, re
 }
 
 // AssembleContext runs the global half of a build over a (possibly merged,
-// possibly decoded) artifact: reparse wire-format files (see hydrate), merge
-// declarations in sorted path order, apply discovery, and prepare the
-// per-function phase.
-//
-// disc carries the result of an exchange already applied to b.DB (the path
-// core takes, where the same DB is then shared with the checker engine);
-// nil means no exchange has happened and the artifact's own observations
-// are applied here. When ctx is cancelled mid-reparse, the files left
+// possibly decoded) artifact: reparse wire-format files (see hydrate), run
+// the exchange over the artifact's own records — or, when disc carries the
+// result of a discovery replay already applied to b.DB, merge only their
+// declarations — and assemble the whole artifact against it (see
+// AssembleShard). When ctx is cancelled mid-reparse, the files left
 // unparsed are simply absent from the unit; callers that care check
 // ctx.Err() themselves.
 func (b *Builder) AssembleContext(ctx context.Context, art *ShardArtifact, disc *apidb.Discovery) *Unit {
-	db := b.DB
-	if db == nil {
-		db = apidb.New()
+	art.hydrate(ctx, b.Obs, b.Workers, &arena.Stats{})
+	db := b.db()
+	recs := art.Records()
+	var x *Exchange
+	if disc == nil {
+		x = ExchangeRecords(db, recs)
+	} else {
+		x = &Exchange{Files: len(recs), Disc: *disc, Decls: mergeDecls(recs)}
 	}
-	u := &Unit{
-		DB:        db,
-		Functions: map[string]*Function{},
-		Structs:   map[string]*cast.StructDecl{},
-		Globals:   map[string]*cast.VarDecl{},
-	}
-	stats := &arena.Stats{}
-	art.hydrate(ctx, b.Obs, b.Workers, stats)
+	return b.assemble(art, x, db)
+}
 
-	// Merge declarations and errors in sorted path order — the exact
-	// order the sequential loop used, so the unit is deterministic. A nil
-	// file marks a TU whose reparse was skipped by cancellation.
+// AssembleShard assembles one process's files against the exchange x, whose
+// discovery b.DB already holds: the unit gets x's declaration table, and its
+// Functions map holds exactly the functions whose winning declaration (see
+// Decls) lies in art's files — every function when art covers the whole
+// corpus. The artifact's files must carry their ASTs (a local, non-decoded
+// artifact).
+func (b *Builder) AssembleShard(art *ShardArtifact, x *Exchange) *Unit {
+	return b.assemble(art, x, b.db())
+}
+
+func (b *Builder) db() *apidb.DB {
+	if b.DB == nil {
+		return apidb.New()
+	}
+	return b.DB
+}
+
+// assemble merges art's files in sorted path order — errors, fingerprints,
+// and the functions x assigns to them — and prepares the per-function phase.
+func (b *Builder) assemble(art *ShardArtifact, x *Exchange, db *apidb.DB) *Unit {
+	u := &Unit{DB: db, Functions: map[string]*Function{}, Decls: x.Decls}
 	for _, af := range art.Files {
 		if af.file == nil {
-			continue
+			continue // a TU whose reparse was skipped by cancellation
 		}
 		u.Errors = append(u.Errors, af.errs...)
 		if af.fp != "" {
@@ -561,33 +571,23 @@ func (b *Builder) AssembleContext(ctx context.Context, art *ShardArtifact, disc 
 		}
 		u.Files = append(u.Files, af.file)
 		for _, d := range af.file.Decls {
-			switch x := d.(type) {
-			case *cast.FuncDef:
-				if x.Body != nil || u.Functions[x.Name] == nil {
-					u.Functions[x.Name] = &Function{Def: x, File: af.Path}
-				}
-			case *cast.StructDecl:
-				u.Structs[x.Name] = x
-			case *cast.VarDecl:
-				u.Globals[x.Name] = x
+			// Within the owning file the table's rule picks the same
+			// declaration: the last with a body, else the first prototype.
+			if fd, ok := d.(*cast.FuncDef); ok && x.Decls.Funcs[fd.Name].File == af.Path &&
+				(fd.Body != nil || u.Functions[fd.Name] == nil) {
+				u.Functions[fd.Name] = &Function{Def: fd, File: af.Path}
 			}
 		}
 	}
 
-	// Phase 2: lexer-parsing discovery (§6.1) — structures, wrapper APIs,
-	// smartloops — before event extraction so events see the full DB. The
-	// observations replay in sorted path order, reproducing exactly what a
-	// whole-corpus scan of u.Files would have registered.
-	dsp := b.Obs.Child("discovery")
-	if disc == nil {
-		d := db.Apply(art.Observations())
-		disc = &d
-	}
-	u.DiscoveredStructs = disc.Structs
-	u.DiscoveredAPIs = disc.APIs
-	u.DiscoveredLoops = disc.Loops
-	u.DiscoveredDeviations = disc.Deviations
-	dsp.Int("structs", len(u.DiscoveredStructs)).
+	// Phase 2's lexer-parsing discovery (§6.1) — structures, wrapper APIs,
+	// smartloops — ran in the exchange, before event extraction, so events
+	// see the full DB.
+	u.DiscoveredStructs = x.Disc.Structs
+	u.DiscoveredAPIs = x.Disc.APIs
+	u.DiscoveredLoops = x.Disc.Loops
+	u.DiscoveredDeviations = x.Disc.Deviations
+	b.Obs.Child("discovery").Int("structs", len(u.DiscoveredStructs)).
 		Int("apis", len(u.DiscoveredAPIs)).
 		Int("loops", len(u.DiscoveredLoops)).
 		End()
@@ -595,13 +595,12 @@ func (b *Builder) AssembleContext(ctx context.Context, art *ShardArtifact, disc 
 	// Phase 3: per-function CFGs and events run on demand (Function.Analyze
 	// — in practice when the facts layer first derives a function's facts),
 	// so a function whose facts come from a cache is never analyzed at all.
-	// The extractor captures the DB and global names as they stand now,
-	// after discovery and the declaration merge.
-	globals := make(map[string]bool, len(u.Globals))
-	for name := range u.Globals {
+	// The extractor captures the DB and the corpus's global names.
+	globals := make(map[string]bool, len(x.Decls.Globals))
+	for name := range x.Decls.Globals {
 		globals[name] = true
 	}
-	env := &analysisEnv{ext: &semantics.Extractor{DB: db, GlobalNames: globals}, stats: stats}
+	env := &analysisEnv{ext: &semantics.Extractor{DB: db, GlobalNames: globals}, stats: &arena.Stats{}}
 	for _, fn := range u.Functions {
 		if fn.Def.Body != nil {
 			fn.env = env
@@ -641,51 +640,11 @@ func (u *Unit) DefinedFunctions() []*Function {
 // this fingerprint, so together with the defining file's SourceFP it keys
 // anything derived from them per file.
 func (u *Unit) ExtractEnvFP() string {
-	parts := make([]string, 0, 1+len(u.Globals))
+	parts := make([]string, 0, 1+len(u.Decls.Globals))
 	parts = append(parts, u.DB.APIFingerprint())
-	for name := range u.Globals {
+	for name := range u.Decls.Globals {
 		parts = append(parts, name)
 	}
 	sort.Strings(parts[1:])
 	return analysiscache.KeyOf(parts...)
-}
-
-// CallbackBindings resolves driver-ops designated initializers against the
-// DB's inter-paired callback table.
-func (u *Unit) CallbackBindings() []CallbackBinding {
-	var out []CallbackBinding
-	var names []string
-	for n := range u.Globals {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		vd := u.Globals[n]
-		if len(vd.Inits) == 0 {
-			continue
-		}
-		structName := vd.Type.StructName()
-		for _, pair := range u.DB.Callbacks() {
-			if pair.Struct != structName {
-				continue
-			}
-			cb := CallbackBinding{Pair: pair, Var: vd, File: vd.Pos().File}
-			for _, fi := range vd.Inits {
-				id, ok := fi.Value.(*cast.Ident)
-				if !ok {
-					continue
-				}
-				switch fi.Field {
-				case pair.Acquire:
-					cb.Acquire = u.Functions[id.Name]
-				case pair.Release:
-					cb.Release = u.Functions[id.Name]
-				}
-			}
-			if cb.Acquire != nil || cb.Release != nil {
-				out = append(out, cb)
-			}
-		}
-	}
-	return out
 }

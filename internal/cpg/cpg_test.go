@@ -37,7 +37,7 @@ int foo_probe(struct foo_dev *d)
 	if u.Functions["foo_probe"] == nil || u.Functions["helper"] == nil {
 		t.Fatalf("functions = %v", u.FunctionNames())
 	}
-	if u.Structs["foo_dev"] == nil {
+	if u.Decls.Structs["foo_dev"] == nil {
 		t.Error("struct table missing foo_dev")
 	}
 	fn := u.Functions["foo_probe"]
@@ -134,16 +134,16 @@ static struct platform_driver d_driver = {
 	.remove = d_remove,
 };
 `})
-	cbs := u.CallbackBindings()
+	cbs := u.Decls.CallbackBindings(u.DB)
 	if len(cbs) != 1 {
 		t.Fatalf("bindings = %+v", cbs)
 	}
 	cb := cbs[0]
-	if cb.Acquire == nil || cb.Acquire.Def.Name != "d_probe" {
-		t.Errorf("acquire = %+v", cb.Acquire)
+	if cb.Acquire != "d_probe" {
+		t.Errorf("acquire = %q", cb.Acquire)
 	}
-	if cb.Release == nil || cb.Release.Def.Name != "d_remove" {
-		t.Errorf("release = %+v", cb.Release)
+	if cb.Release != "d_remove" {
+		t.Errorf("release = %q", cb.Release)
 	}
 	if cb.Pair.Struct != "platform_driver" {
 		t.Errorf("pair = %+v", cb.Pair)
@@ -158,11 +158,11 @@ static struct usb_driver u_driver = {
 	.probe = u_probe,
 };
 `})
-	cbs := u.CallbackBindings()
+	cbs := u.Decls.CallbackBindings(u.DB)
 	if len(cbs) != 1 {
 		t.Fatalf("bindings = %+v", cbs)
 	}
-	if cbs[0].Acquire == nil || cbs[0].Release != nil {
+	if cbs[0].Acquire != "u_probe" || cbs[0].Release != "" {
 		t.Errorf("binding = %+v", cbs[0])
 	}
 }
@@ -266,7 +266,7 @@ int b_probe(void)
 	if !reflect.DeepEqual(seqObs, parObs) {
 		t.Errorf("per-file observations differ:\nseq %+v\npar %+v", seqObs, parObs)
 	}
-	if len(seq.Structs) != len(par.Structs) || len(seq.Globals) != len(par.Globals) {
+	if !reflect.DeepEqual(seq.Decls, par.Decls) {
 		t.Errorf("declaration tables differ")
 	}
 	if len(seq.Errors) != len(par.Errors) {

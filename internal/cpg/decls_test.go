@@ -1,0 +1,77 @@
+package cpg
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"testing"
+
+	"repro/internal/apidb"
+	"repro/internal/bincodec"
+)
+
+// TestDeclTableRule pins the exchange's resolution rule, which every
+// process must apply alike: a function goes to the last declaration with a
+// body (else the first prototype), a struct or global to its last
+// declaration — a bare extern included.
+func TestDeclTableRule(t *testing.T) {
+	u := (&Builder{Workers: 1}).Build([]Source{
+		{Path: "a.c", Content: "int f(void);\nint g(void);\nstruct s { int x; struct kref ref; };\nint v;\n"},
+		{Path: "b.c", Content: "int f(void) { return 1; }\nint g(void);\nstruct s { int y; };\nextern struct s v;\n"},
+		{Path: "c.c", Content: "int f(void) { return 2; }\nint f(void);\n"},
+	})
+	d := u.Decls
+	if got, want := d.Funcs["f"], (FuncEntry{File: "c.c", Body: true}); got != want {
+		t.Errorf("f = %+v, want %+v (last definition with a body)", got, want)
+	}
+	if got, want := d.Funcs["g"], (FuncEntry{File: "a.c"}); got != want {
+		t.Errorf("g = %+v, want %+v (first prototype)", got, want)
+	}
+	if s := d.Structs["s"]; s == nil || !reflect.DeepEqual(s.Fields, []FieldInfo{{Name: "y"}}) {
+		t.Errorf("s = %+v, want b.c's declaration", s)
+	}
+	if g := d.Globals["v"]; g == nil || g.Struct != "s" {
+		t.Errorf("v = %+v, want the extern's struct type", g)
+	}
+	if fn := u.Functions["f"]; fn == nil || fn.File != "c.c" || fn.Def.Body == nil {
+		t.Errorf("unit keeps %+v for f, want c.c's definition", fn)
+	}
+
+	// A shard holding only some files assembles exactly the functions the
+	// table assigns to them.
+	art := (&Builder{Workers: 1}).BuildArtifactContext(context.Background(), []Source{
+		{Path: "a.c", Content: "int f(void);\nint g(void);\n"},
+	}, false)
+	x := &Exchange{Files: 3, Decls: d}
+	part := (&Builder{DB: apidb.New()}).AssembleShard(art, x)
+	if len(part.Functions) != 1 || part.Functions["g"] == nil {
+		t.Errorf("a.c's shard holds %v, want only g", part.FunctionNames())
+	}
+}
+
+// TestRecordsRoundTrip pins the record codec: a real shard's records
+// survive encoding exactly, and every truncation fails with
+// bincodec.ErrCorrupt.
+func TestRecordsRoundTrip(t *testing.T) {
+	art := (&Builder{Workers: 1}).BuildArtifactContext(context.Background(), artifactSources(), false)
+	recs := art.Records()
+	if len(recs) == 0 {
+		t.Fatal("no records")
+	}
+	enc := EncodeRecords(recs)
+	got, err := DecodeRecords(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, recs) {
+		t.Errorf("records changed in a round trip:\n%+v\n%+v", recs, got)
+	}
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := DecodeRecords(enc[:cut]); !errors.Is(err, bincodec.ErrCorrupt) {
+			t.Fatalf("cut=%d: err = %v, want ErrCorrupt", cut, err)
+		}
+	}
+	if _, err := DecodeRecords(magicOnly(saMagic)); !errors.Is(err, bincodec.ErrCorrupt) {
+		t.Errorf("artifact magic accepted as records: %v", err)
+	}
+}

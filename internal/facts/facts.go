@@ -254,11 +254,6 @@ func (uf *UnitFacts) Observe(reg *obs.Registry) {
 	reg.Add("facts.preloaded", preloaded)
 }
 
-// SmartLoop is FunctionFacts.SmartLoop for unit-scoped checkers.
-func (uf *UnitFacts) SmartLoop(ev semantics.Event) bool {
-	return ev.FromMacro != "" && uf.Unit.DB.Loop(ev.FromMacro) != nil
-}
-
 // FileFuncs is one source file's share of a unit's defined functions: the
 // granularity of the analysis cache's facts entries.
 type FileFuncs struct {

@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -16,14 +18,14 @@ import (
 
 // TestMain doubles as the worker executable: when the manager re-executes
 // the test binary with the "repro-worker" argv, the shim runs the worker
-// loop instead of the test suite — no separately built binary needed. The
-// "die=1" argument arms the crash-injection hook for the recovery tests.
+// loop instead of the test suite — no separately built binary needed. A
+// "die=N" argument arms the crash-injection hook for the recovery tests.
 func TestMain(m *testing.M) {
 	if len(os.Args) > 1 && os.Args[1] == "repro-worker" {
 		opts := WorkerOpts{}
 		for _, a := range os.Args[2:] {
-			if a == "die=1" {
-				opts.ExitAfterShards = 1
+			if n, ok := strings.CutPrefix(a, "die="); ok {
+				opts.ExitAfterShards, _ = strconv.Atoi(n)
 			}
 		}
 		if err := Worker(os.Stdin, os.Stdout, opts); err != nil {
@@ -60,11 +62,7 @@ func managerCorpus() ([]cpg.Source, map[string]string) {
 				TopAPIs:  []string{"sock_put"}},
 		},
 	})
-	srcs := make([]cpg.Source, len(c.Files))
-	for i, f := range c.Files {
-		srcs[i] = cpg.Source{Path: f.Path, Content: f.Content}
-	}
-	return srcs, c.Headers
+	return sourcesOf(c)
 }
 
 // renderOut renders a run exactly as the refcheck/refcheck-manager CLIs do,
@@ -74,6 +72,14 @@ func renderOut(run *core.Run) string {
 	render.WriteReports(&b, run.Reports)
 	render.WriteSummary(&b, run.Reports, run.Summary)
 	return b.String()
+}
+
+func sourcesOf(c *corpus.Corpus) ([]cpg.Source, map[string]string) {
+	srcs := make([]cpg.Source, len(c.Files))
+	for i, f := range c.Files {
+		srcs[i] = cpg.Source{Path: f.Path, Content: f.Content}
+	}
+	return srcs, c.Headers
 }
 
 func analyzeRef(t *testing.T, srcs []cpg.Source, headers map[string]string) string {
@@ -103,7 +109,6 @@ func TestManagerMatchesAnalyze(t *testing.T) {
 		run, err := Run(context.Background(), Config{
 			Procs:     procs,
 			WorkerCmd: workerArgv(),
-			Workers:   2,
 			Options:   core.Options{Workers: 2, Confirm: true},
 			Trace:     tr,
 		}, srcs, headers)
@@ -137,7 +142,6 @@ func TestWorkerDeathRecovery(t *testing.T) {
 			}
 			return workerArgv()
 		},
-		Workers: 2,
 		Options: core.Options{Workers: 2, Confirm: true},
 		Trace:   tr,
 	}, srcs, headers)
@@ -167,7 +171,6 @@ func TestAllWorkersDieInlineDrain(t *testing.T) {
 	run, err := Run(context.Background(), Config{
 		Procs:     2,
 		WorkerCmd: workerArgv("die=1"),
-		Workers:   2,
 		Options:   core.Options{Workers: 2, Confirm: true},
 		Trace:     tr,
 	}, srcs, headers)
@@ -186,6 +189,82 @@ func TestAllWorkersDieInlineDrain(t *testing.T) {
 	}
 }
 
+// killBetweenRounds runs the manager with slot 0's worker armed to exit on
+// receiving the round-2 request — the frame after its last round-1 shard,
+// since slot 0 is handed exactly the shards it owns when nobody dies in
+// round 1 — and checks that exactly that worker died and its shards ran inline.
+func killBetweenRounds(t *testing.T, srcs []cpg.Source, headers map[string]string, procs int) string {
+	t.Helper()
+	own := len(newQueue(core.Partition(srcs, procs*chunksPerProc), procs).own[0])
+	tr := obs.New("manager-between-rounds-test")
+	run, err := Run(context.Background(), Config{
+		Procs: procs,
+		WorkerCmdFor: func(slot int) []string {
+			if slot == 0 {
+				return workerArgv(fmt.Sprintf("die=%d", own+1))
+			}
+			return workerArgv()
+		},
+		Options: core.Options{Workers: 2, Confirm: true},
+		Trace:   tr,
+	}, srcs, headers)
+	if err != nil {
+		t.Fatalf("procs=%d: %v", procs, err)
+	}
+	stats := tr.Reg().Snapshot().Counters
+	if stats["manager.worker.deaths"] != 1 {
+		t.Errorf("procs=%d: worker deaths = %d, want 1", procs, stats["manager.worker.deaths"])
+	}
+	if stats["manager.shard.requeues"] != 0 {
+		t.Errorf("procs=%d: %d shards re-queued; the worker should die after round 1", procs, stats["manager.shard.requeues"])
+	}
+	if stats["manager.shard.inline"] != int64(own) {
+		t.Errorf("procs=%d: %d shards ran inline, want the dead worker's %d", procs, stats["manager.shard.inline"], own)
+	}
+	return renderOut(run)
+}
+
+// TestWorkerDeathBetweenRounds kills a worker after it has delivered its
+// round-1 records but before it checks its files: the manager must re-run
+// that worker's shards inline and still render byte-identically.
+func TestWorkerDeathBetweenRounds(t *testing.T) {
+	srcs, headers := managerCorpus()
+	want := analyzeRef(t, srcs, headers)
+	for _, procs := range []int{1, 2} {
+		if got := killBetweenRounds(t, srcs, headers, procs); got != want {
+			t.Errorf("procs=%d: output differs from single-process Analyze after a death between rounds", procs)
+		}
+	}
+}
+
+// TestManagerMatchesAnalyzeAtScale repeats the determinism pin on a
+// generated scale-2 tree, where shards hold many files, declarations are
+// resolved across shards and P6 pairs functions owned by different workers:
+// procs 1, 2 and 3, plus a death between rounds.
+func TestManagerMatchesAnalyzeAtScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("analyzes a scale-2 tree five times")
+	}
+	srcs, headers := sourcesOf(corpus.Generate(corpus.Spec{Seed: 5, Scale: 2}))
+	want := analyzeRef(t, srcs, headers)
+	for _, procs := range []int{1, 2, 3} {
+		run, err := Run(context.Background(), Config{
+			Procs:     procs,
+			WorkerCmd: workerArgv(),
+			Options:   core.Options{Workers: 2, Confirm: true},
+		}, srcs, headers)
+		if err != nil {
+			t.Fatalf("procs=%d: %v", procs, err)
+		}
+		if got := renderOut(run); got != want {
+			t.Errorf("procs=%d: output differs from single-process Analyze", procs)
+		}
+	}
+	if got := killBetweenRounds(t, srcs, headers, 2); got != want {
+		t.Error("output differs from single-process Analyze after a death between rounds")
+	}
+}
+
 // TestManagerNoWorkerCommand pins the config error path.
 func TestManagerNoWorkerCommand(t *testing.T) {
 	if _, err := Run(context.Background(), Config{}, nil, nil); err == nil {
@@ -193,10 +272,11 @@ func TestManagerNoWorkerCommand(t *testing.T) {
 	}
 }
 
-// TestManagerFrontendCache un-disables -cache on the manager path: two runs
+// TestManagerFrontendCache pins -cache on the manager path: two runs
 // sharing a cache directory at shards >= 2 must aggregate worker front-end
-// hits on the second run (manager.frontend.hit > 0) while staying
-// byte-identical to the uncached single-process reference.
+// hits on the second run (manager.frontend.hit > 0) and serve every file's
+// report entry (manager.reports.miss = 0) while staying byte-identical to
+// the uncached single-process reference.
 func TestManagerFrontendCache(t *testing.T) {
 	srcs, headers := managerCorpus()
 	want := analyzeRef(t, srcs, headers)
@@ -208,7 +288,6 @@ func TestManagerFrontendCache(t *testing.T) {
 		run, err := Run(context.Background(), Config{
 			Procs:     2,
 			WorkerCmd: workerArgv(),
-			Workers:   2,
 			CacheDir:  cacheDir,
 			CacheMem:  16,
 			Options:   core.Options{Workers: 2, Confirm: true},
@@ -236,5 +315,13 @@ func TestManagerFrontendCache(t *testing.T) {
 		t.Error("warm run aggregated no front-end hits across workers")
 	} else if misses := warmStats["manager.frontend.miss"]; misses != 0 {
 		t.Errorf("warm run still missed %d files (hits=%d)", misses, hits)
+	}
+	// Round 2 reaches the per-file report entries too: every file that
+	// defines functions is served from its entry and nothing is re-checked.
+	if coldStats["manager.reports.miss"] == 0 {
+		t.Error("cold run reported no report-entry misses — round 2 not using the cache?")
+	}
+	if hits, misses := warmStats["manager.reports.hit"], warmStats["manager.reports.miss"]; hits == 0 || misses != 0 {
+		t.Errorf("warm run report entries: %d hits, %d misses, want all hits", hits, misses)
 	}
 }

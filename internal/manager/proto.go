@@ -1,9 +1,15 @@
-// Package manager runs the partition-then-exchange pipeline across worker
-// processes, syz-manager style: the manager owns the corpus and the work
-// queue, workers are stateless LocalPass executors fed over pipes, and a
-// dead worker's in-flight shard is simply re-queued — any shard may run on
-// any worker (or inline in the manager) because shard-local passes are
-// DB-independent by construction (see core.LocalPass).
+// Package manager runs the two-round pipeline across worker processes,
+// syz-manager style: the manager owns the corpus and the work queue, and
+// workers are re-executed copies of the binary fed over pipes. In round 1
+// a worker runs the front end over each shard it is handed, keeps the
+// shard's ASTs, and replies with the shard's file records (observations and
+// declarations, no token). Every process then runs the same exchange over
+// all the records; in round 2 each worker checks the files it holds and
+// replies with their checker cells and the facts P6 needs, and the manager
+// finishes the run (see core.Finish). A worker that dies in round 1 has
+// its shards re-queued — round 1 is DB-independent, so any shard may run
+// on any worker — and one that dies in round 2 has its shards re-run
+// inline in the manager through the same core functions.
 package manager
 
 import (
@@ -18,20 +24,22 @@ import (
 
 // The wire protocol is deliberately minimal: length-prefixed frames over the
 // worker's stdin/stdout, each framing one bincodec-encoded message. The
-// conversation is lockstep per worker — init once, then shard/artifact
-// pairs until stdin closes. There is no error message kind: a worker that
-// cannot produce an artifact exits nonzero, and the manager treats any
-// read/decode failure as a worker death (re-queue and move on), so protocol
-// errors and crashes share one recovery path.
+// conversation is lockstep per worker: init once, then shard/records pairs
+// (round 1), then at most one check/result pair (round 2) until stdin
+// closes. There is no error message kind: a worker that cannot reply exits
+// nonzero, and the manager treats any read/decode failure as a worker death,
+// so protocol errors and crashes share one recovery path.
 const (
-	kInit     = 1 // manager→worker: workers knob + shared header map
-	kShard    = 2 // manager→worker: shard id + sources
-	kArtifact = 3 // worker→manager: shard id + encoded ShardArtifact
+	kInit    = 1 // manager→worker: knobs, checker selection, shared header map
+	kShard   = 2 // manager→worker: round 1, shard id + sources
+	kRecords = 3 // worker→manager: shard id + counters + the shard's file records
+	kCheck   = 4 // manager→worker: round 2, the file records of the shards the worker lacks
+	kResult  = 5 // worker→manager: counters + cells + facts of the worker's files
 )
 
 // maxFrame bounds a frame read so a corrupt length prefix cannot trigger a
-// giant allocation. Artifacts carry whole token streams, so the bound is
-// generous.
+// giant allocation. The largest frame is a shard's sources (round 1's
+// request), so the bound is generous.
 const maxFrame = 1 << 30
 
 func writeFrame(w io.Writer, payload []byte) error {
@@ -65,15 +73,29 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return buf, nil
 }
 
+// reader opens a message of the given kind, failing the reader when the
+// kind byte differs.
+func reader(b []byte, kind uint8) *bincodec.Reader {
+	r := bincodec.NewReader(b)
+	if r.U8() != kind {
+		r.Fail()
+	}
+	return r
+}
+
 type initMsg struct {
 	Workers int
 	// CacheDir/CacheMem, when CacheDir is non-empty, tell the worker to
-	// open its own handle on the shared tiered cache so per-file front-end
-	// entries are reused across shards and runs. Every worker (and the
-	// manager, for the inline drain) opens the same directory; the cache's
-	// pack-file layout is multi-process safe.
+	// open its own handle on the shared tiered cache, so per-file
+	// front-end, facts and report entries are reused across shards and
+	// runs. Every worker (and the manager, for inline work) opens the same
+	// directory; the cache's pack-file layout is multi-process safe.
 	CacheDir string
 	CacheMem int
+	// ConfigFP and Checkers are the run's core.Options fields of the same
+	// names, which round 2's cache keys and checker engine need.
+	ConfigFP string
+	Checkers []string
 	Headers  map[string]string
 }
 
@@ -83,6 +105,8 @@ func encodeInit(m initMsg) []byte {
 	w.U32(uint32(m.Workers))
 	w.String(m.CacheDir)
 	w.U32(uint32(m.CacheMem))
+	w.String(m.ConfigFP)
+	w.Strings(m.Checkers)
 	keys := make([]string, 0, len(m.Headers))
 	for k := range m.Headers {
 		keys = append(keys, k)
@@ -97,14 +121,12 @@ func encodeInit(m initMsg) []byte {
 }
 
 func decodeInit(b []byte) (initMsg, error) {
-	r := bincodec.NewReader(b)
-	if r.U8() != kInit {
-		r.Fail()
-		return initMsg{}, r.Err()
-	}
+	r := reader(b, kInit)
 	m := initMsg{Workers: int(r.U32())}
 	m.CacheDir = r.String()
 	m.CacheMem = int(r.U32())
+	m.ConfigFP = r.String()
+	m.Checkers = r.Strings()
 	n := r.Count()
 	if n > 0 {
 		m.Headers = make(map[string]string, n)
@@ -141,11 +163,7 @@ func encodeShard(m shardMsg) []byte {
 }
 
 func decodeShard(b []byte) (shardMsg, error) {
-	r := bincodec.NewReader(b)
-	if r.U8() != kShard {
-		r.Fail()
-		return shardMsg{}, r.Err()
-	}
+	r := reader(b, kShard)
 	m := shardMsg{ID: int(r.U32())}
 	n := r.Count()
 	for i := 0; i < n && r.Err() == nil; i++ {
@@ -157,42 +175,113 @@ func decodeShard(b []byte) (shardMsg, error) {
 	return m, nil
 }
 
-type artifactMsg struct {
-	ID int
-	// FEHits/FEMisses report the worker's front-end cache counters for this
-	// shard, so the manager can aggregate cross-process cache effectiveness
-	// (surfaced as manager.frontend.hit / manager.frontend.miss).
-	FEHits   uint64
-	FEMisses uint64
-	Payload  []byte // EncodeShardArtifact bytes, decoded lazily by the manager
+// counter is one of a worker's counters for the work of one reply (the
+// worker records each request into a fresh trace).
+type counter struct {
+	Name  string
+	Value int64
 }
 
-// artifactHdrLen is the fixed prefix before the artifact payload: kind byte,
-// shard id, and the two front-end counters.
-const artifactHdrLen = 1 + 4 + 8 + 8
+func encodeCounters(w *bincodec.Writer, cs []counter) {
+	w.U32(uint32(len(cs)))
+	for _, c := range cs {
+		w.String(c.Name)
+		w.U64(uint64(c.Value))
+	}
+}
 
-func encodeArtifact(m artifactMsg) []byte {
-	w := bincodec.NewWriter(artifactHdrLen + len(m.Payload))
-	w.U8(kArtifact)
+func decodeCounters(r *bincodec.Reader) []counter {
+	n := r.Count()
+	var cs []counter
+	for i := 0; i < n && r.Err() == nil; i++ {
+		cs = append(cs, counter{Name: r.String(), Value: int64(r.U64())})
+	}
+	return cs
+}
+
+type recordsMsg struct {
+	ID       int
+	Counters []counter
+	Records  []byte // cpg.EncodeRecords bytes
+}
+
+func encodeRecords(m recordsMsg) []byte {
+	w := bincodec.NewWriter(64 + len(m.Records))
+	w.U8(kRecords)
 	w.U32(uint32(m.ID))
-	w.U64(m.FEHits)
-	w.U64(m.FEMisses)
-	w.Raw(m.Payload)
+	encodeCounters(w, m.Counters)
+	w.String(string(m.Records))
 	return w.Bytes()
 }
 
-func decodeArtifact(b []byte) (artifactMsg, error) {
-	r := bincodec.NewReader(b)
-	if r.U8() != kArtifact {
-		r.Fail()
-		return artifactMsg{}, r.Err()
+func decodeRecords(b []byte) (recordsMsg, error) {
+	r := reader(b, kRecords)
+	m := recordsMsg{ID: int(r.U32())}
+	m.Counters = decodeCounters(r)
+	m.Records = []byte(r.String())
+	if err := r.Done(); err != nil {
+		return recordsMsg{}, err
 	}
-	m := artifactMsg{ID: int(r.U32())}
-	m.FEHits = r.U64()
-	m.FEMisses = r.U64()
-	if r.Err() != nil {
-		return artifactMsg{}, r.Err()
+	return m, nil
+}
+
+// checkMsg is the round-2 request: the records payload of every shard the
+// worker does not hold, as the round-1 replies (or the manager, for shards
+// it ran itself) encoded them. The worker adds its own shards' records.
+type checkMsg struct {
+	Records [][]byte
+}
+
+func encodeCheck(m checkMsg) []byte {
+	sz := 8
+	for _, p := range m.Records {
+		sz += 4 + len(p)
 	}
-	m.Payload = b[artifactHdrLen:]
+	w := bincodec.NewWriter(sz)
+	w.U8(kCheck)
+	w.U32(uint32(len(m.Records)))
+	for _, p := range m.Records {
+		w.String(string(p))
+	}
+	return w.Bytes()
+}
+
+func decodeCheck(b []byte) (checkMsg, error) {
+	r := reader(b, kCheck)
+	n := r.Count()
+	m := checkMsg{Records: make([][]byte, 0, n)}
+	for i := 0; i < n && r.Err() == nil; i++ {
+		m.Records = append(m.Records, []byte(r.String()))
+	}
+	if err := r.Done(); err != nil {
+		return checkMsg{}, err
+	}
+	return m, nil
+}
+
+// resultMsg is the round-2 reply: core.ShardResult.Encode's two payloads.
+type resultMsg struct {
+	Counters []counter
+	Cells    []byte
+	Facts    []byte
+}
+
+func encodeResult(m resultMsg) []byte {
+	w := bincodec.NewWriter(64 + len(m.Cells) + len(m.Facts))
+	w.U8(kResult)
+	encodeCounters(w, m.Counters)
+	w.String(string(m.Cells))
+	w.String(string(m.Facts))
+	return w.Bytes()
+}
+
+func decodeResult(b []byte) (resultMsg, error) {
+	r := reader(b, kResult)
+	m := resultMsg{Counters: decodeCounters(r)}
+	m.Cells = []byte(r.String())
+	m.Facts = []byte(r.String())
+	if err := r.Done(); err != nil {
+		return resultMsg{}, err
+	}
 	return m, nil
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"repro/internal/analysiscache"
+	"repro/internal/apidb"
 	"repro/internal/core"
 	"repro/internal/cpg"
 	"repro/internal/obs"
@@ -15,20 +17,22 @@ import (
 // WorkerOpts configures a worker loop.
 type WorkerOpts struct {
 	// ExitAfterShards, when positive, makes the worker call os.Exit(3)
-	// immediately after receiving its Nth shard — before replying — so its
-	// in-flight shard is lost mid-work. It is the crash-injection hook the
-	// recovery tests (and verify gate) use to exercise the manager's
-	// re-queue path with a real process death.
+	// immediately after receiving its Nth work frame — a round-1 shard or
+	// the round-2 request, before replying — so the work in flight is lost.
+	// It is the crash-injection hook the recovery tests (and verify gate)
+	// use to exercise the manager's re-queue and inline paths with a real
+	// process death: N one past the worker's shard count kills it between
+	// the rounds.
 	ExitAfterShards int
 }
 
 // Worker runs the worker half of the pipe protocol until r reaches EOF: read
-// the init frame, then serve shard→artifact exchanges in lockstep. Workers
-// hold no state between shards beyond the shared header map, the front-end's
-// internal caches, and (when the init frame names a cache directory) a handle
-// on the shared tiered cache — so the manager may hand any shard to any
-// worker in any order, and per-file front-end entries computed by one run's
-// workers are reused by the next run's.
+// the init frame, answer each round-1 shard with its file records while
+// keeping the shard's artifact, then answer the round-2 request by running
+// the exchange over every record and checking the files it holds. Between
+// runs a worker keeps nothing but what the shared tiered cache holds (when
+// the init frame names a cache directory), so per-file entries computed by
+// one run's workers are reused by the next run's.
 func Worker(r io.Reader, w io.Writer, opts WorkerOpts) error {
 	first, err := readFrame(r)
 	if err != nil {
@@ -41,8 +45,8 @@ func Worker(r io.Reader, w io.Writer, opts WorkerOpts) error {
 	var cache *analysiscache.Cache
 	if init.CacheDir != "" {
 		// A worker that cannot open the cache degrades to computing — the
-		// shard result is identical either way, so cache trouble must not
-		// kill the run.
+		// result is identical either way, so cache trouble must not kill
+		// the run.
 		if c, cerr := analysiscache.Open(init.CacheDir, analysiscache.WithMemory(int64(init.CacheMem)<<20)); cerr == nil {
 			cache = c
 		} else {
@@ -56,7 +60,16 @@ func Worker(r io.Reader, w io.Writer, opts WorkerOpts) error {
 			}
 		}
 	}()
+	opt := core.Options{Workers: init.Workers, Cache: cache, ConfigFP: init.ConfigFP}
+	for _, p := range init.Checkers {
+		opt.Checkers = append(opt.Checkers, core.Pattern(p))
+	}
+	ctx := context.Background()
 
+	// The shards this worker ran in round 1: their artifacts, ASTs kept,
+	// and their records.
+	var held []*cpg.ShardArtifact
+	var own []cpg.FileRecord
 	received := 0
 	for {
 		frame, err := readFrame(r)
@@ -64,38 +77,87 @@ func Worker(r io.Reader, w io.Writer, opts WorkerOpts) error {
 			return nil // clean shutdown: manager closed our stdin
 		}
 		if err != nil {
-			return fmt.Errorf("manager worker: reading shard: %w", err)
-		}
-		sh, err := decodeShard(frame)
-		if err != nil {
-			return fmt.Errorf("manager worker: decoding shard: %w", err)
+			return fmt.Errorf("manager worker: reading request: %w", err)
 		}
 		received++
 		if opts.ExitAfterShards > 0 && received == opts.ExitAfterShards {
 			os.Exit(3)
 		}
-		// A fresh trace per shard isolates the front-end counters this
-		// shard contributes, so the reply can carry exact hit/miss deltas.
+		// A fresh trace per request isolates the counters this reply
+		// carries.
 		tr := obs.New("manager-worker")
-		req := core.Request{
-			Headers: init.Headers,
-			Options: core.Options{Workers: init.Workers, Cache: cache},
-			Trace:   tr,
+		req := core.Request{Headers: init.Headers, Options: opt, Trace: tr}
+		var reply []byte
+		if len(frame) > 0 && frame[0] == kCheck {
+			reply, err = checkHeld(ctx, req, frame, held, own)
+		} else {
+			var art *cpg.ShardArtifact
+			var recs []cpg.FileRecord
+			art, recs, reply, err = localShard(ctx, req, frame)
+			held = append(held, art)
+			own = append(own, recs...)
 		}
-		art, err := core.LocalPass(context.Background(), req, sh.Sources)
 		if err != nil {
-			return fmt.Errorf("manager worker: shard %d: %w", sh.ID, err)
+			return fmt.Errorf("manager worker: %w", err)
 		}
-		tr.Done()
-		counters := tr.Reg().Snapshot().Counters
-		reply := encodeArtifact(artifactMsg{
-			ID:       sh.ID,
-			FEHits:   uint64(counters["frontend.cache.hit"]),
-			FEMisses: uint64(counters["frontend.cache.miss"]),
-			Payload:  cpg.EncodeShardArtifact(art),
-		})
 		if err := writeFrame(w, reply); err != nil {
-			return fmt.Errorf("manager worker: writing artifact %d: %w", sh.ID, err)
+			return fmt.Errorf("manager worker: writing reply: %w", err)
 		}
 	}
+}
+
+// localShard answers a round-1 shard frame: it runs the local round and
+// returns the shard's artifact and records, kept for round 2, with the
+// records reply.
+func localShard(ctx context.Context, req core.Request, frame []byte) (*cpg.ShardArtifact, []cpg.FileRecord, []byte, error) {
+	sh, err := decodeShard(frame)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("decoding shard: %w", err)
+	}
+	art, err := core.LocalRound(ctx, req, sh.Sources)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("shard %d: %w", sh.ID, err)
+	}
+	req.Trace.Done()
+	recs := art.Records()
+	return art, recs, encodeRecords(recordsMsg{ID: sh.ID, Counters: counters(req.Trace),
+		Records: cpg.EncodeRecords(recs)}), nil
+}
+
+// checkHeld answers the round-2 request, which carries the records of every
+// shard the worker does not hold: the exchange over those and its own
+// records, then the check round over the held shards' files.
+func checkHeld(ctx context.Context, req core.Request, frame []byte, held []*cpg.ShardArtifact, own []cpg.FileRecord) ([]byte, error) {
+	m, err := decodeCheck(frame)
+	if err != nil {
+		return nil, fmt.Errorf("decoding round-2 request: %w", err)
+	}
+	recs := own
+	for _, p := range m.Records {
+		rs, err := cpg.DecodeRecords(p)
+		if err != nil {
+			return nil, fmt.Errorf("decoding records: %w", err)
+		}
+		recs = append(recs, rs...)
+	}
+	req.Options.DB = apidb.New()
+	x := cpg.ExchangeRecords(req.Options.DB, recs)
+	res, err := core.CheckRound(ctx, req, x, cpg.MergeShardArtifacts(held...))
+	if err != nil {
+		return nil, fmt.Errorf("round 2: %w", err)
+	}
+	req.Trace.Done()
+	cells, facts := res.Encode()
+	return encodeResult(resultMsg{Counters: counters(req.Trace), Cells: cells, Facts: facts}), nil
+}
+
+// counters lists a finished trace's counters in name order.
+func counters(tr *obs.Trace) []counter {
+	snap := tr.Reg().Snapshot().Counters
+	out := make([]counter, 0, len(snap))
+	for name, v := range snap {
+		out = append(out, counter{Name: name, Value: v})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }

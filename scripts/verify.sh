@@ -123,10 +123,31 @@ cmp -s "$tmp/uncached.txt" "$tmp/mgr-kill.txt" || {
     echo "verify: refcheck-manager with a crashed worker differs from refcheck -demo" >&2
     exit 1
 }
+# A death between the rounds: at -shards 2 the demo corpus is dealt 4
+# shards per worker, so the first worker's 5th work frame is the round-2
+# request. It must die there (after round 1, so nothing is re-queued) and
+# the manager must redo its shards inline with identical bytes.
+"$tmp/refcheck-manager" -shards 2 -kill-worker-after 5 -demo -v \
+    > "$tmp/mgr-kill2.txt" 2> "$tmp/mgr-kill2.log"
+cmp -s "$tmp/uncached.txt" "$tmp/mgr-kill2.txt" || {
+    echo "verify: refcheck-manager with a worker dead between rounds differs from refcheck -demo" >&2
+    exit 1
+}
+grep -q 'workers: 1 deaths, 0 shards re-queued, 4 drained inline' "$tmp/mgr-kill2.log" || {
+    echo "verify: -kill-worker-after 5 did not kill a worker between the rounds" >&2
+    cat "$tmp/mgr-kill2.log" >&2
+    exit 1
+}
+# No token crosses the wire and the manager never reparses: the manager
+# package must not reach the shard-artifact codec or its reparse.
+if grep -En 'EncodeShardArtifact|DecodeShardArtifact|Hydrate' internal/manager/*.go; then
+    echo "verify: internal/manager uses the token-shipping artifact path" >&2
+    exit 1
+fi
 
-# Manager front-end cache gate: with -cache, the workers share the tiered
-# cache's per-file front-end entries; a second run over the same corpus must
-# stay byte-identical to the uncached reference.
+# Manager cache gate: with -cache, the workers share the tiered cache's
+# per-file front-end, facts and report entries; a second run over the same
+# corpus must stay byte-identical to the uncached reference.
 "$tmp/refcheck-manager" -shards 3 -cache "$tmp/mcache" -demo > "$tmp/mgr-cold.txt"
 "$tmp/refcheck-manager" -shards 3 -cache "$tmp/mcache" -demo > "$tmp/mgr-warm.txt"
 for f in mgr-cold mgr-warm; do
@@ -136,12 +157,22 @@ for f in mgr-cold mgr-warm; do
     }
 done
 
+# Generated-tree manager gate: a refgen -scale 2 tree through two workers
+# must render exactly what refcheck -json renders for the same tree.
+go build -o "$tmp/refgen" ./cmd/refgen
+"$tmp/refgen" -out "$tmp/stree" -scale 2 > /dev/null
+"$tmp/refcheck" -json "$tmp/stree" > "$tmp/stree-ref.json"
+"$tmp/refcheck-manager" -shards 2 -json "$tmp/stree" > "$tmp/stree-mgr.json"
+cmp -s "$tmp/stree-ref.json" "$tmp/stree-mgr.json" || {
+    echo "verify: refcheck-manager -shards 2 on a scale-2 tree differs from refcheck -json" >&2
+    exit 1
+}
+
 # Watch-mode gate: refgen a tree, take a cold reference run, then start
 # `refcheck -watch` with a warm cache and a 2-run budget, edit one file
 # between runs (EOF comment append — shifts no report lines), and require
 # the incremental re-run's report to be byte-identical to a cold run over
 # the edited tree.
-go build -o "$tmp/refgen" ./cmd/refgen
 "$tmp/refgen" -out "$tmp/wtree" > /dev/null
 "$tmp/refcheck" "$tmp/wtree" > "$tmp/watch-ref.txt"
 "$tmp/refcheck" -watch -watch-interval 100ms -watch-runs 2 \
