@@ -1,15 +1,20 @@
 // Package arena provides the per-translation-unit allocation substrate for
 // the front end: chunked bump allocation for nodes that live exactly as long
-// as their owning structure (AST nodes, CFG blocks), and capacity-retaining
-// buffer pooling for scratch storage that dies at the end of a TU's front
-// end (the preprocessor's expanded token stream).
+// as their owning structure (AST nodes, CFG blocks), window carving for the
+// small slices those nodes hold (call arguments, statement lists, CFG
+// edges, enumerated paths), and capacity-retaining buffer pooling for
+// scratch storage that dies at the end of a TU's front end (the
+// preprocessor's expanded token stream).
 //
 // Two ownership regimes, one package:
 //
-//   - Slab[T] hands out pointers into large chunks, so allocating N nodes
-//     costs O(N/chunk) heap allocations instead of O(N). Slab memory is
-//     never recycled: the nodes it backs are retained by the Unit, so the
-//     chunks simply ride along and are collected with it.
+//   - Slab[T] hands out pointers into chunks and Windows[T] hands out
+//     capacity-bounded slices of them. Chunks start small and double up to
+//     a cap (see nextChunk), so a chunk's capacity tracks what its file or
+//     function actually uses: allocating N values costs O(log N) heap
+//     allocations below the cap and O(N/cap) past it, instead of O(N).
+//     Chunk memory is never recycled: the values it backs are retained by
+//     the Unit, so the chunks simply ride along and are collected with it.
 //
 //   - Pool[T] recycles whole []T buffers through a sync.Pool. Pool memory is
 //     recycled wholesale: the caller must guarantee nothing retains the
@@ -99,10 +104,11 @@ func (a *Arena) Release() {
 func (a *Arena) Released() bool { return a.released.Load() }
 
 // Slab is a chunked bump allocator for values of type T. New returns
-// pointers into chunks of chunkSize values, so the pointer cost of a parse
-// is O(chunks), not O(nodes). Pointers stay valid forever — chunks are never
-// recycled — and the zero Slab is ready to use. A Slab is single-goroutine;
-// share the Stats, not the Slab.
+// pointers into chunks that grow by nextChunk up to slabChunk values, so
+// the pointer cost of a parse is O(chunks), not O(nodes), and a small file
+// or function pays for a small chunk. Pointers stay valid forever — chunks
+// are never recycled — and the zero Slab is ready to use. A Slab is
+// single-goroutine; share the Stats, not the Slab.
 type Slab[T any] struct {
 	// Stats, when set, receives the chunk allocation counters.
 	Stats *Stats
@@ -111,7 +117,20 @@ type Slab[T any] struct {
 	poisoned bool
 }
 
-const defaultChunk = 64
+const (
+	// firstChunk is the length of an allocator's first chunk.
+	firstChunk = 8
+	// slabChunk caps a Slab's chunk length, and a Windows' whose Max is
+	// unset.
+	slabChunk = 64
+)
+
+// nextChunk is the one growth rule of every chunked allocator: the chunk
+// after one of length prev is twice as long, at least firstChunk and at
+// most limit values.
+func nextChunk(prev, limit int) int {
+	return min(max(2*prev, firstChunk), limit)
+}
 
 // New copies v into the slab and returns a stable pointer to the copy.
 func (s *Slab[T]) New(v T) *T {
@@ -120,8 +139,9 @@ func (s *Slab[T]) New(v T) *T {
 	}
 	if len(s.cur) == cap(s.cur) {
 		var t T
-		s.cur = make([]T, 0, defaultChunk)
-		s.Stats.addAlloc(defaultChunk * int(unsafe.Sizeof(t)))
+		n := nextChunk(cap(s.cur), slabChunk)
+		s.cur = make([]T, 0, n)
+		s.Stats.addAlloc(n * int(unsafe.Sizeof(t)))
 	}
 	s.cur = append(s.cur, v)
 	return &s.cur[len(s.cur)-1]
@@ -132,6 +152,42 @@ func (s *Slab[T]) New(v T) *T {
 func (s *Slab[T]) Poison() {
 	s.poisoned = true
 	s.cur = nil
+}
+
+// Windows carves small slices with a common owner out of chunks: Take(n)
+// returns a zero-length, capacity-n window that no other window shares.
+// Appending up to n values fills the reserved slots; one more reallocates
+// the window onto the heap via ordinary append without touching its
+// neighbours. Chunks grow by nextChunk up to Max values, and a window
+// larger than the next chunk gets a chunk of exactly its size. Like Slab
+// chunks, Windows chunks are retained by the windows and never recycled;
+// the zero Windows is ready to use, and a Windows is single-goroutine.
+type Windows[T any] struct {
+	// Stats, when set, receives the chunk allocation counters.
+	Stats *Stats
+	// Max caps the chunk length in values; zero means the Slab cap.
+	Max int
+
+	cur []T
+}
+
+// Take reserves a zero-length, capacity-n window.
+func (w *Windows[T]) Take(n int) []T {
+	if cap(w.cur)-len(w.cur) < n {
+		limit := w.Max
+		if limit <= 0 {
+			limit = slabChunk
+		}
+		var t T
+		c := max(nextChunk(cap(w.cur), limit), n)
+		w.cur = make([]T, 0, c)
+		w.Stats.addAlloc(c * int(unsafe.Sizeof(t)))
+	}
+	// Advance with a plain length reslice: a three-index reslice here would
+	// throw away the chunk's remaining capacity.
+	off := len(w.cur)
+	w.cur = w.cur[:off+n]
+	return w.cur[off : off : off+n]
 }
 
 // Pool recycles []T scratch buffers with retained capacity. Get either

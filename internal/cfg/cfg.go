@@ -79,15 +79,14 @@ type builder struct {
 	condStmts arena.Slab[cast.CondStmt]
 
 	// edges backs the Succs/Preds slices: every block gets a disjoint
-	// zero-length, capacity-2 window of the current chunk (most blocks have
-	// at most two edges; one that grows past its window migrates to the heap
-	// via ordinary append reallocation). Like the slabs, chunks are retained
-	// by the Graph's blocks and never recycled.
-	edges []*Block
-	// stmtBuf backs the blocks' Stmts slices the same way, with capacity-4
-	// windows.
-	stmtBuf []cast.Stmt
-	stats   *arena.Stats
+	// zero-length, capacity-2 window (most blocks have at most two edges;
+	// one that grows past its window migrates to the heap via ordinary
+	// append reallocation). stmtWins backs the blocks' Stmts slices the same
+	// way, with capacity-4 windows. Chunks start small and grow with the
+	// function (up to edgeChunk and stmtChunk values); like the slabs, they
+	// are retained by the Graph's blocks and never recycled.
+	edges    arena.Windows[*Block]
+	stmtWins arena.Windows[cast.Stmt]
 }
 
 type pendingGoto struct {
@@ -96,20 +95,15 @@ type pendingGoto struct {
 }
 
 // Build constructs the CFG of fn. It returns nil for bodyless functions.
+// The Graph owns its slab and window chunks for its whole lifetime.
 func Build(fn *cast.FuncDef) *Graph {
-	return BuildArena(fn, nil)
-}
-
-// BuildArena is Build with slab-allocation counters reported into st (which
-// may be nil). The Graph owns its slab chunks for its whole lifetime.
-func BuildArena(fn *cast.FuncDef, st *arena.Stats) *Graph {
 	if fn.Body == nil {
 		return nil
 	}
 	g := &Graph{Fn: fn, Blocks: make([]*Block, 0, 16)}
-	b := &builder{g: g, labels: map[string]*Block{}, stats: st}
-	b.blocks.Stats = st
-	b.condStmts.Stats = st
+	b := &builder{g: g, labels: map[string]*Block{}}
+	b.edges.Max = edgeChunk
+	b.stmtWins.Max = stmtChunk
 	g.Entry = b.newBlock()
 	g.Exit = b.newBlock()
 	b.cur = g.Entry
@@ -131,48 +125,20 @@ func BuildArena(fn *cast.FuncDef, st *arena.Stats) *Graph {
 
 func (b *builder) newBlock() *Block {
 	blk := b.blocks.New(Block{ID: len(b.g.Blocks)})
-	blk.Succs = b.edgeWindow()
-	blk.Preds = b.edgeWindow()
-	blk.Stmts = b.stmtWindow()
+	blk.Succs = b.edges.Take(2)
+	blk.Preds = b.edges.Take(2)
+	// Most blocks hold at most a handful of leaf statements; the ones that
+	// overflow migrate to the heap on the fifth append.
+	blk.Stmts = b.stmtWins.Take(4)
 	b.g.Blocks = append(b.g.Blocks, blk)
 	return blk
 }
 
-const stmtChunk = 256
-
-// stmtWindow reserves a zero-length, capacity-4 view of the statement chunk;
-// most blocks hold at most a handful of leaf statements, and the ones that
-// overflow migrate to the heap on the fifth append.
-func (b *builder) stmtWindow() []cast.Stmt {
-	if cap(b.stmtBuf)-len(b.stmtBuf) < 4 {
-		b.stmtBuf = make([]cast.Stmt, 0, stmtChunk)
-		if b.stats != nil {
-			b.stats.Bytes.Add(stmtChunk * 16)
-			b.stats.Chunks.Add(1)
-		}
-	}
-	n := len(b.stmtBuf)
-	b.stmtBuf = b.stmtBuf[:n+4]
-	return b.stmtBuf[n : n : n+4]
-}
-
-const edgeChunk = 128
-
-// edgeWindow reserves a zero-length, capacity-2 view of the edge chunk.
-// Appending up to two elements fills the reserved slots; a third append
-// reallocates onto the heap without touching neighboring windows.
-func (b *builder) edgeWindow() []*Block {
-	if cap(b.edges)-len(b.edges) < 2 {
-		b.edges = make([]*Block, 0, edgeChunk)
-		if b.stats != nil {
-			b.stats.Bytes.Add(edgeChunk * 8)
-			b.stats.Chunks.Add(1)
-		}
-	}
-	n := len(b.edges)
-	b.edges = b.edges[:n+2]
-	return b.edges[n : n : n+2]
-}
+// Chunk caps of the builder's windows, in values.
+const (
+	stmtChunk = 256
+	edgeChunk = 128
+)
 
 // cond slab-allocates the condition pseudo-statement cast.NewCondStmt would
 // otherwise heap-allocate.

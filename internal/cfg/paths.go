@@ -1,5 +1,7 @@
 package cfg
 
+import "repro/internal/arena"
+
 // Path is one entry-to-exit block sequence.
 type Path []*Block
 
@@ -15,16 +17,20 @@ func (g *Graph) Paths(max int) []Path {
 	// A method-based walker instead of recursive closures: the closure pair
 	// (walk capturing itself plus its shared state) cost several heap
 	// allocations per function, and Paths runs once per function. Visit
-	// counts index by Block.ID, which BuildArena assigns densely.
+	// counts index by Block.ID, which Build assigns densely.
 	w := pathWalker{
 		g:      g,
 		max:    max,
 		visits: make([]int8, len(g.Blocks)),
-		cur:    make(Path, 0, 64),
+		cur:    make(Path, 0, min(2*len(g.Blocks), 64)),
 	}
+	w.back.Max = pathChunk
 	w.walk(g.Entry)
 	return w.out
 }
+
+// pathChunk caps the path walker's chunk length, in blocks.
+const pathChunk = 1024
 
 type pathWalker struct {
 	g      *Graph
@@ -32,23 +38,16 @@ type pathWalker struct {
 	out    []Path
 	visits []int8
 	cur    Path
-	// Completed paths are copied into chunked backing storage and returned
-	// as capacity-bounded windows of it — one allocation per ~1024 blocks
-	// of path data instead of one per path.
-	back Path
+	// Completed paths are copied into windows of chunked backing storage —
+	// chunks that grow with the function's path data up to pathChunk
+	// blocks, so a small function pays for a small chunk and a large one
+	// pays one allocation per pathChunk blocks instead of one per path.
+	back arena.Windows[*Block]
 }
 
 func (w *pathWalker) emit() {
-	if cap(w.back)-len(w.back) < len(w.cur) {
-		n := 1024
-		if len(w.cur) > n {
-			n = len(w.cur)
-		}
-		w.back = make(Path, 0, n)
-	}
-	start := len(w.back)
-	w.back = append(w.back, w.cur...)
-	w.out = append(w.out, w.back[start:len(w.back):len(w.back)])
+	p := append(w.back.Take(len(w.cur)), w.cur...)
+	w.out = append(w.out, p)
 }
 
 func (w *pathWalker) walk(b *Block) {

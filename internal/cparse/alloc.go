@@ -9,9 +9,11 @@ import (
 // nodes live exactly as long as the cast.File that references them, so
 // chunked bump allocation is the right regime: allocating a node costs a
 // pointer bump, the heap sees O(chunks) allocations instead of O(nodes),
-// and the chunks are collected together with the File. Rare node kinds
-// (struct defs, typedefs, loops) stay on plain &T{} — slabbing them would
-// add chunk overhead without moving the profile.
+// and the chunks are collected together with the File. Each kind's chunks
+// start at 8 nodes and double up to 64, so a file that uses a kind a few
+// times pays for a few nodes, not 64. Rare node kinds (struct defs,
+// typedefs, loops) stay on plain &T{} — slabbing them would add chunk
+// overhead without moving the profile.
 type astAlloc struct {
 	idents    arena.Slab[cast.Ident]
 	lits      arena.Slab[cast.Lit]

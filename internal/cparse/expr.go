@@ -196,7 +196,7 @@ func (p *Parser) parsePostfix() cast.Expr {
 				call.Origin = fe.TokenOrigin
 			}
 			if !p.at(clex.RParen) && !p.atEOF() {
-				call.Args = p.argWindow()
+				call.Args = p.args.Take(4)
 			}
 			for !p.at(clex.RParen) && !p.atEOF() {
 				call.Args = append(call.Args, p.parseAssignExpr())

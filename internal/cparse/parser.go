@@ -62,39 +62,19 @@ type Parser struct {
 	// single-goroutine, so the slabs need no locking.
 	ast astAlloc
 
-	// argBuf and stmtBuf back call-argument and compound-statement slices
-	// with small capacity-bounded windows (see the window helpers in
-	// internal/cfg for the pattern); lists that outgrow their window migrate
-	// to the heap via ordinary append reallocation.
-	argBuf  []cast.Expr
-	stmtBuf []cast.Stmt
+	// args and stmts back call-argument and compound-statement slices with
+	// capacity-4 and capacity-8 windows (see arena.Windows); lists that
+	// outgrow their window migrate to the heap via ordinary append
+	// reallocation.
+	args  arena.Windows[cast.Expr]
+	stmts arena.Windows[cast.Stmt]
 }
 
+// Chunk caps of the parser's windows, in values.
 const (
 	argChunkLen  = 256
 	stmtChunkLen = 512
 )
-
-// argWindow reserves a zero-length, capacity-4 view for a call's arguments.
-func (p *Parser) argWindow() []cast.Expr {
-	if cap(p.argBuf)-len(p.argBuf) < 4 {
-		p.argBuf = make([]cast.Expr, 0, argChunkLen)
-	}
-	n := len(p.argBuf)
-	p.argBuf = p.argBuf[:n+4]
-	return p.argBuf[n : n : n+4]
-}
-
-// stmtWindow reserves a zero-length, capacity-8 view for a compound's
-// statements.
-func (p *Parser) stmtWindow() []cast.Stmt {
-	if cap(p.stmtBuf)-len(p.stmtBuf) < 8 {
-		p.stmtBuf = make([]cast.Stmt, 0, stmtChunkLen)
-	}
-	n := len(p.stmtBuf)
-	p.stmtBuf = p.stmtBuf[:n+8]
-	return p.stmtBuf[n : n : n+8]
-}
 
 const maxNest = 1024
 
@@ -129,7 +109,10 @@ func New(file string, toks []clex.Token) *Parser {
 	for k := range builtinTypedefs {
 		td[k] = true
 	}
-	return &Parser{toks: toks, file: file, typedefs: td}
+	p := &Parser{toks: toks, file: file, typedefs: td}
+	p.args.Max = argChunkLen
+	p.stmts.Max = stmtChunkLen
+	return p
 }
 
 // Parse parses the whole translation unit. It always returns a File; errors
@@ -159,12 +142,15 @@ func ParseFile(file string, toks []clex.Token) (*cast.File, []error) {
 	return ParseFileArena(file, toks, nil)
 }
 
-// ParseFileArena is ParseFile with slab-allocation counters reported into
-// st (which may be nil). The returned tree owns its slab chunks; nothing is
-// released — the counters only make the allocation win observable.
+// ParseFileArena is ParseFile with the chunk counters of every slab and
+// window the parse allocates reported into st (which may be nil). The
+// returned tree owns those chunks; nothing is released — the counters
+// measure what the tree holds.
 func ParseFileArena(file string, toks []clex.Token, st *arena.Stats) (*cast.File, []error) {
 	p := New(file, toks)
 	p.ast.setStats(st)
+	p.args.Stats = st
+	p.stmts.Stats = st
 	f := p.Parse()
 	return f, p.errs
 }

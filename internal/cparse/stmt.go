@@ -10,7 +10,7 @@ func (p *Parser) parseCompound() *cast.CompoundStmt {
 	cs := p.ast.compounds.New(cast.CompoundStmt{})
 	cs.StartPos = open.Pos
 	cs.Origin = open.Origin
-	cs.Stmts = p.stmtWindow()
+	cs.Stmts = p.stmts.Take(8)
 	for !p.at(clex.RBrace) && !p.atEOF() {
 		start := p.pos
 		s := p.parseStmt()

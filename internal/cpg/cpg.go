@@ -46,11 +46,9 @@ type Function struct {
 }
 
 // analysisEnv is what per-function analysis needs from its unit: the event
-// extractor over the unit's post-discovery DB and global names, and the
-// arena stats the CFG slabs are charged to.
+// extractor over the unit's post-discovery DB and global names.
 type analysisEnv struct {
-	ext   *semantics.Extractor
-	stats *arena.Stats
+	ext *semantics.Extractor
 }
 
 // Analyze builds the function's CFG and event stream on first use; later
@@ -62,7 +60,7 @@ func (fn *Function) Analyze() {
 		return
 	}
 	fn.once.Do(func() {
-		fn.Graph = cfg.BuildArena(fn.Def, fn.env.stats)
+		fn.Graph = cfg.Build(fn.Def)
 		fn.Events = fn.env.ext.Extract(fn.Graph)
 	})
 }
@@ -187,8 +185,8 @@ type frontEnd struct {
 	// parseOne, so a retained stream is always a copy.
 	retain bool
 
-	// stats aggregates the build's arena counters (slab chunks in the parser
-	// and CFG builder, pooled token buffers here); atomic, shared by all
+	// stats aggregates the build's arena counters (slab and window chunks
+	// in the parser, pooled token buffers here); atomic, shared by all
 	// workers.
 	stats *arena.Stats
 	// tokPool recycles the per-TU expanded-token buffers across files of the
@@ -600,7 +598,7 @@ func (b *Builder) assemble(art *ShardArtifact, x *Exchange, db *apidb.DB) *Unit 
 	for name := range x.Decls.Globals {
 		globals[name] = true
 	}
-	env := &analysisEnv{ext: &semantics.Extractor{DB: db, GlobalNames: globals}, stats: &arena.Stats{}}
+	env := &analysisEnv{ext: &semantics.Extractor{DB: db, GlobalNames: globals}}
 	for _, fn := range u.Functions {
 		if fn.Def.Body != nil {
 			fn.env = env

@@ -216,13 +216,11 @@ type Preprocessor struct {
 	// into one per chunk.
 	macroSlab arena.Slab[Macro]
 
-	// paramBuf backs Macro.Params: parameter lists are tiny and immutable
-	// after define, so they are carved as full-cap windows of a chunked
-	// buffer instead of one allocation per function-like macro.
-	paramBuf []string
+	// params backs Macro.Params: parameter lists are tiny and immutable
+	// after define, so they are carved as full-cap windows of chunks (see
+	// arena.Windows) instead of one allocation per function-like macro.
+	params arena.Windows[string]
 }
-
-const paramChunkLen = 64
 
 const (
 	maxIncludeDepth = 32
@@ -468,7 +466,7 @@ func (p *Preprocessor) define(rest []clex.Token, pos clex.Pos) {
 				nParams++
 			}
 		}
-		m.Params = p.paramWindow(nParams)
+		m.Params = p.params.Take(nParams)
 		i++
 		for i < len(rest) && rest[i].Kind != clex.RParen {
 			switch rest[i].Kind {
@@ -492,22 +490,6 @@ func (p *Preprocessor) define(rest []clex.Token, pos clex.Pos) {
 	// consumer from spilling into neighboring line storage.
 	m.Body = rest[i:len(rest):len(rest)]
 	p.macros[m.Name] = m
-}
-
-// paramWindow carves a zero-length, capacity-n window for a macro parameter
-// list from the chunked parameter buffer. A window never grows past its own
-// cap in place, so neighboring windows cannot clobber each other.
-func (p *Preprocessor) paramWindow(n int) []string {
-	if cap(p.paramBuf)-len(p.paramBuf) < n {
-		c := paramChunkLen
-		if n > c {
-			c = n
-		}
-		p.paramBuf = make([]string, 0, c)
-	}
-	off := len(p.paramBuf)
-	p.paramBuf = p.paramBuf[:off+n]
-	return p.paramBuf[off : off : off+n]
 }
 
 func (p *Preprocessor) include(rest []clex.Token, pos clex.Pos) {

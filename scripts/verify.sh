@@ -2,7 +2,8 @@
 # verify.sh — the tier-1 gate: format check, vet, build, the full test
 # suite, then the suite again under the race detector (the pipeline is
 # parallel by default, so a data race is a correctness bug, not a flake),
-# every root benchmark once, and finally the released-binary selftest with tracing enabled (the golden
+# the arena users again with the arenadebug poison guards on, every root
+# benchmark once, and finally the released-binary selftest with tracing enabled (the golden
 # artifacts must hold with observability on, and the Chrome trace export
 # must produce a loadable event stream).
 #
@@ -31,6 +32,9 @@ go -C bench vet ./...
 go build ./...
 go test ./...
 go test -race ./...
+# The arena's reuse-after-release guards exist only under -tags arenadebug:
+# run the arena and every package that allocates from it with them on.
+go test -tags arenadebug ./internal/arena ./internal/cpp ./internal/cparse ./internal/cfg ./internal/cpg
 # Every root benchmark (paper figures, tables, ablations and the speed rows
 # refbench has no twin for) runs once, so a broken benchmark fails here.
 go test -run '^$' -bench . -benchtime 1x .
