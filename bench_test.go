@@ -174,7 +174,7 @@ func BenchmarkTable4NewBugs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		unit := buildUnit()
 		reports := core.NewEngine().CheckUnit(unit)
-		nb := study.EvaluateNewBugs(c, reports)
+		nb := study.EvaluateNewBugs(c, reports, 0)
 		tot = study.Total(nb.Table4())
 	}
 	b.ReportMetric(float64(tot.NewBugs), "new_bugs")
@@ -195,7 +195,7 @@ func BenchmarkTable5ModuleDetail(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		unit := buildUnit()
 		reports := core.NewEngine().CheckUnit(unit)
-		rows = study.EvaluateNewBugs(c, reports).Table5()
+		rows = study.EvaluateNewBugs(c, reports, 0).Table5()
 	}
 	var arm, clk float64
 	for _, r := range rows {
@@ -315,7 +315,7 @@ func BenchmarkAblationConfirmation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		unit := buildUnit()
 		reports := core.NewEngine().CheckUnit(unit)
-		nb := study.EvaluateNewBugs(c, reports)
+		nb := study.EvaluateNewBugs(c, reports, 0)
 		tot := study.Total(nb.Table4())
 		confirmed = float64(tot.CFM)
 		rejected = float64(tot.PR)

@@ -79,7 +79,7 @@ func main() {
 		// artifacts is a non-zero exit. A trace may be attached, proving
 		// the golden artifacts are identical with observability enabled.
 		tr := opts.Trace("refcheck-selftest")
-		err := difftest.SelftestTrace(os.Stdout, opts.JSON, tr)
+		err := difftest.Selftest(os.Stdout, opts.JSON, tr)
 		opts.Export("refcheck", tr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "refcheck: %v\n", err)

@@ -163,7 +163,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "reproduce: cache flush: %v\n", err)
 		}
 	}
-	nb := study.EvaluateNewBugsWorkers(c, reports, opts.Workers)
+	nb := study.EvaluateNewBugs(c, reports, opts.Workers)
 
 	fmt.Println("## Table 4: new bugs (paper: arch 156, drivers 182, include 2, net 2, sound 9; 296 leak / 48 UAF / 7 NPD; 240 CFM, 3 PR, 5 FP)")
 	rows := nb.Table4()

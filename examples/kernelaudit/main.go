@@ -32,7 +32,7 @@ func main() {
 	reports := core.NewEngine().CheckUnit(unit)
 	fmt.Printf("checkers produced %d reports\n\n", len(reports))
 
-	nb := study.EvaluateNewBugs(c, reports)
+	nb := study.EvaluateNewBugs(c, reports, 0)
 	rows := nb.Table4()
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "subsystem\tnew bugs\tleak\tuaf\tnpd\tcfm\tpr\tnr\tfp")

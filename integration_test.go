@@ -114,7 +114,7 @@ func TestCrossSeedStability(t *testing.T) {
 		}
 		u := (&cpg.Builder{Headers: cpp.MapFiles(c.Headers)}).Build(sources)
 		reports := core.NewEngine().CheckUnit(u)
-		nb := study.EvaluateNewBugs(c, reports)
+		nb := study.EvaluateNewBugs(c, reports, 0)
 		if len(nb.Missed) != 0 {
 			t.Errorf("seed %d: missed %d planned bugs", seed, len(nb.Missed))
 		}
@@ -139,7 +139,7 @@ func TestCorpusScaling(t *testing.T) {
 	}
 	u := (&cpg.Builder{Headers: cpp.MapFiles(c.Headers)}).Build(sources)
 	reports := core.NewEngine().CheckUnit(u)
-	nb := study.EvaluateNewBugs(c, reports)
+	nb := study.EvaluateNewBugs(c, reports, 0)
 	if len(nb.Missed) != 0 {
 		t.Fatalf("missed %d planned bugs at %0.1f KLOC", len(nb.Missed), c.KLOC())
 	}
@@ -176,7 +176,7 @@ func TestReproducePipelineSmoke(t *testing.T) {
 		sources = append(sources, cpg.Source{Path: f.Path, Content: f.Content})
 	}
 	u := (&cpg.Builder{Headers: cpp.MapFiles(c.Headers)}).Build(sources)
-	nb := study.EvaluateNewBugs(c, core.NewEngine().CheckUnit(u))
+	nb := study.EvaluateNewBugs(c, core.NewEngine().CheckUnit(u), 0)
 	tot := study.Total(nb.Table4())
 	if tot.NewBugs != len(c.Planned) || tot.PR != 3 || tot.FP != len(c.Baits) {
 		t.Errorf("table 4 totals off: %+v", tot)

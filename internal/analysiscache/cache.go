@@ -36,11 +36,12 @@
 // Entry payloads are opaque byte slices: each caller owns its encoding
 // (hand-rolled binary codecs built on internal/bincodec — see internal/cpg,
 // internal/facts, internal/core). The cache only moves bytes; the decode
-// callback passed to Get/GetValue interprets them, and any error it
-// returns is treated as corruption. Directories written by earlier formats
-// (two-hex-char shard dirs of .gob or .bin files) are simply never
-// consulted, so a cache root surviving a format change degrades to clean
-// misses.
+// callback passed to GetValue — the one read path — interprets them, and
+// any error it returns is treated as corruption. With the memory tier
+// disabled (WithMemory(0)) GetValue decodes from disk on every call.
+// Directories written by earlier formats (two-hex-char shard dirs of .gob
+// or .bin files) are simply never consulted, so a cache root surviving a
+// format change degrades to clean misses.
 //
 // The cache is defensive by construction: any read error, decode error,
 // truncated pack, or corrupt payload is reported as a miss, and the caller
@@ -137,12 +138,6 @@ func Open(dir string, opts ...Option) (*Cache, error) {
 // Dir returns the cache root.
 func (c *Cache) Dir() string { return c.dir }
 
-// MemoryEnabled reports whether the L1 value tier is active. Callers use it
-// to choose between the value API (values land in L1 and are shared, so
-// they must be freshly allocated and immutable) and the byte API (decode
-// into caller-owned — possibly pooled — storage).
-func (c *Cache) MemoryEnabled() bool { return c.st.l1 != nil }
-
 // WithRegistry returns a view of the cache that counts every tier event
 // into reg (cache.read.*, cache.write*, cache.l1.*, cache.l2.batch.*,
 // cache.singleflight.*). The receiver is not mutated and all views share
@@ -150,31 +145,6 @@ func (c *Cache) MemoryEnabled() bool { return c.st.l1 != nil }
 // concurrently.
 func (c *Cache) WithRegistry(reg *obs.Registry) *Cache {
 	return &Cache{dir: c.dir, reg: reg, st: c.st}
-}
-
-// Get reads the entry for key through decode, bypassing L1 (the decoded
-// result stays caller-owned, so decode may target pooled storage). Any
-// failure — missing entry, torn pack, codec mismatch — is a miss. The
-// payload slice is owned by the callback for the duration of the call only.
-func (c *Cache) Get(key string, decode func(data []byte) error) bool {
-	if len(key) < 2 || c.st.closed.Load() {
-		c.reg.Add("cache.read.miss", 1)
-		return false
-	}
-	data, corrupt, ok := c.st.l2.lookup(key)
-	if corrupt > 0 {
-		c.reg.Add("cache.read.corrupt", int64(corrupt))
-	}
-	if !ok {
-		c.reg.Add("cache.read.miss", 1)
-		return false
-	}
-	if err := decode(data); err != nil {
-		c.reg.Add("cache.read.corrupt", 1)
-		return false
-	}
-	c.reg.Add("cache.read.hit", 1)
-	return true
 }
 
 // GetValue reads the decoded value for key through the tiers: L1 first,

@@ -37,6 +37,24 @@ func (p *payload) decode(data []byte) error {
 	return r.Done()
 }
 
+// decodePayload is payload's GetValue decode callback.
+func decodePayload(data []byte) (any, error) {
+	p := new(payload)
+	if err := p.decode(data); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// get reads key through GetValue into p and reports whether it hit.
+func (p *payload) get(c *Cache, key string) bool {
+	v, ok := c.GetValue(key, decodePayload)
+	if ok {
+		*p = *v.(*payload)
+	}
+	return ok
+}
+
 func mustOpen(t *testing.T, dir string, opts ...Option) *Cache {
 	t.Helper()
 	c, err := Open(dir, opts...)
@@ -72,7 +90,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	// Pre-flush: the entry is served from the pending batch.
 	var got payload
-	if !c.Get(key, got.decode) {
+	if !got.get(c, key) {
 		t.Fatal("expected hit from the pending batch after Put")
 	}
 	if got.Name != want.Name || len(got.Lines) != 3 || got.Lines[2] != 3 {
@@ -90,7 +108,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("one pending shard must flush as one pack, got %v", packFiles(t, dir))
 	}
 	got = payload{}
-	if !mustOpen(t, dir).Get(key, got.decode) || got.Name != "x" {
+	if !got.get(mustOpen(t, dir), key) || got.Name != "x" {
 		t.Fatal("expected hit from disk after Flush")
 	}
 }
@@ -98,10 +116,10 @@ func TestRoundTrip(t *testing.T) {
 func TestMissingKey(t *testing.T) {
 	c := mustOpen(t, t.TempDir())
 	var v payload
-	if c.Get(KeyOf("never", "stored"), v.decode) {
+	if v.get(c, KeyOf("never", "stored")) {
 		t.Fatal("expected miss for unknown key")
 	}
-	if c.Get("", v.decode) || c.Get("a", v.decode) {
+	if v.get(c, "") || v.get(c, "a") {
 		t.Fatal("short keys must miss, not panic")
 	}
 }
@@ -132,7 +150,7 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	var v payload
-	if mustOpen(t, dir).Get(key, v.decode) {
+	if v.get(mustOpen(t, dir), key) {
 		t.Fatal("truncated pack must be a miss")
 	}
 
@@ -140,7 +158,7 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 	if err := os.WriteFile(packs[0], []byte("not a valid pack"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if mustOpen(t, dir).Get(key, v.decode) {
+	if v.get(mustOpen(t, dir), key) {
 		t.Fatal("garbage pack must be a miss")
 	}
 
@@ -152,7 +170,7 @@ func TestCorruptEntryIsMiss(t *testing.T) {
 	if err := c2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !mustOpen(t, dir).Get(key, v.decode) || v.Name != "again" {
+	if !v.get(mustOpen(t, dir), key) || v.Name != "again" {
 		t.Fatal("Put+Flush over a corrupt pack must restore the entry")
 	}
 }
@@ -178,7 +196,7 @@ func TestOldFormatDirIsCleanMisses(t *testing.T) {
 	}
 	c := mustOpen(t, dir)
 	var v payload
-	if c.Get(key, v.decode) {
+	if v.get(c, key) {
 		t.Fatal("old-format entry must read as a miss")
 	}
 	if err := c.Put(key, (&payload{Name: "new"}).encode()); err != nil {
@@ -187,7 +205,7 @@ func TestOldFormatDirIsCleanMisses(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !mustOpen(t, dir).Get(key, v.decode) || v.Name != "new" {
+	if !v.get(mustOpen(t, dir), key) || v.Name != "new" {
 		t.Fatal("current format must repopulate alongside the old files")
 	}
 	for _, p := range oldPaths {
@@ -228,10 +246,10 @@ func TestShardDirDeletedMidRun(t *testing.T) {
 		t.Fatalf("flush after cache-dir deletion must recreate the shard dir, got %v", err)
 	}
 	var v payload
-	if !c.Get(k2, v.decode) || v.Name != "second" {
+	if !v.get(c, k2) || v.Name != "second" {
 		t.Fatal("same-handle read must hit after the repaired flush")
 	}
-	if !mustOpen(t, dir).Get(k2, v.decode) || v.Name != "second" {
+	if !v.get(mustOpen(t, dir), k2) || v.Name != "second" {
 		t.Fatal("the repaired flush must be durable on disk")
 	}
 }

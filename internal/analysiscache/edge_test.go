@@ -29,7 +29,7 @@ func TestZeroByteEntryIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	var v payload
-	if mustOpen(t, dir).Get(key, v.decode) {
+	if v.get(mustOpen(t, dir), key) {
 		t.Fatal("zero-byte pack must be a miss")
 	}
 	c2 := mustOpen(t, dir)
@@ -39,17 +39,18 @@ func TestZeroByteEntryIsMiss(t *testing.T) {
 	if err := c2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !mustOpen(t, dir).Get(key, v.decode) || v.Name != "repaired" {
+	if !v.get(mustOpen(t, dir), key) || v.Name != "repaired" {
 		t.Fatal("Put+Flush must repair a zero-byte pack")
 	}
 }
 
 // TestConcurrentWritersSameKey hammers one key from many writers while
 // readers poll it, with interleaved flushes. A reader sees either a miss or
-// one writer's entry in full — never a torn mix of two writers.
+// one writer's entry in full — never a torn mix of two writers. The handle
+// has no memory tier, so every read decodes from the disk tier.
 func TestConcurrentWritersSameKey(t *testing.T) {
 	dir := t.TempDir()
-	c := mustOpen(t, dir)
+	c := mustOpen(t, dir, WithMemory(0))
 	key := KeyOf("contended")
 	const writers, rounds = 8, 50
 
@@ -89,7 +90,7 @@ func TestConcurrentWritersSameKey(t *testing.T) {
 			polling = false
 		default:
 			var v payload
-			if c.Get(key, v.decode) {
+			if v.get(c, key) {
 				checkHit(v)
 			}
 		}
@@ -98,13 +99,13 @@ func TestConcurrentWritersSameKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	var v payload
-	if !c.Get(key, v.decode) {
+	if !v.get(c, key) {
 		t.Fatal("expected a hit after all writers finished")
 	}
 	checkHit(v)
 	// A fresh handle must decode the on-disk packs to one coherent entry.
 	v = payload{}
-	if !mustOpen(t, dir).Get(key, v.decode) {
+	if !v.get(mustOpen(t, dir), key) {
 		t.Fatal("expected a durable hit from a fresh handle")
 	}
 	checkHit(v)
@@ -134,7 +135,7 @@ func TestUnusableDirDegradesToMisses(t *testing.T) {
 			t.Fatal("Flush through a non-directory root must error")
 		}
 		var v payload
-		if c.Get(key, v.decode) {
+		if v.get(c, key) {
 			t.Fatal("a dropped batch must not leave a readable entry")
 		}
 	})
@@ -169,10 +170,10 @@ func TestUnusableDirDegradesToMisses(t *testing.T) {
 			t.Fatal("Flush into a read-only root must error")
 		}
 		var v payload
-		if c.Get(fresh, v.decode) {
+		if v.get(c, fresh) {
 			t.Fatal("entry whose batch was dropped must miss")
 		}
-		if !c.Get(stored, v.decode) || v.Name != "kept" {
+		if !v.get(c, stored) || v.Name != "kept" {
 			t.Fatal("read-only root must still serve existing entries")
 		}
 	})

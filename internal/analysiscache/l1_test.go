@@ -108,14 +108,6 @@ func TestL1Recharge(t *testing.T) {
 // the counters tell the two paths apart.
 func TestGetValueTiered(t *testing.T) {
 	dir := t.TempDir()
-	decode := func(data []byte) (any, error) {
-		p := new(payload)
-		if err := p.decode(data); err != nil {
-			return nil, err
-		}
-		return p, nil
-	}
-
 	reg := obs.NewRegistry()
 	c := mustOpen(t, dir).WithRegistry(reg)
 	key := KeyOf("tiered")
@@ -123,7 +115,7 @@ func TestGetValueTiered(t *testing.T) {
 	if err := c.PutValue(key, want, want.encode()); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := c.GetValue(key, decode)
+	v, ok := c.GetValue(key, decodePayload)
 	if !ok || v.(*payload) != want {
 		t.Fatal("same-handle GetValue must return the exact L1 value")
 	}
@@ -137,7 +129,7 @@ func TestGetValueTiered(t *testing.T) {
 
 	reg2 := obs.NewRegistry()
 	c2 := mustOpen(t, dir).WithRegistry(reg2)
-	v, ok = c2.GetValue(key, decode)
+	v, ok = c2.GetValue(key, decodePayload)
 	if !ok || v.(*payload).Name != "v" {
 		t.Fatal("fresh handle must decode the entry from disk")
 	}
@@ -146,18 +138,18 @@ func TestGetValueTiered(t *testing.T) {
 			reg2.Counter("cache.l1.miss"), reg2.Counter("cache.read.hit"))
 	}
 	// The disk hit seeded L1: the next lookup stays in memory.
-	if _, ok = c2.GetValue(key, decode); !ok || reg2.Counter("cache.l1.hit") != 1 {
+	if _, ok = c2.GetValue(key, decodePayload); !ok || reg2.Counter("cache.l1.hit") != 1 {
 		t.Fatalf("second lookup must hit L1, l1.hit=%d", reg2.Counter("cache.l1.hit"))
 	}
 
 	// With the memory tier disabled, GetValue decodes every time.
 	reg3 := obs.NewRegistry()
 	c3 := mustOpen(t, dir, WithMemory(0)).WithRegistry(reg3)
-	if c3.MemoryEnabled() {
+	if c3.st.l1 != nil {
 		t.Fatal("WithMemory(0) must disable L1")
 	}
 	for i := 0; i < 2; i++ {
-		if _, ok := c3.GetValue(key, decode); !ok {
+		if _, ok := c3.GetValue(key, decodePayload); !ok {
 			t.Fatal("L1-disabled GetValue must still serve from disk")
 		}
 	}
@@ -173,19 +165,13 @@ func TestGetValueTiered(t *testing.T) {
 func TestConcurrentSameKeyValueOps(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			c := mustOpen(t, t.TempDir(), WithMemory(4096))
+			dir := t.TempDir()
+			c := mustOpen(t, dir, WithMemory(4096))
 			keys := make([]string, 8)
 			vals := make([]*payload, len(keys))
 			for i := range keys {
 				keys[i] = KeyOf("conc", fmt.Sprint(i))
 				vals[i] = &payload{Name: fmt.Sprintf("v-%d", i), Lines: []int{i, i}}
-			}
-			decode := func(data []byte) (any, error) {
-				p := new(payload)
-				if err := p.decode(data); err != nil {
-					return nil, err
-				}
-				return p, nil
 			}
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -200,7 +186,7 @@ func TestConcurrentSameKeyValueOps(t *testing.T) {
 								return
 							}
 						}
-						if v, ok := c.GetValue(keys[k], decode); ok {
+						if v, ok := c.GetValue(keys[k], decodePayload); ok {
 							if got := v.(*payload).Name; got != vals[k].Name {
 								t.Errorf("key %d decoded %q, want %q", k, got, vals[k].Name)
 								return
@@ -216,10 +202,12 @@ func TestConcurrentSameKeyValueOps(t *testing.T) {
 			if err := c.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			// Every key must be durable and coherent afterwards.
+			// Every key must be durable and coherent afterwards: a fresh
+			// handle reads it from disk.
+			fresh := mustOpen(t, dir)
 			for i, k := range keys {
 				var v payload
-				if !c.Get(k, v.decode) || v.Name != vals[i].Name {
+				if !v.get(fresh, k) || v.Name != vals[i].Name {
 					t.Fatalf("key %d not durable after the storm", i)
 				}
 			}

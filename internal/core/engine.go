@@ -280,7 +280,7 @@ func ConfirmReportsSpan(reports []Report, workers int, parent *obs.Span) int {
 			},
 		}
 	}
-	verdicts := refsim.ReplayAllSpan(jobs, workers, parent)
+	verdicts := refsim.ReplayAll(jobs, workers, parent)
 	n := 0
 	for i := range reports {
 		reports[i].Confirmed = verdicts[i].Confirmed

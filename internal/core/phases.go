@@ -8,7 +8,6 @@ import (
 	"repro/internal/apidb"
 	"repro/internal/cpg"
 	"repro/internal/facts"
-	"repro/internal/obs"
 )
 
 // The distributed phase API: Analyze split at its natural barriers.
@@ -143,8 +142,11 @@ func DecodeShardResult(cells, factsData []byte) (*ShardResult, error) {
 // CheckRound is round 2 over one process's files: assemble art (a
 // LocalRound artifact, or several merged) against the exchange x —
 // req.Options.DB must be the DB x's discovery was applied to — then derive
-// facts and run the function-scoped checkers, consulting and storing the
-// per-file facts and report entries when req.Options.Cache is set.
+// facts and run the function-scoped checkers, and collect the unit-scoped
+// checkers' inputs among the files' functions. With req.Options.Cache set
+// it seeds the facts and cells from the per-file entries and queues the
+// entries that missed; the caller makes them durable with one Flush (or
+// Close) once its run's entries are all queued.
 func CheckRound(ctx context.Context, req Request, x *cpg.Exchange, art *cpg.ShardArtifact) (*ShardResult, error) {
 	opt := req.Options
 	engine, err := newEngine(opt)
@@ -152,67 +154,26 @@ func CheckRound(ctx context.Context, req Request, x *cpg.Exchange, art *cpg.Shar
 		return nil, err
 	}
 	root := req.Trace.Root()
-	u := assembleRound(opt, x, art, root)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	csp := root.Child("phase:check")
-	engine.Obs = csp
-	res, err := checkRound(ctx, opt, engine, x, u, req.Trace.Reg())
-	csp.End()
-	if err != nil || opt.Cache == nil {
-		return res, err
-	}
-	ssp := root.Child("phase:cache-store")
-	res.storeFiles(opt.Cache)
-	_ = opt.Cache.Flush()
-	ssp.End()
-	return res, nil
-}
-
-// Finish ends a run from every process's round-2 results: it drops their
-// cells into the whole unit's slots, runs the unit-scoped checkers, the
-// deferral table and finalize, summarizes from the exchange and optionally
-// confirms. req.Options.DB must hold x's discovery.
-func Finish(ctx context.Context, req Request, x *cpg.Exchange, results []*ShardResult) (*Run, error) {
-	opt := req.Options
-	engine, err := newEngine(opt)
-	if err != nil {
-		return nil, err
-	}
-	run := &Run{Trace: req.Trace, Summary: summarize(x)}
-	csp := req.Trace.Root().Child("phase:check")
-	engine.Obs = csp
-	run.Reports = finishRun(engine, opt.DB, x, results)
-	csp.End()
-	confirm(run, opt)
-	return run, ctx.Err()
-}
-
-// assembleRound assembles a round-1 artifact against the exchange under a
-// phase:assemble span.
-func assembleRound(opt Options, x *cpg.Exchange, art *cpg.ShardArtifact, root *obs.Span) *cpg.Unit {
 	sp := root.Child("phase:assemble")
 	u := (&cpg.Builder{DB: opt.DB, Workers: opt.Workers, Obs: sp}).AssembleShard(art, x)
 	sp.End()
-	return u
-}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
-// checkRound is round 2's checking half over an assembled unit, under
-// engine.Obs: seed the facts and cells from the per-file entries when
-// opt.Cache is set, check the rest, and collect the unit-scoped checkers'
-// inputs among the unit's functions.
-func checkRound(ctx context.Context, opt Options, engine *Engine, x *cpg.Exchange, u *cpg.Unit, reg *obs.Registry) (*ShardResult, error) {
+	csp := root.Child("phase:check")
+	engine.Obs = csp
 	uf := facts.NewUnit(u)
 	res := &ShardResult{uf: uf, names: uf.FunctionNames()}
 	if opt.Cache != nil {
-		res.pending = preloadFiles(opt.Cache, opt.ConfigFP, engine, u, uf, reg)
+		res.pending = preloadFiles(opt.Cache, opt.ConfigFP, engine, u, uf, req.Trace.Reg())
 	}
 	res.cells = engine.checkFunctions(ctx, uf, res.pending.cells)
 	if err := ctx.Err(); err != nil {
 		// A cancelled check may have skipped functions; partial cells must
 		// never be finished or cached.
-		return res, err
+		csp.End()
+		return nil, err
 	}
 	res.facts = map[string]*facts.Data{}
 	for _, name := range engine.unitInputs(u.DB, x.Decls) {
@@ -220,14 +181,28 @@ func checkRound(ctx context.Context, opt Options, engine *Engine, x *cpg.Exchang
 			res.facts[name] = ff.Data
 		}
 	}
-	uf.Observe(reg)
+	uf.Observe(req.Trace.Reg())
+	csp.End()
+	if opt.Cache != nil {
+		ssp := root.Child("phase:cache-store")
+		res.storeFiles(opt.Cache)
+		ssp.End()
+	}
 	return res, nil
 }
 
-// finishRun merges the results' cells into the whole unit's slot array —
-// every defined function, in name order, each owned by exactly one result —
-// and runs Engine.finish over it with the results' facts.
-func finishRun(engine *Engine, db *apidb.DB, x *cpg.Exchange, results []*ShardResult) []Report {
+// Finish ends a run from every process's round-2 results: it drops their
+// cells into the whole unit's slot array — every defined function, in name
+// order, each owned by exactly one result — runs the unit-scoped checkers,
+// the deferral table and finalize over it with the results' facts,
+// summarizes from the exchange and optionally confirms. req.Options.DB
+// must hold x's discovery.
+func Finish(ctx context.Context, req Request, x *cpg.Exchange, results []*ShardResult) (*Run, error) {
+	opt := req.Options
+	engine, err := newEngine(opt)
+	if err != nil {
+		return nil, err
+	}
 	var cells [][][]Report
 	if len(results) == 1 {
 		cells = results[0].cells // one process held the whole unit
@@ -256,7 +231,13 @@ func finishRun(engine *Engine, db *apidb.DB, x *cpg.Exchange, results []*ShardRe
 		}
 		return nil
 	}
-	return engine.finish(cells, &UnitView{DB: db, Decls: x.Decls, Facts: lookup})
+	run := &Run{Trace: req.Trace, Summary: summarize(x)}
+	csp := req.Trace.Root().Child("phase:check")
+	engine.Obs = csp
+	run.Reports = engine.finish(cells, &UnitView{DB: opt.DB, Decls: x.Decls, Facts: lookup})
+	csp.End()
+	confirm(run, opt)
+	return run, ctx.Err()
 }
 
 // storeFiles stores every per-file facts and report entry that missed. A

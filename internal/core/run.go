@@ -339,56 +339,47 @@ func confirm(run *Run, opt Options) {
 	sp.End()
 }
 
-// compute is Analyze's pipeline, shared by the uncached path and the
-// single-flight leader: the two rounds run in process over one shard. The
-// local round covers every source and stays in memory — files keep their
-// ASTs (and their L1 parse memos), so nothing is encoded or reparsed — then
-// the exchange runs over its records, round 2 checks the whole unit, and
-// finishRun turns its cells into the report list. req.Options carries the
-// (registry-bound) cache, or nil; with a cache, the unit entry is stored
-// under key along with every per-file entry that missed. It fills run in
-// place, so a cancelled call still leaves the partial Run visible, and
-// returns the stored unit entry (nil without a cache). Confirmation is the
-// caller's job — a stored entry must stay confirmation-agnostic.
-func compute(ctx context.Context, req Request, engine *Engine, key string, run *Run) (*unitEntry, error) {
-	art, err := localPass(ctx, req, req.Sources, false)
+// compute is Analyze's pipeline: the phase API's rounds run in process
+// over one shard. LocalRound covers every source and stays in memory —
+// files keep their ASTs (and their L1 parse memos), so nothing is encoded
+// or reparsed — then the exchange runs over its records, CheckRound checks
+// the whole unit and Finish turns its cells into the report list. Finish
+// runs unconfirmed: with a cache the unit entry is stored under key, next
+// to the per-file entries CheckRound queued, and a stored entry must stay
+// confirmation-agnostic, so confirming is the caller's job. One Flush then
+// makes the run's entries durable and visible to other processes. compute
+// fills run in place, so a cancelled call still leaves the partial Run
+// visible, and returns the stored unit entry (nil without a cache).
+func compute(ctx context.Context, req Request, key string, run *Run) (*unitEntry, error) {
+	art, err := LocalRound(ctx, req, req.Sources)
 	if err != nil {
 		return nil, err
 	}
-	opt := req.Options
-	if opt.DB == nil {
-		opt.DB = apidb.New()
+	if req.Options.DB == nil {
+		req.Options.DB = apidb.New()
 	}
-	root := run.Trace.Root()
-	sp := root.Child("phase:exchange")
-	x := cpg.ExchangeRecords(opt.DB, art.Records())
+	sp := req.Trace.Root().Child("phase:exchange")
+	x := cpg.ExchangeRecords(req.Options.DB, art.Records())
 	sp.End()
-	run.Summary = summarize(x)
-	run.Unit = assembleRound(opt, x, art, root)
-	if err := ctx.Err(); err != nil {
+	res, err := CheckRound(ctx, req, x, art)
+	if err != nil {
 		return nil, err
 	}
-
-	csp := root.Child("phase:check")
-	engine.Obs = csp
-	res, err := checkRound(ctx, opt, engine, x, run.Unit, run.Trace.Reg())
-	if err == nil {
-		run.Reports = finishRun(engine, opt.DB, x, []*ShardResult{res})
-	}
-	csp.End()
-	if err != nil || opt.Cache == nil {
+	run.Unit = res.uf.Unit
+	req.Options.Confirm = false
+	fin, err := Finish(ctx, req, x, []*ShardResult{res})
+	if err != nil {
 		return nil, err
 	}
-
-	ssp := root.Child("phase:cache-store")
-	// Store before confirmation so the entry is confirmation-agnostic. PutValue
-	// lands the decoded entry in L1 and queues the bytes for the disk tier's
-	// batch; the explicit Flush makes this run's entries durable and visible
-	// to other processes without waiting for thresholds.
+	run.Reports, run.Summary = fin.Reports, fin.Summary
+	cache := req.Options.Cache
+	if cache == nil {
+		return nil, nil
+	}
+	ssp := req.Trace.Root().Child("phase:cache-store")
 	ent := &unitEntry{Summary: run.Summary, Reports: stripWitnessBlocks(run.Reports)}
-	_ = opt.Cache.PutValue(key, ent, encodeUnitEntry(ent))
-	res.storeFiles(opt.Cache)
-	_ = opt.Cache.Flush()
+	_ = cache.PutValue(key, ent, encodeUnitEntry(ent))
+	_ = cache.Flush()
 	ssp.End()
 	return ent, nil
 }
@@ -398,8 +389,8 @@ func compute(ctx context.Context, req Request, engine *Engine, key string, run *
 // every phase and work-queue boundary.
 //
 // The computation is the phase API run in process (see compute): one local
-// round over every source, the exchange, round 2 and the finish — the same
-// functions internal/manager drives across processes.
+// round over every source, the exchange, the check round and the finish —
+// the same functions internal/manager drives across processes.
 //
 // With no cache in the options it runs that pipeline. With a cache set
 // it first consults the tiered unit-level report cache — the in-memory L1
@@ -409,11 +400,10 @@ func compute(ctx context.Context, req Request, engine *Engine, key string, run *
 // same unit key on one cache perform one computation, the leader's stored
 // entry is shared with the waiters (counted as cache.singleflight.wait, and
 // served exactly like a cache hit: Unit stays nil). On a miss it also
-// threads the per-file front-end cache through the local pass so only
-// changed files are re-preprocessed, and preloads the per-file facts
-// entries so checking skips path enumeration and event normalization for
-// every file whose facts inputs are unchanged; only the missed files'
-// entries are re-derived and stored.
+// threads the per-file front-end cache through the local round so only
+// changed files are re-preprocessed, and preloads the per-file facts and
+// report entries so checking skips every file whose inputs are unchanged;
+// only the missed files' entries are re-derived and stored.
 // Reports are byte-identical across {no cache, cold cache, warm cache,
 // L1-warm, facts-only hit, partial hit} at any worker count, with or
 // without a trace attached.
@@ -443,62 +433,53 @@ func Analyze(ctx context.Context, req Request) (*Run, error) {
 	req.Options.Cache = cache
 
 	run := &Run{Trace: req.Trace}
-	if cache == nil {
-		if err := ctx.Err(); err != nil {
-			return run, err
+	var key string
+	if cache != nil {
+		sp := req.Trace.Root().Child("phase:cache-lookup")
+		key = unitCacheKey(opt.ConfigFP, engine.patternsFP(), corpusFP(req.Sources, req.Headers))
+		ent, hit := lookupUnit(cache, key)
+		sp.End()
+		if hit {
+			reg.Add("cache.unit.hit", 1)
+			serveCached(run, ent, req, reg)
+			return run, ctx.Err()
 		}
-		release, err := admit(ctx, opt)
-		if err != nil {
-			return run, err
-		}
-		_, err = compute(ctx, req, engine, "", run)
-		release()
-		if err != nil {
-			return run, err
-		}
-		confirm(run, opt)
-		return run, ctx.Err()
+		reg.Add("cache.unit.miss", 1)
 	}
-
-	sp := req.Trace.Root().Child("phase:cache-lookup")
-	corpus := corpusFP(req.Sources, req.Headers)
-	key := unitCacheKey(opt.ConfigFP, engine.patternsFP(), corpus)
-	ent, hit := lookupUnit(cache, key)
-	sp.End()
-	if hit {
-		reg.Add("cache.unit.hit", 1)
-		serveCached(run, ent, req, reg)
-		return run, ctx.Err()
-	}
-	reg.Add("cache.unit.miss", 1)
 	if err := ctx.Err(); err != nil {
 		return run, err
 	}
 
 	computed := false
-	v, _, err := cache.Flight(ctx, key, func() (any, error) {
-		// Second-chance lookup: a leader that finished between our miss and
-		// this flight already populated L1 — serve that instead of leading
-		// a redundant computation.
-		if ent, ok := lookupUnit(cache, key); ok {
-			return ent, nil
-		}
+	lead := func() (any, error) {
 		release, err := admit(ctx, opt)
 		if err != nil {
 			return nil, err
 		}
 		defer release()
-		reg.Add("cache.singleflight.leader", 1)
-		computed = true
-		ent, err := compute(ctx, req, engine, key, run)
-		if err != nil {
-			return nil, err
+		if cache != nil {
+			reg.Add("cache.singleflight.leader", 1)
 		}
-		return ent, nil
-	})
+		computed = true
+		return compute(ctx, req, key, run)
+	}
+	var v any
+	if cache == nil {
+		_, err = lead()
+	} else {
+		v, _, err = cache.Flight(ctx, key, func() (any, error) {
+			// Second-chance lookup: a leader that finished between our miss
+			// and this flight already populated L1 — serve that instead of
+			// leading a redundant computation.
+			if ent, ok := lookupUnit(cache, key); ok {
+				return ent, nil
+			}
+			return lead()
+		})
+	}
 	if err != nil {
-		// Either our own (leader) pipeline was cancelled — run carries the
-		// partial result — or our ctx died while waiting on another leader.
+		// Either our own pipeline was cancelled — run carries the partial
+		// result — or our ctx died while waiting on another leader.
 		return run, err
 	}
 	if !computed {

@@ -53,7 +53,7 @@ func DecodeShardArtifact(data []byte) (*ShardArtifact, error) {
 	for i := 0; i < nFiles && r.Err() == nil; i++ {
 		af := &ArtFile{Path: dt.str(r)}
 		var cppErrs []string
-		af.Tokens, cppErrs, af.Obs = decodeRecord(r, dt, nil)
+		af.Tokens, cppErrs, af.Obs = decodeRecord(r, dt)
 		af.errs, af.cppN = cppErrors(cppErrs), len(cppErrs)
 		a.Files = append(a.Files, af)
 	}

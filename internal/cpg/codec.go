@@ -206,15 +206,12 @@ func encodeRecord(w *bincodec.Writer, in *interner, toks []clex.Token, cppErrs [
 	encodeFileObs(w, in, o)
 }
 
-// decodeRecord reads one record written by encodeRecord, decoding the token
-// stream into tokBuf when it is large enough (so a pooled buffer can back
-// it).
-func decodeRecord(r *bincodec.Reader, dt *decTables, tokBuf []clex.Token) (toks []clex.Token, cppErrs []string, o apidb.FileObs) {
+// decodeRecord reads one record written by encodeRecord.
+func decodeRecord(r *bincodec.Reader, dt *decTables) (toks []clex.Token, cppErrs []string, o apidb.FileObs) {
 	n := r.Count()
-	if cap(tokBuf) < n {
-		tokBuf = make([]clex.Token, 0, n)
+	if n > 0 {
+		toks = make([]clex.Token, 0, n)
 	}
-	toks = tokBuf[:0]
 	for i := 0; i < n && r.Err() == nil; i++ {
 		toks = append(toks, decodeToken(r, dt))
 	}
@@ -365,28 +362,22 @@ func encodeFrontEntry(ent *frontEntry) []byte {
 	return frame(feMagic, in, body)
 }
 
-// decodeFrontEntry parses data into ent, reusing tokBuf (when large enough)
-// for the token stream so a pooled buffer can back it. It returns
-// bincodec.ErrCorrupt on any malformed input.
-func decodeFrontEntry(data []byte, ent *frontEntry, tokBuf []clex.Token) error {
+// decodeFrontValue is the front-end entry's decode callback: it builds a
+// frontEntry in fresh storage (no pooled buffers), suitable for retention
+// in the cache's in-memory tier and sharing across builds, with an empty
+// parse memo. It returns bincodec.ErrCorrupt on any malformed input.
+func decodeFrontValue(data []byte) (any, error) {
 	r, dt := readFrame(data, feMagic)
 	if dt == nil {
-		return r.Err()
+		return nil, r.Err()
 	}
+	ent := &frontEntry{memo: &frontMemo{charge: int64(len(data))}}
 	nDeps := r.Count()
 	for i := 0; i < nDeps; i++ {
 		ent.Closure = append(ent.Closure, cpp.IncludeDep{Path: r.String(), Hash: r.String()})
 	}
-	ent.Tokens, ent.CppErrors, ent.Obs = decodeRecord(r, dt, tokBuf)
-	return r.Done()
-}
-
-// decodeFrontValue is the value-tier decode callback: it builds a frontEntry
-// in fresh storage (no pooled buffers) suitable for retention in the cache's
-// in-memory tier and sharing across builds, with an empty parse memo.
-func decodeFrontValue(data []byte) (any, error) {
-	ent := &frontEntry{memo: &frontMemo{charge: int64(len(data))}}
-	if err := decodeFrontEntry(data, ent, nil); err != nil {
+	ent.Tokens, ent.CppErrors, ent.Obs = decodeRecord(r, dt)
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return ent, nil

@@ -53,33 +53,32 @@ func sampleEntry() *frontEntry {
 	}
 }
 
+// decodeEntry decodes a front-end entry through decodeFrontValue, with the
+// never-encoded parse memo cleared so the entry compares with its source.
+func decodeEntry(data []byte) (*frontEntry, error) {
+	v, err := decodeFrontValue(data)
+	if err != nil {
+		return nil, err
+	}
+	ent := v.(*frontEntry)
+	ent.memo = nil
+	return ent, nil
+}
+
 func TestFrontEntryRoundTrip(t *testing.T) {
 	want := sampleEntry()
 	enc := encodeFrontEntry(want)
-	var got frontEntry
-	if err := decodeFrontEntry(enc, &got, nil); err != nil {
+	got, err := decodeEntry(enc)
+	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if !reflect.DeepEqual(*want, got) {
-		t.Fatalf("round-trip mismatch:\nwant %+v\ngot  %+v", *want, got)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("round-trip mismatch:\nwant %+v\ngot  %+v", *want, *got)
 	}
 	// Re-encoding the decoded entry must reproduce identical bytes — the
 	// table construction is a deterministic function of the entry.
-	if enc2 := encodeFrontEntry(&got); !bytes.Equal(enc, enc2) {
+	if enc2 := encodeFrontEntry(got); !bytes.Equal(enc, enc2) {
 		t.Fatal("re-encode of decoded entry is not byte-identical")
-	}
-}
-
-func TestFrontEntryDecodeReusesBuffer(t *testing.T) {
-	want := sampleEntry()
-	enc := encodeFrontEntry(want)
-	buf := make([]clex.Token, 0, 64)
-	var got frontEntry
-	if err := decodeFrontEntry(enc, &got, buf); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(got.Tokens) == 0 || &got.Tokens[0] != &buf[:1][0] {
-		t.Fatal("decode did not reuse the provided token buffer")
 	}
 }
 
@@ -87,21 +86,19 @@ func TestFrontEntryCorruptInputs(t *testing.T) {
 	enc := encodeFrontEntry(sampleEntry())
 	// Every truncation must fail cleanly.
 	for cut := 0; cut < len(enc); cut++ {
-		var ent frontEntry
-		if err := decodeFrontEntry(enc[:cut], &ent, nil); !errors.Is(err, bincodec.ErrCorrupt) {
+		if _, err := decodeFrontValue(enc[:cut]); !errors.Is(err, bincodec.ErrCorrupt) {
 			t.Fatalf("cut=%d: err=%v, want ErrCorrupt", cut, err)
 		}
 	}
 	// A frame of the previous format version is corrupt, not misread.
 	stale := bytes.Clone(enc)
 	stale[3]--
-	if err := decodeFrontEntry(stale, &frontEntry{}, nil); !errors.Is(err, bincodec.ErrCorrupt) {
+	if _, err := decodeFrontValue(stale); !errors.Is(err, bincodec.ErrCorrupt) {
 		t.Fatalf("stale version: err=%v, want ErrCorrupt", err)
 	}
 	// Trailing garbage is corrupt: a valid entry consumes its input exactly.
-	var ent frontEntry
 	long := append(bytes.Clone(enc), 0)
-	if err := decodeFrontEntry(long, &ent, nil); !errors.Is(err, bincodec.ErrCorrupt) {
+	if _, err := decodeFrontValue(long); !errors.Is(err, bincodec.ErrCorrupt) {
 		t.Fatalf("trailing byte: err=%v, want ErrCorrupt", err)
 	}
 }
@@ -117,19 +114,19 @@ func FuzzCacheCodec(f *testing.F) {
 	f.Add(magicOnly(feMagic))
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var ent frontEntry
-		if err := decodeFrontEntry(data, &ent, nil); err != nil {
+		ent, err := decodeEntry(data)
+		if err != nil {
 			if !errors.Is(err, bincodec.ErrCorrupt) {
 				t.Fatalf("decode error %v is not ErrCorrupt", err)
 			}
 			return
 		}
-		enc := encodeFrontEntry(&ent)
-		var ent2 frontEntry
-		if err := decodeFrontEntry(enc, &ent2, nil); err != nil {
+		enc := encodeFrontEntry(ent)
+		ent2, err := decodeEntry(enc)
+		if err != nil {
 			t.Fatalf("canonical form failed to decode: %v", err)
 		}
-		if enc2 := encodeFrontEntry(&ent2); !bytes.Equal(enc, enc2) {
+		if enc2 := encodeFrontEntry(ent2); !bytes.Equal(enc, enc2) {
 			t.Fatal("canonical form is not a re-encode fixed point")
 		}
 	})

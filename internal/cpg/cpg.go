@@ -115,10 +115,12 @@ type Builder struct {
 	// closure) keyed by content hash, so an unchanged file skips
 	// preprocessing and observation on the next build. With the cache's
 	// memory tier enabled, an unchanged file's parse tree is reused as well
-	// (see frontEntry). Assembly, discovery replay and everything
-	// downstream still run over the whole unit — they have cross-file
-	// dependencies — which keeps cached and uncached builds byte-identical
-	// by construction.
+	// (see frontEntry); without it every entry is decoded from disk and its
+	// tokens parsed again. A retaining BuildArtifactContext (artifact
+	// export) does not consult the cache. Assembly, discovery replay and
+	// everything downstream still run over the whole unit — they have
+	// cross-file dependencies — which keeps cached and uncached builds
+	// byte-identical by construction.
 	Cache *analysiscache.Cache
 	// Obs, when non-nil, is the parent span the build hangs its spans and
 	// counters off: a child span per translation unit plus front-end
@@ -140,21 +142,22 @@ type Builder struct {
 // preprocessing, and reparsing cached tokens yields an identical AST
 // without an AST codec.
 //
-// An entry held by the cache's L1 also carries memo, the file's parse (and
-// the declaration record derived from it), filled once by the first build
-// that reaches the entry and reused by every later build in the process —
-// so an edit loop parses only the files it changed. The memo stays in
-// memory only. Once it is set the parse replaces
-// the token stream (Tokens is nil from then on, so the tier does not hold
-// both), and the entry's L1 charge grows from its encoded size by the
-// parse's arena bytes.
+// A decoded or stored entry also carries memo, the file's parse (and the
+// declaration record derived from it), filled once by the first build that
+// reaches the entry. An entry held by the cache's L1 is reused by every
+// later build in the process — so an edit loop parses only the files it
+// changed; without an L1 every hit decodes an entry of its own and parses
+// it again. The memo stays in memory only. Once it is set the parse
+// replaces the token stream (Tokens is nil from then on, so the tier does
+// not hold both), and the entry's L1 charge grows from its encoded size by
+// the parse's arena bytes.
 type frontEntry struct {
 	Closure   []cpp.IncludeDep
 	Tokens    []clex.Token
 	CppErrors []string
 	Obs       apidb.FileObs
 
-	memo *frontMemo // nil unless the entry is an L1 value
+	memo *frontMemo // never encoded
 }
 
 // frontMemo is an L1 front-end entry's parse (see frontEntry). Everything
@@ -172,13 +175,6 @@ type frontEnd struct {
 	b     *Builder
 	hc    *cpp.HeaderCache // fresh per build: headers are lexed once per Build
 	cache *analysiscache.Cache
-	// l1hold marks a cache with an active in-memory value tier and a build
-	// that does not retain token streams: front-entry reads then go through
-	// GetValue, which retains the decoded entry, so decoding must not target
-	// the pooled token buffer, and the entry's parse is memoized (see
-	// parseOne). A retaining build (artifact export) needs every file's
-	// tokens, which memoized entries drop, so it reads through the byte API.
-	l1hold bool
 	// retain makes parseOne copy each TU's expanded token stream into fresh
 	// storage (ArtFile.Tokens) so the artifact can be serialized after the
 	// pooled buffers are released. The pooled per-TU buffer never escapes
@@ -286,28 +282,14 @@ func (fe *frontEnd) parseOne(src Source) *ArtFile {
 	var key string
 	if fe.cache != nil {
 		key = frontKey(src.Path, src.Content)
-		if fe.l1hold {
-			// Value-tier path: the entry lives in the cache's L1 and is
-			// shared with every later build, so it must live in fresh
-			// storage — never the pooled buffer — and be treated as
-			// immutable from here. The pooled buf stays untouched and
-			// returns to the pool unused.
-			if v, ok := fe.cache.GetValue(key, decodeFrontValue); ok {
-				ent := v.(*frontEntry)
-				if fe.closureValid(ent.Closure) {
-					fe.reg.Add("frontend.cache.hit", 1)
-					return fe.reuse(key, src.Path, ent)
-				}
-			}
-		} else {
-			var ent frontEntry
-			if fe.cache.Get(key, func(data []byte) error { return decodeFrontEntry(data, &ent, buf) }) &&
-				fe.closureValid(ent.Closure) {
+		// The entry may live in the cache's L1 and be shared with every
+		// later build, so it lives in fresh storage — never the pooled
+		// buffer — and is treated as immutable from here.
+		if v, ok := fe.cache.GetValue(key, decodeFrontValue); ok {
+			ent := v.(*frontEntry)
+			if fe.closureValid(ent.Closure) {
 				fe.reg.Add("frontend.cache.hit", 1)
-				buf = ent.Tokens
-				af, _ := fe.parse(src.Path, ent.Tokens, cppErrors(ent.CppErrors), sourceFP(key, ent.Closure))
-				af.Obs = ent.Obs
-				return af
+				return fe.reuse(key, src.Path, ent)
 			}
 		}
 		fe.reg.Add("frontend.cache.miss", 1)
@@ -329,15 +311,11 @@ func (fe *frontEnd) parseOne(src Source) *ArtFile {
 		ent.CppErrors[i] = e.Error()
 	}
 	enc := encodeFrontEntry(ent)
-	// A Put failure (full disk, unwritable dir) only costs the next run a
+	// This build's parse becomes the entry's memo before the entry is
+	// published, so the next build that hits it in L1 reuses the parse and
+	// the pooled token buffer never escapes into the shared entry. A put
+	// failure (full disk, unwritable dir) only costs the next run a
 	// recompute; the current result is served from memory either way.
-	if !fe.l1hold {
-		_ = fe.cache.Put(key, enc)
-		return af
-	}
-	// With an L1 this build's parse becomes the entry's memo before the
-	// entry is published, so the next build that hits it reuses the parse
-	// and the pooled token buffer never escapes into the shared entry.
 	ent.Tokens = nil
 	m := &frontMemo{charge: int64(len(enc)) + parseBytes}
 	m.once.Do(func() { m.file, m.perrs, m.decls = af.file, af.errs[af.cppN:], af.decls })
@@ -425,16 +403,16 @@ func (fe *frontEnd) retainToks(toks []clex.Token) []clex.Token {
 
 // Build preprocesses, parses and analyzes the sources into a Unit. Inputs
 // are merged in path order so results are deterministic regardless of the
-// worker count. It runs the two halves of a build that are also available
-// separately for distributed analysis: BuildArtifactContext (the per-file
-// front end plus discovery observation, the shard-local pass) and
-// AssembleContext (discovery and declaration merge, the global
-// pass) — so the single-process and distributed paths share every line of
-// the phase logic. Per-function analysis is not part of the build:
-// Function.Analyze runs it on demand.
+// worker count. It is the product pipeline's build run over one shard:
+// BuildArtifactContext (the per-file front end plus discovery observation,
+// the shard-local pass), ExchangeRecords over the artifact's records (the
+// global pass: discovery replay and declaration merge) and AssembleShard's
+// assembly against that exchange. Per-function analysis is not part of the
+// build: Function.Analyze runs it on demand.
 func (b *Builder) Build(sources []Source) *Unit {
-	ctx := context.TODO()
-	return b.AssembleContext(ctx, b.BuildArtifactContext(ctx, sources, false), nil)
+	art := b.BuildArtifactContext(context.TODO(), sources, false)
+	db := b.db()
+	return b.assemble(art, ExchangeRecords(db, art.Records()), db)
 }
 
 // parseTU runs the per-file front end under a "tu" span, feeding the per-TU
@@ -458,7 +436,6 @@ func (fe *frontEnd) parseTU(src Source) *ArtFile {
 func (b *Builder) newFrontEnd() *frontEnd {
 	fe := &frontEnd{b: b, hc: cpp.NewHeaderCache(), cache: b.Cache,
 		reg: b.Obs.Reg(), stats: &arena.Stats{}}
-	fe.l1hold = b.Cache != nil && b.Cache.MemoryEnabled()
 	fe.tokPool.Stats = fe.stats
 	return fe
 }
@@ -466,12 +443,13 @@ func (b *Builder) newFrontEnd() *frontEnd {
 // BuildArtifactContext runs the shard-local half of a build: preprocess +
 // parse, sharded per file (each file's front end is independent), with the
 // file's discovery observation extracted in the same worker pass (or served
-// from the file's front-end cache entry). The artifact lists files in sorted path order; TUs skipped by cancellation
-// are absent.
+// from the file's front-end cache entry). The artifact lists files in sorted
+// path order; TUs skipped by cancellation are absent.
 //
 // With retain set, each file's expanded token stream is copied into fresh
 // storage so the artifact can outlive the build's pooled buffers and be
-// serialized (EncodeShardArtifact requires it). Without retain the artifact
+// serialized (EncodeShardArtifact requires it); such a build does not
+// consult the cache. Without retain the artifact
 // is only usable in-process — which is how Build, core.Analyze and the
 // manager's workers consume it: the files keep their ASTs (and an L1
 // front-end entry's parse memo), so assembly reparses nothing and no token
@@ -481,8 +459,12 @@ func (b *Builder) newFrontEnd() *frontEnd {
 // design, so a process needs no discovery state to run it.
 func (b *Builder) BuildArtifactContext(ctx context.Context, sources []Source, retain bool) *ShardArtifact {
 	fe := b.newFrontEnd()
-	fe.retain = retain
-	fe.l1hold = fe.l1hold && !retain
+	if retain {
+		// A retained artifact needs every file's tokens, which a memoized
+		// entry drops, so the build neither reads nor writes the cache.
+		fe.cache = nil
+		fe.retain = true
+	}
 	sorted := append([]Source(nil), sources...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
 
@@ -514,25 +496,17 @@ func (b *Builder) BuildArtifactContext(ctx context.Context, sources []Source, re
 	return art
 }
 
-// AssembleContext runs the global half of a build over a (possibly merged,
-// possibly decoded) artifact: reparse wire-format files (see hydrate), run
-// the exchange over the artifact's own records — or, when disc carries the
-// result of a discovery replay already applied to b.DB, merge only their
-// declarations — and assemble the whole artifact against it (see
+// AssembleContext assembles a (possibly merged, possibly decoded) artifact
+// against disc, the result of a discovery replay already applied to b.DB
+// (see core.Exchange): it reparses wire-format files (see hydrate), merges
+// the artifact's declarations and assembles the whole artifact (see
 // AssembleShard). When ctx is cancelled mid-reparse, the files left
 // unparsed are simply absent from the unit; callers that care check
 // ctx.Err() themselves.
 func (b *Builder) AssembleContext(ctx context.Context, art *ShardArtifact, disc *apidb.Discovery) *Unit {
 	art.hydrate(ctx, b.Obs, b.Workers, &arena.Stats{})
-	db := b.db()
 	recs := art.Records()
-	var x *Exchange
-	if disc == nil {
-		x = ExchangeRecords(db, recs)
-	} else {
-		x = &Exchange{Files: len(recs), Disc: *disc, Decls: mergeDecls(recs)}
-	}
-	return b.assemble(art, x, db)
+	return b.assemble(art, &Exchange{Files: len(recs), Disc: *disc, Decls: mergeDecls(recs)}, b.db())
 }
 
 // AssembleShard assembles one process's files against the exchange x, whose

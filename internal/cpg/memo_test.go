@@ -102,8 +102,8 @@ func TestParseMemoIsCharged(t *testing.T) {
 // TestCachedObservationMatchesFresh is what makes caching the observation
 // sound: for every demo-corpus file, the observation a front-end entry
 // serves — from disk on a reopened handle, from the L1 (with the parse
-// memo), and through the byte API a retaining build reads — equals a fresh
-// apidb.ObserveFile over the file's own preprocess and parse.
+// memo), and from disk again on a handle with no memory tier — equals a
+// fresh apidb.ObserveFile over the file's own preprocess and parse.
 func TestCachedObservationMatchesFresh(t *testing.T) {
 	c := corpus.Generate(corpus.Spec{Seed: 1})
 	headers := cpp.NewIndexedFiles(c.Headers)
@@ -131,18 +131,23 @@ func TestCachedObservationMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer warm.Close()
+	nomem, err := analysiscache.Open(dir, analysiscache.WithMemory(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nomem.Close()
 	for _, leg := range []struct {
 		name    string
-		retain  bool
+		cache   *analysiscache.Cache
 		counter string // must count every file
 	}{
-		{"disk-warm", false, "frontend.cache.hit"},
-		{"L1", false, "frontend.parse.reused"},
-		{"byte API", true, "frontend.cache.hit"},
+		{"disk-warm", warm, "frontend.cache.hit"},
+		{"L1", warm, "frontend.parse.reused"},
+		{"no memory tier", nomem, "frontend.cache.hit"},
 	} {
 		tr := obs.New(leg.name)
-		art := (&Builder{Headers: headers, Cache: warm, Obs: tr.Root()}).
-			BuildArtifactContext(context.Background(), srcs, leg.retain)
+		art := (&Builder{Headers: headers, Cache: leg.cache, Obs: tr.Root()}).
+			BuildArtifactContext(context.Background(), srcs, false)
 		if n := tr.Reg().Counter(leg.counter); n != int64(len(srcs)) {
 			t.Fatalf("%s: %s = %d, want %d (every file served from its entry)", leg.name, leg.counter, n, len(srcs))
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/analysiscache"
+	"repro/internal/obs"
 )
 
 // TestPipelineSurvivesCacheLoss warms a cache, then destroys the cache
@@ -20,7 +21,7 @@ import (
 // baseline.
 func TestPipelineSurvivesCacheLoss(t *testing.T) {
 	_, ss := smallSet(t)
-	want := RenderRun(Run(ss, 1, nil))
+	want := RenderRun(Run(ss, 1, nil, nil))
 
 	t.Run("restart-after-loss", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "cache")
@@ -28,11 +29,11 @@ func TestPipelineSurvivesCacheLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold := Run(ss, 1, cache)
+		cold := Run(ss, 1, cache, obs.New("degrade"))
 		if got := RenderRun(cold); got != want {
 			t.Fatalf("cold cached run differs from baseline:\n%s", firstDiff(want, got))
 		}
-		warm := Run(ss, 1, cache)
+		warm := Run(ss, 1, cache, obs.New("degrade"))
 		if warm.Metric("cache.unit.hit") != 1 {
 			t.Fatal("warm run should hit the unit cache")
 		}
@@ -44,7 +45,7 @@ func TestPipelineSurvivesCacheLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		degraded := Run(ss, 1, reopened)
+		degraded := Run(ss, 1, reopened, obs.New("degrade"))
 		if degraded.Metric("cache.unit.hit") != 0 {
 			t.Fatal("a restart after cache loss cannot claim a unit hit")
 		}
@@ -59,7 +60,7 @@ func TestPipelineSurvivesCacheLoss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold := Run(ss, 1, cache)
+		cold := Run(ss, 1, cache, obs.New("degrade"))
 		if got := RenderRun(cold); got != want {
 			t.Fatalf("cold cached run differs from baseline:\n%s", firstDiff(want, got))
 		}
@@ -69,7 +70,7 @@ func TestPipelineSurvivesCacheLoss(t *testing.T) {
 		if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		survived := Run(ss, 1, cache)
+		survived := Run(ss, 1, cache, obs.New("degrade"))
 		if survived.Metric("cache.unit.hit") != 1 || survived.Metric("cache.l1.hit") == 0 {
 			t.Fatalf("same-handle run must keep serving from L1 through disk loss: unit.hit=%d l1.hit=%d",
 				survived.Metric("cache.unit.hit"), survived.Metric("cache.l1.hit"))

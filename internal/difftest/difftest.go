@@ -6,7 +6,8 @@
 //
 //  1. Differential: the same input is analyzed across the full
 //     {workers 1, N} × {no cache, cold, L1-warm, disk-warm,
-//     one-file-invalidated from disk and from L1} matrix and every
+//     one-file-invalidated from disk and from L1, cold and
+//     one-file-invalidated with no memory tier} matrix and every
 //     configuration must render byte-identically (Matrix).
 //  2. Metamorphic: semantics-preserving source transforms (comments,
 //     whitespace, reordering, include restructuring, identifier renaming)
@@ -66,16 +67,11 @@ func FromCorpus(c *corpus.Corpus) SourceSet {
 	return ss
 }
 
-// Run analyzes the set once with confirmation on and a fresh trace attached
-// (so matrix checks can interrogate cache behavior through run metrics). A
-// nil cache disables caching.
-func Run(ss SourceSet, workers int, cache *analysiscache.Cache) *core.Run {
-	return RunTrace(ss, workers, cache, obs.New("difftest"))
-}
-
-// RunTrace is Run recording into a caller-supplied trace (obs.Nop()
-// disables observability; Run.Metric then reads 0 for everything).
-func RunTrace(ss SourceSet, workers int, cache *analysiscache.Cache, tr *obs.Trace) *core.Run {
+// Run analyzes the set once with confirmation on, recording into tr (so
+// matrix checks can interrogate cache behavior through run metrics; nil or
+// obs.Nop() disables observability and Run.Metric then reads 0 for
+// everything). A nil cache disables caching.
+func Run(ss SourceSet, workers int, cache *analysiscache.Cache, tr *obs.Trace) *core.Run {
 	run, err := core.Analyze(context.Background(), core.Request{
 		Sources: ss.Sources,
 		Headers: ss.Headers,
@@ -119,23 +115,31 @@ const matrixWorkers = 8
 
 // Matrix runs the pipeline over the set across the full {workers 1, N} ×
 // {no cache, cold, L1-warm, disk-warm, one-file-invalidated from disk and
-// from L1} matrix, verifies every configuration renders byte-identically to
-// the sequential uncached baseline (the invalidated runs against an uncached
-// baseline of the edited set), and returns the baseline run. The cache
-// states exercise every tier of the cache: a second run on the same handle
-// must be served out of the in-memory L1 tier, a run on a reopened handle
-// must be served from the disk packs into a cold L1, and editing one file
-// must miss the unit entry while the untouched files still hit the
-// front-end cache and their per-file facts and report entries (only the
-// edited file's facts re-derive and its functions are re-checked) — and,
-// on a handle whose L1 is warm, reuse their
-// memoized parses (only the edited file is parsed again).
-// Because every run carries a trace, the matrix doubles as the
-// observability determinism oracle: for a given cache state, the span tree
-// and every counter must be independent of the worker count. Cache
-// directories are private temp dirs, removed before returning.
+// from L1, cold and one-file-invalidated with no memory tier} matrix,
+// verifies every configuration renders byte-identically to the sequential
+// uncached baseline (the invalidated runs against an uncached baseline of
+// the edited set), and returns the baseline run. The cache states exercise
+// every tier of the cache: a second run on the same handle must be served
+// out of the in-memory L1 tier, a run on a reopened handle must be served
+// from the disk packs into a cold L1, and editing one file must miss the
+// unit entry while the untouched files still hit the front-end cache and
+// their per-file facts and report entries (only the edited file's facts
+// re-derive and its functions are re-checked) — and, on a handle whose L1
+// is warm, reuse their memoized parses (only the edited file is parsed
+// again). A handle with no memory tier (WithMemory(0)) gets a cold fill and
+// a one-file edit of its own: the edit still front-end-hits every untouched
+// file from disk, but reuses no parse. Because every run carries a trace,
+// the matrix doubles as the observability determinism oracle: for a given
+// cache state, the span tree and every counter must be independent of the
+// worker count. Cache directories are private temp dirs, removed before
+// returning.
 func Matrix(ss SourceSet) (*core.Run, error) {
-	base := Run(ss, 1, nil)
+	// Every matrix run carries a trace: the cache checks read its metrics
+	// and the obs oracle compares its span tree.
+	traced := func(ss SourceSet, workers int, cache *analysiscache.Cache) *core.Run {
+		return Run(ss, workers, cache, obs.New("difftest"))
+	}
+	base := traced(ss, 1, nil)
 	want := RenderRun(base)
 
 	check := func(name string, run *core.Run) error {
@@ -146,7 +150,7 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 		return nil
 	}
 
-	noCacheN := Run(ss, matrixWorkers, nil)
+	noCacheN := traced(ss, matrixWorkers, nil)
 	if err := check(fmt.Sprintf("workers=%d no-cache", matrixWorkers), noCacheN); err != nil {
 		return nil, err
 	}
@@ -162,7 +166,7 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 	var wantFactsHit, wantFactsMiss int64
 	if len(edited.Sources) > 0 {
 		edited.Sources[0].Content += "\n/* difftest: invalidation probe */\n"
-		editedRun := Run(edited, 1, nil)
+		editedRun := traced(edited, 1, nil)
 		editedWant = RenderRun(editedRun)
 		wantFactsHit, wantFactsMiss = factsSplit(editedRun.Unit, edited.Sources[0].Path)
 	}
@@ -183,8 +187,8 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 			os.RemoveAll(dir)
 			return nil, err
 		}
-		cold := Run(ss, order[0], cache)
-		l1warm := Run(ss, order[1], cache)
+		cold := traced(ss, order[0], cache)
+		l1warm := traced(ss, order[1], cache)
 		if cold.Metric("cache.unit.hit") != 0 {
 			os.RemoveAll(dir)
 			return nil, fmt.Errorf("difftest: cold run (workers=%d) claims a unit cache hit", order[0])
@@ -202,7 +206,7 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 			os.RemoveAll(dir)
 			return nil, err
 		}
-		diskwarm := Run(ss, order[0], reopened)
+		diskwarm := traced(ss, order[0], reopened)
 		if diskwarm.Metric("cache.unit.hit") != 1 || diskwarm.Metric("cache.l1.hit") != 0 {
 			os.RemoveAll(dir)
 			return nil, fmt.Errorf("difftest: reopened-handle run (workers=%d) not served from disk: unit.hit=%d l1.hit=%d",
@@ -216,7 +220,7 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 				os.RemoveAll(dir)
 				return nil, err
 			}
-			inval = Run(edited, order[1], invalCache)
+			inval = traced(edited, order[1], invalCache)
 			if inval.Metric("cache.unit.hit") != 0 {
 				os.RemoveAll(dir)
 				return nil, fmt.Errorf("difftest: run with an edited file (workers=%d) claims a unit cache hit", order[1])
@@ -252,8 +256,8 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 				os.RemoveAll(l1dir)
 				return nil, err
 			}
-			Run(ss, order[0], l1cache)
-			l1inval = Run(edited, order[1], l1cache)
+			traced(ss, order[0], l1cache)
+			l1inval = traced(edited, order[1], l1cache)
 			os.RemoveAll(l1dir)
 			wantReused := int64(len(ss.Sources) - 1)
 			if reused, miss := l1inval.Metric("frontend.parse.reused"), l1inval.Metric("frontend.cache.miss"); reused != wantReused || miss != 1 {
@@ -268,6 +272,42 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 					order[1], firstDiff(editedWant, got))
 			}
 			runs[fmt.Sprintf("l1inval-%d", order[1])] = l1inval
+		}
+
+		// The no-memory-tier state: a WithMemory(0) handle decodes every
+		// entry from disk on each read, so after a cold fill a one-file edit
+		// on the same handle front-end-hits the untouched files but reuses
+		// no parse.
+		if inval != nil {
+			ndir, err := os.MkdirTemp("", "difftest-cache-")
+			if err != nil {
+				return nil, err
+			}
+			ncache, err := analysiscache.Open(ndir, analysiscache.WithMemory(0))
+			if err != nil {
+				os.RemoveAll(ndir)
+				return nil, err
+			}
+			nomem := traced(ss, order[0], ncache)
+			nomemInval := traced(edited, order[1], ncache)
+			os.RemoveAll(ndir)
+			if err := check(fmt.Sprintf("workers=%d no-memory-tier cold", order[0]), nomem); err != nil {
+				return nil, err
+			}
+			wantHits := int64(len(ss.Sources) - 1)
+			if hit, reused := nomemInval.Metric("frontend.cache.hit"), nomemInval.Metric("frontend.parse.reused"); hit != wantHits || reused != 0 {
+				return nil, fmt.Errorf("difftest: no-memory-tier edited-file run (workers=%d) should front-end-hit the %d untouched files and reuse no parse: hit %d, reused %d",
+					order[1], wantHits, hit, reused)
+			}
+			if err := fileSplit("no-memory-tier edited-file", order[1], nomemInval, wantFactsHit, wantFactsMiss); err != nil {
+				return nil, err
+			}
+			if got := RenderRun(nomemInval); got != editedWant {
+				return nil, fmt.Errorf("difftest: workers=%d no-memory-tier one-file-invalidated differs from uncached baseline of the edited set:\n%s",
+					order[1], firstDiff(editedWant, got))
+			}
+			runs[fmt.Sprintf("nomem-%d", order[0])] = nomem
+			runs[fmt.Sprintf("nomeminval-%d", order[1])] = nomemInval
 		}
 
 		if err := check(fmt.Sprintf("workers=%d cold-cache", order[0]), cold); err != nil {
@@ -290,7 +330,7 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 		runs[fmt.Sprintf("l1warm-%d", order[1])] = l1warm
 		runs[fmt.Sprintf("diskwarm-%d", order[0])] = diskwarm
 	}
-	for _, state := range []string{"cold", "l1warm", "diskwarm", "inval", "l1inval"} {
+	for _, state := range []string{"cold", "l1warm", "diskwarm", "inval", "l1inval", "nomem", "nomeminval"} {
 		a, b := runs[state+"-1"], runs[fmt.Sprintf("%s-%d", state, matrixWorkers)]
 		if a == nil || b == nil {
 			continue // inval legs are skipped for empty source sets

@@ -20,7 +20,7 @@ var update = flag.Bool("update", false,
 //
 //	go test ./internal/difftest -run TestGoldenGate -update
 func TestGoldenGate(t *testing.T) {
-	got, sc := ComputeGolden()
+	got, sc := ComputeGolden(nil)
 
 	if *update {
 		for name, content := range got {
@@ -67,7 +67,7 @@ func TestGoldenGate(t *testing.T) {
 // file and the scores.
 func TestGoldenGateCatchesRegression(t *testing.T) {
 	c := goldenCorpus()
-	run := Run(FromCorpus(c), 0, nil)
+	run := Run(FromCorpus(c), 0, nil, nil)
 	if len(run.Reports) == 0 {
 		t.Fatal("no reports on golden corpus")
 	}
@@ -91,7 +91,7 @@ func TestGoldenGateCatchesRegression(t *testing.T) {
 // and checks its JSON output parses back into the committed scores.
 func TestSelftest(t *testing.T) {
 	var buf jsonBuffer
-	if err := Selftest(&buf, true); err != nil {
+	if err := Selftest(&buf, true, nil); err != nil {
 		t.Fatalf("selftest failed: %v", err)
 	}
 	var sc Scores

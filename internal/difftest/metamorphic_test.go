@@ -100,12 +100,12 @@ func TestMetamorphicPreserving(t *testing.T) {
 // including at least one of the injected pattern — and lose nothing.
 func TestMetamorphicInjection(t *testing.T) {
 	_, ss := smallSet(t)
-	baseSigs := SigsOf(Run(ss, 0, nil).Reports)
+	baseSigs := SigsOf(Run(ss, 0, nil, nil).Reports)
 
 	for _, p := range Patterns {
 		t.Run(p, func(t *testing.T) {
 			mut, fn := InjectBug(ss, corpus.PatternID(p))
-			lost, gained := DiffSigs(baseSigs, SigsOf(Run(mut, 0, nil).Reports))
+			lost, gained := DiffSigs(baseSigs, SigsOf(Run(mut, 0, nil, nil).Reports))
 			for _, s := range lost {
 				t.Errorf("injection removed unrelated signature: %s", s)
 			}
@@ -132,7 +132,7 @@ func TestMetamorphicInjection(t *testing.T) {
 // checkers lose exactly that function's reports and gain nothing.
 func TestMetamorphicRemoval(t *testing.T) {
 	c, ss := smallSet(t)
-	baseSigs := SigsOf(Run(ss, 0, nil).Reports)
+	baseSigs := SigsOf(Run(ss, 0, nil, nil).Reports)
 
 	picked := map[corpus.PatternID]corpus.PlannedBug{}
 	for _, pb := range c.Planned {
@@ -149,7 +149,7 @@ func TestMetamorphicRemoval(t *testing.T) {
 	for p, pb := range picked {
 		t.Run(string(p), func(t *testing.T) {
 			mut := RemoveFunction(ss, pb.File, pb.Function)
-			lost, gained := DiffSigs(baseSigs, SigsOf(Run(mut, 0, nil).Reports))
+			lost, gained := DiffSigs(baseSigs, SigsOf(Run(mut, 0, nil, nil).Reports))
 			for _, s := range gained {
 				t.Errorf("removal added signature: %s", s)
 			}

@@ -161,19 +161,15 @@ func goldenCorpus() *corpus.Corpus {
 	return corpus.Generate(corpus.Spec{Seed: GoldenSeed})
 }
 
-// ComputeGolden analyzes the golden corpus and returns the artifact set the
-// gate compares: one reports_PN.txt render per checker plus scores.json.
-func ComputeGolden() (map[string]string, Scores) {
-	return ComputeGoldenTrace(obs.Nop())
-}
-
-// ComputeGoldenTrace is ComputeGolden with the analysis recorded into tr —
-// the artifacts are byte-identical with observability on or off, which is
-// exactly what `refcheck -selftest -trace-out` proves.
-func ComputeGoldenTrace(tr *obs.Trace) (map[string]string, Scores) {
+// ComputeGolden analyzes the golden corpus, recording into tr (nil
+// disables observability), and returns the artifact set the gate compares:
+// one reports_PN.txt render per checker plus scores.json. The artifacts are
+// byte-identical with observability on or off, which is exactly what
+// `refcheck -selftest -trace-out` proves.
+func ComputeGolden(tr *obs.Trace) (map[string]string, Scores) {
 	c := goldenCorpus()
 	ss := FromCorpus(c)
-	run := RunTrace(ss, 0, nil, tr)
+	run := Run(ss, 0, nil, tr)
 	sc := ComputeScores(c, GoldenSeed, run.Reports)
 
 	files := map[string]string{}
@@ -192,16 +188,12 @@ var goldenFS embed.FS
 // embedded at build time, so a released binary can prove its checkers still
 // reproduce the blessed results (`refcheck -selftest`). With jsonOut the
 // recomputed scores are printed as JSON (the BENCH_quality.json payload);
-// otherwise a per-pattern table is printed. Returns an error on any drift.
-func Selftest(w io.Writer, jsonOut bool) error {
-	return SelftestTrace(w, jsonOut, obs.Nop())
-}
-
-// SelftestTrace is Selftest with the golden re-analysis recorded into tr,
-// so the gate can simultaneously prove the artifacts and exercise the
-// exporters against a full-pipeline trace.
-func SelftestTrace(w io.Writer, jsonOut bool, tr *obs.Trace) error {
-	got, sc := ComputeGoldenTrace(tr)
+// otherwise a per-pattern table is printed. The re-analysis is recorded into
+// tr (nil disables it), so the gate can simultaneously prove the artifacts
+// and exercise the exporters against a full-pipeline trace. Returns an
+// error on any drift.
+func Selftest(w io.Writer, jsonOut bool, tr *obs.Trace) error {
+	got, sc := ComputeGolden(tr)
 	var drift []string
 	for name, want := range readGolden() {
 		if got[name] != want {

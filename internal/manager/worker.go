@@ -53,6 +53,8 @@ func Worker(r io.Reader, w io.Writer, opts WorkerOpts) error {
 			fmt.Fprintf(os.Stderr, "manager worker: cache disabled: %v\n", cerr)
 		}
 	}
+	// Close flushes the per-file entries CheckRound queued; the manager
+	// waits for this exit before its Run returns, so the next run sees them.
 	defer func() {
 		if cache != nil {
 			if cerr := cache.Close(); cerr != nil {

@@ -19,15 +19,10 @@ type Job struct {
 // Each replay is independent (Replay touches no shared state), so jobs fan
 // out across workers; 0 means GOMAXPROCS, 1 forces sequential replay. The
 // verdict for a job is a pure function of its witness and claim, so the
-// worker count cannot change the result.
-func ReplayAll(jobs []Job, workers int) []Verdict {
-	return ReplayAllSpan(jobs, workers, nil)
-}
-
-// ReplayAllSpan is ReplayAll under an observability span: when parent is
-// non-nil a "refsim" child span covers the batch, refsim.replays counts jobs
-// replayed and refsim.confirmed the verdicts that confirmed their claim.
-func ReplayAllSpan(jobs []Job, workers int, parent *obs.Span) []Verdict {
+// worker count cannot change the result. When parent is non-nil a "refsim"
+// child span covers the batch, refsim.replays counts jobs replayed and
+// refsim.confirmed the verdicts that confirmed their claim.
+func ReplayAll(jobs []Job, workers int, parent *obs.Span) []Verdict {
 	sp := parent.Child("refsim").Int("jobs", len(jobs))
 	defer sp.End()
 	out := make([]Verdict, len(jobs))

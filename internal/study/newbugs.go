@@ -43,16 +43,10 @@ type NewBugStudy struct {
 }
 
 // EvaluateNewBugs matches reports to the corpus plan, confirms them
-// dynamically, and assigns statuses. Confirmation replays run with the
-// default worker count (GOMAXPROCS); use EvaluateNewBugsWorkers to pin it.
-func EvaluateNewBugs(c *corpus.Corpus, reports []core.Report) *NewBugStudy {
-	return EvaluateNewBugsWorkers(c, reports, 0)
-}
-
-// EvaluateNewBugsWorkers is EvaluateNewBugs with an explicit worker count
-// for the batched refsim confirmation stage. Each witness replay is
+// dynamically, and assigns statuses. workers bounds the batched refsim
+// confirmation stage (0 means GOMAXPROCS). Each witness replay is
 // independent and pure, so the study is identical at any worker count.
-func EvaluateNewBugsWorkers(c *corpus.Corpus, reports []core.Report, workers int) *NewBugStudy {
+func EvaluateNewBugs(c *corpus.Corpus, reports []core.Report, workers int) *NewBugStudy {
 	type key struct{ fn, pattern string }
 	byKey := map[key][]core.Report{}
 	for _, r := range reports {
@@ -91,7 +85,7 @@ func EvaluateNewBugsWorkers(c *corpus.Corpus, reports []core.Report, workers int
 			},
 		})
 	}
-	verdicts := refsim.ReplayAll(jobs, workers)
+	verdicts := refsim.ReplayAll(jobs, workers, nil)
 	// Pass 2: assign statuses from the verdicts, in plan order.
 	for i, m := range ms {
 		verdict := verdicts[i]

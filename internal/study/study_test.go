@@ -133,7 +133,7 @@ func evalNewBugs(t *testing.T) (*corpus.Corpus, *NewBugStudy) {
 	}
 	u := (&cpg.Builder{Headers: headerProvider(c.Headers)}).Build(sources)
 	reports := core.NewEngine().CheckUnit(u)
-	return c, EvaluateNewBugs(c, reports)
+	return c, EvaluateNewBugs(c, reports, 0)
 }
 
 func TestTable4Shape(t *testing.T) {

@@ -67,7 +67,7 @@ func TestFullPipelineWorkerSweep(t *testing.T) {
 		engine := core.NewEngine()
 		engine.Workers = workers
 		reports := engine.CheckUnit(unit)
-		nb := study.EvaluateNewBugsWorkers(c, reports, workers)
+		nb := study.EvaluateNewBugs(c, reports, workers)
 		rows := nb.Table4()
 		if wantRows == nil {
 			wantRows = rows

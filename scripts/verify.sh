@@ -25,6 +25,19 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+# One pipeline, one cache read path: names retired when Analyze became the
+# exported rounds, the front end lost its byte-API cache read, and each
+# traced/untraced function pair became one function must not come back.
+if grep -rnw --include='*.go' \
+    -e l1hold -e MemoryEnabled \
+    -e assembleRound -e checkRound -e finishRun \
+    -e ReplayAllSpan -e RunTrace -e ComputeGoldenTrace -e SelftestTrace \
+    -e EvaluateNewBugsWorkers . ||
+    grep -rnF --include='*.go' 'func (c *Cache) Get(' .; then
+    echo "verify: a retired name is back (see the list above)" >&2
+    exit 1
+fi
+
 go vet ./...
 # bench/ is its own module, so the root ./... never compiles it; vet it here
 # so an API change that breaks refbench fails now, not in the benchmark run.
