@@ -55,6 +55,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -368,9 +369,14 @@ func (c *Cache) Stats() Stats {
 // before hashing so distinct part lists can never collide by concatenation.
 func KeyOf(parts ...string) string {
 	h := sha256.New()
+	// One buffer, grown to the largest part, carries every write: parts
+	// include whole file contents, which a []byte(p) conversion copied.
+	var buf []byte
 	for _, p := range parts {
-		fmt.Fprintf(h, "%d:", len(p))
-		h.Write([]byte(p))
+		buf = strconv.AppendInt(buf[:0], int64(len(p)), 10)
+		buf = append(buf, ':')
+		buf = append(buf, p...)
+		h.Write(buf)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -1,6 +1,8 @@
 package analysiscache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,7 +23,7 @@ func (p *payload) encode() []byte {
 	w.String(p.Name)
 	w.U32(uint32(len(p.Lines)))
 	for _, n := range p.Lines {
-		w.Int(n)
+		w.U64(uint64(n))
 	}
 	return w.Bytes()
 }
@@ -32,7 +34,7 @@ func (p *payload) decode(data []byte) error {
 	n := r.Count()
 	p.Lines = nil
 	for i := 0; i < n; i++ {
-		p.Lines = append(p.Lines, r.Int())
+		p.Lines = append(p.Lines, int(r.U64()))
 	}
 	return r.Done()
 }
@@ -260,5 +262,15 @@ func TestKeyOfLengthPrefixing(t *testing.T) {
 	}
 	if KeyOf("x") != KeyOf("x") {
 		t.Fatal("KeyOf must be deterministic")
+	}
+}
+
+// TestKeyOfDerivation pins the key derivation — sha256 over each part
+// framed as "<decimal length>:<part>" — so a rewrite of KeyOf cannot
+// silently turn every entry an existing cache holds into a miss.
+func TestKeyOfDerivation(t *testing.T) {
+	sum := sha256.Sum256([]byte("5:fe-v57:a/b.c/x0:"))
+	if got, want := KeyOf("fe-v5", "a/b.c/x", ""), hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("KeyOf = %s, want %s", got, want)
 	}
 }

@@ -10,6 +10,12 @@
 // sticky-error design keeps per-field code branch-free: decode functions
 // read every field unconditionally and check Err once at the end.
 //
+// Payloads whose strings repeat heavily (report cells, facts snapshots)
+// are written table-deduplicated: a format byte, a string table (Table) of
+// every distinct string in first-use order, then a body that names each
+// string by its uvarint id (Writer.Ref, Reader.Ref). Tabled assembles such
+// a payload and OpenTabled reads its head.
+//
 // Robustness contract (enforced by the FuzzCacheCodec target): any
 // truncated, bit-flipped, or otherwise malformed input must surface as
 // ErrCorrupt from Err/Done — never a panic, never a huge allocation. Count
@@ -60,9 +66,6 @@ func (w *Writer) U32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) 
 // U64 writes a fixed-width little-endian uint64.
 func (w *Writer) U64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
 
-// Int writes an int as its two's-complement 64-bit image.
-func (w *Writer) Int(v int) { w.U64(uint64(v)) }
-
 // Raw appends pre-encoded bytes verbatim (no length prefix) — used to join
 // independently built sections (e.g. a body encoded before its string table).
 func (w *Writer) Raw(b []byte) { w.b = append(w.b, b...) }
@@ -71,6 +74,55 @@ func (w *Writer) Raw(b []byte) { w.b = append(w.b, b...) }
 func (w *Writer) String(s string) {
 	w.U32(uint32(len(s)))
 	w.b = append(w.b, s...)
+}
+
+// Uvarint writes v as an unsigned LEB128 varint (one byte below 128).
+func (w *Writer) Uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
+
+// Ref writes s as its uvarint id in t, adding s to t on first use.
+func (w *Writer) Ref(t *Table, s string) { w.Uvarint(uint64(t.ID(s))) }
+
+// Table assigns dense ids to strings in first-use order: the string table
+// of a deduplicated payload. The zero value is ready to use.
+type Table struct {
+	idx  map[string]uint32
+	strs []string
+}
+
+// ID returns s's id, adding s on first use.
+func (t *Table) ID(s string) uint32 {
+	if id, ok := t.idx[s]; ok {
+		return id
+	}
+	if t.idx == nil {
+		t.idx = make(map[string]uint32, 64)
+	}
+	id := uint32(len(t.strs))
+	t.idx[s] = id
+	t.strs = append(t.strs, s)
+	return id
+}
+
+// Strings returns the table's strings in id order.
+func (t *Table) Strings() []string { return t.strs }
+
+// Tabled assembles a table-deduplicated payload: the format byte, t's
+// strings (a uvarint count, then each string uvarint-length-prefixed), then
+// body, whose Ref ids resolve against t.
+func Tabled(format uint8, t *Table, body *Writer) []byte {
+	n := 1 + binary.MaxVarintLen32 + body.Len()
+	for _, s := range t.strs {
+		n += binary.MaxVarintLen32 + len(s)
+	}
+	w := NewWriter(n)
+	w.U8(format)
+	w.Uvarint(uint64(len(t.strs)))
+	for _, s := range t.strs {
+		w.Uvarint(uint64(len(s)))
+		w.b = append(w.b, s...)
+	}
+	w.Raw(body.Bytes())
+	return w.Bytes()
 }
 
 // Strings writes a count-prefixed string slice.
@@ -89,9 +141,9 @@ type Reader struct {
 	off int
 	bad bool
 
-	// interned caches strings decoded via InternString so repeated payload
-	// values (object keys, file paths, API names) share one backing string.
-	interned map[string]string
+	// table is a tabled payload's string table (OpenTabled); Ref resolves
+	// ids against it, so every decoded use of a string shares one copy.
+	table []string
 }
 
 // NewReader returns a reader over b (which is aliased, not copied; decoded
@@ -157,9 +209,6 @@ func (r *Reader) U64() uint64 {
 	return v
 }
 
-// Int reads an int written by Writer.Int.
-func (r *Reader) Int() int { return int(r.U64()) }
-
 // Count reads an element count and validates it against the remaining
 // input: every encoded element occupies at least one byte, so a count
 // exceeding Remaining is corrupt. This bounds slice preallocation on
@@ -184,27 +233,66 @@ func (r *Reader) String() string {
 	return s
 }
 
-// InternString reads a length-prefixed string like String, but deduplicates
-// the result against every string this reader previously interned. Decoders
-// use it for fields whose values repeat heavily across records (event object
-// keys, positions' file names); the returned string never aliases the input
-// buffer.
-func (r *Reader) InternString() string {
-	n := r.Count()
-	if r.bad || n == 0 {
+// Uvarint reads an unsigned varint written by Writer.Uvarint.
+func (r *Reader) Uvarint() uint64 {
+	if r.bad {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// UCount reads a uvarint element count, bounded by the remaining input
+// exactly like Count.
+func (r *Reader) UCount() int {
+	n := r.Uvarint()
+	if n > uint64(r.Remaining()) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}
+
+// OpenTabled opens a payload written by Tabled: it checks the format byte
+// and reads the string table, leaving the reader at the body. On a wrong
+// format or a malformed table the reader is failed.
+func OpenTabled(data []byte, format uint8) *Reader {
+	r := NewReader(data)
+	if r.U8() != format {
+		r.fail()
+		return r
+	}
+	n := r.UCount()
+	if r.bad {
+		return r
+	}
+	r.table = make([]string, n)
+	for i := range r.table {
+		m := r.UCount()
+		if r.bad {
+			r.table = nil
+			return r
+		}
+		r.table[i] = string(r.b[r.off : r.off+m])
+		r.off += m
+	}
+	return r
+}
+
+// Ref reads a string id written by Writer.Ref and resolves it against the
+// payload's table; an id outside the table is corrupt.
+func (r *Reader) Ref() string {
+	id := r.Uvarint()
+	if id >= uint64(len(r.table)) {
+		r.fail()
 		return ""
 	}
-	view := r.b[r.off : r.off+n]
-	r.off += n
-	if s, ok := r.interned[string(view)]; ok {
-		return s
-	}
-	s := string(view)
-	if r.interned == nil {
-		r.interned = make(map[string]string, 16)
-	}
-	r.interned[s] = s
-	return s
+	return r.table[id]
 }
 
 // Strings reads a count-prefixed string slice, returning nil for an empty

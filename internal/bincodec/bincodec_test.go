@@ -13,7 +13,7 @@ func TestRoundTrip(t *testing.T) {
 	w.Bool(false)
 	w.U32(0xDEADBEEF)
 	w.U64(1 << 60)
-	w.Int(-42)
+	w.Uvarint(300)
 	w.String("hello")
 	w.String("")
 	w.Strings([]string{"a", "bb", ""})
@@ -32,8 +32,8 @@ func TestRoundTrip(t *testing.T) {
 	if v := r.U64(); v != 1<<60 {
 		t.Errorf("U64=%x", v)
 	}
-	if v := r.Int(); v != -42 {
-		t.Errorf("Int=%d", v)
+	if v := r.Uvarint(); v != 300 {
+		t.Errorf("Uvarint=%d", v)
 	}
 	if v := r.String(); v != "hello" {
 		t.Errorf("String=%q", v)
@@ -116,5 +116,43 @@ func TestStickyError(t *testing.T) {
 	}
 	if err := r.Err(); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Err=%v, want ErrCorrupt", err)
+	}
+}
+
+// TestTabledRoundTrip: a tabled payload stores each distinct string once,
+// resolves every id back to its string, and fails on a wrong format byte
+// or an id past the table.
+func TestTabledRoundTrip(t *testing.T) {
+	var tab Table
+	body := NewWriter(0)
+	words := []string{"of_node_put", "np", "of_node_put", "", "np", "of_node_put"}
+	for _, s := range words {
+		body.Ref(&tab, s)
+	}
+	body.Uvarint(uint64(len(tab.Strings())))
+	data := Tabled(7, &tab, body)
+	if got := bytes.Count(data, []byte("of_node_put")); got != 1 {
+		t.Errorf("payload holds %d copies of a repeated string, want 1", got)
+	}
+	r := OpenTabled(data, 7)
+	for i, want := range words {
+		if got := r.Ref(); got != want {
+			t.Errorf("ref %d = %q, want %q", i, got, want)
+		}
+	}
+	if n := r.Uvarint(); n != 3 {
+		t.Errorf("table size = %d, want 3", n)
+	}
+	if err := r.Done(); err != nil {
+		t.Fatalf("Done=%v", err)
+	}
+	if err := OpenTabled(data, 8).Done(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("wrong format byte: err=%v, want ErrCorrupt", err)
+	}
+	bad := NewWriter(0)
+	bad.Uvarint(3) // one past the three-string table
+	r = OpenTabled(Tabled(7, &tab, bad), 7)
+	if r.Ref() != "" || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Errorf("out-of-table id: err=%v, want ErrCorrupt", r.Err())
 	}
 }

@@ -9,7 +9,9 @@ package clex
 // Views returned by Line are capped at the line boundary, so a consumer
 // appending to a view can never clobber the next line; consumers must still
 // treat the tokens themselves as immutable (header lines are shared by
-// every translation unit of a run, and macro bodies alias them).
+// every translation unit of a run, and macro bodies alias them). A Lines
+// can be recycled (Tokenize into it again after Reset), which is how the
+// preprocessor pools the lines of the files it lexes itself.
 type Lines struct {
 	// Toks is the flat token array, newline tokens excluded.
 	Toks []Token
@@ -26,19 +28,32 @@ func (ln *Lines) Line(i int) []Token {
 	return ln.Toks[lo:hi:hi]
 }
 
-// TokenizeLines lexes src directly into line-split SoA form: token and
-// offset storage are presized from the source length, and newline tokens
-// mark line boundaries without ever being stored. Semantics match
-// Tokenize(KeepNewlines)+line splitting exactly — empty lines are present
-// (and empty), a trailing partial line is kept, a trailing newline adds no
-// empty line. Stats accounting matches the Tokenize path: every lexed token
-// counts, including the discarded newlines.
+// TokenizeLines lexes src directly into line-split SoA form in fresh
+// storage (see Lines.Tokenize).
 func TokenizeLines(file, src string, stats *Stats) (*Lines, []error) {
-	l := New(file, src, Config{KeepNewlines: true})
-	ln := &Lines{
-		Toks: make([]Token, 0, len(src)/6+8),
-		Off:  make([]int32, 1, len(src)/32+8),
+	ln := &Lines{}
+	errs := ln.Tokenize(file, src, stats)
+	return ln, errs
+}
+
+// Tokenize lexes src into ln, replacing its contents and reusing its
+// storage, which grows to a presize from the source length when too small.
+// Newline tokens mark line boundaries without ever being stored. Semantics
+// match Tokenize(KeepNewlines)+line splitting exactly — empty lines are
+// present (and empty), a trailing partial line is kept, a trailing newline
+// adds no empty line. Stats accounting matches the Tokenize path: every
+// lexed token counts, including the discarded newlines.
+func (ln *Lines) Tokenize(file, src string, stats *Stats) []error {
+	// Kernel C averages ~4.5 bytes per stored token and ~19 per line, so
+	// these presizes rarely grow.
+	if n := len(src)/4 + 8; cap(ln.Toks) < n {
+		ln.Toks = make([]Token, 0, n)
 	}
+	if n := len(src)/16 + 8; cap(ln.Off) < n {
+		ln.Off = make([]int32, 0, n)
+	}
+	ln.Toks, ln.Off = ln.Toks[:0], append(ln.Off[:0], 0)
+	l := New(file, src, Config{KeepNewlines: true})
 	lexed := int64(0)
 	for {
 		t := l.Next()
@@ -59,5 +74,12 @@ func TokenizeLines(file, src string, stats *Stats) (*Lines, []error) {
 		stats.Tokens.Add(lexed)
 		stats.Errors.Add(int64(len(l.errs)))
 	}
-	return ln, l.errs
+	return l.errs
+}
+
+// Reset empties ln and zeroes its tokens, keeping the storage: a recycled
+// Lines then pins no source strings or origin chains.
+func (ln *Lines) Reset() {
+	clear(ln.Toks)
+	ln.Toks, ln.Off = ln.Toks[:0], ln.Off[:0]
 }

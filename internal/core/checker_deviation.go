@@ -32,8 +32,8 @@ func (*ReturnErrorChecker) Check(ff *facts.FunctionFacts) []Report {
 	reported := map[dedupKey]bool{}
 	for ti := range ff.Data.Traces {
 		tr := &ff.Data.Traces[ti]
-		evs := tr.Events
-		for i, ev := range evs {
+		for i := range tr.Idx {
+			ev := tr.At(i)
 			if ev.Op != semantics.OpInc || ev.Info == nil || !ev.Info.IncOnError {
 				continue
 			}
@@ -46,8 +46,8 @@ func (*ReturnErrorChecker) Check(ff *facts.FunctionFacts) []Report {
 			}
 			// Any balancing put later on the path forgives it.
 			balanced := false
-			for j := i + 1; j < len(evs); j++ {
-				if evs[j].Op == semantics.OpDec && decBalances(evs[j], ev) {
+			for j := i + 1; j < tr.Len(); j++ {
+				if dec := tr.At(j); dec.Op == semantics.OpDec && decBalances(dec, ev) {
 					balanced = true
 					break
 				}
@@ -66,7 +66,7 @@ func (*ReturnErrorChecker) Check(ff *facts.FunctionFacts) []Report {
 				Object: ev.Obj, API: ev.API,
 				Message:    fmt.Sprintf("%s increments the refcount even on failure, but the error path returns without %s", ev.API, pair),
 				Suggestion: fmt.Sprintf("call %s(%s) in the error path before returning", pair, ev.Obj),
-				Witness:    evs,
+				Witness:    tr.Events(),
 			})
 		}
 	}
@@ -75,7 +75,7 @@ func (*ReturnErrorChecker) Check(ff *facts.FunctionFacts) []Report {
 
 // decBalances reports whether dec plausibly balances inc: same object key,
 // or the dec is the registered pair API of the inc.
-func decBalances(dec, inc semantics.Event) bool {
+func decBalances(dec, inc *semantics.Event) bool {
 	if sameObj(dec.Obj, inc.Obj) {
 		return true
 	}
@@ -120,9 +120,9 @@ func (*ReturnNullChecker) Check(ff *facts.FunctionFacts) []Report {
 	}
 	for ti := range ff.Data.Traces {
 		tr := &ff.Data.Traces[ti]
-		evs := tr.Events
 		unchecked = unchecked[:0]
-		for i, ev := range evs {
+		for i := range tr.Idx {
+			ev := tr.At(i)
 			switch ev.Op {
 			case semantics.OpInc:
 				if ev.Info != nil && ev.Info.MayReturnNull && ev.Obj != "" {
@@ -149,7 +149,7 @@ func (*ReturnNullChecker) Check(ff *facts.FunctionFacts) []Report {
 				if srcIdx < 0 {
 					continue
 				}
-				src := evs[srcIdx]
+				src := tr.At(srcIdx)
 				key := dk(src.Pos, ev.Obj, "")
 				if reported[key] {
 					continue
@@ -161,7 +161,7 @@ func (*ReturnNullChecker) Check(ff *facts.FunctionFacts) []Report {
 					Object: ev.Obj, API: src.API,
 					Message:    fmt.Sprintf("%s may return NULL but %s is dereferenced without a check", src.API, ev.Obj),
 					Suggestion: fmt.Sprintf("if (!%s)\n\t\treturn -ENODEV;", ev.Obj),
-					Witness:    evs,
+					Witness:    tr.Events(),
 				})
 			}
 		}

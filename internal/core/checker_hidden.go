@@ -35,7 +35,6 @@ func (*SmartLoopChecker) Check(ff *facts.FunctionFacts) []Report {
 	reported := map[dedupKey]bool{}
 	for ti := range ff.Data.Traces {
 		tr := &ff.Data.Traces[ti]
-		evs := tr.Events
 		// balance per loop-injected object; loopOf remembers which macro and
 		// lastInc the most recent acquisition (innermost-loop attribution).
 		balance := map[string]int{}
@@ -43,12 +42,12 @@ func (*SmartLoopChecker) Check(ff *facts.FunctionFacts) []Report {
 		lastInc := map[string]int{}
 		pathReported := map[string]bool{}
 		var lastEv *semantics.Event
-		for i := range evs {
-			ev := &evs[i]
+		for i := range tr.Idx {
+			ev := tr.At(i)
 			lastEv = ev
 			switch ev.Op {
 			case semantics.OpInc:
-				if ff.SmartLoop(*ev) && ev.Obj != "" {
+				if ff.SmartLoop(ev) && ev.Obj != "" {
 					balance[ev.Obj]++
 					loopOf[ev.Obj] = ev.FromMacro
 					lastInc[ev.Obj] = i
@@ -105,7 +104,7 @@ func (*SmartLoopChecker) Check(ff *facts.FunctionFacts) []Report {
 					Object: obj, API: macro,
 					Message:    fmt.Sprintf("break out of %s leaks the reference %s holds on %s", macro, macro, obj),
 					Suggestion: fmt.Sprintf("%s(%s); /* before the break */", put, obj),
-					Witness:    evs,
+					Witness:    tr.Events(),
 				})
 			}
 		}
@@ -134,7 +133,7 @@ func (*SmartLoopChecker) Check(ff *facts.FunctionFacts) []Report {
 				Object: obj, API: macro,
 				Message:    fmt.Sprintf("premature exit from %s leaks the reference it holds on %s", macro, obj),
 				Suggestion: fmt.Sprintf("%s(%s); /* before leaving the loop */", put, obj),
-				Witness:    evs,
+				Witness:    tr.Events(),
 			})
 		}
 	}
@@ -176,10 +175,9 @@ func (*HiddenRefChecker) missingPut(ff *facts.FunctionFacts) []Report {
 	// Whole-function decrement view: when the developer did pair the put
 	// somewhere, a put-free path is an overlooked *location* (P5), not an
 	// overlooked *API*.
-	fnDecs := ff.Decs()
-	pairedSomewhere := func(inc semantics.Event) bool {
-		for _, d := range fnDecs {
-			if decBalances(d, inc) {
+	pairedSomewhere := func(inc *semantics.Event) bool {
+		for _, di := range ff.Data.DecIdx {
+			if decBalances(&ff.Data.All[di], inc) {
 				return true
 			}
 		}
@@ -187,7 +185,6 @@ func (*HiddenRefChecker) missingPut(ff *facts.FunctionFacts) []Report {
 	}
 	for ti := range ff.Data.Traces {
 		tr := &ff.Data.Traces[ti]
-		evs := tr.Events
 		type tracked struct {
 			ev      semantics.Event
 			balance int
@@ -195,7 +192,8 @@ func (*HiddenRefChecker) missingPut(ff *facts.FunctionFacts) []Report {
 		}
 		live := map[string]*tracked{}
 		var dropped []semantics.Event // refs discarded at the call site
-		for i, ev := range evs {
+		for i := range tr.Idx {
+			ev := tr.At(i)
 			switch ev.Op {
 			case semantics.OpInc:
 				if ev.Info == nil || !ev.Info.ReturnsRef || ev.Info.Class != apidb.Embedded {
@@ -227,23 +225,24 @@ func (*HiddenRefChecker) missingPut(ff *facts.FunctionFacts) []Report {
 						Pattern: P4, Impact: Leak,
 						Function: fn.Def.Name, File: fn.File, Pos: ev.Pos,
 						Object: ev.Obj, API: ev.API,
-						Witness:  evs,
 						Deferred: why,
 					}
 					// Candidates the deferral table is guaranteed to drop
-					// never surface their message; skip building it.
+					// never surface their message or witness; skip
+					// building them.
 					if !deferralSet[P4][why] {
 						rep.Message = fmt.Sprintf("%s returns a reference hidden in %s that is never put on this path", ev.API, ev.Obj)
 						rep.Suggestion = fmt.Sprintf("%s(%s); /* before every exit on this path */", putNameFor(ff.Unit.DB, ev), ev.Obj)
+						rep.Witness = tr.Events()
 					}
 					out = append(out, rep)
 					continue
 				}
 				if ev.Obj == "" {
-					dropped = append(dropped, ev)
+					dropped = append(dropped, *ev)
 					continue
 				}
-				live[ev.Obj] = &tracked{ev: ev, balance: 1}
+				live[ev.Obj] = &tracked{ev: *ev, balance: 1}
 			case semantics.OpCond:
 				// The branch where the pointer is known NULL holds no
 				// reference — the find failed, nothing to put.
@@ -292,11 +291,12 @@ func (*HiddenRefChecker) missingPut(ff *facts.FunctionFacts) []Report {
 				Function: fn.Def.Name, File: fn.File, Pos: t.ev.Pos,
 				Object: obj, API: t.ev.API,
 				Message:    fmt.Sprintf("%s returns a reference hidden in %s that is never put on this path", t.ev.API, obj),
-				Suggestion: fmt.Sprintf("%s(%s); /* before every exit on this path */", putNameFor(ff.Unit.DB, t.ev), obj),
-				Witness:    evs,
+				Suggestion: fmt.Sprintf("%s(%s); /* before every exit on this path */", putNameFor(ff.Unit.DB, &t.ev), obj),
+				Witness:    tr.Events(),
 			})
 		}
-		for _, ev := range dropped {
+		for k := range dropped {
+			ev := &dropped[k]
 			key := dk(ev.Pos, "<dropped>", "")
 			if reported[key] {
 				continue
@@ -308,7 +308,7 @@ func (*HiddenRefChecker) missingPut(ff *facts.FunctionFacts) []Report {
 				Object: "", API: ev.API,
 				Message:    fmt.Sprintf("the reference returned by %s is discarded at the call site", ev.API),
 				Suggestion: fmt.Sprintf("capture the result and %s it when done", putNameFor(ff.Unit.DB, ev)),
-				Witness:    evs,
+				Witness:    tr.Events(),
 			})
 		}
 	}
@@ -322,9 +322,10 @@ func (*HiddenRefChecker) missingGet(ff *facts.FunctionFacts) []Report {
 	var out []Report
 	reported := map[dedupKey]bool{}
 	for ti := range ff.Data.Traces {
-		evs := ff.Data.Traces[ti].Events
+		tr := &ff.Data.Traces[ti]
 		got := map[string]bool{}
-		for _, ev := range evs {
+		for i := range tr.Idx {
+			ev := tr.At(i)
 			switch ev.Op {
 			case semantics.OpInc:
 				if ev.Obj != "" {
@@ -350,7 +351,7 @@ func (*HiddenRefChecker) missingGet(ff *facts.FunctionFacts) []Report {
 					Object: ev.Obj, API: ev.API,
 					Message:    fmt.Sprintf("%s drops the caller's reference on %s (hidden put of its cursor) without a prior get", ev.API, ev.Obj),
 					Suggestion: fmt.Sprintf("%s(%s); /* before calling %s */", get, ev.Obj, ev.API),
-					Witness:    evs,
+					Witness:    tr.Events(),
 				})
 			}
 		}
@@ -358,7 +359,7 @@ func (*HiddenRefChecker) missingGet(ff *facts.FunctionFacts) []Report {
 	return out
 }
 
-func putNameFor(db *apidb.DB, ev semantics.Event) string {
+func putNameFor(db *apidb.DB, ev *semantics.Event) string {
 	if ev.Info != nil && ev.Info.Pair != "" {
 		return ev.Info.Pair
 	}

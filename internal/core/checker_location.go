@@ -37,16 +37,16 @@ func (*ErrorHandleChecker) ID() Pattern { return P5 }
 func (*ErrorHandleChecker) Check(ff *facts.FunctionFacts) []Report {
 	fn := ff.Fn
 	type state struct {
-		ev              semantics.Event
-		why             DeferralReason
-		balancedPath    bool
-		errorLeakEvents []semantics.Event
+		ev           semantics.Event
+		why          DeferralReason
+		balancedPath bool
+		errorLeak    *facts.Trace // a leaking path through an error block
 	}
 	incs := map[dedupKey]*state{}
 	for ti := range ff.Data.Traces {
 		tr := &ff.Data.Traces[ti]
-		evs := tr.Events
-		for i, ev := range evs {
+		for i := range tr.Idx {
+			ev := tr.At(i)
 			if ev.Op != semantics.OpInc || ev.Obj == "" || ev.Info == nil {
 				continue
 			}
@@ -59,20 +59,20 @@ func (*ErrorHandleChecker) Check(ff *facts.FunctionFacts) []Report {
 			}
 			st := incs[dk(ev.Pos, ev.Obj, "")]
 			if st == nil {
-				st = &state{ev: ev, why: why}
+				st = &state{ev: *ev, why: why}
 				incs[dk(ev.Pos, ev.Obj, "")] = st
 			}
 			balanced := false
 			transferred := false
 			nullOnPath := false
-			for j := i + 1; j < len(evs); j++ {
-				switch evs[j].Op {
+			for j := i + 1; j < tr.Len(); j++ {
+				switch next := tr.At(j); next.Op {
 				case semantics.OpDec:
-					if decBalances(evs[j], ev) {
+					if decBalances(next, ev) {
 						balanced = true
 					}
 				case semantics.OpReturn, semantics.OpAssign:
-					if evs[j].Obj != "" && sameObj(evs[j].Obj, ev.Obj) {
+					if next.Obj != "" && sameObj(next.Obj, ev.Obj) {
 						transferred = true
 					}
 				case semantics.OpCond:
@@ -95,13 +95,13 @@ func (*ErrorHandleChecker) Check(ff *facts.FunctionFacts) []Report {
 			// Unbalanced: does the path run through an error block after
 			// the increment?
 			if tr.ErrorAfter(i) {
-				st.errorLeakEvents = evs
+				st.errorLeak = tr
 			}
 		}
 	}
 	emit := false
 	for _, st := range incs {
-		if st.balancedPath && st.errorLeakEvents != nil {
+		if st.balancedPath && st.errorLeak != nil {
 			emit = true
 			break
 		}
@@ -124,7 +124,7 @@ func (*ErrorHandleChecker) Check(ff *facts.FunctionFacts) []Report {
 	var out []Report
 	for _, e := range entries {
 		st := e.st
-		if !st.balancedPath || st.errorLeakEvents == nil {
+		if !st.balancedPath || st.errorLeak == nil {
 			continue
 		}
 		pair := "the paired put"
@@ -137,7 +137,7 @@ func (*ErrorHandleChecker) Check(ff *facts.FunctionFacts) []Report {
 			Object: st.ev.Obj, API: st.ev.API,
 			Message:    fmt.Sprintf("%s on %s is balanced on the normal path but leaks through an error-handling path", st.ev.API, st.ev.Obj),
 			Suggestion: fmt.Sprintf("add %s(%s) to the error-handling path", pair, st.ev.Obj),
-			Witness:    st.errorLeakEvents,
+			Witness:    st.errorLeak.Events(),
 			Deferred:   st.why,
 		})
 	}
@@ -256,7 +256,8 @@ func (*InterPairedChecker) checkPair(v *UnitView, p interPair, seen map[dedupKey
 		why DeferralReason
 	}
 	var kept []keptInc
-	for _, ev := range all {
+	for k := range all {
+		ev := &all[k]
 		if ev.Op != semantics.OpInc || ev.Info == nil {
 			continue
 		}
@@ -265,13 +266,13 @@ func (*InterPairedChecker) checkPair(v *UnitView, p interPair, seen map[dedupKey
 			why = DeferSmartLoop
 		}
 		balanced := false
-		for _, other := range all {
-			if other.Op == semantics.OpDec && decBalances(other, ev) {
+		for j := range all {
+			if other := &all[j]; other.Op == semantics.OpDec && decBalances(other, ev) {
 				balanced = true
 			}
 		}
 		if !balanced {
-			kept = append(kept, keptInc{ev: ev, why: why})
+			kept = append(kept, keptInc{ev: *ev, why: why})
 		}
 	}
 	var out []Report
@@ -351,9 +352,10 @@ func (*DirectFreeChecker) Check(ff *facts.FunctionFacts) []Report {
 	// per-trace map.
 	var got []string
 	for ti := range ff.Data.Traces {
-		evs := ff.Data.Traces[ti].Events
+		tr := &ff.Data.Traces[ti]
 		got = got[:0]
-		for _, ev := range evs {
+		for i := range tr.Idx {
+			ev := tr.At(i)
 			switch ev.Op {
 			case semantics.OpInc:
 				if ev.Obj != "" {
@@ -395,7 +397,7 @@ func (*DirectFreeChecker) Check(ff *facts.FunctionFacts) []Report {
 					Object: ev.Obj, API: ev.API,
 					Message:    fmt.Sprintf("%s(%s) frees a refcounted object directly, skipping its release callback", ev.API, ev.Obj),
 					Suggestion: fmt.Sprintf("replace %s(%s) with %s", ev.API, ev.Obj, put),
-					Witness:    evs,
+					Witness:    tr.Events(),
 				})
 			}
 		}

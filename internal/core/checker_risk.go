@@ -51,9 +51,10 @@ func (*UADChecker) Check(ff *facts.FunctionFacts) []Report {
 		}
 	}
 	for ti := range ff.Data.Traces {
-		evs := ff.Data.Traces[ti].Events
+		tr := &ff.Data.Traces[ti]
 		putAt = putAt[:0]
-		for i, ev := range evs {
+		for i := range tr.Idx {
+			ev := tr.At(i)
 			switch ev.Op {
 			case semantics.OpDec:
 				if ev.Info != nil && ev.Info.MayFree && ev.Obj != "" {
@@ -80,7 +81,7 @@ func (*UADChecker) Check(ff *facts.FunctionFacts) []Report {
 				if decIdx < 0 {
 					continue
 				}
-				dec := evs[decIdx]
+				dec := tr.At(decIdx)
 				key := dk(dec.Pos, ev.Obj, "")
 				if reported[key] {
 					continue
@@ -92,7 +93,7 @@ func (*UADChecker) Check(ff *facts.FunctionFacts) []Report {
 					Object: ev.Obj, API: dec.API,
 					Message:    fmt.Sprintf("%s is dereferenced after %s dropped its reference (use-after-decrease)", ev.Obj, dec.API),
 					Suggestion: fmt.Sprintf("move the %s(%s) call after the last use of %s", dec.API, dec.Obj, ev.Obj),
-					Witness:    evs,
+					Witness:    tr.Events(),
 				})
 			}
 		}
@@ -126,7 +127,8 @@ func (*EscapeChecker) Check(ff *facts.FunctionFacts) []Report {
 	all := ff.All()
 	var out []Report
 	reported := map[dedupKey]bool{}
-	for _, ev := range ff.Escapes() {
+	for _, ei := range ff.Data.EscapeIdx {
+		ev := &all[ei]
 		src := semantics.BaseOf(ev.Obj)
 		// The escaping value must be a counted pointer: declared as a
 		// pointer to a refcounted struct and NOT a locally owned reference

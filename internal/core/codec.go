@@ -7,44 +7,49 @@ import (
 	"repro/internal/semantics"
 )
 
-// Binary codec for the unit-level cache entry (unitEntry): the run summary
-// plus the pre-confirmation report list. Witness events are stored
-// blocks-stripped (stripWitnessBlocks runs before Put), so the shared event
-// codec applies directly. The impact enum is validated on decode; anything
-// out of range degrades the entry to a counted corrupt miss.
+// Binary codecs for the report payloads: the unit-level cache entry
+// (unitEntry: the run summary plus the pre-confirmation report list), the
+// per-file report entry and round 2's cells (both encodeReportsEntry).
+// Every payload is table-deduplicated (bincodec.Tabled): a report's strings
+// — function, file, object, API, message, suggestion — and its witness
+// events' strings repeat across the payload's reports, so each is written
+// once in the table and referenced by uvarint id. Witness events are
+// stored blocks-stripped (stripWitnessBlocks runs before Put), so the shared
+// event codec applies directly. The impact enum is validated on decode;
+// anything out of range degrades the entry to a counted corrupt miss.
 
 // unitFormat versions the unit entry encoding; bump on any layout change.
-const unitFormat = 1
+const unitFormat = 2
 
-func encodeReport(w *bincodec.Writer, r *Report) {
-	w.String(string(r.Pattern))
+func encodeReport(w *bincodec.Writer, t *bincodec.Table, r *Report) {
+	w.Ref(t, string(r.Pattern))
 	w.U8(uint8(r.Impact))
-	w.String(r.Function)
-	w.String(r.File)
-	semantics.EncodePos(w, r.Pos)
-	w.String(r.Object)
-	w.String(r.API)
-	w.String(r.Message)
-	w.String(r.Suggestion)
-	semantics.EncodeEvents(w, r.Witness)
+	w.Ref(t, r.Function)
+	w.Ref(t, r.File)
+	semantics.EncodePos(w, t, r.Pos)
+	w.Ref(t, r.Object)
+	w.Ref(t, r.API)
+	w.Ref(t, r.Message)
+	w.Ref(t, r.Suggestion)
+	semantics.EncodeEvents(w, t, r.Witness)
 	w.Bool(r.Confirmed)
-	w.String(string(r.Deferred))
+	w.Ref(t, string(r.Deferred))
 }
 
 func decodeReport(r *bincodec.Reader) Report {
 	rep := Report{
-		Pattern:    Pattern(r.String()),
+		Pattern:    Pattern(r.Ref()),
 		Impact:     Impact(r.U8()),
-		Function:   r.String(),
-		File:       r.String(),
+		Function:   r.Ref(),
+		File:       r.Ref(),
 		Pos:        semantics.DecodePos(r),
-		Object:     r.String(),
-		API:        r.String(),
-		Message:    r.String(),
-		Suggestion: r.String(),
+		Object:     r.Ref(),
+		API:        r.Ref(),
+		Message:    r.Ref(),
+		Suggestion: r.Ref(),
 		Witness:    semantics.DecodeEvents(r),
 		Confirmed:  r.Bool(),
-		Deferred:   DeferralReason(r.String()),
+		Deferred:   DeferralReason(r.Ref()),
 	}
 	if rep.Impact > NPD {
 		r.Fail()
@@ -52,37 +57,37 @@ func decodeReport(r *bincodec.Reader) Report {
 	return rep
 }
 
+// reportsCap is a writer presize for n reports: the body of a typical
+// report with its witness, ids and uvarints included.
+func reportsCap(n int) int { return 64 + 256*n }
+
 func encodeUnitEntry(ent *unitEntry) []byte {
-	w := bincodec.NewWriter(1 << 10)
-	w.U8(unitFormat)
-	w.Int(ent.Summary.Files)
-	w.Int(ent.Summary.Functions)
-	w.Int(ent.Summary.DiscoveredStructs)
-	w.Int(ent.Summary.DiscoveredAPIs)
-	w.Int(ent.Summary.DiscoveredLoops)
-	w.Int(ent.Summary.DiscoveredDeviations)
-	w.U32(uint32(len(ent.Reports)))
+	var t bincodec.Table
+	w := bincodec.NewWriter(reportsCap(len(ent.Reports)))
+	w.Uvarint(uint64(ent.Summary.Files))
+	w.Uvarint(uint64(ent.Summary.Functions))
+	w.Uvarint(uint64(ent.Summary.DiscoveredStructs))
+	w.Uvarint(uint64(ent.Summary.DiscoveredAPIs))
+	w.Uvarint(uint64(ent.Summary.DiscoveredLoops))
+	w.Uvarint(uint64(ent.Summary.DiscoveredDeviations))
+	w.Uvarint(uint64(len(ent.Reports)))
 	for i := range ent.Reports {
-		encodeReport(w, &ent.Reports[i])
+		encodeReport(w, &t, &ent.Reports[i])
 	}
-	return w.Bytes()
+	return bincodec.Tabled(unitFormat, &t, w)
 }
 
 func decodeUnitEntry(data []byte, ent *unitEntry) error {
-	r := bincodec.NewReader(data)
-	if r.U8() != unitFormat {
-		r.Fail()
-		return r.Err()
-	}
+	r := bincodec.OpenTabled(data, unitFormat)
 	ent.Summary = UnitSummary{
-		Files:                r.Int(),
-		Functions:            r.Int(),
-		DiscoveredStructs:    r.Int(),
-		DiscoveredAPIs:       r.Int(),
-		DiscoveredLoops:      r.Int(),
-		DiscoveredDeviations: r.Int(),
+		Files:                int(r.Uvarint()),
+		Functions:            int(r.Uvarint()),
+		DiscoveredStructs:    int(r.Uvarint()),
+		DiscoveredAPIs:       int(r.Uvarint()),
+		DiscoveredLoops:      int(r.Uvarint()),
+		DiscoveredDeviations: int(r.Uvarint()),
 	}
-	n := r.Count()
+	n := r.UCount()
 	for i := 0; i < n; i++ {
 		rep := decodeReport(r)
 		if r.Err() != nil {
@@ -95,47 +100,47 @@ func decodeUnitEntry(data []byte, ent *unitEntry) error {
 
 // reportsFormat versions the per-file report entry encoding; bump on any
 // layout change.
-const reportsFormat = 1
+const reportsFormat = 2
 
 // encodeReportsEntry encodes one file's report entry — function name to
 // that function's checker cells — in name order, so equal entries encode
 // to equal bytes.
 func encodeReportsEntry(ent map[string][][]Report) []byte {
 	names := make([]string, 0, len(ent))
-	for name := range ent {
+	n := 0
+	for name, cells := range ent {
 		names = append(names, name)
+		for _, cell := range cells {
+			n += len(cell)
+		}
 	}
 	sort.Strings(names)
-	w := bincodec.NewWriter(1 << 9)
-	w.U8(reportsFormat)
-	w.U32(uint32(len(names)))
+	var t bincodec.Table
+	w := bincodec.NewWriter(reportsCap(n) + 8*len(ent))
+	w.Uvarint(uint64(len(names)))
 	for _, name := range names {
-		w.String(name)
+		w.Ref(&t, name)
 		cells := ent[name]
-		w.U32(uint32(len(cells)))
+		w.Uvarint(uint64(len(cells)))
 		for _, cell := range cells {
-			w.U32(uint32(len(cell)))
+			w.Uvarint(uint64(len(cell)))
 			for i := range cell {
-				encodeReport(w, &cell[i])
+				encodeReport(w, &t, &cell[i])
 			}
 		}
 	}
-	return w.Bytes()
+	return bincodec.Tabled(reportsFormat, &t, w)
 }
 
 func decodeReportsValue(data []byte) (any, error) {
-	r := bincodec.NewReader(data)
-	if r.U8() != reportsFormat {
-		r.Fail()
-		return nil, r.Err()
-	}
-	n := r.Count()
+	r := bincodec.OpenTabled(data, reportsFormat)
+	n := r.UCount()
 	ent := make(map[string][][]Report, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		name := r.String()
-		cells := make([][]Report, r.Count())
+		name := r.Ref()
+		cells := make([][]Report, r.UCount())
 		for ci := range cells {
-			m := r.Count()
+			m := r.UCount()
 			for j := 0; j < m && r.Err() == nil; j++ {
 				cells[ci] = append(cells[ci], decodeReport(r))
 			}

@@ -48,7 +48,7 @@ type UnitView struct {
 
 // SmartLoop reports whether the event was injected by a registered
 // smartloop macro (see facts.FunctionFacts.SmartLoop).
-func (v *UnitView) SmartLoop(ev semantics.Event) bool {
+func (v *UnitView) SmartLoop(ev *semantics.Event) bool {
 	return ev.FromMacro != "" && v.DB.Loop(ev.FromMacro) != nil
 }
 
@@ -177,7 +177,13 @@ func (e *Engine) checkFunctions(ctx context.Context, uf *facts.UnitFacts, cells 
 // applies the deferral table and finalize.
 func (e *Engine) finish(cells [][][]Report, v *UnitView) []Report {
 	reg := e.Obs.Reg()
-	var all []Report
+	n := 0
+	for _, cell := range cells {
+		for _, rs := range cell {
+			n += len(rs)
+		}
+	}
+	all := make([]Report, 0, n)
 	for ci, c := range e.Checkers {
 		if uc, ok := c.(UnitChecker); ok {
 			sp := e.Obs.Child("pass").Str("pattern", string(c.ID()))

@@ -105,7 +105,7 @@ type ShardResult struct {
 }
 
 // Encode serializes the result: the cells in the per-file report entry's
-// codec (reports-v1, which never writes witness blocks) and the facts as a
+// codec (reports-v2, which never writes witness blocks) and the facts as a
 // facts.EncodeSnapshot snapshot.
 func (r *ShardResult) Encode() (cells, factsData []byte) {
 	ent := make(map[string][][]Report, len(r.names))

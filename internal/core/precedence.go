@@ -86,9 +86,10 @@ var deferralSet = func() map[Pattern]map[DeferralReason]bool {
 // deferral table, counting each drop into reg (nil-safe) as
 // deferrals.<pattern>.<reason>. Candidates tagged with a reason the table
 // does not map for their pattern survive untouched — an unknown tag must be
-// visible, not silently eaten.
+// visible, not silently eaten. It filters in place, reusing reports'
+// backing array.
 func applyDeferrals(reports []Report, reg *obs.Registry) []Report {
-	var out []Report
+	out := reports[:0]
 	for _, r := range reports {
 		if r.Deferred != "" && deferralSet[r.Pattern][r.Deferred] {
 			reg.Add("deferrals."+string(r.Pattern)+"."+string(r.Deferred), 1)
@@ -109,7 +110,8 @@ var precedence = map[Pattern]int{
 }
 
 // finalize deduplicates, applies same-object rank suppression, and sorts
-// reports into the stable output order.
+// reports into the stable output order. It filters in place, reusing
+// reports' backing array, and returns nil when no report survives.
 func finalize(reports []Report) []Report {
 	// Exact-duplicate removal. The keys mirror Report.Key but are comparable
 	// structs, so deduplicating candidates allocates nothing.
@@ -120,7 +122,7 @@ func finalize(reports []Report) []Report {
 		object  string
 	}
 	seen := map[rkey]bool{}
-	var uniq []Report
+	uniq := reports[:0]
 	for _, r := range reports {
 		k := rkey{r.File, r.Pos.Line, r.Pattern, r.Object}
 		if seen[k] {
@@ -140,12 +142,15 @@ func finalize(reports []Report) []Report {
 			best[k] = p
 		}
 	}
-	var out []Report
+	out := uniq[:0]
 	for _, r := range uniq {
 		if r.Object != "" && precedence[r.Pattern] > best[objKey(r)] {
 			continue
 		}
 		out = append(out, r)
+	}
+	if len(out) == 0 {
+		return nil
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -10,6 +10,7 @@ import (
 	"repro/internal/analysiscache"
 	"repro/internal/bincodec"
 	"repro/internal/cpg"
+	"repro/internal/facts"
 	"repro/internal/obs"
 	"repro/internal/semantics"
 )
@@ -196,4 +197,90 @@ func FuzzReportsCodec(f *testing.F) {
 			t.Fatal("canonical form is not a re-encode fixed point")
 		}
 	})
+}
+
+// TestStaleEntriesAreMisses: a cache written before the table-deduplicated
+// payloads holds reports-v1 and facts-v4 entries. Those keys are never read
+// again, and even a stale payload under a current key — the layout the
+// format byte guards — must decode as a miss and be recomputed, never serve
+// different bytes. Each file's stale entries here name its functions (empty
+// facts, full sets of empty cells), so a decoder that accepted them would
+// drop every report.
+func TestStaleEntriesAreMisses(t *testing.T) {
+	srcs, _ := demoSet()
+	cold, err := analysiscache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := analyzeEntries(t, srcs, Options{}, cold).Unit
+	cold.Close()
+	engine, err := NewEngineFor(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, checkEnv, checkersFP := u.ExtractEnvFP(), checkEnvFP(u), engine.patternsFP()
+
+	stale, err := analysiscache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := int64(0)
+	for _, f := range facts.NewUnit(u).Files() {
+		src := u.SourceFP[f.Path]
+		if src == "" {
+			continue
+		}
+		files++
+		// reports-v1: format 1, then per function its name and its cells,
+		// each a count-prefixed report list.
+		rep := bincodec.NewWriter(64)
+		rep.U8(1)
+		rep.U32(uint32(len(f.Names)))
+		// facts-v4 (facts format 2): per function its name and a Data of
+		// four zero totals, two empty index lists and two empty sets.
+		fct := bincodec.NewWriter(64)
+		fct.U8(2)
+		fct.U32(uint32(len(f.Names)))
+		for _, name := range f.Names {
+			rep.String(name)
+			rep.U32(uint32(len(engine.Checkers)))
+			for range engine.Checkers {
+				rep.U32(0)
+			}
+			fct.String(name)
+			for i := 0; i < 8; i++ {
+				fct.U32(0)
+			}
+		}
+		for _, key := range []string{
+			analysiscache.KeyOf("reports-v1", "", env, src, checkEnv, checkersFP),
+			reportsCacheKey("", env, src, checkEnv, checkersFP),
+		} {
+			if err := stale.Put(key, rep.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, key := range []string{
+			analysiscache.KeyOf("facts-v4", "", env, src),
+			factsCacheKey("", env, src),
+		} {
+			if err := stale.Put(key, fct.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if files == 0 {
+		t.Fatal("no file defines a function")
+	}
+	want := reportBytes(analyzeEntries(t, srcs, Options{}, nil).Reports)
+	run := analyzeEntries(t, srcs, Options{}, stale)
+	if !bytes.Equal(reportBytes(run.Reports), want) {
+		t.Fatal("a run over stale entries differs from an uncached run")
+	}
+	for _, kind := range []string{"facts", "reports"} {
+		if hit, miss := run.Metric("cache."+kind+".hit"), run.Metric("cache."+kind+".miss"); hit != 0 || miss != files {
+			t.Errorf("%s entries: %d hits, %d misses, want 0, %d (every stale entry a miss)", kind, hit, miss, files)
+		}
+	}
+	stale.Close()
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"sort"
 	"strconv"
@@ -80,14 +81,13 @@ type unitEntry struct {
 // names the cross-file state they depend on explicitly.)
 func corpusFP(sources []cpg.Source, headers map[string]string) string {
 	h := sha256.New()
+	// One buffer, grown to the largest file, carries every write: a
+	// []byte(s) conversion per write copied the whole corpus per call.
+	var buf []byte
 	add := func(s string) {
-		var n [8]byte
-		ln := len(s)
-		for i := 0; i < 8; i++ {
-			n[i] = byte(ln >> (8 * i))
-		}
-		h.Write(n[:])
-		h.Write([]byte(s))
+		buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(len(s)))
+		buf = append(buf, s...)
+		h.Write(buf)
 	}
 	sorted := append([]cpg.Source(nil), sources...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
@@ -112,7 +112,7 @@ func corpusFP(sources []cpg.Source, headers map[string]string) string {
 // checker selection (so -checkers subset runs never collide with full
 // runs), and the full corpus content.
 func unitCacheKey(configFP, checkersFP, corpus string) string {
-	return analysiscache.KeyOf("unit-v4", configFP, checkersFP, corpus)
+	return analysiscache.KeyOf("unit-v5", configFP, checkersFP, corpus)
 }
 
 // factsCacheKey fingerprints one file's facts entry: the facts of the
@@ -125,7 +125,7 @@ func unitCacheKey(configFP, checkersFP, corpus string) string {
 // facts a full run computed (and vice versa) even though their unit-level
 // keys differ.
 func factsCacheKey(configFP, envFP, sourceFP string) string {
-	return analysiscache.KeyOf("facts-v4", configFP, envFP, sourceFP)
+	return analysiscache.KeyOf("facts-v5", configFP, envFP, sourceFP)
 }
 
 // reportsCacheKey fingerprints one file's report entry: the raw checker
@@ -135,7 +135,7 @@ func factsCacheKey(configFP, envFP, sourceFP string) string {
 // beyond them (checkEnvFP) and the checker selection, whose order fixes the
 // cells' layout.
 func reportsCacheKey(configFP, envFP, sourceFP, checkEnv, checkersFP string) string {
-	return analysiscache.KeyOf("reports-v1", configFP, envFP, sourceFP, checkEnv, checkersFP)
+	return analysiscache.KeyOf("reports-v2", configFP, envFP, sourceFP, checkEnv, checkersFP)
 }
 
 // checkEnvFP fingerprints what the function-scoped checkers read from the

@@ -142,9 +142,9 @@ func unitFingerprint(u *Unit) string {
 	}
 	for _, name := range u.FunctionNames() {
 		fn := u.Functions[name]
-		fn.Analyze()
+		fe := fn.Extract()
 		fmt.Fprintf(&b, "fn %s file=%s defined=%v events=%v\n",
-			name, fn.File, fn.Graph != nil, fn.Events != nil)
+			name, fn.File, fe != nil && fe.Graph != nil, fe != nil)
 	}
 	fmt.Fprintf(&b, "structs=%d globals=%d\n", len(u.Decls.Structs), len(u.Decls.Globals))
 	fmt.Fprintf(&b, "disc=%v/%v/%v/%v\n", u.DiscoveredStructs,

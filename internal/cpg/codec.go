@@ -36,11 +36,10 @@ import (
 // feMagic identifies a front-entry payload; the last byte is the version.
 const feMagic uint32 = 'F' | 'E'<<8 | 'C'<<16 | 2<<24
 
-// interner assigns dense ids to strings and origin chains in first-use
-// order.
+// interner assigns dense ids to strings (a bincodec.Table) and origin
+// chains in first-use order.
 type interner struct {
-	strIdx   map[string]uint32
-	strs     []string
+	strs     bincodec.Table
 	chainIdx map[string]uint32
 	chains   [][]uint32
 
@@ -51,22 +50,14 @@ type interner struct {
 }
 
 func newInterner() *interner {
-	in := &interner{strIdx: map[string]uint32{}, chainIdx: map[string]uint32{}}
+	in := &interner{chainIdx: map[string]uint32{}}
 	// Chain 0 is the empty origin chain, so literal tokens cost no lookup.
 	in.chainIdx[""] = 0
 	in.chains = append(in.chains, nil)
 	return in
 }
 
-func (in *interner) str(s string) uint32 {
-	if id, ok := in.strIdx[s]; ok {
-		return id
-	}
-	id := uint32(len(in.strs))
-	in.strIdx[s] = id
-	in.strs = append(in.strs, s)
-	return id
-}
+func (in *interner) str(s string) uint32 { return in.strs.ID(s) }
 
 func (in *interner) chain(origin []string) uint32 {
 	if len(origin) == 0 {
@@ -93,7 +84,7 @@ func (in *interner) chain(origin []string) uint32 {
 func frame(magic uint32, in *interner, body *bincodec.Writer) []byte {
 	w := bincodec.NewWriter(16 + body.Len())
 	w.U32(magic)
-	w.Strings(in.strs)
+	w.Strings(in.strs.Strings())
 	w.U32(uint32(len(in.chains)))
 	for _, ch := range in.chains {
 		w.U32(uint32(len(ch)))

@@ -32,17 +32,12 @@ import (
 	"repro/internal/semantics"
 )
 
-// Function is one function definition with its analysis artifacts.
+// Function is one function definition with what its analysis needs.
 type Function struct {
 	Def  *cast.FuncDef
 	File string
-	// Graph and Events are the function's CFG and event stream, built by
-	// the first Analyze call; nil for prototypes and until then.
-	Graph  *cfg.Graph
-	Events *semantics.FuncEvents
 
-	env  *analysisEnv // nil for prototypes
-	once sync.Once
+	env *analysisEnv // nil for prototypes
 }
 
 // analysisEnv is what per-function analysis needs from its unit: the event
@@ -51,18 +46,16 @@ type analysisEnv struct {
 	ext *semantics.Extractor
 }
 
-// Analyze builds the function's CFG and event stream on first use; later
-// calls, from any goroutine, return once those are set. It is a no-op for
-// prototypes. Extraction reads the unit's DB when Analyze runs, so the DB
-// must not change its API table after assembly.
-func (fn *Function) Analyze() {
+// Extract builds the function's CFG and event stream (the events' Graph)
+// afresh on every call and keeps neither, so nothing CFG-sized lives past
+// its one consumer, the facts layer, which memoizes per function. It
+// returns nil for prototypes. Extraction reads the unit's DB when Extract
+// runs, so the DB must not change its API table after assembly.
+func (fn *Function) Extract() *semantics.FuncEvents {
 	if fn.env == nil {
-		return
+		return nil
 	}
-	fn.once.Do(func() {
-		fn.Graph = cfg.Build(fn.Def)
-		fn.Events = fn.env.ext.Extract(fn.Graph)
-	})
+	return fn.env.ext.Extract(cfg.Build(fn.Def))
 }
 
 // Unit is the code property graph of a source tree.

@@ -40,12 +40,7 @@ int foo_probe(struct foo_dev *d)
 	if u.Decls.Structs["foo_dev"] == nil {
 		t.Error("struct table missing foo_dev")
 	}
-	fn := u.Functions["foo_probe"]
-	if fn.Graph != nil || fn.Events != nil {
-		t.Error("analysis artifacts built before Analyze")
-	}
-	fn.Analyze()
-	if fn.Graph == nil || fn.Events == nil {
+	if fe := u.Functions["foo_probe"].Extract(); fe == nil || fe.Graph == nil {
 		t.Error("analysis artifacts missing")
 	}
 }
@@ -69,10 +64,8 @@ void user(struct foo_dev *d)
 	}
 	// Events in `user` must classify foo_get as Inc (DB extended before
 	// extraction).
-	fn := u.Functions["user"]
-	fn.Analyze()
 	found := false
-	for _, evs := range fn.Events.ByBlok {
+	for _, evs := range u.Functions["user"].Extract().ByBlok {
 		for _, ev := range evs {
 			if ev.API == "foo_get" && ev.Op.String() == "G" {
 				found = true
@@ -119,7 +112,7 @@ int walk(struct device_node *parent)
 	if !loop {
 		t.Error("loop macro from header missing from the file's observation")
 	}
-	if u.Functions["walk"].Analyze(); u.Functions["walk"].Graph == nil {
+	if fe := u.Functions["walk"].Extract(); fe == nil || fe.Graph == nil {
 		t.Error("walk not analyzed")
 	}
 }
@@ -224,24 +217,22 @@ int b_probe(void)
 		t.Fatalf("function counts differ")
 	}
 	for name, sf := range seq.Functions {
-		pf := par.Functions[name]
-		sf.Analyze()
-		pf.Analyze()
-		if (sf.Graph == nil) != (pf.Graph == nil) {
+		se, pe := sf.Extract(), par.Functions[name].Extract()
+		if (se == nil) != (pe == nil) {
 			t.Fatalf("%s: graph presence differs", name)
 		}
-		if sf.Graph == nil {
+		if se == nil {
 			continue
 		}
-		if len(sf.Graph.Blocks) != len(pf.Graph.Blocks) {
+		if len(se.Graph.Blocks) != len(pe.Graph.Blocks) {
 			t.Errorf("%s: block counts differ", name)
 		}
 		sevs, pevs := 0, 0
-		for _, b := range sf.Graph.Blocks {
-			sevs += len(sf.Events.ByBlok[b])
+		for _, b := range se.Graph.Blocks {
+			sevs += len(se.ByBlok[b])
 		}
-		for _, b := range pf.Graph.Blocks {
-			pevs += len(pf.Events.ByBlok[b])
+		for _, b := range pe.Graph.Blocks {
+			pevs += len(pe.ByBlok[b])
 		}
 		if sevs != pevs {
 			t.Errorf("%s: event counts differ (%d vs %d)", name, sevs, pevs)
@@ -304,9 +295,9 @@ func TestParallelErrorOrderDeterministic(t *testing.T) {
 	}
 }
 
-// TestAnalyzeOnDemand: assembly leaves every function unanalyzed, and
-// concurrent Analyze calls build its graph and events exactly once —
-// every caller sees the same values. Prototypes stay unanalyzed.
+// TestAnalyzeOnDemand: a function keeps no CFG. Every Extract call, from
+// any goroutine, builds a fresh graph with its events over it — nothing is
+// shared or retained between callers — and prototypes have none.
 func TestAnalyzeOnDemand(t *testing.T) {
 	u := build(t, Source{Path: "a.c", Content: `
 int proto(int x);
@@ -320,31 +311,27 @@ int body(struct device_node *np)
 }
 `})
 	fn := u.Functions["body"]
-	if fn.Graph != nil || fn.Events != nil {
-		t.Fatal("assembly analyzed a function eagerly")
-	}
 	var wg sync.WaitGroup
 	graphs := make([]*cfg.Graph, 8)
 	for i := range graphs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fn.Analyze()
-			graphs[i] = fn.Graph
+			if fe := fn.Extract(); fe != nil {
+				graphs[i] = fe.Graph
+			}
 		}(i)
 	}
 	wg.Wait()
 	for i, g := range graphs {
-		if g == nil || g != graphs[0] {
-			t.Fatalf("caller %d saw graph %p, want one shared non-nil graph %p", i, g, graphs[0])
+		if g == nil || len(g.Blocks) != len(graphs[0].Blocks) {
+			t.Fatalf("caller %d saw graph %p, want a non-nil graph shaped like caller 0's", i, g)
+		}
+		if i > 0 && g == graphs[0] {
+			t.Fatalf("caller %d shares caller 0's graph; each Extract must build afresh", i)
 		}
 	}
-	if fn.Events == nil || fn.Events.Graph != fn.Graph {
-		t.Fatal("events missing or built over a different graph")
-	}
-	p := u.Functions["proto"]
-	p.Analyze()
-	if p.Graph != nil {
+	if fe := u.Functions["proto"].Extract(); fe != nil {
 		t.Fatal("a prototype was analyzed")
 	}
 	if got := len(u.DefinedFunctions()); got != 1 {

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"repro/internal/arena"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -315,16 +316,22 @@ func (p *Preprocessor) processFile(file, src string) {
 
 	// Lexing is macro-independent, so included headers (depth > 1 after the
 	// increment above) come pre-lexed from the shared cache when one is
-	// attached; the top-level TU source is unique per file and lexed inline.
+	// attached. Anything else (the top-level TU, unique per file) is lexed
+	// into pooled lines that are garbage once this call returns, so define
+	// copies the bodies of macros defined on them.
 	var lines *clex.Lines
-	if p.hcache != nil && p.depth > 1 {
+	pooled := p.hcache == nil || p.depth == 1
+	if pooled {
+		lines = linesPool.Get().(*clex.Lines)
+		defer func() {
+			lines.Reset()
+			linesPool.Put(lines)
+		}()
+		p.errs = append(p.errs, lines.Tokenize(file, src, p.lexStats)...)
+	} else {
 		h := p.hcache.lex(file, src)
 		lines = h.lines
 		p.errs = append(p.errs, h.errs...)
-	} else {
-		var lexErrs []error
-		lines, lexErrs = clex.TokenizeLines(file, src, p.lexStats)
-		p.errs = append(p.errs, lexErrs...)
 	}
 
 	var conds []condState
@@ -343,7 +350,7 @@ func (p *Preprocessor) processFile(file, src string) {
 			continue
 		}
 		if line[0].Kind == clex.Hash {
-			p.directive(line, &conds, live)
+			p.directive(line, pooled, &conds, live)
 			continue
 		}
 		if !live() {
@@ -363,6 +370,10 @@ func (p *Preprocessor) processFile(file, src string) {
 	}
 }
 
+// linesPool recycles the line storage of inline-lexed files. Lines are
+// Reset before a Put, so pooled tokens pin no source strings.
+var linesPool = sync.Pool{New: func() any { return new(clex.Lines) }}
+
 // expandBufPool recycles the scratch buffers used for per-line macro
 // expansion. Buffer contents never survive a Put: the expansion result is
 // copied into the preprocessor output before the buffer is recycled, so the
@@ -374,7 +385,9 @@ var expandBufPool = sync.Pool{
 	},
 }
 
-func (p *Preprocessor) directive(line []clex.Token, conds *[]condState, live func() bool) {
+// directive runs one directive line; pooled says the line's storage is
+// recycled when its file is done.
+func (p *Preprocessor) directive(line []clex.Token, pooled bool, conds *[]condState, live func() bool) {
 	if len(line) < 2 {
 		return // lone '#' is a null directive
 	}
@@ -433,7 +446,7 @@ func (p *Preprocessor) directive(line []clex.Token, conds *[]condState, live fun
 		*conds = (*conds)[:len(*conds)-1]
 	case "define":
 		if live() {
-			p.define(rest, line[0].Pos)
+			p.define(rest, line[0].Pos, pooled)
 		}
 	case "undef":
 		if live() && len(rest) > 0 {
@@ -450,7 +463,7 @@ func (p *Preprocessor) directive(line []clex.Token, conds *[]condState, live fun
 	}
 }
 
-func (p *Preprocessor) define(rest []clex.Token, pos clex.Pos) {
+func (p *Preprocessor) define(rest []clex.Token, pos clex.Pos, pooled bool) {
 	if len(rest) == 0 || rest[0].Kind != clex.Ident && rest[0].Kind != clex.Keyword {
 		p.errorf(pos, "malformed #define")
 		return
@@ -484,11 +497,15 @@ func (p *Preprocessor) define(rest []clex.Token, pos clex.Pos) {
 			i++ // ')'
 		}
 	}
-	// The body aliases the (immutable) lexed line rather than copying it.
-	// For header-defined macros the line belongs to the run-shared header
-	// cache, so the alias is free; a full-slice cap keeps any append by a
-	// consumer from spilling into neighboring line storage.
-	m.Body = rest[i:len(rest):len(rest)]
+	// A header line belongs to the run-shared header cache, so the body
+	// aliases it for free; a full-slice cap keeps any append by a consumer
+	// from spilling into neighboring line storage. A pooled line is reused
+	// once its file is done, so the body is copied out of it.
+	if pooled {
+		m.Body = slices.Clone(rest[i:])
+	} else {
+		m.Body = rest[i:len(rest):len(rest)]
+	}
 	p.macros[m.Name] = m
 }
 

@@ -8,40 +8,48 @@ import (
 )
 
 // Binary codec for the per-unit facts snapshot (the analysiscache facts
-// entry). Function names are emitted in sorted order and empty collections
-// as zero counts decoding back to nil, so encode∘decode is the identity on
-// both the bytes and the structures — the determinism the cache matrix
-// tests rely on.
+// entry and round 2's facts reply). Function names are emitted in sorted
+// order and empty collections as zero counts decoding back to nil, so
+// encode∘decode is the identity on both the bytes and the structures — the
+// determinism the cache matrix tests rely on.
 //
-// Format 2 mirrors computeData's memory layout on the wire: each Data opens
-// with its grand totals (trace count, total trace events, total error-flag
-// slots, whole-function event count) so the decoder can allocate four
-// backing arrays once and carve every trace's Events/BlockAt/Branch/ErrFrom
-// as windows out of them — the same O(1)-allocations-per-function shape the
-// compute path has, where format 1 paid four allocations per *trace*. Index
-// arrays (BlockAt, DecIdx, EscapeIdx) are int32 on the wire and in memory.
-const factsFormat = 2
+// Format 3 mirrors computeData's memory layout on the wire. A snapshot is
+// table-deduplicated (bincodec.Tabled), so every string is an id. Each Data
+// writes its All events once, then its traces as indices into All: a
+// header of grand totals (trace count, total trace events, total
+// error-flag slots) lets the decoder allocate the index, block-position,
+// branch and error-flag backing arrays once and carve every trace's
+// windows out of them — the same O(1)-allocations-per-function shape the
+// compute path has. Every index is range-checked on decode.
+const factsFormat = 3
 
-func encodeInt32s(w *bincodec.Writer, v []int32) {
-	w.U32(uint32(len(v)))
+func encodeIndices(w *bincodec.Writer, v []int32) {
+	w.Uvarint(uint64(len(v)))
 	for _, x := range v {
-		w.U32(uint32(x))
+		w.Uvarint(uint64(x))
 	}
 }
 
-func decodeInt32s(r *bincodec.Reader) []int32 {
-	n := r.Count()
+// decodeIndices reads a list written by encodeIndices whose every entry
+// must be below limit.
+func decodeIndices(r *bincodec.Reader, limit int) []int32 {
+	n := r.UCount()
 	if n == 0 {
 		return nil
 	}
 	out := make([]int32, n)
 	for i := range out {
-		out[i] = int32(r.U32())
+		x := r.Uvarint()
+		if x >= uint64(limit) {
+			r.Fail()
+			return nil
+		}
+		out[i] = int32(x)
 	}
 	return out
 }
 
-func encodeStringSet(w *bincodec.Writer, m map[string]bool) {
+func encodeStringSet(w *bincodec.Writer, t *bincodec.Table, m map[string]bool) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		if m[k] {
@@ -49,11 +57,11 @@ func encodeStringSet(w *bincodec.Writer, m map[string]bool) {
 		}
 	}
 	sort.Strings(keys)
-	w.Strings(keys)
+	semantics.EncodeRefs(w, t, keys)
 }
 
 func decodeStringSet(r *bincodec.Reader) map[string]bool {
-	keys := r.Strings()
+	keys := semantics.DecodeRefs(r)
 	if keys == nil {
 		return nil
 	}
@@ -64,64 +72,51 @@ func decodeStringSet(r *bincodec.Reader) map[string]bool {
 	return m
 }
 
-func encodeData(w *bincodec.Writer, d *Data) {
+func encodeData(w *bincodec.Writer, t *bincodec.Table, d *Data) {
+	semantics.EncodeEvents(w, t, d.All)
 	grand, errLen := 0, 0
 	for i := range d.Traces {
-		grand += len(d.Traces[i].Events)
+		grand += len(d.Traces[i].Idx)
 		errLen += len(d.Traces[i].ErrFrom)
 	}
-	w.U32(uint32(len(d.Traces)))
-	w.U32(uint32(grand))
-	w.U32(uint32(errLen))
-	w.U32(uint32(len(d.All)))
+	w.Uvarint(uint64(len(d.Traces)))
+	w.Uvarint(uint64(grand))
+	w.Uvarint(uint64(errLen))
 	for i := range d.Traces {
 		tr := &d.Traces[i]
-		w.U32(uint32(len(tr.Events)))
-		w.U32(uint32(len(tr.ErrFrom)))
-		for j := range tr.Events {
-			semantics.EncodeEvent(w, &tr.Events[j])
-		}
-		for _, at := range tr.BlockAt {
-			w.U32(uint32(at))
+		w.Uvarint(uint64(len(tr.Idx)))
+		w.Uvarint(uint64(len(tr.ErrFrom)))
+		for j, x := range tr.Idx {
+			w.Uvarint(uint64(x))
+			w.Uvarint(uint64(tr.BlockAt[j]))
+			w.U8(uint8(tr.Branch[j]))
 		}
 		for _, b := range tr.ErrFrom {
 			w.Bool(b)
 		}
-		for _, b := range tr.Branch {
-			w.U8(uint8(b))
-		}
 	}
-	for i := range d.All {
-		semantics.EncodeEvent(w, &d.All[i])
-	}
-	encodeInt32s(w, d.DecIdx)
-	encodeInt32s(w, d.EscapeIdx)
-	encodeStringSet(w, d.IncBases)
-	encodeStringSet(w, d.OwnedBases)
+	encodeIndices(w, d.DecIdx)
+	encodeIndices(w, d.EscapeIdx)
+	encodeStringSet(w, t, d.IncBases)
+	encodeStringSet(w, t, d.OwnedBases)
 }
 
 func decodeData(r *bincodec.Reader) *Data {
-	d := &Data{}
-	nTraces := r.Count()
-	grand := r.Count()
-	errLen := r.Count()
-	nAll := r.Count()
+	d := &Data{All: semantics.DecodeEvents(r)}
+	nTraces := r.UCount()
+	grand := r.UCount()
+	errLen := r.UCount()
 	if r.Err() != nil {
 		return d
 	}
 	// Shared backing arrays, exactly like computeData: per-trace slices are
 	// capacity-bounded windows, so decoding costs O(1) allocations per
-	// function, not O(traces). Count() already bounded each total by the
+	// function, not O(traces). UCount already bounded each total by the
 	// remaining input, so a hostile header cannot force a huge allocation.
-	var (
-		evBack []semantics.Event
-		atBack []int32
-		brBack []int8
-	)
-	if grand+nAll > 0 {
-		evBack = make([]semantics.Event, 0, grand+nAll)
-	}
+	var idxBack, atBack []int32
+	var brBack []int8
 	if grand > 0 {
+		idxBack = make([]int32, 0, grand)
 		atBack = make([]int32, 0, grand)
 		brBack = make([]int8, 0, grand)
 	}
@@ -131,36 +126,35 @@ func decodeData(r *bincodec.Reader) *Data {
 	}
 	for i := 0; i < nTraces; i++ {
 		tr := &d.Traces[i]
-		n := r.Count()
-		ne := r.Count()
-		if len(evBack)+n > grand || len(efBack)+ne > errLen {
+		tr.all = d.All
+		n := r.UCount()
+		ne := r.UCount()
+		if len(idxBack)+n > grand || len(efBack)+ne > errLen {
 			r.Fail()
 			return d
 		}
-		start := len(evBack)
+		start := len(idxBack)
 		for j := 0; j < n; j++ {
-			evBack = append(evBack, semantics.DecodeEvent(r))
-		}
-		for j := 0; j < n; j++ {
-			atBack = append(atBack, int32(r.U32()))
+			x, at, br := r.Uvarint(), r.Uvarint(), r.U8()
+			if x >= uint64(len(d.All)) || at+1 >= uint64(ne) || br > uint8(TookFalse) {
+				// An index past All, a block position past the path, or
+				// an unknown direction: At and ErrorAfter would misread.
+				r.Fail()
+				return d
+			}
+			idxBack = append(idxBack, int32(x))
+			atBack = append(atBack, int32(at))
+			brBack = append(brBack, int8(br))
 		}
 		efStart := len(efBack)
 		for j := 0; j < ne; j++ {
 			efBack = append(efBack, r.Bool())
 		}
-		for j := 0; j < n; j++ {
-			v := r.U8()
-			if v > uint8(TookFalse) {
-				r.Fail()
-				return d
-			}
-			brBack = append(brBack, int8(v))
-		}
 		if r.Err() != nil {
 			return d
 		}
-		if end := len(evBack); end > start {
-			tr.Events = evBack[start:end:end]
+		if end := len(idxBack); end > start {
+			tr.Idx = idxBack[start:end:end]
 			tr.BlockAt = atBack[start:end:end]
 			tr.Branch = brBack[start:end:end]
 		}
@@ -168,24 +162,14 @@ func decodeData(r *bincodec.Reader) *Data {
 			tr.ErrFrom = efBack[efStart:efEnd:efEnd]
 		}
 	}
-	if len(evBack) != grand || len(efBack) != errLen {
+	if len(idxBack) != grand || len(efBack) != errLen {
 		// The per-trace counts must consume the headers exactly, or the
 		// windows no longer mean what the encoder meant.
 		r.Fail()
 		return d
 	}
-	allStart := len(evBack)
-	for j := 0; j < nAll; j++ {
-		evBack = append(evBack, semantics.DecodeEvent(r))
-	}
-	if r.Err() != nil {
-		return d
-	}
-	if end := len(evBack); end > allStart {
-		d.All = evBack[allStart:end:end]
-	}
-	d.DecIdx = decodeInt32s(r)
-	d.EscapeIdx = decodeInt32s(r)
+	d.DecIdx = decodeIndices(r, len(d.All))
+	d.EscapeIdx = decodeIndices(r, len(d.All))
 	d.IncBases = decodeStringSet(r)
 	d.OwnedBases = decodeStringSet(r)
 	return d
@@ -195,31 +179,34 @@ func decodeData(r *bincodec.Reader) *Data {
 // analysis cache.
 func EncodeSnapshot(snap map[string]*Data) []byte {
 	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
+	n := 0
+	for name, d := range snap {
+		names = append(names, name)
+		n += len(d.All)
+		for i := range d.Traces {
+			n += len(d.Traces[i].Idx)
+		}
 	}
 	sort.Strings(names)
-	w := bincodec.NewWriter(1 << 12)
-	w.U8(factsFormat)
-	w.U32(uint32(len(names)))
-	for _, n := range names {
-		w.String(n)
-		encodeData(w, snap[n])
+	// Presize for the body: ~16 bytes per All event, ~3 per trace event.
+	var t bincodec.Table
+	w := bincodec.NewWriter(64 + 16*n)
+	w.Uvarint(uint64(len(names)))
+	for _, name := range names {
+		w.Ref(&t, name)
+		encodeData(w, &t, snap[name])
 	}
-	return w.Bytes()
+	return bincodec.Tabled(factsFormat, &t, w)
 }
 
 // DecodeSnapshot reads a snapshot written by EncodeSnapshot; any malformed
 // input returns bincodec.ErrCorrupt.
 func DecodeSnapshot(data []byte) (map[string]*Data, error) {
-	r := bincodec.NewReader(data)
-	if r.U8() != factsFormat {
-		r.Fail()
-	}
-	n := r.Count()
+	r := bincodec.OpenTabled(data, factsFormat)
+	n := r.UCount()
 	snap := make(map[string]*Data, n)
 	for i := 0; i < n; i++ {
-		name := r.String()
+		name := r.Ref()
 		d := decodeData(r)
 		if r.Err() != nil {
 			break

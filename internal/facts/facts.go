@@ -39,14 +39,17 @@ const (
 // block order with every path-dependent question — which branch was taken,
 // whether error handling lies ahead — pre-resolved, so no consumer needs the
 // CFG blocks themselves.
+//
+// A trace does not hold events: Idx indexes the function's Data.All, which
+// holds each event once however many paths pass its block. Len and At read
+// the path's events in order; Events copies them out (a report's witness).
 type Trace struct {
-	// Events holds the path's events in block order, with CFG block
-	// pointers stripped (blocks form cycles gob cannot encode, and the
-	// resolved fields below replace every query that needed them).
-	Events []semantics.Event
-	// BlockAt is the path position of each event's block. Positions are
-	// path indices (bounded far below 2^31), stored as int32 so the cache
-	// codec and the in-memory footprint halve.
+	// Idx holds the index into Data.All of each of the path's events, in
+	// block order. Indices, like every per-event array here, are int32
+	// (bounded far below 2^31), so the codec and the in-memory footprint
+	// stay small.
+	Idx []int32
+	// BlockAt is the path position of each event's block.
 	BlockAt []int32
 	// ErrFrom[k] reports whether the path visits an error-handling block
 	// at or after path position k; the extra index len(path) is always
@@ -55,6 +58,25 @@ type Trace struct {
 	// Branch is the branch direction the path takes at each event's block
 	// (meaningful for OpCond events; TookUnknown at path end).
 	Branch []int8
+
+	all []semantics.Event // the owning Data's All
+}
+
+// Len returns the number of events on the path.
+func (tr *Trace) Len() int { return len(tr.Idx) }
+
+// At returns the path's i-th event. It points into the function's Data.All,
+// which every checker treats as read-only.
+func (tr *Trace) At(i int) *semantics.Event { return &tr.all[tr.Idx[i]] }
+
+// Events returns a fresh copy of the path's events: the witness of a report
+// emitted on this path.
+func (tr *Trace) Events() []semantics.Event {
+	out := make([]semantics.Event, len(tr.Idx))
+	for i, x := range tr.Idx {
+		out[i] = tr.all[x]
+	}
+	return out
 }
 
 // ErrorAtOrAfter reports whether the path visits an error block at or after
@@ -70,9 +92,9 @@ func (tr *Trace) ErrorAfter(i int) bool { return tr.ErrFrom[tr.BlockAt[i]+1] }
 func (tr *Trace) BranchNonNull(i int) []string {
 	switch tr.Branch[i] {
 	case TookTrue:
-		return tr.Events[i].NonNullTrue
+		return tr.At(i).NonNullTrue
 	case TookFalse:
-		return tr.Events[i].NonNullFalse
+		return tr.At(i).NonNullFalse
 	}
 	return nil
 }
@@ -82,9 +104,9 @@ func (tr *Trace) BranchNonNull(i int) []string {
 func (tr *Trace) BranchNull(i int) []string {
 	switch tr.Branch[i] {
 	case TookTrue:
-		return tr.Events[i].NonNullFalse
+		return tr.At(i).NonNullFalse
 	case TookFalse:
-		return tr.Events[i].NonNullTrue
+		return tr.At(i).NonNullTrue
 	}
 	return nil
 }
@@ -99,11 +121,11 @@ type Data struct {
 	Traces []Trace
 	// All is the whole-function event view in CFG block order, blocks
 	// stripped — the order checkers historically built by walking
-	// Graph.Blocks.
+	// Graph.Blocks. Every trace indexes it.
 	All []semantics.Event
 	// DecIdx and EscapeIdx index All: decrement events, and escaping
 	// assignments (OpAssign with EscapesVia set). int32 for the same
-	// reason as Trace.BlockAt.
+	// reason as Trace.Idx.
 	DecIdx    []int32
 	EscapeIdx []int32
 	// IncBases are base names incremented anywhere in the function;
@@ -152,27 +174,9 @@ func (ff *FunctionFacts) Traces() []Trace { return ff.Data.Traces }
 // All returns the whole-function event view in block order.
 func (ff *FunctionFacts) All() []semantics.Event { return ff.Data.All }
 
-// Decs returns the function's decrement events in block order.
-func (ff *FunctionFacts) Decs() []semantics.Event {
-	out := make([]semantics.Event, len(ff.Data.DecIdx))
-	for i, di := range ff.Data.DecIdx {
-		out[i] = ff.Data.All[di]
-	}
-	return out
-}
-
-// Escapes returns the function's escaping assignments in block order.
-func (ff *FunctionFacts) Escapes() []semantics.Event {
-	out := make([]semantics.Event, len(ff.Data.EscapeIdx))
-	for i, ei := range ff.Data.EscapeIdx {
-		out[i] = ff.Data.All[ei]
-	}
-	return out
-}
-
 // SmartLoop reports whether the event was injected by a registered smartloop
 // macro (for_each_*-style iterators that hold a reference per iteration).
-func (ff *FunctionFacts) SmartLoop(ev semantics.Event) bool {
+func (ff *FunctionFacts) SmartLoop(ev *semantics.Event) bool {
 	return ev.FromMacro != "" && ff.Unit.DB.Loop(ev.FromMacro) != nil
 }
 
@@ -316,25 +320,19 @@ func (uf *UnitFacts) SnapshotOf(names []string) map[string]*Data {
 // each path, events in block order with their path positions, branch
 // directions resolved against the successor actually taken, and error-block
 // reachability precomputed as a suffix scan. It is the only consumer of the
-// function's CFG and events, so it is what triggers their construction.
+// function's CFG and events, which it builds and drops: nothing derived
+// from the CFG outlives the call except Data.
 func computeData(fn *cpg.Function) *Data {
-	fn.Analyze()
+	fe := fn.Extract()
 	d := &Data{}
-	paths := fn.Graph.Paths(0)
-	d.Traces = make([]Trace, 0, len(paths))
-	// The traces' parallel slices are carved as capacity-bounded windows out
-	// of four function-lifetime backing arrays, so the whole flattening costs
-	// O(1) allocations per function rather than O(paths).
-	grand, errLen := 0, 0
-	for _, p := range paths {
-		for _, b := range p {
-			grand += len(fn.Events.ByBlok[b])
-		}
-		errLen += len(p) + 1
-	}
+	g := fe.Graph
+	// All first: every block's events in block order, block b's run
+	// starting at first[b.ID] (a block's ID is its index in Blocks).
+	first := make([]int32, len(g.Blocks))
 	total, nDec, nEsc := 0, 0, 0
-	for _, b := range fn.Graph.Blocks {
-		evs := fn.Events.ByBlok[b]
+	for _, b := range g.Blocks {
+		first[b.ID] = int32(total)
+		evs := fe.ByBlok[b]
 		total += len(evs)
 		for i := range evs {
 			switch {
@@ -351,58 +349,13 @@ func computeData(fn *cpg.Function) *Data {
 	if nEsc > 0 {
 		d.EscapeIdx = make([]int32, 0, nEsc)
 	}
-	var (
-		evBack []semantics.Event
-		atBack []int32
-		brBack []int8
-	)
-	if grand+total > 0 {
-		// One event array backs both the per-trace windows and d.All.
-		evBack = make([]semantics.Event, 0, grand+total)
+	if total > 0 {
+		d.All = make([]semantics.Event, 0, total)
 	}
-	if grand > 0 {
-		atBack = make([]int32, 0, grand)
-		brBack = make([]int8, 0, grand)
-	}
-	efBack := make([]bool, errLen)
-	efOff := 0
-	for _, p := range paths {
-		tr := Trace{}
-		start := len(evBack)
-		for bi, b := range p {
-			for _, ev := range fn.Events.ByBlok[b] {
-				br := TookUnknown
-				if bi+1 < len(p) {
-					switch semantics.BranchTaken(ev, p[bi+1]) {
-					case 1:
-						br = TookTrue
-					case -1:
-						br = TookFalse
-					}
-				}
-				ev.Block = nil
-				evBack = append(evBack, ev)
-				atBack = append(atBack, int32(bi))
-				brBack = append(brBack, br)
-			}
-		}
-		if end := len(evBack); end > start {
-			tr.Events = evBack[start:end:end]
-			tr.BlockAt = atBack[start:end:end]
-			tr.Branch = brBack[start:end:end]
-		}
-		tr.ErrFrom = efBack[efOff : efOff+len(p)+1 : efOff+len(p)+1]
-		efOff += len(p) + 1
-		for k := len(p) - 1; k >= 0; k-- {
-			tr.ErrFrom[k] = tr.ErrFrom[k+1] || p[k].IsError
-		}
-		d.Traces = append(d.Traces, tr)
-	}
-	allStart := len(evBack)
-	for _, b := range fn.Graph.Blocks {
-		for _, ev := range fn.Events.ByBlok[b] {
+	for _, b := range g.Blocks {
+		for _, ev := range fe.ByBlok[b] {
 			ev.Block = nil
-			i := int32(len(evBack) - allStart)
+			i := int32(len(d.All))
 			switch {
 			case ev.Op == semantics.OpDec:
 				d.DecIdx = append(d.DecIdx, i)
@@ -421,11 +374,61 @@ func computeData(fn *cpg.Function) *Data {
 					d.OwnedBases[base] = true
 				}
 			}
-			evBack = append(evBack, ev)
+			d.All = append(d.All, ev)
 		}
 	}
-	if len(evBack) > allStart {
-		d.All = evBack[allStart:len(evBack):len(evBack)]
+
+	paths := g.Paths(0)
+	d.Traces = make([]Trace, 0, len(paths))
+	// The traces' parallel slices are carved as capacity-bounded windows out
+	// of four function-lifetime backing arrays, so the whole flattening costs
+	// O(1) allocations per function rather than O(paths).
+	grand, errLen := 0, 0
+	for _, p := range paths {
+		for _, b := range p {
+			grand += len(fe.ByBlok[b])
+		}
+		errLen += len(p) + 1
+	}
+	var idxBack, atBack []int32
+	var brBack []int8
+	if grand > 0 {
+		idxBack = make([]int32, 0, grand)
+		atBack = make([]int32, 0, grand)
+		brBack = make([]int8, 0, grand)
+	}
+	efBack := make([]bool, errLen)
+	efOff := 0
+	for _, p := range paths {
+		tr := Trace{all: d.All}
+		start := len(idxBack)
+		for bi, b := range p {
+			for k, ev := range fe.ByBlok[b] {
+				br := TookUnknown
+				if bi+1 < len(p) {
+					switch semantics.BranchTaken(ev, p[bi+1]) {
+					case 1:
+						br = TookTrue
+					case -1:
+						br = TookFalse
+					}
+				}
+				idxBack = append(idxBack, first[b.ID]+int32(k))
+				atBack = append(atBack, int32(bi))
+				brBack = append(brBack, br)
+			}
+		}
+		if end := len(idxBack); end > start {
+			tr.Idx = idxBack[start:end:end]
+			tr.BlockAt = atBack[start:end:end]
+			tr.Branch = brBack[start:end:end]
+		}
+		tr.ErrFrom = efBack[efOff : efOff+len(p)+1 : efOff+len(p)+1]
+		efOff += len(p) + 1
+		for k := len(p) - 1; k >= 0; k-- {
+			tr.ErrFrom[k] = tr.ErrFrom[k+1] || p[k].IsError
+		}
+		d.Traces = append(d.Traces, tr)
 	}
 	return d
 }

@@ -3,9 +3,12 @@ package facts_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/bincodec"
 	"repro/internal/cpg"
 	"repro/internal/facts"
 )
@@ -42,7 +45,7 @@ static void f_plain(int x)
 }
 `
 
-func buildFixture(t *testing.T) *cpg.Unit {
+func buildFixture(t testing.TB) *cpg.Unit {
 	t.Helper()
 	b := &cpg.Builder{}
 	return b.Build([]cpg.Source{{Path: "drivers/x/fixture.c", Content: fixtureSrc}})
@@ -100,11 +103,14 @@ func TestTraceSchema(t *testing.T) {
 	for _, name := range uf.FunctionNames() {
 		ff := uf.Function(name)
 		for ti, tr := range ff.Traces() {
-			if len(tr.Events) != len(tr.BlockAt) || len(tr.Events) != len(tr.Branch) {
+			if tr.Len() != len(tr.BlockAt) || tr.Len() != len(tr.Branch) {
 				t.Fatalf("%s trace %d: slice lengths diverge (%d events, %d blockAt, %d branch)",
-					name, ti, len(tr.Events), len(tr.BlockAt), len(tr.Branch))
+					name, ti, tr.Len(), len(tr.BlockAt), len(tr.Branch))
 			}
-			for i, ev := range tr.Events {
+			for i, ev := range tr.Events() {
+				if !reflect.DeepEqual(ev, *tr.At(i)) {
+					t.Fatalf("%s trace %d event %d: Events and At disagree", name, ti, i)
+				}
 				if ev.Block != nil {
 					t.Fatalf("%s trace %d event %d: CFG block not stripped", name, ti, i)
 				}
@@ -233,4 +239,46 @@ func TestFilesGroupsByDefiningFile(t *testing.T) {
 	if !bytes.Equal(gj, wj) {
 		t.Fatalf("Files() = %s, want %s", gj, wj)
 	}
+}
+
+// FuzzSnapshotCodec holds the facts codec to the cache's robustness
+// contract: arbitrary bytes either decode or fail with ErrCorrupt, a
+// decoded snapshot answers every trace query a checker makes without
+// panicking (its indices were range-checked), and it re-encodes to a fixed
+// point.
+func FuzzSnapshotCodec(f *testing.F) {
+	f.Add(facts.EncodeSnapshot(facts.NewUnit(buildFixture(f)).Snapshot()))
+	f.Add(facts.EncodeSnapshot(map[string]*facts.Data{}))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := facts.DecodeSnapshot(data)
+		if err != nil {
+			if !errors.Is(err, bincodec.ErrCorrupt) {
+				t.Fatalf("decode error %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		for _, d := range snap {
+			for ti := range d.Traces {
+				tr := &d.Traces[ti]
+				for i := 0; i < tr.Len(); i++ {
+					_ = tr.At(i).Op
+					_ = tr.ErrorAfter(i) || tr.ErrorAtOrAfter(i)
+					_ = tr.BranchNull(i)
+				}
+			}
+			for _, x := range append(append([]int32(nil), d.DecIdx...), d.EscapeIdx...) {
+				_ = d.All[x]
+			}
+		}
+		enc := facts.EncodeSnapshot(snap)
+		again, err := facts.DecodeSnapshot(enc)
+		if err != nil {
+			t.Fatalf("canonical form failed to decode: %v", err)
+		}
+		if !bytes.Equal(enc, facts.EncodeSnapshot(again)) {
+			t.Fatal("canonical form is not a re-encode fixed point")
+		}
+	})
 }

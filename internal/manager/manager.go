@@ -44,9 +44,10 @@ type Config struct {
 	// consulted (use CacheDir).
 	Options core.Options
 	// Trace receives manager spans and counters (manager.worker.deaths,
-	// manager.shard.requeues, manager.shard.inline, and the workers'
-	// manager.frontend.*, manager.facts.* and manager.reports.* cache
-	// counters); nil disables.
+	// manager.shard.requeues, manager.shard.inline, the wire's frame bytes
+	// manager.wire.records_bytes, manager.wire.check_bytes and
+	// manager.wire.result_bytes, and the workers' manager.frontend.*,
+	// manager.facts.* and manager.reports.* cache counters); nil disables.
 	Trace *obs.Trace
 }
 
@@ -389,6 +390,7 @@ func (m *run) serve(slot int, w *worker, initFrame []byte) *worker {
 		if err != nil {
 			return died(id)
 		}
+		m.reg.Add("manager.wire.records_bytes", int64(len(frame)))
 		msg, err := decodeRecords(frame)
 		if err != nil || msg.ID != id {
 			return died(id)
@@ -433,8 +435,10 @@ func (m *run) roundTwo(w *worker, checkFrame []byte) {
 	var res *core.ShardResult
 	err := writeFrame(w.stdin, checkFrame)
 	if err == nil {
+		m.reg.Add("manager.wire.check_bytes", int64(len(checkFrame)))
 		var frame []byte
 		if frame, err = readFrame(w.stdout); err == nil {
+			m.reg.Add("manager.wire.result_bytes", int64(len(frame)))
 			if msg, err = decodeResult(frame); err == nil {
 				res, err = core.DecodeShardResult(msg.Cells, msg.Facts)
 			}

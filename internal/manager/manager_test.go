@@ -3,8 +3,11 @@ package manager
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -23,12 +26,24 @@ import (
 func TestMain(m *testing.M) {
 	if len(os.Args) > 1 && os.Args[1] == "repro-worker" {
 		opts := WorkerOpts{}
+		var in io.Reader = os.Stdin
+		var out io.Writer = os.Stdout
 		for _, a := range os.Args[2:] {
 			if n, ok := strings.CutPrefix(a, "die="); ok {
 				opts.ExitAfterShards, _ = strconv.Atoi(n)
 			}
+			if path, ok := strings.CutPrefix(a, "tap="); ok {
+				// Copy every byte read and written to path.in / path.out.
+				fin, err1 := os.Create(path + ".in")
+				fout, err2 := os.Create(path + ".out")
+				if err1 != nil || err2 != nil {
+					fmt.Fprintln(os.Stderr, "worker: tap:", err1, err2)
+					os.Exit(1)
+				}
+				in, out = io.TeeReader(in, fin), io.MultiWriter(out, fout)
+			}
 		}
-		if err := Worker(os.Stdin, os.Stdout, opts); err != nil {
+		if err := Worker(in, out, opts); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
 		}
@@ -323,5 +338,61 @@ func TestManagerFrontendCache(t *testing.T) {
 	}
 	if hits, misses := warmStats["manager.reports.hit"], warmStats["manager.reports.miss"]; hits == 0 || misses != 0 {
 		t.Errorf("warm run report entries: %d hits, %d misses, want all hits", hits, misses)
+	}
+}
+
+// TestWireByteCounters: the manager's frame-byte counters equal the payload
+// lengths of the frames on the wire, as tapped on the workers' side of the
+// pipes: records_bytes the round-1 replies, check_bytes the round-2
+// requests, result_bytes the round-2 replies.
+func TestWireByteCounters(t *testing.T) {
+	srcs, headers := managerCorpus()
+	dir := t.TempDir()
+	const procs = 2
+	tr := obs.New("wire")
+	if _, err := Run(context.Background(), Config{
+		Procs: procs,
+		WorkerCmdFor: func(slot int) []string {
+			return workerArgv("tap=" + filepath.Join(dir, strconv.Itoa(slot)))
+		},
+		Options: core.Options{Workers: 2},
+		Trace:   tr,
+	}, srcs, headers); err != nil {
+		t.Fatal(err)
+	}
+	// sum adds the payload lengths of the frames of one kind in a tapped
+	// stream.
+	sum := func(path string, kind uint8) int64 {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		for len(data) >= 4 {
+			size := int(binary.LittleEndian.Uint32(data))
+			if 4+size > len(data) {
+				t.Fatalf("%s: truncated frame", path)
+			}
+			if size > 0 && data[4] == kind {
+				n += int64(size)
+			}
+			data = data[4+size:]
+		}
+		return n
+	}
+	want := map[string]int64{}
+	for slot := 0; slot < procs; slot++ {
+		tap := filepath.Join(dir, strconv.Itoa(slot))
+		want["manager.wire.records_bytes"] += sum(tap+".out", kRecords)
+		want["manager.wire.check_bytes"] += sum(tap+".in", kCheck)
+		want["manager.wire.result_bytes"] += sum(tap+".out", kResult)
+	}
+	for name, w := range want {
+		if w == 0 {
+			t.Fatalf("%s: no such frame was tapped", name)
+		}
+		if got := tr.Reg().Counter(name); got != w {
+			t.Errorf("%s = %d, want %d (the tapped frames' payload bytes)", name, got, w)
+		}
 	}
 }

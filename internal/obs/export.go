@@ -80,13 +80,18 @@ func Tree(t *Trace) string {
 	return b.String()
 }
 
-// WriteSummary prints the human -v table: the phase spans directly under the
-// root with wall times, then every counter, gauge, and histogram in sorted
-// name order.
-func WriteSummary(w io.Writer, t *Trace) {
-	if t == nil {
-		return
-	}
+// phaseRow is one phase name's share of a trace: the summed wall time and
+// descendant span count of every span of that name directly under the root
+// (a stage can run more than once, as the check round and the finish both
+// run phase:check, and the manager runs phase:manager once per round).
+type phaseRow struct {
+	name  string
+	dur   time.Duration
+	spans int
+}
+
+// phases returns the trace's phase rows in name order, one per name.
+func phases(t *Trace) []phaseRow {
 	spans := t.snapshot()
 	byParent := childIndex(spans)
 	var rootID int64
@@ -96,10 +101,30 @@ func WriteSummary(w io.Writer, t *Trace) {
 			break
 		}
 	}
-	fmt.Fprintf(w, "%s: wall %v\n", t.Name(), t.Wall().Round(time.Microsecond))
+	var rows []phaseRow
+	// childIndex sorts siblings by name, so same-named phases are adjacent.
 	for _, ph := range byParent[rootID] {
+		if n := len(rows); n == 0 || rows[n-1].name != ph.name {
+			rows = append(rows, phaseRow{name: ph.name})
+		}
+		r := &rows[len(rows)-1]
+		r.dur += ph.dur
+		r.spans += countDescendants(byParent, ph.id)
+	}
+	return rows
+}
+
+// WriteSummary prints the human -v table: one row per phase name directly
+// under the root with its summed wall time, then every counter, gauge, and
+// histogram in sorted name order.
+func WriteSummary(w io.Writer, t *Trace) {
+	if t == nil {
+		return
+	}
+	fmt.Fprintf(w, "%s: wall %v\n", t.Name(), t.Wall().Round(time.Microsecond))
+	for _, ph := range phases(t) {
 		fmt.Fprintf(w, "  phase %-18s %10.3fms (%d spans)\n",
-			ph.name, float64(ph.dur)/1e6, countDescendants(byParent, ph.id))
+			ph.name, float64(ph.dur)/1e6, ph.spans)
 	}
 	reg := t.Reg()
 	counters := reg.Counters()
@@ -155,7 +180,7 @@ type StatsJSON struct {
 	Hists    map[string]HistStat `json:"histograms"`
 }
 
-// PhaseStat is one top-level phase's wall time.
+// PhaseStat is one top-level phase name's summed wall time.
 type PhaseStat struct {
 	Name string  `json:"name"`
 	MS   float64 `json:"ms"`
@@ -179,16 +204,7 @@ func Stats(t *Trace) StatsJSON {
 	if out.Hists == nil {
 		out.Hists = map[string]HistStat{}
 	}
-	spans := t.snapshot()
-	byParent := childIndex(spans)
-	var rootID int64
-	for _, s := range spans {
-		if s.parent == 0 {
-			rootID = s.id
-			break
-		}
-	}
-	for _, ph := range byParent[rootID] {
+	for _, ph := range phases(t) {
 		out.Phases = append(out.Phases, PhaseStat{Name: ph.name, MS: float64(ph.dur) / 1e6})
 	}
 	return out

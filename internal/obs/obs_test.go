@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestNopZeroAllocation is the contract the pipeline's hot paths rely on:
@@ -197,5 +198,46 @@ func TestSummaryAndNopExporters(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("summary missing %q:\n%s", want, buf.String())
 		}
+	}
+}
+
+// TestSameNamedPhasesSumToOneRow: a stage that runs twice (the check round
+// and the finish both open phase:check) is one row in the summary and in
+// Stats, with the spans' summed wall time and descendant count.
+func TestSameNamedPhasesSumToOneRow(t *testing.T) {
+	tr := New("twice")
+	first := tr.Root().Child("phase:check")
+	first.Child("fn").End()
+	time.Sleep(time.Millisecond)
+	first.End()
+	tr.Root().Child("phase:build").End()
+	second := tr.Root().Child("phase:check")
+	second.Child("fn").End()
+	second.Child("fn").End()
+	time.Sleep(time.Millisecond)
+	second.End()
+	tr.Done()
+
+	var wantMS float64
+	for _, ev := range ChromeEvents(tr) {
+		if ev.Name == "phase:check" {
+			wantMS += ev.Dur / 1e3
+		}
+	}
+	got := Stats(tr).Phases
+	if len(got) != 2 || got[0].Name != "phase:build" || got[1].Name != "phase:check" {
+		t.Fatalf("phases = %+v, want one phase:build row and one phase:check row", got)
+	}
+	if d := got[1].MS - wantMS; d > 1e-6 || d < -1e-6 || wantMS < 2 {
+		t.Errorf("phase:check = %.6fms, want the two spans' sum %.6fms", got[1].MS, wantMS)
+	}
+
+	var buf bytes.Buffer
+	WriteSummary(&buf, tr)
+	if n := strings.Count(buf.String(), "phase:check"); n != 1 {
+		t.Errorf("summary lists phase:check %d times, want once:\n%s", n, buf.String())
+	}
+	if !strings.Contains(buf.String(), "(3 spans)") {
+		t.Errorf("summary's phase:check row must count both spans' 3 children:\n%s", buf.String())
 	}
 }

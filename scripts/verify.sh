@@ -184,6 +184,16 @@ cmp -s "$tmp/stree-ref.json" "$tmp/stree-mgr.json" || {
     echo "verify: refcheck-manager -shards 2 on a scale-2 tree differs from refcheck -json" >&2
     exit 1
 }
+# The same tree through a cached manager, cold and then warm: the workers
+# write and then serve its per-file front-end, facts and report entries, so
+# every cached payload format crosses a generated tree, not only the demo.
+for run in cold warm; do
+    "$tmp/refcheck-manager" -shards 2 -cache "$tmp/scache" -json "$tmp/stree" > "$tmp/stree-mgr-$run.json"
+    cmp -s "$tmp/stree-ref.json" "$tmp/stree-mgr-$run.json" || {
+        echo "verify: refcheck-manager -shards 2 -cache ($run) on a scale-2 tree differs from refcheck -json" >&2
+        exit 1
+    }
+done
 
 # Watch-mode gate: refgen a tree, take a cold reference run, then start
 # `refcheck -watch` with a warm cache and a 2-run budget, edit one file
