@@ -14,6 +14,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -190,15 +191,26 @@ func main() {
 
 	reports = render.FilterPattern(reports, opts.Pattern)
 
+	// All of stdout goes through one buffer (a scale-4 text run is
+	// thousands of lines); every exit below flushes it first.
+	out := bufio.NewWriter(os.Stdout)
+	fail := func(err error) {
+		out.Flush()
+		fmt.Fprintf(os.Stderr, "refcheck: %v\n", err)
+		os.Exit(1)
+	}
+
 	if opts.JSON {
-		if err := render.WriteJSON(os.Stdout, reports); err != nil {
-			fmt.Fprintf(os.Stderr, "refcheck: %v\n", err)
-			os.Exit(1)
+		if err := render.WriteJSON(out, reports); err != nil {
+			fail(err)
+		}
+		if err := out.Flush(); err != nil {
+			fail(err)
 		}
 		return
 	}
 
-	render.WriteReports(os.Stdout, reports)
+	render.WriteReports(out, reports)
 
 	if *fixDir != "" {
 		contentOf := map[string]string{}
@@ -206,8 +218,7 @@ func main() {
 			contentOf[src.Path] = src.Content
 		}
 		if err := os.MkdirAll(*fixDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "refcheck: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		written, manual := 0, 0
 		for i, r := range reports {
@@ -218,18 +229,16 @@ func main() {
 			}
 			name := fmt.Sprintf("%04d-%s-%s.patch", i, r.Pattern, r.Function)
 			if err := os.WriteFile(filepath.Join(*fixDir, name), []byte(fx.Diff), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "refcheck: %v\n", err)
-				os.Exit(1)
+				fail(err)
 			}
 			written++
 		}
-		fmt.Printf("\nwrote %d patches to %s (%d reports need manual fixes)\n", written, *fixDir, manual)
+		fmt.Fprintf(out, "\nwrote %d patches to %s (%d reports need manual fixes)\n", written, *fixDir, manual)
 	}
 
 	if *pocDir != "" {
 		if err := os.MkdirAll(*pocDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "refcheck: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		written := 0
 		for i, r := range reports {
@@ -238,20 +247,22 @@ func main() {
 			}
 			px := poc.Generate(r)
 			if !px.OK {
-				fmt.Printf("poc: %s: %s\n", r.Function, px.Reason)
+				fmt.Fprintf(out, "poc: %s: %s\n", r.Function, px.Reason)
 				continue
 			}
 			name := fmt.Sprintf("%04d-poc-%s.c", i, r.Function)
 			if err := os.WriteFile(filepath.Join(*pocDir, name), []byte(px.Harness), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "refcheck: %v\n", err)
-				os.Exit(1)
+				fail(err)
 			}
 			written++
 		}
-		fmt.Printf("wrote %d PoC harnesses to %s\n", written, *pocDir)
+		fmt.Fprintf(out, "wrote %d PoC harnesses to %s\n", written, *pocDir)
 	}
 
-	render.WriteSummary(os.Stdout, reports, run.Summary)
+	render.WriteSummary(out, reports, run.Summary)
+	if err := out.Flush(); err != nil {
+		fail(err)
+	}
 }
 
 // loadAPIDB builds the knowledge base, folding an optional -apidb extension

@@ -1,7 +1,6 @@
 package render
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -34,17 +33,32 @@ func FilterPattern(reports []core.Report, pattern string) []core.Report {
 // WriteReports writes one diagnostic line per report plus its suggestion
 // line, exactly as refcheck prints them.
 func WriteReports(w io.Writer, reports []core.Report) {
-	for _, r := range reports {
-		fmt.Fprintln(w, r.String())
+	w.Write(appendReports(nil, reports))
+}
+
+// appendReports appends the report listing WriteReports writes.
+func appendReports(dst []byte, reports []core.Report) []byte {
+	for i := range reports {
+		r := &reports[i]
+		dst = append(dst, r.String()...)
+		dst = append(dst, '\n')
 		if r.Suggestion != "" {
-			fmt.Fprintf(w, "    suggestion: %s\n", strings.ReplaceAll(r.Suggestion, "\n", " "))
+			dst = append(dst, "    suggestion: "...)
+			dst = append(dst, strings.ReplaceAll(r.Suggestion, "\n", " ")...)
+			dst = append(dst, '\n')
 		}
 	}
+	return dst
 }
 
 // WriteSummary writes the trailing per-pattern/per-impact count block and the
 // unit summary line, exactly as refcheck prints them.
 func WriteSummary(w io.Writer, reports []core.Report, sum core.UnitSummary) {
+	w.Write(appendSummary(nil, reports, sum))
+}
+
+// appendSummary appends the summary block WriteSummary writes.
+func appendSummary(dst []byte, reports []core.Report, sum core.UnitSummary) []byte {
 	perPattern := map[core.Pattern]int{}
 	perImpact := map[core.Impact]int{}
 	for _, r := range reports {
@@ -56,58 +70,48 @@ func WriteSummary(w io.Writer, reports []core.Report, sum core.UnitSummary) {
 		pats = append(pats, string(p))
 	}
 	sort.Strings(pats)
-	fmt.Fprintf(w, "\n%d reports", len(reports))
+	dst = fmt.Appendf(dst, "\n%d reports", len(reports))
 	if len(pats) > 0 {
-		fmt.Fprint(w, " (")
+		dst = append(dst, " ("...)
 		for i, p := range pats {
 			if i > 0 {
-				fmt.Fprint(w, ", ")
+				dst = append(dst, ", "...)
 			}
-			fmt.Fprintf(w, "%s:%d", p, perPattern[core.Pattern(p)])
+			dst = fmt.Appendf(dst, "%s:%d", p, perPattern[core.Pattern(p)])
 		}
-		fmt.Fprint(w, ")")
+		dst = append(dst, ')')
 	}
-	fmt.Fprintf(w, " — Leak %d, UAF %d, NPD %d\n",
+	dst = fmt.Appendf(dst, " — Leak %d, UAF %d, NPD %d\n",
 		perImpact[core.Leak], perImpact[core.UAF], perImpact[core.NPD])
-	fmt.Fprintf(w, "analyzed %d files, %d functions (discovered: %d structs, %d APIs, %d smartloops)\n",
+	return fmt.Appendf(dst, "analyzed %d files, %d functions (discovered: %d structs, %d APIs, %d smartloops)\n",
 		sum.Files, sum.Functions,
 		sum.DiscoveredStructs, sum.DiscoveredAPIs, sum.DiscoveredLoops)
 }
 
-// Output writes a run's reports the way refcheck prints them: filtered by
-// pattern (see FilterPattern), then either the JSON array or the report
-// listing followed by the summary block. n is the number of reports written.
+// Output writes a run's reports the way refcheck prints them (see
+// AppendOutput) in one Write. n is the number of reports written.
 func Output(w io.Writer, reports []core.Report, sum core.UnitSummary, pattern string, asJSON bool) (n int, err error) {
-	reports = FilterPattern(reports, pattern)
-	if asJSON {
-		return len(reports), WriteJSON(w, reports)
-	}
-	WriteReports(w, reports)
-	WriteSummary(w, reports, sum)
-	return len(reports), nil
+	out, n := AppendOutput(nil, reports, sum, pattern, asJSON)
+	_, err = w.Write(out)
+	return n, err
 }
 
-// jsonReport is the -json element shape. The field set (and its order) is
-// part of the CLI's output contract.
-type jsonReport struct {
-	Pattern, Impact, File, Function, Object, API string
-	Line                                         int
-	Message, Suggestion                          string
+// AppendOutput appends a run's reports the way refcheck prints them:
+// filtered by pattern (see FilterPattern), then either the JSON array or
+// the report listing followed by the summary block. n is the number of
+// reports rendered.
+func AppendOutput(dst []byte, reports []core.Report, sum core.UnitSummary, pattern string, asJSON bool) (out []byte, n int) {
+	reports = FilterPattern(reports, pattern)
+	if asJSON {
+		return AppendJSON(dst, reports), len(reports)
+	}
+	dst = appendReports(dst, reports)
+	return appendSummary(dst, reports, sum), len(reports)
 }
 
 // WriteJSON writes the reports as the indented JSON array refcheck -json
-// prints (the JSON mode emits no summary block).
+// prints (see AppendJSON), in one Write.
 func WriteJSON(w io.Writer, reports []core.Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	out := make([]jsonReport, 0, len(reports))
-	for _, r := range reports {
-		out = append(out, jsonReport{
-			Pattern: string(r.Pattern), Impact: r.Impact.String(),
-			File: r.File, Function: r.Function, Object: r.Object,
-			API: r.API, Line: r.Pos.Line,
-			Message: r.Message, Suggestion: r.Suggestion,
-		})
-	}
-	return enc.Encode(out)
+	_, err := w.Write(AppendJSON(nil, reports))
+	return err
 }

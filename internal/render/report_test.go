@@ -1,6 +1,7 @@
 package render
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -139,4 +140,72 @@ func TestOutputModes(t *testing.T) {
 			t.Errorf("pattern=%q json=%v:\n got %q\nwant %q", tc.pattern, tc.json, got.String(), want.String())
 		}
 	}
+}
+
+// jsonReport is the record refcheck -json used to marshal through
+// encoding/json; the fuzz target keeps it as AppendJSON's reference.
+type jsonReport struct {
+	Pattern, Impact, File, Function, Object, API string
+	Line                                         int
+	Message, Suggestion                          string
+}
+
+// referenceJSON is what WriteJSON wrote before it appended directly:
+// json.Encoder with SetIndent("", "  ") over []jsonReport.
+func referenceJSON(t *testing.T, reports []core.Report) []byte {
+	t.Helper()
+	out := make([]jsonReport, 0, len(reports))
+	for _, r := range reports {
+		out = append(out, jsonReport{
+			Pattern: string(r.Pattern), Impact: r.Impact.String(),
+			File: r.File, Function: r.Function, Object: r.Object,
+			API: r.API, Line: r.Pos.Line,
+			Message: r.Message, Suggestion: r.Suggestion,
+		})
+	}
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(out); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+func TestAppendJSONMatchesEncoder(t *testing.T) {
+	for _, rs := range [][]core.Report{nil, {}, sampleReports()[:1], sampleReports()} {
+		want := referenceJSON(t, rs)
+		if got := AppendJSON(nil, rs); !bytes.Equal(got, want) {
+			t.Errorf("%d reports:\n got %q\nwant %q", len(rs), got, want)
+		}
+		// Appending keeps what dst already holds.
+		if got := AppendJSON([]byte("x"), rs); !bytes.Equal(got, append([]byte("x"), want...)) {
+			t.Errorf("%d reports: AppendJSON dropped the prefix: %q", len(rs), got)
+		}
+	}
+}
+
+// FuzzAppendJSON holds AppendJSON to encoding/json byte for byte over
+// arbitrary report strings and lines: HTML escaping, control bytes,
+// invalid UTF-8 and the JavaScript line separators included.
+func FuzzAppendJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, pattern, file, function, object, api string, line int, message, suggestion string, impact uint8) {
+		r := core.Report{
+			Pattern: core.Pattern(pattern), Impact: core.Impact(impact % 3), File: file,
+			Function: function, Pos: clex.Pos{File: file, Line: line},
+			Object: object, API: api, Message: message, Suggestion: suggestion,
+		}
+		// A second report with the strings rotated exercises the
+		// separators between objects.
+		r2 := core.Report{
+			Pattern: core.Pattern(suggestion), Impact: core.Impact((impact + 1) % 3), File: message,
+			Function: api, Pos: clex.Pos{Line: -line}, Object: function, API: file,
+			Message: pattern, Suggestion: object,
+		}
+		for _, rs := range [][]core.Report{{r}, {r, r2}} {
+			if got, want := AppendJSON(nil, rs), referenceJSON(t, rs); !bytes.Equal(got, want) {
+				t.Fatalf("AppendJSON differs from encoding/json:\n got %q\nwant %q", got, want)
+			}
+		}
+	})
 }

@@ -37,7 +37,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -229,10 +228,17 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
+	t0 := time.Now()
 	var req AnalyzeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	bodyBuf := getBuf()
+	body, readErr := readBody(w, r, *bodyBuf)
+	err := decodeRequest(body, &req) // copies every string out of body
+	putBuf(bodyBuf, body)
+	if err != nil && readErr != nil {
+		err = readErr // the value was cut short by the failed read
+	}
+	s.reg.Observe("serve.decode_ms", float64(time.Since(t0))/1e6)
+	if err != nil {
 		s.reg.Add("serve.badrequest", 1)
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
@@ -313,24 +319,24 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.observeWall(wall)
-	// The response carries the CLI-identical stdout bytes of the run.
-	var output bytes.Buffer
-	nreports, err := render.Output(&output, run.Reports, run.Summary, req.Pattern, req.JSON)
-	if err != nil {
-		s.reg.Add("serve.errors", 1)
-		writeError(w, http.StatusInternalServerError, "render: %v", err)
-		return
-	}
 	s.reg.Add("serve.ok", 1)
 	s.reg.Observe("serve.wall_ms", float64(wall)/1e6)
-	w.Header().Set("X-Refcheckd-Run", id)
-	writeJSON(w, http.StatusOK, AnalyzeResponse{
-		ID:      id,
-		Output:  output.String(),
-		Reports: nreports,
-		WallMS:  float64(wall) / 1e6,
-		Metrics: tr.Reg().Counters(),
-	})
+	// The response carries the CLI-identical stdout bytes of the run,
+	// rendered into a buffer the response then escapes from directly.
+	t1 := time.Now()
+	outBuf, respBuf := getBuf(), getBuf()
+	output, nreports := render.AppendOutput(*outBuf, run.Reports, run.Summary, req.Pattern, req.JSON)
+	resp := appendResponse(*respBuf, id, output, nreports, float64(wall)/1e6, tr.Reg().Counters())
+	h := w.Header()
+	h.Set("X-Refcheckd-Run", id)
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(resp)))
+	w.WriteHeader(http.StatusOK)
+	// A failed write means the client is gone; there is nobody to tell.
+	_, _ = w.Write(resp)
+	putBuf(outBuf, output)
+	putBuf(respBuf, resp)
+	s.reg.Observe("serve.respond_ms", float64(time.Since(t1))/1e6)
 }
 
 // statusClientClosedRequest is nginx's non-standard 499, the conventional

@@ -114,6 +114,30 @@ cmp -s "$tmp/uncached.txt" "$tmp/served.txt" || {
     kill "$DPID" 2> /dev/null || true
     exit 1
 }
+# Explicit sources and JSON over the wire: a generated scale-1 tree (seed
+# 2, so it is not the demo corpus the daemon just cached) posted twice —
+# the first run computes, the second is an L1 unit hit — must come back as
+# exactly the bytes refcheck -json prints for it. The client's json.Marshal
+# body escapes every "->", '<' and '&' in the sources, so this crosses the
+# request reader's escape path, and the report appender's output crosses
+# the response writer.
+go build -o "$tmp/refgen" ./cmd/refgen
+"$tmp/refgen" -out "$tmp/ptree" -scale 1 -seed 2 > /dev/null
+"$tmp/refcheck" -json "$tmp/ptree" > "$tmp/ptree-ref.json"
+for run in compute hit; do
+    "$tmp/refcheckd" -post "http://$ADDR/v1/analyze" -json "$tmp/ptree" \
+        > "$tmp/ptree-$run.json" 2> /dev/null
+    cmp -s "$tmp/ptree-ref.json" "$tmp/ptree-$run.json" || {
+        echo "verify: served -json run ($run) of a scale-1 tree differs from refcheck -json" >&2
+        kill "$DPID" 2> /dev/null || true
+        exit 1
+    }
+done
+"$tmp/refcheckd" -get "http://$ADDR/stats" | grep -q '"cache.unit.hit":1[,}]' || {
+    echo "verify: the second post of the scale-1 tree was not the daemon's one unit hit" >&2
+    kill "$DPID" 2> /dev/null || true
+    exit 1
+}
 kill -TERM "$DPID"
 drain_status=0
 wait "$DPID" || drain_status=$?
@@ -176,7 +200,6 @@ done
 
 # Generated-tree manager gate: a refgen -scale 2 tree through two workers
 # must render exactly what refcheck -json renders for the same tree.
-go build -o "$tmp/refgen" ./cmd/refgen
 "$tmp/refgen" -out "$tmp/stree" -scale 2 > /dev/null
 "$tmp/refcheck" -json "$tmp/stree" > "$tmp/stree-ref.json"
 "$tmp/refcheck-manager" -shards 2 -json "$tmp/stree" > "$tmp/stree-mgr.json"
