@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,30 +11,9 @@ import (
 	"repro/internal/analysiscache"
 	"repro/internal/core"
 	"repro/internal/cpg"
+	"repro/internal/difftest"
 	"repro/internal/obs"
 )
-
-// renderRun canonicalizes everything a run reports — rendered diagnostics,
-// suggestions, confirmation verdicts, and the full witness event stream — so
-// two runs can be compared byte for byte. (reflect.DeepEqual is deliberately
-// not used: cached reports legitimately drop witness CFG block pointers,
-// which no consumer reads.)
-func renderRun(run *core.Run) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "summary %+v\n", run.Summary)
-	for _, r := range run.Reports {
-		fmt.Fprintf(&b, "%s | confirmed=%v | suggestion=%q\n", r.String(), r.Confirmed, r.Suggestion)
-		for _, ev := range r.Witness {
-			fmt.Fprintf(&b, "  ev %v obj=%q api=%q assign=%q esc=%q pos=%s macro=%q",
-				ev.Op, ev.Obj, ev.API, ev.AssignTarget, ev.EscapesVia, ev.Pos, ev.FromMacro)
-			if ev.Info != nil {
-				fmt.Fprintf(&b, " info=%+v", *ev.Info)
-			}
-			fmt.Fprintf(&b, " nnT=%v nnF=%v\n", ev.NonNullTrue, ev.NonNullFalse)
-		}
-	}
-	return b.String()
-}
 
 func corpusInputs() ([]cpg.Source, map[string]string) {
 	c, sources := kernelCorpus()
@@ -71,13 +49,13 @@ func runWithCache(t *testing.T, sources []cpg.Source, headers map[string]string,
 func TestCacheDeterminismMatrix(t *testing.T) {
 	sources, headers := corpusInputs()
 
-	base := renderRun(runWithCache(t, sources, headers, 1, ""))
+	base := difftest.RenderRun(runWithCache(t, sources, headers, 1, ""))
 	if !strings.Contains(base, "confirmed=true") {
 		t.Fatal("baseline run produced no confirmed reports; corpus broken?")
 	}
 
 	for _, workers := range []int{1, 8} {
-		if got := renderRun(runWithCache(t, sources, headers, workers, "")); got != base {
+		if got := difftest.RenderRun(runWithCache(t, sources, headers, workers, "")); got != base {
 			t.Errorf("workers=%d no-cache differs from baseline", workers)
 		}
 		dir := t.TempDir()
@@ -85,7 +63,7 @@ func TestCacheDeterminismMatrix(t *testing.T) {
 		if cold.Metric("cache.unit.hit") != 0 {
 			t.Errorf("workers=%d: cold run claims a unit hit", workers)
 		}
-		if got := renderRun(cold); got != base {
+		if got := difftest.RenderRun(cold); got != base {
 			t.Errorf("workers=%d cold-cache differs from baseline", workers)
 		}
 		warm := runWithCache(t, sources, headers, workers, dir)
@@ -93,7 +71,7 @@ func TestCacheDeterminismMatrix(t *testing.T) {
 			t.Errorf("workers=%d: warm run hit=%d skipped=%d, want a full unit hit over %d files",
 				workers, warm.Metric("cache.unit.hit"), warm.Metric("pipeline.files_skipped"), len(sources))
 		}
-		if got := renderRun(warm); got != base {
+		if got := difftest.RenderRun(warm); got != base {
 			t.Errorf("workers=%d warm-cache differs from baseline", workers)
 		}
 	}
@@ -113,7 +91,7 @@ func TestCacheOneFileInvalidation(t *testing.T) {
 		Content: edited[0].Content + "\nvoid cache_probe_added(void) { }\n",
 	}
 
-	want := renderRun(runWithCache(t, edited, headers, 1, ""))
+	want := difftest.RenderRun(runWithCache(t, edited, headers, 1, ""))
 	got := runWithCache(t, edited, headers, 8, dir)
 	if got.Metric("cache.unit.hit") != 0 {
 		t.Fatal("edited corpus must miss the unit cache")
@@ -122,7 +100,7 @@ func TestCacheOneFileInvalidation(t *testing.T) {
 		t.Errorf("front-end stats hit=%d miss=%d, want exactly 1 miss and %d hits",
 			got.Metric("frontend.cache.hit"), got.Metric("frontend.cache.miss"), len(sources)-1)
 	}
-	if renderRun(got) != want {
+	if difftest.RenderRun(got) != want {
 		t.Error("partially-invalidated cached run differs from uncached run over the edited corpus")
 	}
 
@@ -137,7 +115,7 @@ func TestCacheOneFileInvalidation(t *testing.T) {
 // run must silently fall back to full re-analysis with identical output.
 func TestCacheCorruptionFallsBack(t *testing.T) {
 	sources, headers := corpusInputs()
-	base := renderRun(runWithCache(t, sources, headers, 1, ""))
+	base := difftest.RenderRun(runWithCache(t, sources, headers, 1, ""))
 
 	dir := t.TempDir()
 	runWithCache(t, sources, headers, 8, dir) // populate
@@ -168,7 +146,7 @@ func TestCacheCorruptionFallsBack(t *testing.T) {
 	if run.Metric("cache.read.corrupt") == 0 {
 		t.Error("corrupt entries were read but cache.read.corrupt is zero")
 	}
-	if renderRun(run) != base {
+	if difftest.RenderRun(run) != base {
 		t.Error("corrupt-cache run differs from baseline")
 	}
 
@@ -184,7 +162,7 @@ func TestCacheCorruptionFallsBack(t *testing.T) {
 // and every run must render byte-identically to the uncached baseline.
 func TestConcurrentAnalyzeSingleFlight(t *testing.T) {
 	sources, headers := corpusInputs()
-	base := renderRun(runWithCache(t, sources, headers, 1, ""))
+	base := difftest.RenderRun(runWithCache(t, sources, headers, 1, ""))
 
 	cache, err := analysiscache.Open(t.TempDir())
 	if err != nil {
@@ -215,7 +193,7 @@ func TestConcurrentAnalyzeSingleFlight(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		if got := renderRun(run); got != base {
+		if got := difftest.RenderRun(run); got != base {
 			t.Errorf("concurrent run %d differs from baseline", i)
 		}
 		leaders += run.Metric("cache.singleflight.leader")

@@ -10,11 +10,12 @@
 // sticky-error design keeps per-field code branch-free: decode functions
 // read every field unconditionally and check Err once at the end.
 //
-// Payloads whose strings repeat heavily (report cells, facts snapshots)
-// are written table-deduplicated: a format byte, a string table (Table) of
-// every distinct string in first-use order, then a body that names each
-// string by its uvarint id (Writer.Ref, Reader.Ref). Tabled assembles such
-// a payload and OpenTabled reads its head.
+// Payloads whose strings repeat heavily (report cells, facts snapshots,
+// token streams, file records) are written table-deduplicated: a format
+// byte, a string table (Table) of every distinct string in first-use order,
+// then a body that names each string by its uvarint id (Writer.Ref,
+// Reader.Ref). Tabled assembles such a payload and OpenTabled reads its
+// head.
 //
 // Robustness contract (enforced by the FuzzCacheCodec target): any
 // truncated, bit-flipped, or otherwise malformed input must surface as
@@ -103,14 +104,14 @@ func (t *Table) ID(s string) uint32 {
 	return id
 }
 
-// Strings returns the table's strings in id order.
-func (t *Table) Strings() []string { return t.strs }
-
 // Tabled assembles a table-deduplicated payload: the format byte, t's
 // strings (a uvarint count, then each string uvarint-length-prefixed), then
-// body, whose Ref ids resolve against t.
-func Tabled(format uint8, t *Table, body *Writer) []byte {
-	n := 1 + binary.MaxVarintLen32 + body.Len()
+// the body — its sections in order — whose Ref ids resolve against t.
+func Tabled(format uint8, t *Table, body ...*Writer) []byte {
+	n := 1 + binary.MaxVarintLen32
+	for _, sec := range body {
+		n += sec.Len()
+	}
 	for _, s := range t.strs {
 		n += binary.MaxVarintLen32 + len(s)
 	}
@@ -121,7 +122,9 @@ func Tabled(format uint8, t *Table, body *Writer) []byte {
 		w.Uvarint(uint64(len(s)))
 		w.b = append(w.b, s...)
 	}
-	w.Raw(body.Bytes())
+	for _, sec := range body {
+		w.Raw(sec.Bytes())
+	}
 	return w.Bytes()
 }
 

@@ -120,8 +120,8 @@ func TestStickyError(t *testing.T) {
 }
 
 // TestTabledRoundTrip: a tabled payload stores each distinct string once,
-// resolves every id back to its string, and fails on a wrong format byte
-// or an id past the table.
+// resolves every id back to its string, joins its body sections in order,
+// and fails on a wrong format byte or an id past the table.
 func TestTabledRoundTrip(t *testing.T) {
 	var tab Table
 	body := NewWriter(0)
@@ -129,8 +129,10 @@ func TestTabledRoundTrip(t *testing.T) {
 	for _, s := range words {
 		body.Ref(&tab, s)
 	}
-	body.Uvarint(uint64(len(tab.Strings())))
-	data := Tabled(7, &tab, body)
+	// A second body section follows the first.
+	tail := NewWriter(0)
+	tail.Uvarint(uint64(len(tab.strs)))
+	data := Tabled(7, &tab, body, tail)
 	if got := bytes.Count(data, []byte("of_node_put")); got != 1 {
 		t.Errorf("payload holds %d copies of a repeated string, want 1", got)
 	}

@@ -109,9 +109,9 @@ func TestShardArtifactCorruptInputs(t *testing.T) {
 			t.Fatalf("cut=%d: err=%v, want ErrCorrupt", cut, err)
 		}
 	}
-	// A frame of the previous format version is corrupt, not misread.
+	// A payload of another format byte is corrupt, not misread.
 	stale := bytes.Clone(enc)
-	stale[3]--
+	stale[0]--
 	if _, err := DecodeShardArtifact(stale); !errors.Is(err, bincodec.ErrCorrupt) {
 		t.Fatalf("stale version: err=%v, want ErrCorrupt", err)
 	}
@@ -201,7 +201,7 @@ func FuzzShardArtifactCodec(f *testing.F) {
 	f.Add(EncodeShardArtifact(b.BuildArtifactContext(context.Background(), artifactSources(), true)))
 	f.Add(EncodeShardArtifact(&ShardArtifact{}))
 	f.Add([]byte{})
-	f.Add(magicOnly(saMagic))
+	f.Add([]byte{artifactFormat})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := DecodeShardArtifact(data)

@@ -5,36 +5,40 @@ import (
 	"repro/internal/bincodec"
 	"repro/internal/clex"
 	"repro/internal/cpp"
+	"repro/internal/semantics"
 )
 
-// Binary codec for the per-file record — a translation unit's expanded
-// tokens, preprocessor error messages and discovery observation — which
-// both payloads of the front end carry: the front-end cache entry
-// (frontEntry, one record plus its include closure) and the shard artifact
-// workers stream back to the manager (artifact_codec.go, one record per
-// file). The record is dominated by tokens, and token fields repeat
-// massively — the same identifier spelling, file name, and macro-origin
-// chain appear thousands of times — so a payload deduplicates through one
-// header of two tables shared by all its records:
+// Binary codecs for cpg's three payloads, each table-deduplicated
+// (bincodec.Tabled): every string is a uvarint id into the payload's string
+// table, and counts, lines and columns are uvarints. The payloads are the
+// front-end cache entry (frontEntry: one file's record plus its include
+// closure), the shard artifact workers stream back to the manager
+// (artifact_codec.go: one record per file) and the file records of the
+// exchange (decls.go). A record — a translation unit's expanded tokens,
+// preprocessor error messages and discovery observation — is dominated by
+// tokens, and a token's macro-origin chain repeats as a whole, so the two
+// payloads that carry tokens open their body with a second table of their
+// own: every distinct origin chain as a list of string ids, in first-use
+// order, chain 0 the empty chain. A token is then its kind byte and five
+// uvarints: text, file, line, column and chain. Decoding materializes each
+// string and chain once and shares it across every token that names it, so
+// a decoded payload also deduplicates in memory.
 //
-//   - a string table holding every distinct spelling/file/origin component,
-//     error message and observed name, built in first-use order during
-//     encoding;
-//   - an origin-chain table holding every distinct provenance chain as
-//     string-table indices (chain 0 is the empty chain).
-//
-// A token is then six fixed-width fields (21 bytes) referencing the tables.
-// Decoding materializes each table entry once and shares it across every
-// referencing token, so a decoded payload also deduplicates in memory.
-//
-// Encoding is a deterministic function of the payload (observation lists
-// are already ordered), so encoding one that just came out of decode
-// reproduces identical bytes. FuzzCacheCodec and FuzzShardArtifactCodec pin
-// that, plus the corruption contract: arbitrary input either decodes
-// cleanly or fails with bincodec.ErrCorrupt, never a panic or huge alloc.
+// Each kind has its own format byte, so one kind's bytes never decode as
+// another's. Encoding is a deterministic function of the payload
+// (observation lists are already ordered), so encoding one that just came
+// out of decode reproduces identical bytes. FuzzCacheCodec,
+// FuzzShardArtifactCodec and FuzzRecordsCodec pin that, plus the corruption
+// contract: arbitrary input either decodes cleanly or fails with
+// bincodec.ErrCorrupt, never a panic or huge alloc.
 
-// feMagic identifies a front-entry payload; the last byte is the version.
-const feMagic uint32 = 'F' | 'E'<<8 | 'C'<<16 | 2<<24
+// The payloads' format bytes; bump one on any change to its layout (and
+// the front-end entry's together with its fe-vN key tag).
+const (
+	frontFormat    = 6 // the fe-v6 front-end cache entry
+	artifactFormat = 7
+	recordsFormat  = 8
+)
 
 // interner assigns dense ids to strings (a bincodec.Table) and origin
 // chains in first-use order.
@@ -57,8 +61,6 @@ func newInterner() *interner {
 	return in
 }
 
-func (in *interner) str(s string) uint32 { return in.strs.ID(s) }
-
 func (in *interner) chain(origin []string) uint32 {
 	if len(origin) == 0 {
 		return 0
@@ -66,7 +68,7 @@ func (in *interner) chain(origin []string) uint32 {
 	in.keyBuf = in.keyBuf[:0]
 	in.idBuf = in.idBuf[:0]
 	for _, s := range origin {
-		id := in.str(s)
+		id := in.strs.ID(s)
 		in.idBuf = append(in.idBuf, id)
 		in.keyBuf = append(in.keyBuf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24), 0)
 	}
@@ -79,71 +81,32 @@ func (in *interner) chain(origin []string) uint32 {
 	return id
 }
 
-// frame assembles a payload: magic, the interner's table header, then the
-// body, whose records reference the tables.
-func frame(magic uint32, in *interner, body *bincodec.Writer) []byte {
-	w := bincodec.NewWriter(16 + body.Len())
-	w.U32(magic)
-	w.Strings(in.strs.Strings())
-	w.U32(uint32(len(in.chains)))
+// chainSection writes the origin-chain table, the first body section of a
+// token-carrying payload: the chain count, then per chain its length and
+// string ids.
+func (in *interner) chainSection() *bincodec.Writer {
+	w := bincodec.NewWriter(8 + 4*len(in.chains))
+	w.Uvarint(uint64(len(in.chains)))
 	for _, ch := range in.chains {
-		w.U32(uint32(len(ch)))
+		w.Uvarint(uint64(len(ch)))
 		for _, id := range ch {
-			w.U32(id)
+			w.Uvarint(uint64(id))
 		}
 	}
-	w.Raw(body.Bytes())
-	return w.Bytes()
+	return w
 }
 
-// decTables is the decoded table header; record decoding resolves against
-// it.
-type decTables struct {
-	strs   []string
-	chains [][]string
-}
-
-// readFrame checks the payload's magic and reads its table header, leaving
-// the reader at the body. On malformed input the reader is failed and the
-// tables are nil.
-func readFrame(data []byte, magic uint32) (*bincodec.Reader, *decTables) {
-	r := bincodec.NewReader(data)
-	if r.U32() != magic {
+// readChains reads the section chainSection wrote; chain 0 must exist and
+// be the empty chain.
+func readChains(r *bincodec.Reader) [][]string {
+	chains := make([][]string, r.UCount())
+	for i := range chains {
+		chains[i] = semantics.DecodeRefs(r)
+	}
+	if len(chains) == 0 || chains[0] != nil {
 		r.Fail()
-		return r, nil
 	}
-	dt := &decTables{strs: r.Strings()}
-	nChains := r.Count()
-	if r.Err() != nil {
-		return r, nil
-	}
-	dt.chains = make([][]string, nChains)
-	for i := 0; i < nChains; i++ {
-		cn := r.Count()
-		if cn == 0 {
-			continue
-		}
-		ch := make([]string, cn)
-		for j := range ch {
-			ch[j] = dt.str(r)
-		}
-		dt.chains[i] = ch
-	}
-	if nChains == 0 || dt.chains[0] != nil || r.Err() != nil {
-		// Chain 0 must exist and be the empty chain.
-		r.Fail()
-		return r, nil
-	}
-	return r, dt
-}
-
-func (dt *decTables) str(r *bincodec.Reader) string {
-	id := r.U32()
-	if int(id) >= len(dt.strs) {
-		r.Fail()
-		return ""
-	}
-	return dt.strs[id]
+	return chains
 }
 
 const leadingSpaceBit = 0x80
@@ -154,29 +117,24 @@ func encodeToken(w *bincodec.Writer, in *interner, t *clex.Token) {
 		kb |= leadingSpaceBit
 	}
 	w.U8(kb)
-	w.U32(in.str(t.Text))
-	w.U32(in.str(t.Pos.File))
-	w.U32(uint32(t.Pos.Line))
-	w.U32(uint32(t.Pos.Col))
-	w.U32(in.chain(t.Origin))
+	w.Ref(&in.strs, t.Text)
+	semantics.EncodePos(w, &in.strs, t.Pos)
+	w.Uvarint(uint64(in.chain(t.Origin)))
 }
 
-func decodeToken(r *bincodec.Reader, dt *decTables) clex.Token {
+func decodeToken(r *bincodec.Reader, chains [][]string) clex.Token {
 	kb := r.U8()
 	t := clex.Token{
 		Kind:         clex.Kind(kb &^ leadingSpaceBit),
 		LeadingSpace: kb&leadingSpaceBit != 0,
-		Text:         dt.str(r),
+		Text:         r.Ref(),
+		Pos:          semantics.DecodePos(r),
 	}
-	t.Pos.File = dt.str(r)
-	t.Pos.Line = int(r.U32())
-	t.Pos.Col = int(r.U32())
-	cid := r.U32()
-	if int(cid) >= len(dt.chains) {
+	if cid := r.Uvarint(); cid < uint64(len(chains)) {
+		t.Origin = chains[cid]
+	} else {
 		r.Fail()
-		return t
 	}
-	t.Origin = dt.chains[cid]
 	if t.Kind > clex.KindMax {
 		r.Fail()
 	}
@@ -186,152 +144,112 @@ func decodeToken(r *bincodec.Reader, dt *decTables) clex.Token {
 // encodeRecord writes one file's record: its token stream, its
 // preprocessor error messages and its discovery observation.
 func encodeRecord(w *bincodec.Writer, in *interner, toks []clex.Token, cppErrs []string, o *apidb.FileObs) {
-	w.U32(uint32(len(toks)))
+	w.Uvarint(uint64(len(toks)))
 	for i := range toks {
 		encodeToken(w, in, &toks[i])
 	}
-	w.U32(uint32(len(cppErrs)))
-	for _, e := range cppErrs {
-		w.U32(in.str(e))
-	}
-	encodeFileObs(w, in, o)
+	semantics.EncodeRefs(w, &in.strs, cppErrs)
+	encodeFileObs(w, &in.strs, o)
 }
 
 // decodeRecord reads one record written by encodeRecord.
-func decodeRecord(r *bincodec.Reader, dt *decTables) (toks []clex.Token, cppErrs []string, o apidb.FileObs) {
-	n := r.Count()
+func decodeRecord(r *bincodec.Reader, chains [][]string) (toks []clex.Token, cppErrs []string, o apidb.FileObs) {
+	n := r.UCount()
 	if n > 0 {
 		toks = make([]clex.Token, 0, n)
 	}
 	for i := 0; i < n && r.Err() == nil; i++ {
-		toks = append(toks, decodeToken(r, dt))
+		toks = append(toks, decodeToken(r, chains))
 	}
-	nErrs := r.Count()
-	for i := 0; i < nErrs && r.Err() == nil; i++ {
-		cppErrs = append(cppErrs, dt.str(r))
-	}
-	return toks, cppErrs, decodeFileObs(r, dt)
+	return toks, semantics.DecodeRefs(r), decodeFileObs(r)
 }
 
-func encodeFileObs(w *bincodec.Writer, in *interner, o *apidb.FileObs) {
-	w.U32(in.str(o.Path))
-	w.U32(uint32(len(o.Structs)))
+func encodeFileObs(w *bincodec.Writer, t *bincodec.Table, o *apidb.FileObs) {
+	w.Ref(t, o.Path)
+	w.Uvarint(uint64(len(o.Structs)))
 	for i := range o.Structs {
 		s := &o.Structs[i]
-		w.U32(in.str(s.Name))
-		w.U32(uint32(len(s.Fields)))
+		w.Ref(t, s.Name)
+		w.Uvarint(uint64(len(s.Fields)))
 		for _, f := range s.Fields {
-			w.U32(in.str(f.Base))
-			w.U32(in.str(f.Struct))
+			w.Ref(t, f.Base)
+			w.Ref(t, f.Struct)
 		}
 	}
-	w.U32(uint32(len(o.Funcs)))
+	w.Uvarint(uint64(len(o.Funcs)))
 	for i := range o.Funcs {
 		fn := &o.Funcs[i]
-		w.U32(in.str(fn.Name))
-		w.U32(uint32(len(fn.Params)))
-		for _, p := range fn.Params {
-			w.U32(in.str(p))
-		}
+		w.Ref(t, fn.Name)
+		semantics.EncodeRefs(w, t, fn.Params)
 		w.Bool(fn.RetPointer)
 		w.Bool(fn.ReturnsNull)
 		w.Bool(fn.ErrorCode)
-		w.U32(uint32(len(fn.Calls)))
+		w.Uvarint(uint64(len(fn.Calls)))
 		for ci := range fn.Calls {
 			c := &fn.Calls[ci]
-			w.U32(in.str(c.Callee))
-			w.U32(uint32(len(c.ArgBases)))
-			for _, b := range c.ArgBases {
-				w.U32(in.str(b))
-			}
+			w.Ref(t, c.Callee)
+			semantics.EncodeRefs(w, t, c.ArgBases)
 		}
-		w.U32(uint32(len(fn.CounterOps)))
+		w.Uvarint(uint64(len(fn.CounterOps)))
 		for _, c := range fn.CounterOps {
-			w.U32(in.str(c.Base))
+			w.Ref(t, c.Base)
 			w.Bool(c.Inc)
 		}
-		w.U32(uint32(len(fn.TailCallees)))
-		for _, t := range fn.TailCallees {
-			w.U32(in.str(t))
-		}
+		semantics.EncodeRefs(w, t, fn.TailCallees)
 	}
-	w.U32(uint32(len(o.Macros)))
+	w.Uvarint(uint64(len(o.Macros)))
 	for i := range o.Macros {
 		m := &o.Macros[i]
-		w.U32(in.str(m.Name))
+		w.Ref(t, m.Name)
 		w.Bool(m.Loop)
 		if !m.Loop {
 			continue
 		}
-		w.U32(uint32(len(m.Params)))
-		for _, p := range m.Params {
-			w.U32(in.str(p))
-		}
-		w.U32(uint32(len(m.Idents)))
+		semantics.EncodeRefs(w, t, m.Params)
+		w.Uvarint(uint64(len(m.Idents)))
 		for _, id := range m.Idents {
-			w.U32(in.str(id.Name))
+			w.Ref(t, id.Name)
 			w.Bool(id.NextAssign)
 		}
 	}
 }
 
-func decodeFileObs(r *bincodec.Reader, dt *decTables) apidb.FileObs {
-	o := apidb.FileObs{Path: dt.str(r)}
-	nStructs := r.Count()
+func decodeFileObs(r *bincodec.Reader) apidb.FileObs {
+	o := apidb.FileObs{Path: r.Ref()}
+	nStructs := r.UCount()
 	for i := 0; i < nStructs && r.Err() == nil; i++ {
-		s := apidb.StructObs{Name: dt.str(r)}
-		nFields := r.Count()
+		s := apidb.StructObs{Name: r.Ref()}
+		nFields := r.UCount()
 		for j := 0; j < nFields && r.Err() == nil; j++ {
-			s.Fields = append(s.Fields, apidb.FieldObs{
-				Base: dt.str(r), Struct: dt.str(r),
-			})
+			s.Fields = append(s.Fields, apidb.FieldObs{Base: r.Ref(), Struct: r.Ref()})
 		}
 		o.Structs = append(o.Structs, s)
 	}
-	nFuncs := r.Count()
+	nFuncs := r.UCount()
 	for i := 0; i < nFuncs && r.Err() == nil; i++ {
-		fn := apidb.FuncObs{Name: dt.str(r)}
-		nParams := r.Count()
-		for j := 0; j < nParams; j++ {
-			fn.Params = append(fn.Params, dt.str(r))
-		}
+		fn := apidb.FuncObs{Name: r.Ref(), Params: semantics.DecodeRefs(r)}
 		fn.RetPointer = r.Bool()
 		fn.ReturnsNull = r.Bool()
 		fn.ErrorCode = r.Bool()
-		nCalls := r.Count()
+		nCalls := r.UCount()
 		for j := 0; j < nCalls && r.Err() == nil; j++ {
-			c := apidb.CallObs{Callee: dt.str(r)}
-			nArgs := r.Count()
-			for k := 0; k < nArgs; k++ {
-				c.ArgBases = append(c.ArgBases, dt.str(r))
-			}
-			fn.Calls = append(fn.Calls, c)
+			fn.Calls = append(fn.Calls, apidb.CallObs{Callee: r.Ref(), ArgBases: semantics.DecodeRefs(r)})
 		}
-		nOps := r.Count()
-		for j := 0; j < nOps; j++ {
-			fn.CounterOps = append(fn.CounterOps, apidb.CounterOpObs{
-				Base: dt.str(r), Inc: r.Bool(),
-			})
+		nOps := r.UCount()
+		for j := 0; j < nOps && r.Err() == nil; j++ {
+			fn.CounterOps = append(fn.CounterOps, apidb.CounterOpObs{Base: r.Ref(), Inc: r.Bool()})
 		}
-		nTails := r.Count()
-		for j := 0; j < nTails; j++ {
-			fn.TailCallees = append(fn.TailCallees, dt.str(r))
-		}
+		fn.TailCallees = semantics.DecodeRefs(r)
 		o.Funcs = append(o.Funcs, fn)
 	}
-	nMacros := r.Count()
+	nMacros := r.UCount()
 	for i := 0; i < nMacros && r.Err() == nil; i++ {
-		m := apidb.MacroObs{Name: dt.str(r), Loop: r.Bool()}
+		m := apidb.MacroObs{Name: r.Ref(), Loop: r.Bool()}
 		if m.Loop {
-			nParams := r.Count()
-			for j := 0; j < nParams; j++ {
-				m.Params = append(m.Params, dt.str(r))
-			}
-			nIdents := r.Count()
-			for j := 0; j < nIdents; j++ {
-				m.Idents = append(m.Idents, apidb.LoopIdentObs{
-					Name: dt.str(r), NextAssign: r.Bool(),
-				})
+			m.Params = semantics.DecodeRefs(r)
+			nIdents := r.UCount()
+			for j := 0; j < nIdents && r.Err() == nil; j++ {
+				m.Idents = append(m.Idents, apidb.LoopIdentObs{Name: r.Ref(), NextAssign: r.Bool()})
 			}
 		}
 		o.Macros = append(o.Macros, m)
@@ -339,18 +257,19 @@ func decodeFileObs(r *bincodec.Reader, dt *decTables) apidb.FileObs {
 	return o
 }
 
-// encodeFrontEntry serializes ent: magic, table header, then the body
-// (closure, record).
+// encodeFrontEntry serializes ent: the string table, the origin chains,
+// then the include closure (count; per dependency its path and hash ids)
+// and the record.
 func encodeFrontEntry(ent *frontEntry) []byte {
 	in := newInterner()
-	body := bincodec.NewWriter(32 + len(ent.Tokens)*21)
-	body.U32(uint32(len(ent.Closure)))
+	body := bincodec.NewWriter(32 + len(ent.Tokens)*8)
+	body.Uvarint(uint64(len(ent.Closure)))
 	for _, d := range ent.Closure {
-		body.String(d.Path)
-		body.String(d.Hash)
+		body.Ref(&in.strs, d.Path)
+		body.Ref(&in.strs, d.Hash)
 	}
 	encodeRecord(body, in, ent.Tokens, ent.CppErrors, &ent.Obs)
-	return frame(feMagic, in, body)
+	return bincodec.Tabled(frontFormat, &in.strs, in.chainSection(), body)
 }
 
 // decodeFrontValue is the front-end entry's decode callback: it builds a
@@ -358,16 +277,14 @@ func encodeFrontEntry(ent *frontEntry) []byte {
 // in the cache's in-memory tier and sharing across builds, with an empty
 // parse memo. It returns bincodec.ErrCorrupt on any malformed input.
 func decodeFrontValue(data []byte) (any, error) {
-	r, dt := readFrame(data, feMagic)
-	if dt == nil {
-		return nil, r.Err()
-	}
+	r := bincodec.OpenTabled(data, frontFormat)
+	chains := readChains(r)
 	ent := &frontEntry{memo: &frontMemo{charge: int64(len(data))}}
-	nDeps := r.Count()
-	for i := 0; i < nDeps; i++ {
-		ent.Closure = append(ent.Closure, cpp.IncludeDep{Path: r.String(), Hash: r.String()})
+	nDeps := r.UCount()
+	for i := 0; i < nDeps && r.Err() == nil; i++ {
+		ent.Closure = append(ent.Closure, cpp.IncludeDep{Path: r.Ref(), Hash: r.Ref()})
 	}
-	ent.Tokens, ent.CppErrors, ent.Obs = decodeRecord(r, dt)
+	ent.Tokens, ent.CppErrors, ent.Obs = decodeRecord(r, chains)
 	if err := r.Done(); err != nil {
 		return nil, err
 	}

@@ -6,17 +6,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
-
-	"repro/internal/bincodec"
 )
-
-// magicOnly is a payload holding nothing but a codec's magic: the probe that
-// gets past the magic check and must then fail cleanly.
-func magicOnly(magic uint32) []byte {
-	w := bincodec.NewWriter(4)
-	w.U32(magic)
-	return w.Bytes()
-}
 
 // checkSeedCorpus keeps the checked-in seed corpus of one fuzz target
 // current. With REGEN_FUZZ_CORPUS=1 it rewrites testdata/fuzz/<target> from
@@ -55,7 +45,7 @@ func TestRegenFuzzSeedCorpus(t *testing.T) {
 	checkSeedCorpus(t, "FuzzCacheCodec", map[string][]byte{
 		"seed_valid_full":  full,
 		"seed_valid_empty": encodeFrontEntry(&frontEntry{}),
-		"seed_magic_only":  magicOnly(feMagic),
+		"seed_magic_only":  {frontFormat},
 		"seed_truncated":   full[:10],
 		"seed_garbage":     {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
 	})
@@ -70,7 +60,21 @@ func TestRegenArtifactFuzzSeedCorpus(t *testing.T) {
 	checkSeedCorpus(t, "FuzzShardArtifactCodec", map[string][]byte{
 		"seed_valid_real":  real,
 		"seed_valid_empty": EncodeShardArtifact(&ShardArtifact{}),
-		"seed_magic_only":  magicOnly(saMagic),
+		"seed_magic_only":  {artifactFormat},
+		"seed_truncated":   real[:10],
+		"seed_garbage":     {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
+	})
+}
+
+// TestRegenRecordsFuzzSeedCorpus keeps FuzzRecordsCodec's seed corpus
+// current: a real shard's records of the current format alongside the
+// malformed probes.
+func TestRegenRecordsFuzzSeedCorpus(t *testing.T) {
+	real := EncodeRecords(sampleRecords(t))
+	checkSeedCorpus(t, "FuzzRecordsCodec", map[string][]byte{
+		"seed_valid_real":  real,
+		"seed_valid_empty": EncodeRecords(nil),
+		"seed_magic_only":  {recordsFormat},
 		"seed_truncated":   real[:10],
 		"seed_garbage":     {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
 	})

@@ -90,9 +90,9 @@ func TestFrontEntryCorruptInputs(t *testing.T) {
 			t.Fatalf("cut=%d: err=%v, want ErrCorrupt", cut, err)
 		}
 	}
-	// A frame of the previous format version is corrupt, not misread.
+	// A payload of another format byte is corrupt, not misread.
 	stale := bytes.Clone(enc)
-	stale[3]--
+	stale[0]--
 	if _, err := decodeFrontValue(stale); !errors.Is(err, bincodec.ErrCorrupt) {
 		t.Fatalf("stale version: err=%v, want ErrCorrupt", err)
 	}
@@ -111,7 +111,7 @@ func FuzzCacheCodec(f *testing.F) {
 	f.Add(encodeFrontEntry(sampleEntry()))
 	f.Add(encodeFrontEntry(&frontEntry{}))
 	f.Add([]byte{})
-	f.Add(magicOnly(feMagic))
+	f.Add([]byte{frontFormat})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ent, err := decodeEntry(data)

@@ -195,7 +195,7 @@ type frontEnd struct {
 // runs with no predefined macros, so path and content are its whole input
 // apart from the include closure, which each entry records and re-validates.
 func frontKey(path, content string) string {
-	return analysiscache.KeyOf("fe-v5", path, content)
+	return analysiscache.KeyOf("fe-v6", path, content)
 }
 
 // closureValid reports whether every include recorded when the entry was

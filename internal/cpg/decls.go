@@ -244,80 +244,76 @@ func (a *ShardArtifact) Records() []FileRecord {
 	return out
 }
 
-// recMagic identifies a file-record payload; the last byte is the version.
-const recMagic uint32 = 'R' | 'E'<<8 | 'C'<<16 | 1<<24
-
-// EncodeRecords serializes file records under one string table (see
-// codec.go): the payload of the manager's round-1 reply, which carries no
-// token.
+// EncodeRecords serializes file records, the payload of the manager's
+// round-1 reply, which carries no token: the record count, then per record
+// its path and SourceFP ids, its observation (codec.go) and its
+// declarations — functions (name id, body byte), structs (name id, fields
+// as name and struct ids), globals (name and struct ids, initializers as
+// field and identifier ids), each list count-prefixed.
 func EncodeRecords(recs []FileRecord) []byte {
-	in := newInterner()
-	body := bincodec.NewWriter(256 * (len(recs) + 1))
-	body.U32(uint32(len(recs)))
+	var t bincodec.Table
+	w := bincodec.NewWriter(256 * (len(recs) + 1))
+	w.Uvarint(uint64(len(recs)))
 	for i := range recs {
 		r := &recs[i]
-		body.U32(in.str(r.Path))
-		body.U32(in.str(r.SourceFP))
-		encodeFileObs(body, in, &r.Obs)
-		body.U32(uint32(len(r.Decls.Funcs)))
+		w.Ref(&t, r.Path)
+		w.Ref(&t, r.SourceFP)
+		encodeFileObs(w, &t, &r.Obs)
+		w.Uvarint(uint64(len(r.Decls.Funcs)))
 		for _, f := range r.Decls.Funcs {
-			body.U32(in.str(f.Name))
-			body.Bool(f.Body)
+			w.Ref(&t, f.Name)
+			w.Bool(f.Body)
 		}
-		body.U32(uint32(len(r.Decls.Structs)))
+		w.Uvarint(uint64(len(r.Decls.Structs)))
 		for _, s := range r.Decls.Structs {
-			body.U32(in.str(s.Name))
-			body.U32(uint32(len(s.Fields)))
+			w.Ref(&t, s.Name)
+			w.Uvarint(uint64(len(s.Fields)))
 			for _, f := range s.Fields {
-				body.U32(in.str(f.Name))
-				body.U32(in.str(f.Struct))
+				w.Ref(&t, f.Name)
+				w.Ref(&t, f.Struct)
 			}
 		}
-		body.U32(uint32(len(r.Decls.Globals)))
+		w.Uvarint(uint64(len(r.Decls.Globals)))
 		for _, g := range r.Decls.Globals {
-			body.U32(in.str(g.Name))
-			body.U32(in.str(g.Struct))
-			body.U32(uint32(len(g.Inits)))
+			w.Ref(&t, g.Name)
+			w.Ref(&t, g.Struct)
+			w.Uvarint(uint64(len(g.Inits)))
 			for _, fi := range g.Inits {
-				body.U32(in.str(fi.Field))
-				body.U32(in.str(fi.Ident))
+				w.Ref(&t, fi.Field)
+				w.Ref(&t, fi.Ident)
 			}
 		}
 	}
-	return frame(recMagic, in, body)
+	return bincodec.Tabled(recordsFormat, &t, w)
 }
 
 // DecodeRecords parses a payload written by EncodeRecords; it returns
 // bincodec.ErrCorrupt on any malformed input.
 func DecodeRecords(data []byte) ([]FileRecord, error) {
-	r, dt := readFrame(data, recMagic)
-	if dt == nil {
-		return nil, r.Err()
-	}
-	n := r.Count()
+	r := bincodec.OpenTabled(data, recordsFormat)
+	n := r.UCount()
 	var recs []FileRecord
 	for i := 0; i < n && r.Err() == nil; i++ {
-		rec := FileRecord{Path: dt.str(r), SourceFP: dt.str(r)}
-		rec.Obs = decodeFileObs(r, dt)
-		nf := r.Count()
+		rec := FileRecord{Path: r.Ref(), SourceFP: r.Ref(), Obs: decodeFileObs(r)}
+		nf := r.UCount()
 		for j := 0; j < nf && r.Err() == nil; j++ {
-			rec.Decls.Funcs = append(rec.Decls.Funcs, FuncDecl{Name: dt.str(r), Body: r.Bool()})
+			rec.Decls.Funcs = append(rec.Decls.Funcs, FuncDecl{Name: r.Ref(), Body: r.Bool()})
 		}
-		ns := r.Count()
+		ns := r.UCount()
 		for j := 0; j < ns && r.Err() == nil; j++ {
-			s := StructInfo{Name: dt.str(r)}
-			nfl := r.Count()
+			s := StructInfo{Name: r.Ref()}
+			nfl := r.UCount()
 			for k := 0; k < nfl && r.Err() == nil; k++ {
-				s.Fields = append(s.Fields, FieldInfo{Name: dt.str(r), Struct: dt.str(r)})
+				s.Fields = append(s.Fields, FieldInfo{Name: r.Ref(), Struct: r.Ref()})
 			}
 			rec.Decls.Structs = append(rec.Decls.Structs, s)
 		}
-		ng := r.Count()
+		ng := r.UCount()
 		for j := 0; j < ng && r.Err() == nil; j++ {
-			g := GlobalInfo{Name: dt.str(r), Struct: dt.str(r)}
-			ni := r.Count()
+			g := GlobalInfo{Name: r.Ref(), Struct: r.Ref()}
+			ni := r.UCount()
 			for k := 0; k < ni && r.Err() == nil; k++ {
-				g.Inits = append(g.Inits, InitInfo{Field: dt.str(r), Ident: dt.str(r)})
+				g.Inits = append(g.Inits, InitInfo{Field: r.Ref(), Ident: r.Ref()})
 			}
 			rec.Decls.Globals = append(rec.Decls.Globals, g)
 		}

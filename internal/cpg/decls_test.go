@@ -1,6 +1,7 @@
 package cpg
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -50,14 +51,10 @@ func TestDeclTableRule(t *testing.T) {
 }
 
 // TestRecordsRoundTrip pins the record codec: a real shard's records
-// survive encoding exactly, and every truncation fails with
-// bincodec.ErrCorrupt.
+// survive encoding exactly, every truncation fails with
+// bincodec.ErrCorrupt, and no cpg payload kind decodes another's bytes.
 func TestRecordsRoundTrip(t *testing.T) {
-	art := (&Builder{Workers: 1}).BuildArtifactContext(context.Background(), artifactSources(), false)
-	recs := art.Records()
-	if len(recs) == 0 {
-		t.Fatal("no records")
-	}
+	recs := sampleRecords(t)
 	enc := EncodeRecords(recs)
 	got, err := DecodeRecords(enc)
 	if err != nil {
@@ -71,7 +68,68 @@ func TestRecordsRoundTrip(t *testing.T) {
 			t.Fatalf("cut=%d: err = %v, want ErrCorrupt", cut, err)
 		}
 	}
-	if _, err := DecodeRecords(magicOnly(saMagic)); !errors.Is(err, bincodec.ErrCorrupt) {
-		t.Errorf("artifact magic accepted as records: %v", err)
+
+	// Each payload kind rejects the other two kinds' bytes: its format byte
+	// differs, so none is misread as another.
+	kinds := []struct {
+		name   string
+		enc    []byte
+		decode func([]byte) error
+	}{
+		{"front-end entry", encodeFrontEntry(sampleEntry()), func(b []byte) error { _, err := decodeFrontValue(b); return err }},
+		{"shard artifact", EncodeShardArtifact(buildSampleArtifact(t)), func(b []byte) error { _, err := DecodeShardArtifact(b); return err }},
+		{"file records", enc, func(b []byte) error { _, err := DecodeRecords(b); return err }},
 	}
+	for _, dec := range kinds {
+		for _, k := range kinds {
+			err := dec.decode(k.enc)
+			if k.name == dec.name {
+				if err != nil {
+					t.Errorf("%s: own bytes rejected: %v", k.name, err)
+				}
+			} else if !errors.Is(err, bincodec.ErrCorrupt) {
+				t.Errorf("%s bytes decoded as %s: err = %v, want ErrCorrupt", k.name, dec.name, err)
+			}
+		}
+	}
+}
+
+// sampleRecords is a real shard's file records.
+func sampleRecords(t testing.TB) []FileRecord {
+	art := (&Builder{Workers: 1}).BuildArtifactContext(context.Background(), artifactSources(), false)
+	recs := art.Records()
+	if len(recs) == 0 {
+		t.Fatal("no records")
+	}
+	return recs
+}
+
+// FuzzRecordsCodec pins the record codec's two contracts, mirroring
+// FuzzCacheCodec: arbitrary input (DecodeRecords parses what worker
+// processes write) either decodes cleanly or fails with bincodec.ErrCorrupt,
+// never a panic, and anything that decodes re-encodes to a canonical form
+// that is a fixed point — enc(dec(enc(dec(x)))) == enc(dec(x)).
+func FuzzRecordsCodec(f *testing.F) {
+	f.Add(EncodeRecords(sampleRecords(f)))
+	f.Add(EncodeRecords(nil))
+	f.Add([]byte{})
+	f.Add([]byte{recordsFormat})
+	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := DecodeRecords(data)
+		if err != nil {
+			if !errors.Is(err, bincodec.ErrCorrupt) {
+				t.Fatalf("decode error %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		enc := EncodeRecords(recs)
+		recs2, err := DecodeRecords(enc)
+		if err != nil {
+			t.Fatalf("canonical form failed to decode: %v", err)
+		}
+		if enc2 := EncodeRecords(recs2); !bytes.Equal(enc, enc2) {
+			t.Fatal("canonical form is not a re-encode fixed point")
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/analysiscache"
 	"repro/internal/apidb"
 	"repro/internal/arena"
+	"repro/internal/bincodec"
 	"repro/internal/corpus"
 	"repro/internal/cparse"
 	"repro/internal/cpp"
@@ -160,5 +161,63 @@ func TestCachedObservationMatchesFresh(t *testing.T) {
 					leg.name, af.Path, want[af.Path], af.Obs)
 			}
 		}
+	}
+}
+
+// TestStaleFrontEntriesAreMisses: a cache written before the front-end
+// entry became a tabled payload holds fe-v5 entries. Those keys are never
+// read again, and even a payload of that layout under a current key must
+// decode as a counted miss and be recomputed, never serve different tokens.
+// Each stale entry here is a well-formed fe-v5 entry of an empty file, so a
+// decoder that accepted it would drop every function of the corpus.
+func TestStaleFrontEntriesAreMisses(t *testing.T) {
+	c := corpus.Generate(corpus.Spec{Seed: 1})
+	headers := cpp.NewIndexedFiles(c.Headers)
+	srcs := make([]Source, len(c.Files))
+	for i, f := range c.Files {
+		srcs[i] = Source{Path: f.Path, Content: f.Content}
+	}
+	want := unitFingerprint((&Builder{Headers: headers}).Build(srcs))
+
+	stale, err := analysiscache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stale.Close()
+	for _, src := range srcs {
+		// fe-v5: a U32 magic, a U32-counted string table, the origin-chain
+		// table (one chain, chain 0, empty), then U32 fields: no include
+		// dependency, no token, no preprocessor error, and an observation
+		// naming only its path.
+		w := bincodec.NewWriter(64)
+		w.U32('F' | 'E'<<8 | 'C'<<16 | 2<<24)
+		w.Strings([]string{src.Path})
+		for _, v := range []uint32{1, 0, 0, 0, 0, 0, 0, 0, 0} {
+			w.U32(v)
+		}
+		if err := stale.Put(frontKey(src.Path, src.Content), w.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	stale = stale.WithRegistry(reg)
+	for run := 1; run <= 2; run++ {
+		tr := obs.New("stale")
+		u := (&Builder{Headers: headers, Cache: stale, Obs: tr.Root()}).Build(srcs)
+		if got := unitFingerprint(u); got != want {
+			t.Fatalf("run %d over stale entries differs from an uncached build:\n--- want ---\n%s--- got ---\n%s", run, want, got)
+		}
+		// Run 1 reads every stale entry, rejects it and recomputes it; run 2
+		// is served from the recomputed entries.
+		wantHit, wantMiss := int64(0), int64(len(srcs))
+		if run == 2 {
+			wantHit, wantMiss = wantMiss, 0
+		}
+		if hit, miss := tr.Reg().Counter("frontend.cache.hit"), tr.Reg().Counter("frontend.cache.miss"); hit != wantHit || miss != wantMiss {
+			t.Errorf("run %d: %d hits, %d misses, want %d, %d", run, hit, miss, wantHit, wantMiss)
+		}
+	}
+	if n := reg.Counter("cache.read.corrupt"); n != int64(len(srcs)) {
+		t.Errorf("cache.read.corrupt = %d, want %d (every stale entry read and rejected)", n, len(srcs))
 	}
 }

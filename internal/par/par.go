@@ -8,6 +8,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // ForEach calls fn(i) for every i in [0, n) on up to workers goroutines (0
@@ -30,25 +31,22 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int)) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
 				fn(i)
 			}
 		}()
 	}
-feed:
-	for i := 0; i < n && ctx.Err() == nil; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
 	wg.Wait()
 }

@@ -158,9 +158,6 @@ func (s *Server) Handler() http.Handler {
 // them out.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Draining reports drain mode.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close releases the server's reference on the shared cache, flushing the
 // disk tier. Call after the HTTP listener has fully shut down.
 func (s *Server) Close() error {

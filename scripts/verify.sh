@@ -25,15 +25,19 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-# One pipeline, one cache read path: names retired when Analyze became the
-# exported rounds, the front end lost its byte-API cache read, and each
-# traced/untraced function pair became one function must not come back.
+# One pipeline, one cache read path, one payload format: names retired when
+# Analyze became the exported rounds, the front end lost its byte-API cache
+# read, each traced/untraced function pair became one function, and cpg's
+# payloads moved onto bincodec.Tabled must not come back. The manager keeps
+# its own pipe readFrame, so the frame grep covers internal/cpg only.
 if grep -rnw --include='*.go' \
     -e l1hold -e MemoryEnabled \
     -e assembleRound -e checkRound -e finishRun \
     -e ReplayAllSpan -e RunTrace -e ComputeGoldenTrace -e SelftestTrace \
-    -e EvaluateNewBugsWorkers . ||
-    grep -rnF --include='*.go' 'func (c *Cache) Get(' .; then
+    -e EvaluateNewBugsWorkers \
+    -e decTables -e feMagic -e recMagic -e saMagic . ||
+    grep -rnF --include='*.go' 'func (c *Cache) Get(' . ||
+    grep -rnE --include='*.go' '\b(frame|readFrame)\(' internal/cpg; then
     echo "verify: a retired name is back (see the list above)" >&2
     exit 1
 fi
