@@ -105,11 +105,20 @@ func runWatch(opts *cliopts.Opts, dirs []string, apidbPath string, interval time
 		if changed != nil {
 			what = fmt.Sprintf("%d files changed", len(changed))
 		}
-		fmt.Fprintf(os.Stderr, "refcheck: watch: run %d (%s): %d files, %d reports in %v (front end: %d hits (%d parses reused), %d misses; reports: %d hits, %d misses; facts: %d hits, %d misses)\n",
+		// A computed run either replayed the observations or reused an
+		// earlier run's exchange; a unit-entry hit ran no exchange at all.
+		exchange := "skipped"
+		switch {
+		case run.Metric("exchange.reused") > 0:
+			exchange = "reused"
+		case run.Metric("exchange.applied") > 0:
+			exchange = "applied"
+		}
+		fmt.Fprintf(os.Stderr, "refcheck: watch: run %d (%s): %d files, %d reports in %v (front end: %d hits (%d parses reused), %d misses; reports: %d hits, %d misses; facts: %d hits, %d misses), exchange: %s\n",
 			runs, what, len(tree.Sources), nreports, elapsed.Round(time.Millisecond),
 			run.Metric("frontend.cache.hit"), run.Metric("frontend.parse.reused"), run.Metric("frontend.cache.miss"),
 			run.Metric("cache.reports.hit"), run.Metric("cache.reports.miss"),
-			run.Metric("cache.facts.hit"), run.Metric("cache.facts.miss"))
+			run.Metric("cache.facts.hit"), run.Metric("cache.facts.miss"), exchange)
 		opts.Export("refcheck", req.Trace)
 		return nil
 	}

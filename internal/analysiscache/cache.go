@@ -14,11 +14,13 @@
 //   - L1 holds already-decoded values (any), sharded into 16 char buckets by
 //     the first hex digit of the key, each bucket an LRU list with a byte
 //     budget (charged at the encoded size, a stable proxy for the decoded
-//     footprint, unless the owner re-charges the entry with Recharge). There
-//     is no expiry: entries are content-addressed, so they never go stale.
-//     A warm same-process re-run skips open, read, and codec decode
-//     entirely. Values stored in L1 are shared between every future getter,
-//     so callers must treat them as immutable.
+//     footprint, unless the owner re-charges the entry with Recharge; a
+//     PutMemory value, which has no encoding and never reaches disk, is
+//     charged what its owner says it holds). There is no expiry: entries
+//     are content-addressed, so they never go stale. A warm same-process
+//     re-run skips open, read, and codec decode entirely. Values stored in
+//     L1 are shared between every future getter, so callers must treat
+//     them as immutable.
 //   - L2 is the disk tier. Writes are batched: Put and PutValue only append
 //     to a per-shard pending buffer; a shard is flushed — one pack file
 //     holding every pending entry, named by the content hash of the pack
@@ -229,6 +231,23 @@ func (c *Cache) PutValue(key string, val any, encoded []byte) error {
 	}
 	c.reg.Add("cache.write", 1)
 	return c.maybeFlush(c.st.l2.put(key, encoded))
+}
+
+// PutMemory stores val in the memory tier only, charged size bytes: for a
+// value that is cheap to rebuild but has no encoding worth writing to disk.
+// GetValue serves it like any L1 value; the disk tier never holds the key,
+// so once evicted (or in another process) it is a miss. The value is shared
+// with every future GetValue of the key and must be immutable. A no-op when
+// the memory tier is disabled or the handle is closed.
+func (c *Cache) PutMemory(key string, val any, size int64) {
+	l1 := c.st.l1
+	if l1 == nil || len(key) < 2 || c.st.closed.Load() {
+		return
+	}
+	if evicted := l1.put(key, val, size); evicted > 0 {
+		c.reg.Add("cache.l1.evict", int64(evicted))
+	}
+	c.reg.SetGauge("cache.l1.bytes", float64(l1.bytes.Load()))
 }
 
 // Recharge sets the memory-tier charge of key's entry to size, provided the

@@ -103,6 +103,38 @@ func TestL1Recharge(t *testing.T) {
 	}
 }
 
+// TestPutMemoryStaysInMemory pins the memory-only put: GetValue serves the
+// value from L1 under the given charge, nothing reaches disk even after a
+// flush, and with the memory tier disabled the put is a no-op.
+func TestPutMemoryStaysInMemory(t *testing.T) {
+	dir := t.TempDir()
+	c := mustOpen(t, dir)
+	key := KeyOf("memory-only")
+	want := &payload{Name: "m"}
+	c.PutMemory(key, want, 1234)
+	v, ok := c.GetValue(key, decodePayload)
+	if !ok || v.(*payload) != want {
+		t.Fatal("GetValue must return the exact value PutMemory stored")
+	}
+	if st := c.Stats(); st.L1Entries != 1 || st.L1Bytes != 1234 || st.Pending != 0 {
+		t.Fatalf("stats after PutMemory = %+v, want one 1234-byte L1 entry and nothing pending", st)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if files := packFiles(t, dir); len(files) != 0 {
+		t.Fatalf("a memory-only entry reached disk: %v", files)
+	}
+	if _, ok := mustOpen(t, dir).GetValue(key, decodePayload); ok {
+		t.Fatal("a fresh handle must miss a memory-only entry")
+	}
+	off := mustOpen(t, dir, WithMemory(0))
+	off.PutMemory(key, want, 1234)
+	if _, ok := off.GetValue(key, decodePayload); ok {
+		t.Fatal("PutMemory without a memory tier must store nothing")
+	}
+}
+
 // TestGetValueTiered walks one entry through the tiers: PutValue serves
 // from L1, a fresh handle decodes from disk and re-fills its own L1, and
 // the counters tell the two paths apart.

@@ -219,8 +219,12 @@ type Options struct {
 	// Confirm replays every report's witness through refsim and sets
 	// Report.Confirmed.
 	Confirm bool
-	// DB is the API knowledge base, extended in place by discovery; nil
-	// means a fresh apidb.New().
+	// DB is the API knowledge base; nil means a fresh apidb.New().
+	// Discovery extends it in place only when the run applies the exchange
+	// (exchange.applied). A cached run whose file records and ConfigFP
+	// match an earlier run's in this process reuses that run's exchange
+	// (exchange.reused): DB is left untouched and Run.Unit.DB is the
+	// memoized DB, which is shared and must not be written.
 	DB *apidb.DB
 	// Cache enables the incremental analysis cache (unit-level report
 	// reuse, per-function facts reuse, per-file front-end reuse); nil

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"sort"
 	"strconv"
 
@@ -342,25 +343,25 @@ func confirm(run *Run, opt Options) {
 // compute is Analyze's pipeline: the phase API's rounds run in process
 // over one shard. LocalRound covers every source and stays in memory —
 // files keep their ASTs (and their L1 parse memos), so nothing is encoded
-// or reparsed — then the exchange runs over its records, CheckRound checks
-// the whole unit and Finish turns its cells into the report list. Finish
-// runs unconfirmed: with a cache the unit entry is stored under key, next
-// to the per-file entries CheckRound queued, and a stored entry must stay
-// confirmation-agnostic, so confirming is the caller's job. One Flush then
-// makes the run's entries durable and visible to other processes. compute
-// fills run in place, so a cancelled call still leaves the partial Run
-// visible, and returns the stored unit entry (nil without a cache).
+// or reparsed — then the exchange runs over its records (or an earlier
+// run's identical exchange is reused, see exchangeOrReuse), CheckRound
+// checks the whole unit against the exchange's DB and Finish turns its
+// cells into the report list. Finish runs unconfirmed: with a cache the
+// unit entry is stored under key, next to the per-file entries CheckRound
+// queued, and a stored entry must stay confirmation-agnostic, so
+// confirming is the caller's job. One Flush then makes the run's entries
+// durable and visible to other processes. compute fills run in place, so a
+// cancelled call still leaves the partial Run visible, and returns the
+// stored unit entry (nil without a cache).
 func compute(ctx context.Context, req Request, key string, run *Run) (*unitEntry, error) {
 	art, err := LocalRound(ctx, req, req.Sources)
 	if err != nil {
 		return nil, err
 	}
-	if req.Options.DB == nil {
-		req.Options.DB = apidb.New()
-	}
 	sp := req.Trace.Root().Child("phase:exchange")
-	x := cpg.ExchangeRecords(req.Options.DB, art.Records())
+	x, db := exchangeOrReuse(req, art)
 	sp.End()
+	req.Options.DB = db
 	res, err := CheckRound(ctx, req, x, art)
 	if err != nil {
 		return nil, err
@@ -383,6 +384,82 @@ func compute(ctx context.Context, req Request, key string, run *Run) (*unitEntry
 	ssp.End()
 	return ent, nil
 }
+
+// exchangeMemo is an exchange kept in the cache's memory tier: the exchange
+// and the DB its discovery was applied to. Both are read-only once built —
+// assembly, extraction and the checkers only read the DB, and the
+// declaration table is read-only — so every run that reuses them shares
+// them.
+type exchangeMemo struct {
+	x  *cpg.Exchange
+	db *apidb.DB
+}
+
+// exchangeCacheKey fingerprints an exchange's complete input: the DB's
+// state before the replay, which the caller's config fingerprint stands
+// for (Options.ConfigFP: differing configs pass differing fingerprints),
+// and the records as the exchange reads them (cpg.ShardArtifact.RecordsFP).
+func exchangeCacheKey(configFP, recordsFP string) string {
+	return analysiscache.KeyOf("exchange-v1", configFP, recordsFP)
+}
+
+// exchangeOrReuse runs the exchange over art's records, unless, under a
+// cache, an earlier run in this process already ran it over records with
+// the same fingerprints and the same config: then that run's exchange and DB are
+// reused and no observation is replayed (exchange.reused). Otherwise the
+// observations are replayed into req.Options.DB, extending it in place (a
+// fresh apidb.New() when nil), counted as exchange.applied, and the result
+// is kept in the cache's memory tier for later runs. A build without a
+// cache fingerprints no record and never consults the memo. It returns the
+// exchange and the DB that holds its discovery.
+func exchangeOrReuse(req Request, art *cpg.ShardArtifact) (*cpg.Exchange, *apidb.DB) {
+	reg, cache := req.Trace.Reg(), req.Options.Cache
+	var key string
+	if cache != nil {
+		if fp := art.RecordsFP(); fp != "" {
+			key = exchangeCacheKey(req.Options.ConfigFP, fp)
+			if v, ok := cache.GetValue(key, memoryOnly); ok {
+				reg.Add("exchange.reused", 1)
+				m := v.(*exchangeMemo)
+				return m.x, m.db
+			}
+		}
+	}
+	db := req.Options.DB
+	if db == nil {
+		db = apidb.New()
+	}
+	x := cpg.ExchangeRecords(db, art.Records())
+	reg.Add("exchange.applied", 1)
+	if key != "" {
+		cache.PutMemory(key, &exchangeMemo{x: x, db: db}, exchangeCharge(x, db))
+	}
+	return x, db
+}
+
+// exchangeEntryBytes is what an exchange memo retains per table entry: a
+// declaration-table name (function, struct or global) or a DB entry (API,
+// smartloop, refcounted struct). A fresh apidb.New() plus ExchangeRecords
+// over the seed-1 corpus grew the heap by 113, 114 and 116 bytes per entry
+// at scales 1, 2 and 4 (runtime.MemStats after GC; names alias the parsed
+// sources, so their bytes are the front-end entries'), and
+// TestExchangeChargeMatchesHeap holds the charge to that measurement.
+const exchangeEntryBytes = 116
+
+// exchangeCharge is an exchange memo's memory-tier charge: the heap it
+// retains, by exchangeEntryBytes per entry.
+func exchangeCharge(x *cpg.Exchange, db *apidb.DB) int64 {
+	n := len(x.Decls.Funcs) + len(x.Decls.Structs) + len(x.Decls.Globals) +
+		len(db.APIs()) + len(db.Loops()) + len(db.RefStructs())
+	return int64(n) * exchangeEntryBytes
+}
+
+// memoryOnly is the decode callback of an entry that only the memory tier
+// holds (Cache.PutMemory): no payload for it is ever written, so any bytes
+// found under its key are not its own.
+func memoryOnly([]byte) (any, error) { return nil, errNotEncoded }
+
+var errNotEncoded = errors.New("core: memory-only entry has no encoding")
 
 // Analyze is the pipeline entry point: it builds a unit from the request's
 // sources, checks it, and optionally confirms the reports, honoring ctx at

@@ -40,6 +40,9 @@ type ArtFile struct {
 	// fp is the file's front-end input fingerprint (Unit.SourceFP); local
 	// to the building process, never serialized.
 	fp string
+	// recFP is the file's record fingerprint (see recordFP), computed once
+	// per front-end cache entry; "" when the build had no cache.
+	recFP string
 }
 
 // ShardArtifact is the serializable output of a shard-local pass: the files

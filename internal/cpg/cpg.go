@@ -160,7 +160,8 @@ type frontMemo struct {
 	file   *cast.File
 	perrs  []error
 	decls  FileDecls
-	charge int64 // the entry's L1 charge: its encoded size, plus the parse once set
+	recFP  string // the file's record fingerprint (see recordFP)
+	charge int64  // the entry's L1 charge: its encoded size, plus the parse once set
 }
 
 // frontEnd is the per-Build front-end state shared by all phase-1 workers.
@@ -298,6 +299,7 @@ func (fe *frontEnd) parseOne(src Source) *ArtFile {
 	if fe.cache == nil {
 		return af
 	}
+	af.recFP = recordFP(&af.Obs, &af.decls)
 	ent := &frontEntry{Closure: res.Includes, Tokens: res.Tokens,
 		CppErrors: make([]string, len(res.Errors)), Obs: af.Obs}
 	for i, e := range res.Errors {
@@ -311,7 +313,7 @@ func (fe *frontEnd) parseOne(src Source) *ArtFile {
 	// recompute; the current result is served from memory either way.
 	ent.Tokens = nil
 	m := &frontMemo{charge: int64(len(enc)) + parseBytes}
-	m.once.Do(func() { m.file, m.perrs, m.decls = af.file, af.errs[af.cppN:], af.decls })
+	m.once.Do(func() { m.file, m.perrs, m.decls, m.recFP = af.file, af.errs[af.cppN:], af.decls, af.recFP })
 	ent.memo = m
 	_ = fe.cache.PutValue(key, ent, enc)
 	fe.cache.Recharge(key, ent, m.charge)
@@ -341,10 +343,10 @@ func (fe *frontEnd) parseTokens(path string, toks []clex.Token) (*cast.File, []e
 }
 
 // reuse serves one TU from an L1-shared front-end entry: the first build to
-// reach the entry parses its token stream into the memo, drops the tokens,
-// and re-charges the entry for the parse; every later build reuses the memo
-// and counts a frontend.parse.reused. The observation comes from the entry
-// either way. Sharing is sound because nothing downstream writes an AST or
+// reach the entry parses its token stream into the memo, fingerprints the
+// file's record, drops the tokens, and re-charges the entry for the parse;
+// every later build reuses the memo and counts a frontend.parse.reused.
+// The observation comes from the entry either way. Sharing is sound because nothing downstream writes an AST or
 // an observation — CFG construction, event extraction, discovery replay,
 // and the checkers only read them (TestAnalyzeLeavesInputsUntouched in
 // internal/core pins that) — and ent.Tokens is read and cleared only inside
@@ -357,6 +359,7 @@ func (fe *frontEnd) reuse(key, path string, ent *frontEntry) *ArtFile {
 		var parseBytes int64
 		m.file, m.perrs, parseBytes = fe.parseTokens(path, ent.Tokens)
 		m.decls = fileDecls(m.file)
+		m.recFP = recordFP(&ent.Obs, &m.decls)
 		m.charge += parseBytes
 		ent.Tokens = nil
 		fe.cache.Recharge(key, ent, m.charge)
@@ -366,7 +369,7 @@ func (fe *frontEnd) reuse(key, path string, ent *frontEntry) *ArtFile {
 	}
 	return &ArtFile{Path: path, Obs: ent.Obs, file: m.file, decls: m.decls,
 		errs: append(cppErrors(ent.CppErrors), m.perrs...), cppN: len(ent.CppErrors),
-		fp: sourceFP(key, ent.Closure)}
+		fp: sourceFP(key, ent.Closure), recFP: m.recFP}
 }
 
 // cppErrors turns cached preprocessor error strings back into errors, in a

@@ -1,8 +1,10 @@
 package cpg
 
 import (
+	"crypto/sha256"
 	"sort"
 
+	"repro/internal/analysiscache"
 	"repro/internal/apidb"
 	"repro/internal/bincodec"
 	"repro/internal/cast"
@@ -246,10 +248,7 @@ func (a *ShardArtifact) Records() []FileRecord {
 
 // EncodeRecords serializes file records, the payload of the manager's
 // round-1 reply, which carries no token: the record count, then per record
-// its path and SourceFP ids, its observation (codec.go) and its
-// declarations — functions (name id, body byte), structs (name id, fields
-// as name and struct ids), globals (name and struct ids, initializers as
-// field and identifier ids), each list count-prefixed.
+// its path and SourceFP ids and its body (see encodeRecordBody).
 func EncodeRecords(recs []FileRecord) []byte {
 	var t bincodec.Table
 	w := bincodec.NewWriter(256 * (len(recs) + 1))
@@ -258,33 +257,74 @@ func EncodeRecords(recs []FileRecord) []byte {
 		r := &recs[i]
 		w.Ref(&t, r.Path)
 		w.Ref(&t, r.SourceFP)
-		encodeFileObs(w, &t, &r.Obs)
-		w.Uvarint(uint64(len(r.Decls.Funcs)))
-		for _, f := range r.Decls.Funcs {
-			w.Ref(&t, f.Name)
-			w.Bool(f.Body)
-		}
-		w.Uvarint(uint64(len(r.Decls.Structs)))
-		for _, s := range r.Decls.Structs {
-			w.Ref(&t, s.Name)
-			w.Uvarint(uint64(len(s.Fields)))
-			for _, f := range s.Fields {
-				w.Ref(&t, f.Name)
-				w.Ref(&t, f.Struct)
-			}
-		}
-		w.Uvarint(uint64(len(r.Decls.Globals)))
-		for _, g := range r.Decls.Globals {
-			w.Ref(&t, g.Name)
-			w.Ref(&t, g.Struct)
-			w.Uvarint(uint64(len(g.Inits)))
-			for _, fi := range g.Inits {
-				w.Ref(&t, fi.Field)
-				w.Ref(&t, fi.Ident)
-			}
-		}
+		encodeRecordBody(w, &t, &r.Obs, &r.Decls)
 	}
 	return bincodec.Tabled(recordsFormat, &t, w)
+}
+
+// encodeRecordBody writes what the exchange reads of one record: its
+// observation (codec.go) and its declarations — functions (name id, body
+// byte), structs (name id, fields as name and struct ids), globals (name
+// and struct ids, initializers as field and identifier ids), each list
+// count-prefixed.
+func encodeRecordBody(w *bincodec.Writer, t *bincodec.Table, o *apidb.FileObs, d *FileDecls) {
+	encodeFileObs(w, t, o)
+	w.Uvarint(uint64(len(d.Funcs)))
+	for _, f := range d.Funcs {
+		w.Ref(t, f.Name)
+		w.Bool(f.Body)
+	}
+	w.Uvarint(uint64(len(d.Structs)))
+	for _, s := range d.Structs {
+		w.Ref(t, s.Name)
+		w.Uvarint(uint64(len(s.Fields)))
+		for _, f := range s.Fields {
+			w.Ref(t, f.Name)
+			w.Ref(t, f.Struct)
+		}
+	}
+	w.Uvarint(uint64(len(d.Globals)))
+	for _, g := range d.Globals {
+		w.Ref(t, g.Name)
+		w.Ref(t, g.Struct)
+		w.Uvarint(uint64(len(g.Inits)))
+		for _, fi := range g.Inits {
+			w.Ref(t, fi.Field)
+			w.Ref(t, fi.Ident)
+		}
+	}
+}
+
+// recordFP fingerprints one record as the exchange reads it: its body
+// (encodeRecordBody) under a string table of its own, without path or
+// SourceFP. The manager ships records in this encoding and matches
+// Analyze byte for byte, so the encoding holds every input of
+// ExchangeRecords, and equal fingerprints mean equal inputs.
+func recordFP(o *apidb.FileObs, d *FileDecls) string {
+	var t bincodec.Table
+	w := bincodec.NewWriter(256)
+	encodeRecordBody(w, &t, o, d)
+	sum := sha256.Sum256(bincodec.Tabled(recordsFormat, &t, w))
+	return string(sum[:])
+}
+
+// RecordsFP fingerprints the artifact's records as the exchange reads them:
+// every file's path and record fingerprint, in the path order
+// ExchangeRecords replays them. Equal fingerprints over equal DB states
+// give equal exchanges. It is "" when a file has no record fingerprint,
+// which only a build with a cache computes.
+func (a *ShardArtifact) RecordsFP() string {
+	parts := make([]string, 0, 2*len(a.Files))
+	for _, af := range a.Files {
+		if af.file == nil {
+			continue
+		}
+		if af.recFP == "" {
+			return ""
+		}
+		parts = append(parts, af.Path, af.recFP)
+	}
+	return analysiscache.KeyOf(parts...)
 }
 
 // DecodeRecords parses a payload written by EncodeRecords; it returns

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/analysiscache"
 	"repro/internal/apidb"
 	"repro/internal/bincodec"
 )
@@ -132,4 +133,53 @@ func FuzzRecordsCodec(f *testing.F) {
 			t.Fatal("canonical form is not a re-encode fixed point")
 		}
 	})
+}
+
+// TestRecordsFPFollowsRecords pins the record fingerprints behind the
+// exchange memo: a build without a cache computes none, the fingerprint a
+// hit computes from a disk entry equals the one its miss computed, a
+// comment leaves it alone, and a change to an observation, a declaration
+// (a global, which no observation records) or a path changes it.
+func TestRecordsFPFollowsRecords(t *testing.T) {
+	base := []Source{
+		{Path: "a.c", Content: "struct box { int n; };\nint get_box(struct box *b) { return b->n; }\n"},
+		{Path: "b.c", Content: "void use(struct box *b) { get_box(b); }\n"},
+	}
+	dir := t.TempDir()
+	build := func(srcs []Source, memory int64) string {
+		t.Helper()
+		cache, err := analysiscache.Open(dir, analysiscache.WithMemory(memory))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cache.Close()
+		return (&Builder{Cache: cache}).BuildArtifactContext(context.Background(), srcs, false).RecordsFP()
+	}
+	if fp := (&Builder{}).BuildArtifactContext(context.Background(), base, false).RecordsFP(); fp != "" {
+		t.Errorf("a build without a cache fingerprinted its records: %q", fp)
+	}
+	want := build(base, analysiscache.DefaultMemory)
+	if want == "" {
+		t.Fatal("a build with a cache left its records unfingerprinted")
+	}
+	if got := build(base, analysiscache.DefaultMemory); got != want {
+		t.Error("the fingerprint computed on a hit differs from the miss's")
+	}
+	edit := func(i int, content string) []Source {
+		out := append([]Source(nil), base...)
+		out[i].Content = content
+		return out
+	}
+	if got := build(edit(1, base[1].Content+"/* comment */\n"), 0); got != want {
+		t.Error("a comment changed the records' fingerprint")
+	}
+	for name, srcs := range map[string][]Source{
+		"observation": edit(1, "void use(struct box *b) { get_box(b); get_box(b); }\n"),
+		"declaration": edit(0, base[0].Content+"int box_count;\n"),
+		"path":        {base[0], {Path: "c.c", Content: base[1].Content}},
+	} {
+		if got := build(srcs, 0); got == want {
+			t.Errorf("a changed %s left the records' fingerprint alone", name)
+		}
+	}
 }

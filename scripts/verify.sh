@@ -291,3 +291,13 @@ case "$run2" in
     exit 1
     ;;
 esac
+# A comment edit leaves every file record as it was, so the re-run reuses
+# run 1's exchange instead of replaying every observation.
+case "$run2" in
+*", exchange: reused") ;;
+*)
+    echo "verify: watch re-run should end with ', exchange: reused'" >&2
+    cat "$tmp/watch.log" >&2
+    exit 1
+    ;;
+esac
