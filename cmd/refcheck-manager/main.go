@@ -1,7 +1,7 @@
 // Command refcheck-manager runs the refcheck analysis across multiple worker
 // processes and prints exactly what a single-process `refcheck` run would —
 // byte-identical reports and summary at any -shards count, even when workers
-// die mid-shard (their work is re-queued; see internal/manager).
+// die (a dead worker's shard runs in the manager; see internal/manager).
 //
 // Usage:
 //
@@ -36,10 +36,10 @@ import (
 func main() {
 	var opts cliopts.Opts
 	opts.Register(flag.CommandLine, cliopts.Demo|cliopts.Render|cliopts.Workers|cliopts.Checkers|cliopts.Cache|cliopts.Verbose)
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "number of worker processes; output is identical at any setting")
-	killAfter := flag.Int("kill-worker-after", 0, "fault injection: make the first worker crash after receiving its Nth work frame — its round-1 shards, then the round-2 request (output must be unchanged)")
+	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "number of worker processes, one shard each (fewer for fewer files); output is identical at any setting")
+	killAfter := flag.Int("kill-worker-after", 0, "fault injection: make the first worker crash after receiving its Nth work frame — 1 its round-1 shard, 2 the round-2 request (output must be unchanged)")
 	workerMode := flag.Bool("worker", false, "run as an analysis worker on stdin/stdout")
-	workerExitAfter := flag.Int("worker-exit-after", 0, "with -worker: crash after receiving the Nth work frame (round-1 shards, then the round-2 request)")
+	workerExitAfter := flag.Int("worker-exit-after", 0, "with -worker: crash after receiving the Nth work frame (1 the round-1 shard, 2 the round-2 request)")
 	flag.Parse()
 
 	if *workerMode {
@@ -114,9 +114,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "refcheck-manager: analyzed %d files in %v (%.1f files/sec, shards=%d)\n",
 			len(sources), elapsed.Round(time.Millisecond),
 			float64(len(sources))/elapsed.Seconds(), *shards)
-		fmt.Fprintf(os.Stderr, "refcheck-manager: workers: %d deaths, %d shards re-queued, %d drained inline\n",
-			stats.Counters["manager.worker.deaths"], stats.Counters["manager.shard.requeues"],
-			stats.Counters["manager.shard.inline"])
+		fmt.Fprintf(os.Stderr, "refcheck-manager: workers: %d deaths, %d shards inline\n",
+			stats.Counters["manager.worker.deaths"], stats.Counters["manager.shard.inline"])
 		if opts.CacheDir != "" {
 			fmt.Fprintf(os.Stderr, "refcheck-manager: front-end cache: %d hits, %d misses across workers\n",
 				stats.Counters["manager.frontend.hit"], stats.Counters["manager.frontend.miss"])

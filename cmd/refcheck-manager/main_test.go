@@ -10,8 +10,8 @@ import (
 
 // TestSelfExecMatchesRefcheck builds the real refcheck and refcheck-manager
 // binaries and requires the manager to print exactly what refcheck -demo
-// prints, at two shard counts, with one worker crashing mid-shard and with
-// one crashing between the rounds. The manager's only worker path is
+// prints, at two shard counts, with one worker crashing on its round-1
+// shard and with one crashing between the rounds. The manager's only worker path is
 // re-executing its own binary with -worker, so this is the end-to-end check
 // of that path.
 func TestSelfExecMatchesRefcheck(t *testing.T) {
@@ -44,11 +44,11 @@ func TestSelfExecMatchesRefcheck(t *testing.T) {
 		args   []string
 		deaths string // the -v worker line the run must print
 	}{
-		{[]string{"-shards", "2", "-demo", "-v"}, "workers: 0 deaths"},
-		{[]string{"-shards", "3", "-kill-worker-after", "1", "-demo", "-v"}, "workers: 1 deaths"},
-		// The demo deals 4 shards per worker at -shards 2, so the 5th work
-		// frame is the round-2 request: a death between the rounds.
-		{[]string{"-shards", "2", "-kill-worker-after", "5", "-demo", "-v"}, "workers: 1 deaths, 0 shards re-queued, 4 drained inline"},
+		{[]string{"-shards", "2", "-demo", "-v"}, "workers: 0 deaths, 0 shards inline"},
+		{[]string{"-shards", "3", "-kill-worker-after", "1", "-demo", "-v"}, "workers: 1 deaths, 1 shards inline"},
+		// A worker's 2nd work frame is the round-2 request: a death between
+		// the rounds.
+		{[]string{"-shards", "2", "-kill-worker-after", "2", "-demo", "-v"}, "workers: 1 deaths, 1 shards inline"},
 	} {
 		got, stderr := run("refcheck-manager", tc.args...)
 		if got != want {

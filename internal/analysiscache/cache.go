@@ -351,9 +351,6 @@ func (c *Cache) Close() error {
 	}
 }
 
-// Closed reports whether the last owner has released the handle.
-func (c *Cache) Closed() bool { return c.st.closed.Load() }
-
 // Flight deduplicates concurrent computations of key: the first caller
 // (the leader) runs fn while every concurrent caller with the same key
 // blocks and shares the leader's result. leader reports whether this call

@@ -40,7 +40,7 @@ func TestRetainKeepsHandleOpenAcrossClose(t *testing.T) {
 	if err := c.Close(); err != nil { // first owner's CLI-style release
 		t.Fatalf("first Close: %v", err)
 	}
-	if c.Closed() {
+	if c.st.closed.Load() {
 		t.Fatal("handle closed while a second owner still holds it")
 	}
 
@@ -53,7 +53,7 @@ func TestRetainKeepsHandleOpenAcrossClose(t *testing.T) {
 	if err := second.Close(); err != nil {
 		t.Fatalf("final Close: %v", err)
 	}
-	if !c.Closed() {
+	if !c.st.closed.Load() {
 		t.Fatal("handle not closed after the last owner released it")
 	}
 
@@ -113,7 +113,7 @@ func TestLifecycleClosePerRequestConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if c.Closed() {
+	if c.st.closed.Load() {
 		t.Fatal("request-scoped Closes closed the daemon's handle")
 	}
 	for i := 0; i < requests; i++ {
@@ -122,7 +122,7 @@ func TestLifecycleClosePerRequestConcurrent(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("daemon Close: %v", err)
 	}
-	if !c.Closed() {
+	if !c.st.closed.Load() {
 		t.Fatal("daemon's final Close did not close the handle")
 	}
 	reopened, err := Open(c.Dir())

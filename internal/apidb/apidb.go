@@ -265,14 +265,6 @@ func (db *DB) Loops() []*SmartLoop {
 	return out
 }
 
-// PairFor returns the balancing API entry for a, when known.
-func (db *DB) PairFor(a *API) *API {
-	if a == nil || a.Pair == "" {
-		return nil
-	}
-	return db.apis[a.Pair]
-}
-
 // incKeywords / decKeywords are the name keywords from the paper's mining
 // methodology (§3.1): "get", "take", "hold", "grab" for increment and "put",
 // "drop", "unhold", "release" for decrement.

@@ -60,17 +60,11 @@ func TestDeviationFlags(t *testing.T) {
 
 func TestPairing(t *testing.T) {
 	db := New()
-	g := db.Lookup("of_node_get")
-	p := db.PairFor(g)
-	if p == nil || p.Name != "of_node_put" {
-		t.Fatalf("pair of of_node_get = %v", p)
-	}
-	if db.PairFor(nil) != nil {
-		t.Error("PairFor(nil) should be nil")
-	}
-	find := db.Lookup("of_find_compatible_node")
-	if pp := db.PairFor(find); pp == nil || pp.Name != "of_node_put" {
-		t.Fatalf("pair of of_find_compatible_node = %v", pp)
+	for _, name := range []string{"of_node_get", "of_find_compatible_node"} {
+		a := db.Lookup(name)
+		if p := db.apis[a.Pair]; p == nil || p.Name != "of_node_put" {
+			t.Fatalf("pair of %s = %v", name, p)
+		}
 	}
 }
 

@@ -288,15 +288,6 @@ type CondStmt struct {
 	X Expr
 }
 
-// NewCondStmt builds a condition pseudo-statement at pos with the given
-// macro-origin chain.
-func NewCondStmt(x Expr, pos clex.Pos, origin []string) *CondStmt {
-	c := &CondStmt{X: x}
-	c.StartPos = pos
-	c.Origin = origin
-	return c
-}
-
 // ---- expressions ----
 
 // Expr is an expression node.

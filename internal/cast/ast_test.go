@@ -178,7 +178,7 @@ func TestWalkAndPrintAllNodeKinds(t *testing.T) {
 		&ContinueStmt{},
 		&GotoStmt{Label: "out"},
 		&LabelStmt{Name: "out", Stmt: &EmptyStmt{}},
-		NewCondStmt(x, clex.Pos{Line: 1, Col: 1}, []string{"m"}),
+		&CondStmt{X: x},
 	}}
 	count := 0
 	Walk(body, func(Node) bool { count++; return true })
@@ -194,7 +194,7 @@ func TestWalkAndPrintAllNodeKinds(t *testing.T) {
 			Inits: []FieldInit{{Field: "a", Value: x}}},
 		&EnumDecl{Name: "e", Consts: []string{"A"}},
 	}}
-	if !file.Pos().IsValid() {
+	if file.Pos().Line <= 0 {
 		t.Error("file pos invalid")
 	}
 	fileNodes := 0
@@ -203,7 +203,8 @@ func TestWalkAndPrintAllNodeKinds(t *testing.T) {
 		t.Errorf("file walked %d nodes", fileNodes)
 	}
 	// Positions and origins on statements.
-	cs := NewCondStmt(x, clex.Pos{Line: 7, Col: 3}, []string{"mac"})
+	cs := &CondStmt{X: x}
+	cs.StartPos, cs.Origin = clex.Pos{Line: 7, Col: 3}, []string{"mac"}
 	if cs.Pos().Line != 7 || len(cs.MacroOrigin()) != 1 {
 		t.Errorf("cond stmt base: %v %v", cs.Pos(), cs.MacroOrigin())
 	}

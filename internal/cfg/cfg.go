@@ -140,8 +140,8 @@ const (
 	edgeChunk = 128
 )
 
-// cond slab-allocates the condition pseudo-statement cast.NewCondStmt would
-// otherwise heap-allocate.
+// cond slab-allocates a condition pseudo-statement at pos with the given
+// macro-origin chain.
 func (b *builder) cond(x cast.Expr, pos clex.Pos, origin []string) *cast.CondStmt {
 	c := b.condStmts.New(cast.CondStmt{X: x})
 	c.StartPos = pos

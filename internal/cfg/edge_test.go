@@ -100,7 +100,7 @@ int f(void)
 	}
 	return 0;
 }`, "f")
-	if !Reachable(g.Entry)[g.Exit] {
+	if len(g.Paths(0)) == 0 {
 		t.Fatal("exit unreachable through break")
 	}
 }

@@ -72,46 +72,3 @@ func (w *pathWalker) walk(b *Block) {
 
 // DefaultMaxPaths bounds path enumeration per function.
 const DefaultMaxPaths = 4096
-
-// Reachable returns the set of blocks reachable from b (including b).
-func Reachable(b *Block) map[*Block]bool {
-	seen := map[*Block]bool{}
-	var walk func(x *Block)
-	walk = func(x *Block) {
-		if seen[x] {
-			return
-		}
-		seen[x] = true
-		for _, s := range x.Succs {
-			walk(s)
-		}
-	}
-	walk(b)
-	return seen
-}
-
-// ReachesWithout reports whether dst is reachable from src along edges that
-// avoid blocks rejected by the filter. src itself is not filtered.
-func ReachesWithout(src, dst *Block, blocked func(*Block) bool) bool {
-	seen := map[*Block]bool{}
-	var walk func(x *Block) bool
-	walk = func(x *Block) bool {
-		if x == dst {
-			return true
-		}
-		if seen[x] {
-			return false
-		}
-		seen[x] = true
-		for _, s := range x.Succs {
-			if s != dst && blocked(s) {
-				continue
-			}
-			if walk(s) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(src)
-}

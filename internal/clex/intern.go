@@ -62,12 +62,3 @@ func init() {
 		}
 	}
 }
-
-// Intern returns the canonical copy of s when one exists, else s itself.
-// Useful for callers that build identifier-keyed tables.
-func Intern(s string) string {
-	if e, ok := internTab[s]; ok {
-		return e.text
-	}
-	return s
-}

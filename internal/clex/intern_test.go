@@ -1,6 +1,9 @@
 package clex
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // TestInternCanonicalizes: interned spellings share one backing string and
 // keep their classification; unknown spellings pass through untouched.
@@ -24,11 +27,13 @@ func TestInternCanonicalizes(t *testing.T) {
 	if put == nil || np == nil || custom == nil {
 		t.Fatalf("tokens missing from %v", toks)
 	}
-	if Intern("of_node_put") != put.Text || Intern("np") != np.Text {
-		t.Error("interned spellings should round-trip through Intern")
+	for _, tok := range []*Token{put, np} {
+		if e, ok := internTab[tok.Text]; !ok || unsafe.StringData(e.text) != unsafe.StringData(tok.Text) {
+			t.Errorf("%q should share the intern table's copy", tok.Text)
+		}
 	}
-	if Intern("custom_name") != "custom_name" {
-		t.Error("unknown spelling must pass through Intern unchanged")
+	if _, ok := internTab[custom.Text]; ok || custom.Text != "custom_name" {
+		t.Error("unknown spelling must pass through unchanged")
 	}
 }
 

@@ -202,12 +202,6 @@ func TestTokenFromMacro(t *testing.T) {
 	if tok.FromMacro("other") {
 		t.Error("FromMacro false positive")
 	}
-	if tok.OutermostMacro() != "for_each_child_of_node" {
-		t.Errorf("outermost = %q", tok.OutermostMacro())
-	}
-	if (Token{}).OutermostMacro() != "" {
-		t.Error("empty origin should yield empty outermost")
-	}
 }
 
 func TestKernelSnippetRoundTrip(t *testing.T) {

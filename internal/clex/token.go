@@ -136,9 +136,6 @@ func (p Pos) String() string {
 	return string(b)
 }
 
-// IsValid reports whether the position has been set.
-func (p Pos) IsValid() bool { return p.Line > 0 }
-
 // Token is a single lexical token.
 type Token struct {
 	Kind Kind
@@ -174,15 +171,6 @@ func (t Token) FromMacro(name string) bool {
 		}
 	}
 	return false
-}
-
-// OutermostMacro returns the outermost macro the token was expanded from, or
-// "" if the token is literal source text.
-func (t Token) OutermostMacro() string {
-	if len(t.Origin) == 0 {
-		return ""
-	}
-	return t.Origin[0]
 }
 
 // keywords is the C99 + kernel-GNU keyword set. Kernel-specific qualifiers

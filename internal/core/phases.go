@@ -27,25 +27,39 @@ import (
 // internal/manager drives the same functions across worker processes.
 
 // Partition splits sources into at most `shards` deterministic, disjoint,
-// non-empty shards: sources are sorted by path and dealt round-robin, so the
-// partition depends only on the corpus and the shard count, never on
-// discovery order or process scheduling. Fewer sources than shards yields
-// one shard per source; an empty corpus yields no shards.
+// non-empty shards of about equal source bytes: files are dealt largest
+// first (ties by path), each to the shard with the fewest bytes so far
+// (then the fewest files, then the lowest index), and each shard is sorted
+// by path. The partition depends only on the corpus and the shard count,
+// never on input order, discovery order or process scheduling. Fewer
+// sources than shards yields one shard per source; an empty corpus yields
+// no shards.
 func Partition(sources []cpg.Source, shards int) [][]cpg.Source {
 	sorted := append([]cpg.Source(nil), sources...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > len(sorted) {
-		shards = len(sorted)
-	}
+	sort.Slice(sorted, func(i, j int) bool {
+		if a, b := len(sorted[i].Content), len(sorted[j].Content); a != b {
+			return a > b
+		}
+		return sorted[i].Path < sorted[j].Path
+	})
+	shards = min(max(shards, 1), len(sorted))
 	if shards == 0 {
 		return nil
 	}
 	out := make([][]cpg.Source, shards)
-	for i, s := range sorted {
-		out[i%shards] = append(out[i%shards], s)
+	size := make([]int, shards)
+	for _, s := range sorted {
+		k := 0
+		for i := range out {
+			if size[i] < size[k] || size[i] == size[k] && len(out[i]) < len(out[k]) {
+				k = i
+			}
+		}
+		out[k] = append(out[k], s)
+		size[k] += len(s.Content)
+	}
+	for _, sh := range out {
+		sort.Slice(sh, func(i, j int) bool { return sh[i].Path < sh[j].Path })
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -191,7 +192,8 @@ func TestOneSpanShape(t *testing.T) {
 }
 
 // TestPartition pins the partition function's contract: deterministic,
-// disjoint, sorted round-robin, clamped shard count.
+// disjoint, byte-balanced (zero-byte files deal round-robin), independent
+// of input order, clamped shard count.
 func TestPartition(t *testing.T) {
 	srcs := []cpg.Source{
 		{Path: "c.c"}, {Path: "a.c"}, {Path: "b.c"}, {Path: "d.c"},
@@ -221,5 +223,39 @@ func TestPartition(t *testing.T) {
 	}
 	if p := Partition(nil, 4); p != nil {
 		t.Errorf("empty corpus partition = %v, want nil", p)
+	}
+
+	// Byte balance: on a generated corpus the heaviest and lightest shards
+	// differ by at most the largest file, and a permuted corpus partitions
+	// the same way.
+	gen, _ := phasesCorpus()
+	largest := 0
+	for _, s := range gen {
+		largest = max(largest, len(s.Content))
+	}
+	for _, n := range []int{2, 3, 5} {
+		parts := Partition(gen, n)
+		lo, hi, files := int(^uint(0)>>1), 0, 0
+		for _, p := range parts {
+			size := 0
+			for _, s := range p {
+				size += len(s.Content)
+			}
+			lo, hi, files = min(lo, size), max(hi, size), files+len(p)
+			if !sort.SliceIsSorted(p, func(i, j int) bool { return p[i].Path < p[j].Path }) {
+				t.Errorf("shards=%d: a shard is not sorted by path", n)
+			}
+		}
+		if len(parts) != n || files != len(gen) {
+			t.Fatalf("shards=%d: %d shards holding %d files, want %d holding %d", n, len(parts), files, n, len(gen))
+		}
+		if hi-lo > largest {
+			t.Errorf("shards=%d: shard bytes span %d..%d, more apart than the largest file (%d)", n, lo, hi, largest)
+		}
+		perm := append([]cpg.Source(nil), gen...)
+		rand.New(rand.NewSource(int64(n))).Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		if !reflect.DeepEqual(Partition(perm, n), parts) {
+			t.Errorf("shards=%d: a permuted corpus partitions differently", n)
+		}
 	}
 }

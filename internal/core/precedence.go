@@ -64,12 +64,6 @@ var deferralRules = []DeferralRule{
 	{From: P6, Reason: DeferSmartLoop, To: P3},
 }
 
-// DeferralTable returns a copy of the precedence/suppression table (for
-// tests and documentation tooling).
-func DeferralTable() []DeferralRule {
-	return append([]DeferralRule(nil), deferralRules...)
-}
-
 // deferralSet indexes the table for the engine's filter.
 var deferralSet = func() map[Pattern]map[DeferralReason]bool {
 	m := map[Pattern]map[DeferralReason]bool{}

@@ -19,8 +19,8 @@ func TestDeferralTableContents(t *testing.T) {
 		{From: P5, Reason: DeferSmartLoop, To: P3},
 		{From: P6, Reason: DeferSmartLoop, To: P3},
 	}
-	if got := DeferralTable(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("DeferralTable = %+v, want %+v", got, want)
+	if !reflect.DeepEqual(deferralRules, want) {
+		t.Fatalf("deferralRules = %+v, want %+v", deferralRules, want)
 	}
 }
 
@@ -29,7 +29,7 @@ func TestDeferralTableContents(t *testing.T) {
 // not silently eaten), and untagged reports pass through untouched.
 func TestApplyDeferrals(t *testing.T) {
 	var tabled []Report
-	for _, r := range DeferralTable() {
+	for _, r := range deferralRules {
 		tabled = append(tabled, Report{Pattern: r.From, Deferred: r.Reason, Message: "tabled"})
 	}
 	kept := []Report{
@@ -41,7 +41,7 @@ func TestApplyDeferrals(t *testing.T) {
 	if !reflect.DeepEqual(out, kept) {
 		t.Fatalf("applyDeferrals = %+v, want only %+v", out, kept)
 	}
-	for _, r := range DeferralTable() {
+	for _, r := range deferralRules {
 		name := "deferrals." + string(r.From) + "." + string(r.Reason)
 		if reg.Counter(name) != 1 {
 			t.Errorf("counter %s = %d, want 1", name, reg.Counter(name))

@@ -20,8 +20,7 @@ var registry = map[Pattern]func() Checker{}
 // Register adds a checker constructor under its pattern ID. The nine
 // built-in checkers register themselves from their file's init; external or
 // experimental checkers (P10, ...) plug in the same way without touching the
-// engine. Registering an already-registered pattern panics — replacing a
-// checker is done explicitly via Unregister first.
+// engine. Registering an already-registered pattern panics.
 func Register(p Pattern, mk func() Checker) {
 	if p == "" || mk == nil {
 		panic("core: Register requires a pattern ID and a constructor")
@@ -30,19 +29,6 @@ func Register(p Pattern, mk func() Checker) {
 		panic("core: duplicate checker registration for " + string(p))
 	}
 	registry[p] = mk
-}
-
-// Unregister removes a registered checker (no-op for unknown patterns).
-// Tests registering toy checkers use it for cleanup.
-func Unregister(p Pattern) { delete(registry, p) }
-
-// NewChecker instantiates the registered checker for a pattern.
-func NewChecker(p Pattern) (Checker, bool) {
-	mk, ok := registry[p]
-	if !ok {
-		return nil, false
-	}
-	return mk(), true
 }
 
 // RegisteredPatterns returns every registered pattern ID in stable pattern

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/facts"
+	"repro/internal/obs"
 )
 
 // toyChecker is the out-of-tree "P10" pass used to prove the registry
@@ -28,14 +29,14 @@ func (*toyChecker) Check(ff *facts.FunctionFacts) []Report {
 
 func TestRegistryToyCheckerRoundTrip(t *testing.T) {
 	Register("P10", func() Checker { return &toyChecker{} })
-	defer Unregister("P10")
+	defer delete(registry, "P10")
 
 	pats := RegisteredPatterns()
 	if n := len(pats); n < 10 || pats[n-2] != P9 || pats[n-1] != "P10" {
 		t.Fatalf("RegisteredPatterns = %v, want numeric order ending P9, P10", pats)
 	}
-	if c, ok := NewChecker("P10"); !ok || c.ID() != "P10" {
-		t.Fatalf("NewChecker(P10) = %v, %v", c, ok)
+	if mk, ok := registry["P10"]; !ok || mk().ID() != "P10" {
+		t.Fatal("registry lacks a P10 constructor")
 	}
 	if fp := NewEngine().patternsFP(); !strings.HasSuffix(fp, "P9,P10") {
 		t.Fatalf("patternsFP = %q, want suffix P9,P10", fp)
@@ -124,15 +125,20 @@ func TestEngineFactsComputedOnce(t *testing.T) {
 	u := run.Unit
 	for _, workers := range []int{1, 8} {
 		uf := facts.NewUnit(u)
+		computed := func() int64 {
+			reg := obs.NewRegistry()
+			uf.Observe(reg)
+			return reg.Counter("facts.computed")
+		}
 		e := NewEngine()
 		e.Workers = workers
 		e.CheckUnitFacts(uf)
-		if got, want := uf.Computes(), int64(len(uf.FunctionNames())); got != want {
+		if got, want := computed(), int64(len(uf.FunctionNames())); got != want {
 			t.Fatalf("workers=%d: facts computed %d times, want %d (once per function)", workers, got, want)
 		}
 		// A second pass over the same UnitFacts recomputes nothing.
 		e.CheckUnitFacts(uf)
-		if got, want := uf.Computes(), int64(len(uf.FunctionNames())); got != want {
+		if got, want := computed(), int64(len(uf.FunctionNames())); got != want {
 			t.Fatalf("re-check recomputed facts: %d != %d", got, want)
 		}
 	}

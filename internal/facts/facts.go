@@ -232,11 +232,6 @@ func (uf *UnitFacts) Function(name string) *FunctionFacts {
 	return s.ff
 }
 
-// Computes returns how many functions' facts were computed (as opposed to
-// preloaded) so far — the memoization tests assert it equals the defined
-// function count exactly once per unit at any worker count.
-func (uf *UnitFacts) Computes() int64 { return uf.computes.Load() }
-
 // Observe records the facts layer's work into reg: facts.computed counts
 // functions whose facts were derived from the CPG this run, facts.preloaded
 // counts functions served from a cache snapshot. A function nobody asked

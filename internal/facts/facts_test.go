@@ -11,6 +11,7 @@ import (
 	"repro/internal/bincodec"
 	"repro/internal/cpg"
 	"repro/internal/facts"
+	"repro/internal/obs"
 )
 
 // fixture has a hidden-get leak, a paired-error-path function, and a
@@ -86,8 +87,8 @@ func TestMemoizedExactlyOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := uf.Computes(); got != int64(len(names)) {
-		t.Fatalf("Computes = %d, want exactly %d (one per defined function)", got, len(names))
+	if got := computed(uf); got != int64(len(names)) {
+		t.Fatalf("computed = %d, want exactly %d (one per defined function)", got, len(names))
 	}
 	if uf.Function("no_such_function") != nil {
 		t.Fatal("unknown function should yield nil facts")
@@ -180,8 +181,8 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 			t.Fatalf("%s: preloaded slot did not adopt the snapshot Data", name)
 		}
 	}
-	if got := uf2.Computes(); got != 0 {
-		t.Fatalf("Computes after full preload = %d, want 0", got)
+	if got := computed(uf2); got != 0 {
+		t.Fatalf("computed after full preload = %d, want 0", got)
 	}
 }
 
@@ -202,8 +203,8 @@ func TestPreloadIncomplete(t *testing.T) {
 			t.Fatalf("%s must still compute on demand", name)
 		}
 	}
-	if got := uf.Computes(); got != 3 {
-		t.Fatalf("Computes = %d, want 3 (an incomplete snapshot seeds nothing)", got)
+	if got := computed(uf); got != 3 {
+		t.Fatalf("computed = %d, want 3 (an incomplete snapshot seeds nothing)", got)
 	}
 
 	// A subset the snapshot does cover preloads on its own.
@@ -212,8 +213,8 @@ func TestPreloadIncomplete(t *testing.T) {
 		t.Fatal("Preload of a covered subset should report true")
 	}
 	uf2.Snapshot()
-	if got := uf2.Computes(); got != 1 {
-		t.Fatalf("Computes = %d, want 1 (only the function outside the preloaded subset)", got)
+	if got := computed(uf2); got != 1 {
+		t.Fatalf("computed = %d, want 1 (only the function outside the preloaded subset)", got)
 	}
 	if uf3 := facts.NewUnit(u); uf3.Preload(uf3.FunctionNames(), nil) || uf3.Preload(nil, snap) {
 		t.Fatal("Preload with no snapshot or no names should report false")
@@ -281,4 +282,12 @@ func FuzzSnapshotCodec(f *testing.F) {
 			t.Fatal("canonical form is not a re-encode fixed point")
 		}
 	})
+}
+
+// computed is the number of functions whose facts uf derived rather than
+// took from a preloaded snapshot.
+func computed(uf *facts.UnitFacts) int64 {
+	reg := obs.NewRegistry()
+	uf.Observe(reg)
+	return reg.Counter("facts.computed")
 }

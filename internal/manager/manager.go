@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"sort"
 	"sync"
 
 	"repro/internal/analysiscache"
@@ -18,9 +17,9 @@ import (
 
 // Config configures a multi-process run.
 type Config struct {
-	// Procs is the number of worker processes to drive (default 1). The
-	// corpus is partitioned into Procs*chunksPerProc shards so a dead
-	// worker's round-1 work is re-queued a shard at a time.
+	// Procs is the most worker processes to drive (default 1). The corpus
+	// is split into Procs byte-balanced shards (fewer when it has fewer
+	// files; see core.Partition) and each shard gets one worker.
 	Procs int
 	// WorkerCmd is the argv used to spawn each worker; the spawned process
 	// must speak the pipe protocol on stdin/stdout (e.g. `refcheck-manager
@@ -44,16 +43,12 @@ type Config struct {
 	// consulted (use CacheDir).
 	Options core.Options
 	// Trace receives manager spans and counters (manager.worker.deaths,
-	// manager.shard.requeues, manager.shard.inline, the wire's frame bytes
+	// manager.shard.inline, the wire's frame bytes
 	// manager.wire.records_bytes, manager.wire.check_bytes and
 	// manager.wire.result_bytes, and the workers' manager.frontend.*,
 	// manager.facts.* and manager.reports.* cache counters); nil disables.
 	Trace *obs.Trace
 }
-
-// chunksPerProc is the work-queue granularity multiplier: each worker
-// process's share of the corpus is split into this many shards.
-const chunksPerProc = 4
 
 // workerCounters maps the worker counters a reply carries to the manager
 // counters that aggregate them.
@@ -66,85 +61,21 @@ var workerCounters = map[string]string{
 	"cache.reports.miss":  "manager.reports.miss",
 }
 
-// queue is the manager's round-1 work queue. Each slot owns a fixed set of
-// shards, dealt largest first to the slot with the fewest source bytes so
-// far, and is handed its own first: with no deaths every slot sees a fixed
-// number of shards, and each worker's round-2 share (the files it holds)
-// is about even. Shards lost to a dead worker go to a shared overflow list
-// that any slot drains once its own are done; whatever is left when every
-// slot has stopped, the manager runs inline.
-type queue struct {
-	mu       sync.Mutex
-	own      [][]int
-	overflow []int
-}
-
-func newQueue(shards [][]cpg.Source, procs int) *queue {
-	size := make([]int, len(shards))
-	order := make([]int, len(shards))
-	for i, sh := range shards {
-		order[i] = i
-		for _, src := range sh {
-			size[i] += len(src.Content)
-		}
-	}
-	sort.SliceStable(order, func(a, b int) bool { return size[order[a]] > size[order[b]] })
-	q := &queue{own: make([][]int, procs)}
-	load := make([]int, procs)
-	for _, id := range order {
-		slot := 0
-		for s := range load {
-			if load[s] < load[slot] {
-				slot = s
-			}
-		}
-		q.own[slot] = append(q.own[slot], id)
-		load[slot] += size[id]
-	}
-	return q
-}
-
-func (q *queue) next(slot int) (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for _, list := range []*[]int{&q.own[slot], &q.overflow} {
-		if len(*list) > 0 {
-			id := (*list)[0]
-			*list = (*list)[1:]
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// abandon moves a slot's unstarted shards, plus ids, to the overflow list.
-func (q *queue) abandon(slot int, ids ...int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.overflow = append(q.overflow, q.own[slot]...)
-	q.overflow = append(q.overflow, ids...)
-	q.own[slot] = nil
-}
-
-func (q *queue) remaining() []int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := append([]int(nil), q.overflow...)
-	for s, list := range q.own {
-		out = append(out, list...)
-		q.own[s] = nil
-	}
-	q.overflow = nil
-	return out
-}
-
-// worker is one live worker process and the shards whose round-1
-// artifacts it holds.
+// worker is one live worker process.
 type worker struct {
 	cmd    *exec.Cmd
 	stdin  io.WriteCloser
 	stdout io.ReadCloser
-	held   []int
+}
+
+// call sends the worker frames and reads its one reply frame.
+func (w *worker) call(frames ...[]byte) ([]byte, error) {
+	for _, f := range frames {
+		if err := writeFrame(w.stdin, f); err != nil {
+			return nil, err
+		}
+	}
+	return readFrame(w.stdout)
 }
 
 // stop closes the worker's stdin — a clean shutdown request — and reaps it.
@@ -167,16 +98,12 @@ type run struct {
 	shards  [][]cpg.Source
 	headers map[string]string
 	reg     *obs.Registry
-	q       *queue
 	cache   *analysiscache.Cache // the shared cache, once inline work opened it
 
-	mu sync.Mutex
 	// Per shard, once round 1 has delivered it: its records, decoded and
 	// as the payload the round-2 requests forward.
 	recs    [][]cpg.FileRecord
 	records [][]byte
-	results []*core.ShardResult
-	orphans []int // shards whose holder died in round 2
 }
 
 // Run drives sources through the two-round pipeline across cfg.Procs
@@ -187,18 +114,12 @@ type run struct {
 // finishes over the whole unit's cells (see core.Finish). The returned
 // Run's Unit is nil: no process holds the whole unit.
 //
-// Fault model: a worker that dies (or writes garbage) forfeits its slot and
-// is not respawned. In round 1 its in-flight shard and the shards it held
-// are re-queued for the surviving workers, and whatever no worker completes
-// runs inline in the manager. From the round-2 request on, its shards re-run
-// inline — both rounds — through core.LocalRound and core.CheckRound. If
-// every worker dies, Run degrades to a single-process analysis rather than
-// failing.
+// Fault model: each shard has one worker, and a worker that fails to
+// start, dies or writes garbage is not respawned. One rule covers both
+// rounds: a shard whose worker is gone runs inline in the manager, through
+// core.LocalRound and core.CheckRound. If every worker dies, Run degrades
+// to a single-process analysis rather than failing.
 func Run(ctx context.Context, cfg Config, sources []cpg.Source, headers map[string]string) (*core.Run, error) {
-	procs := cfg.Procs
-	if procs < 1 {
-		procs = 1
-	}
 	cmdFor := cfg.WorkerCmdFor
 	if cmdFor == nil {
 		if len(cfg.WorkerCmd) == 0 {
@@ -211,8 +132,7 @@ func Run(ctx context.Context, cfg Config, sources []cpg.Source, headers map[stri
 	}
 
 	m := &run{ctx: ctx, cfg: cfg, headers: headers, reg: cfg.Trace.Reg()}
-	m.shards = core.Partition(sources, procs*chunksPerProc)
-	m.q = newQueue(m.shards, procs)
+	m.shards = core.Partition(sources, max(cfg.Procs, 1))
 	m.recs = make([][]cpg.FileRecord, len(m.shards))
 	m.records = make([][]byte, len(m.shards))
 	checkers := make([]string, len(cfg.Options.Checkers))
@@ -225,17 +145,18 @@ func Run(ctx context.Context, cfg Config, sources []cpg.Source, headers map[stri
 	})
 	root := cfg.Trace.Root()
 
-	// Round 1: every slot serves its shards; each worker then waits, ASTs
+	// Round 1: each shard's worker runs its front end and then waits, ASTs
 	// in memory, for the round-2 request.
-	sp := root.Child("phase:manager").Int("round", 1).Int("procs", procs).Int("shards", len(m.shards))
-	workers := make([]*worker, procs)
+	sp := root.Child("phase:manager").Int("round", 1).Int("shards", len(m.shards))
+	workers := make([]*worker, len(m.shards))
 	var wg sync.WaitGroup
-	for slot := 0; slot < procs; slot++ {
+	for slot := range m.shards {
+		argv := cmdFor(slot)
 		wg.Add(1)
-		go func(slot int) {
+		go func() {
 			defer wg.Done()
-			workers[slot] = m.roundOne(slot, cmdFor(slot), initFrame)
-		}(slot)
+			workers[slot] = m.roundOne(slot, argv, initFrame)
+		}()
 	}
 	wg.Wait()
 	opt := cfg.Options
@@ -245,8 +166,13 @@ func Run(ctx context.Context, cfg Config, sources []cpg.Source, headers map[stri
 			m.cache.Close()
 		}
 	}()
-	// Worker-of-last-resort: whatever no worker completed runs inline.
-	arts, err := m.localInline(m.q.remaining(), &opt)
+	var gone []int
+	for slot, w := range workers {
+		if w == nil {
+			gone = append(gone, slot)
+		}
+	}
+	arts, err := m.localInline(gone, &opt)
 	sp.End()
 	if err == nil {
 		err = ctx.Err()
@@ -260,20 +186,20 @@ func Run(ctx context.Context, cfg Config, sources []cpg.Source, headers map[stri
 		return nil, err
 	}
 
-	// Round 2: each worker gets the records of the shards it does not hold,
-	// runs the exchange and checks its own files, while the manager runs
-	// the same exchange over every record. Shards whose worker dies, and
-	// those the manager ran in round 1, are checked inline after.
+	// Round 2: each live worker gets the records of every other shard, runs
+	// the exchange and checks its own files, while the manager runs the
+	// same exchange over every record. The shards whose worker is gone are
+	// checked inline after.
 	sp = root.Child("phase:manager").Int("round", 2)
-	for _, w := range workers {
-		if w == nil {
-			continue
+	results := make([]*core.ShardResult, len(workers))
+	for slot, w := range workers {
+		if w != nil {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[slot] = m.roundTwo(slot, w)
+			}()
 		}
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			m.roundTwo(w, m.checkFrame(w))
-		}(w)
 	}
 	var recs []cpg.FileRecord
 	for _, rs := range m.recs {
@@ -284,24 +210,30 @@ func Run(ctx context.Context, cfg Config, sources []cpg.Source, headers map[stri
 	x := cpg.ExchangeRecords(opt.DB, recs)
 	xsp.End()
 	wg.Wait()
-	if len(m.orphans) > 0 {
-		var more []*cpg.ShardArtifact
-		if more, err = m.localInline(m.orphans, &opt); err != nil {
-			sp.End()
-			return nil, err
+	gone = gone[:0]
+	var done []*core.ShardResult
+	for slot, w := range workers {
+		if results[slot] != nil {
+			done = append(done, results[slot])
+		} else if w != nil {
+			gone = append(gone, slot)
 		}
-		arts = append(arts, more...)
 	}
+	more, err := m.localInline(gone, &opt)
 	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	arts = append(arts, more...)
 	req := core.Request{Headers: headers, Options: opt, Trace: cfg.Trace}
 	if len(arts) > 0 {
 		res, err := core.CheckRound(ctx, req, x, cpg.MergeShardArtifacts(arts...))
 		if err != nil {
 			return nil, err
 		}
-		m.results = append(m.results, res)
+		done = append(done, res)
 	}
-	return core.Finish(ctx, req, x, m.results)
+	return core.Finish(ctx, req, x, done)
 }
 
 // localInline runs round 1 in the manager for the given shards, recording
@@ -342,117 +274,70 @@ func (m *run) addCounters(cs []counter) {
 	}
 }
 
-// roundOne owns one slot through round 1: spawn, init, then lockstep shard
-// serving until the queue has nothing left for the slot. It returns the
-// live worker, or nil when the worker died (its in-flight and held shards
-// are re-queued) or never started (its shards are handed on).
+// roundOne spawns the slot's worker and runs it through round 1: the init
+// frame, then the slot's shard, whose reply's records must decode before
+// the shard counts as delivered. It returns the live worker, or nil when
+// the worker never started or died (a failed write, read or decode).
 func (m *run) roundOne(slot int, argv []string, initFrame []byte) *worker {
 	cmd := exec.CommandContext(m.ctx, argv[0], argv[1:]...)
 	cmd.Stderr = os.Stderr
 	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		return nil
+	}
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil
+	}
+	if cmd.Start() != nil {
+		return nil // a spawn failure is not a death
+	}
+	w := &worker{cmd: cmd, stdin: stdin, stdout: stdout}
+	var msg recordsMsg
+	var recs []cpg.FileRecord
+	frame, err := w.call(initFrame, encodeShard(shardMsg{Sources: m.shards[slot]}))
 	if err == nil {
-		var stdout io.ReadCloser
-		if stdout, err = cmd.StdoutPipe(); err == nil {
-			if err = cmd.Start(); err == nil {
-				return m.serve(slot, &worker{cmd: cmd, stdin: stdin, stdout: stdout}, initFrame)
-			}
+		m.reg.Add("manager.wire.records_bytes", int64(len(frame)))
+		if msg, err = decodeRecords(frame); err == nil {
+			recs, err = cpg.DecodeRecords(msg.Records)
 		}
 	}
-	// A spawn failure is not a death — the slot's work goes to the others.
-	m.q.abandon(slot)
-	return nil
-}
-
-// serve runs a started worker through round 1: the init frame, then one
-// shard at a time, each reply's records decoded before the shard counts as
-// held. A failed write, read or decode is the worker's death.
-func (m *run) serve(slot int, w *worker, initFrame []byte) *worker {
-	died := func(inflight ...int) *worker {
+	if err != nil {
 		m.reg.Add("manager.worker.deaths", 1)
-		lost := append(inflight, w.held...)
-		m.reg.Add("manager.shard.requeues", int64(len(lost)))
-		m.q.abandon(slot, lost...)
 		w.kill()
 		return nil
 	}
-	if err := writeFrame(w.stdin, initFrame); err != nil {
-		return died()
-	}
-	for m.ctx.Err() == nil {
-		id, ok := m.q.next(slot)
-		if !ok {
-			break
-		}
-		if err := writeFrame(w.stdin, encodeShard(shardMsg{ID: id, Sources: m.shards[id]})); err != nil {
-			return died(id)
-		}
-		frame, err := readFrame(w.stdout)
-		if err != nil {
-			return died(id)
-		}
-		m.reg.Add("manager.wire.records_bytes", int64(len(frame)))
-		msg, err := decodeRecords(frame)
-		if err != nil || msg.ID != id {
-			return died(id)
-		}
-		recs, err := cpg.DecodeRecords(msg.Records)
-		if err != nil {
-			return died(id)
-		}
-		m.mu.Lock()
-		m.recs[id], m.records[id] = recs, msg.Records
-		m.addCounters(msg.Counters)
-		m.mu.Unlock()
-		w.held = append(w.held, id)
-	}
-	if len(w.held) == 0 || m.ctx.Err() != nil {
-		w.stop()
-		return nil
-	}
+	m.recs[slot], m.records[slot] = recs, msg.Records
+	m.addCounters(msg.Counters)
 	return w
 }
 
-// checkFrame builds a worker's round-2 request: the records of every shard
-// it does not hold.
-func (m *run) checkFrame(w *worker) []byte {
-	held := make(map[int]bool, len(w.held))
-	for _, id := range w.held {
-		held[id] = true
-	}
-	var msg checkMsg
+// roundTwo sends the slot's live worker the round-2 request, the records of
+// every other shard, and returns its result, or nil when the worker died.
+func (m *run) roundTwo(slot int, w *worker) *core.ShardResult {
+	var check checkMsg
 	for id, p := range m.records {
-		if !held[id] {
-			msg.Records = append(msg.Records, p)
+		if id != slot {
+			check.Records = append(check.Records, p)
 		}
 	}
-	return encodeCheck(msg)
-}
-
-// roundTwo sends one live worker the round-2 request and collects its
-// result. A worker that dies leaves its shards to the manager.
-func (m *run) roundTwo(w *worker, checkFrame []byte) {
+	req := encodeCheck(check)
+	m.reg.Add("manager.wire.check_bytes", int64(len(req)))
 	var msg resultMsg
 	var res *core.ShardResult
-	err := writeFrame(w.stdin, checkFrame)
+	frame, err := w.call(req)
 	if err == nil {
-		m.reg.Add("manager.wire.check_bytes", int64(len(checkFrame)))
-		var frame []byte
-		if frame, err = readFrame(w.stdout); err == nil {
-			m.reg.Add("manager.wire.result_bytes", int64(len(frame)))
-			if msg, err = decodeResult(frame); err == nil {
-				res, err = core.DecodeShardResult(msg.Cells, msg.Facts)
-			}
+		m.reg.Add("manager.wire.result_bytes", int64(len(frame)))
+		if msg, err = decodeResult(frame); err == nil {
+			res, err = core.DecodeShardResult(msg.Cells, msg.Facts)
 		}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if err != nil {
 		m.reg.Add("manager.worker.deaths", 1)
-		m.orphans = append(m.orphans, w.held...)
 		w.kill()
-		return
+		return nil
 	}
 	m.addCounters(msg.Counters)
-	m.results = append(m.results, res)
 	w.stop()
+	return res
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -142,8 +143,8 @@ func TestManagerMatchesAnalyze(t *testing.T) {
 }
 
 // TestWorkerDeathRecovery kills one worker mid-shard (it exits after
-// receiving work, before replying) and asserts the manager re-queues the
-// lost shard onto the surviving worker and still renders byte-identically.
+// receiving its shard, before replying) and asserts the manager runs that
+// one shard inline and still renders byte-identically.
 func TestWorkerDeathRecovery(t *testing.T) {
 	srcs, headers := managerCorpus()
 	want := analyzeRef(t, srcs, headers)
@@ -164,11 +165,11 @@ func TestWorkerDeathRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := tr.Reg().Snapshot()
-	if stats.Counters["manager.worker.deaths"] < 1 {
-		t.Error("expected at least one worker death")
+	if got := stats.Counters["manager.worker.deaths"]; got != 1 {
+		t.Errorf("worker deaths = %d, want 1", got)
 	}
-	if stats.Counters["manager.shard.requeues"] < 1 {
-		t.Error("expected the dead worker's shard to be re-queued")
+	if got := stats.Counters["manager.shard.inline"]; got != 1 {
+		t.Errorf("%d shards ran inline, want the dead worker's one", got)
 	}
 	if got := renderOut(run); got != want {
 		t.Error("output differs from single-process Analyze after worker death")
@@ -176,8 +177,8 @@ func TestWorkerDeathRecovery(t *testing.T) {
 }
 
 // TestAllWorkersDieInlineDrain arms the crash hook on every slot: each
-// worker dies on its first shard, so the manager must drain the whole queue
-// inline and still produce identical output.
+// worker dies on its shard, so the manager must run every shard inline and
+// still produce identical output.
 func TestAllWorkersDieInlineDrain(t *testing.T) {
 	srcs, headers := managerCorpus()
 	want := analyzeRef(t, srcs, headers)
@@ -196,27 +197,26 @@ func TestAllWorkersDieInlineDrain(t *testing.T) {
 	if stats.Counters["manager.worker.deaths"] != 2 {
 		t.Errorf("worker deaths = %d, want 2", stats.Counters["manager.worker.deaths"])
 	}
-	if stats.Counters["manager.shard.inline"] < 1 {
-		t.Error("expected inline drain of stranded shards")
+	if got := stats.Counters["manager.shard.inline"]; got != 2 {
+		t.Errorf("%d shards ran inline, want both", got)
 	}
 	if got := renderOut(run); got != want {
 		t.Error("output differs from single-process Analyze after total worker loss")
 	}
 }
 
-// killBetweenRounds runs the manager with slot 0's worker armed to exit on
-// receiving the round-2 request — the frame after its last round-1 shard,
-// since slot 0 is handed exactly the shards it owns when nobody dies in
-// round 1 — and checks that exactly that worker died and its shards ran inline.
-func killBetweenRounds(t *testing.T, srcs []cpg.Source, headers map[string]string, procs int) string {
+// killSlot0 runs the manager with slot 0's worker armed to exit on
+// receiving its die'th work frame (1: its round-1 shard, 2: the round-2
+// request) and checks that exactly that worker died and its one shard ran
+// inline.
+func killSlot0(t *testing.T, srcs []cpg.Source, headers map[string]string, procs, die int) string {
 	t.Helper()
-	own := len(newQueue(core.Partition(srcs, procs*chunksPerProc), procs).own[0])
-	tr := obs.New("manager-between-rounds-test")
+	tr := obs.New("manager-kill-test")
 	run, err := Run(context.Background(), Config{
 		Procs: procs,
 		WorkerCmdFor: func(slot int) []string {
 			if slot == 0 {
-				return workerArgv(fmt.Sprintf("die=%d", own+1))
+				return workerArgv(fmt.Sprintf("die=%d", die))
 			}
 			return workerArgv()
 		},
@@ -224,29 +224,26 @@ func killBetweenRounds(t *testing.T, srcs []cpg.Source, headers map[string]strin
 		Trace:   tr,
 	}, srcs, headers)
 	if err != nil {
-		t.Fatalf("procs=%d: %v", procs, err)
+		t.Fatalf("procs=%d die=%d: %v", procs, die, err)
 	}
 	stats := tr.Reg().Snapshot().Counters
 	if stats["manager.worker.deaths"] != 1 {
-		t.Errorf("procs=%d: worker deaths = %d, want 1", procs, stats["manager.worker.deaths"])
+		t.Errorf("procs=%d die=%d: worker deaths = %d, want 1", procs, die, stats["manager.worker.deaths"])
 	}
-	if stats["manager.shard.requeues"] != 0 {
-		t.Errorf("procs=%d: %d shards re-queued; the worker should die after round 1", procs, stats["manager.shard.requeues"])
-	}
-	if stats["manager.shard.inline"] != int64(own) {
-		t.Errorf("procs=%d: %d shards ran inline, want the dead worker's %d", procs, stats["manager.shard.inline"], own)
+	if stats["manager.shard.inline"] != 1 {
+		t.Errorf("procs=%d die=%d: %d shards ran inline, want the dead worker's one", procs, die, stats["manager.shard.inline"])
 	}
 	return renderOut(run)
 }
 
 // TestWorkerDeathBetweenRounds kills a worker after it has delivered its
 // round-1 records but before it checks its files: the manager must re-run
-// that worker's shards inline and still render byte-identically.
+// that worker's shard inline and still render byte-identically.
 func TestWorkerDeathBetweenRounds(t *testing.T) {
 	srcs, headers := managerCorpus()
 	want := analyzeRef(t, srcs, headers)
 	for _, procs := range []int{1, 2} {
-		if got := killBetweenRounds(t, srcs, headers, procs); got != want {
+		if got := killSlot0(t, srcs, headers, procs, 2); got != want {
 			t.Errorf("procs=%d: output differs from single-process Analyze after a death between rounds", procs)
 		}
 	}
@@ -255,10 +252,10 @@ func TestWorkerDeathBetweenRounds(t *testing.T) {
 // TestManagerMatchesAnalyzeAtScale repeats the determinism pin on a
 // generated scale-2 tree, where shards hold many files, declarations are
 // resolved across shards and P6 pairs functions owned by different workers:
-// procs 1, 2 and 3, plus a death between rounds.
+// procs 1, 2 and 3, plus a death in round 1 and one between the rounds.
 func TestManagerMatchesAnalyzeAtScale(t *testing.T) {
 	if testing.Short() {
-		t.Skip("analyzes a scale-2 tree five times")
+		t.Skip("analyzes a scale-2 tree six times")
 	}
 	srcs, headers := sourcesOf(corpus.Generate(corpus.Spec{Seed: 5, Scale: 2}))
 	want := analyzeRef(t, srcs, headers)
@@ -275,8 +272,110 @@ func TestManagerMatchesAnalyzeAtScale(t *testing.T) {
 			t.Errorf("procs=%d: output differs from single-process Analyze", procs)
 		}
 	}
-	if got := killBetweenRounds(t, srcs, headers, 2); got != want {
-		t.Error("output differs from single-process Analyze after a death between rounds")
+	for die := 1; die <= 2; die++ {
+		if got := killSlot0(t, srcs, headers, 2, die); got != want {
+			t.Errorf("die=%d: output differs from single-process Analyze after a worker death", die)
+		}
+	}
+}
+
+// TestManagerMatchesAnalyzeAcrossReleases checks one tree release after
+// release, the workload of the paper's study: every release of a generated
+// four-release history renders through two workers exactly as Analyze
+// renders it, and one release again with a worker dead in round 1.
+func TestManagerMatchesAnalyzeAcrossReleases(t *testing.T) {
+	rs := corpus.GenerateReleases(corpus.Spec{Seed: 1, Releases: 4}, nil)
+	for r := range rs.Tags {
+		srcs, headers := sourcesOf(rs.At(r))
+		want := analyzeRef(t, srcs, headers)
+		run, err := Run(context.Background(), Config{
+			Procs:     2,
+			WorkerCmd: workerArgv(),
+			Options:   core.Options{Workers: 2, Confirm: true},
+		}, srcs, headers)
+		if err != nil {
+			t.Fatalf("%s: %v", rs.Tags[r], err)
+		}
+		if got := renderOut(run); got != want {
+			t.Errorf("%s: output differs from single-process Analyze", rs.Tags[r])
+		}
+		if r == 1 {
+			if got := killSlot0(t, srcs, headers, 2, 1); got != want {
+				t.Errorf("%s: output differs from single-process Analyze after a round-1 death", rs.Tags[r])
+			}
+		}
+	}
+}
+
+// TestOneWorkerPerShard: a corpus with fewer files than Procs is split into
+// one shard per file, and only those shards' workers are spawned.
+func TestOneWorkerPerShard(t *testing.T) {
+	srcs, headers := managerCorpus()
+	srcs = srcs[:3]
+	want := analyzeRef(t, srcs, headers)
+	spawned := 0
+	tr := obs.New("manager-spawn-test")
+	run, err := Run(context.Background(), Config{
+		Procs: 8,
+		WorkerCmdFor: func(int) []string {
+			spawned++
+			return workerArgv()
+		},
+		Options: core.Options{Workers: 2, Confirm: true},
+		Trace:   tr,
+	}, srcs, headers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spawned != 3 {
+		t.Errorf("spawned %d workers for 3 files, want 3", spawned)
+	}
+	if got := tr.Reg().Counter("manager.shard.inline"); got != 0 {
+		t.Errorf("%d shards ran inline, want 0", got)
+	}
+	if got := renderOut(run); got != want {
+		t.Error("output differs from single-process Analyze")
+	}
+}
+
+// TestWorkerRejectsFrameOrder: a worker answers one shard frame, then one
+// round-2 request, then expects its stdin to end. A second shard frame, or
+// a frame after the round-2 request, is a protocol error: the worker
+// process exits nonzero after the replies it owed.
+func TestWorkerRejectsFrameOrder(t *testing.T) {
+	srcs, headers := managerCorpus()
+	shard := encodeShard(shardMsg{Sources: srcs[:1]})
+	check := encodeCheck(checkMsg{})
+	for _, tc := range []struct {
+		name    string
+		frames  [][]byte
+		replies []uint8
+	}{
+		{"second shard", [][]byte{shard, shard}, []uint8{kRecords}},
+		{"frame after round 2", [][]byte{shard, check, check}, []uint8{kRecords, kResult}},
+	} {
+		var in bytes.Buffer
+		for _, f := range append([][]byte{encodeInit(initMsg{Workers: 1, Headers: headers})}, tc.frames...) {
+			if err := writeFrame(&in, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		argv := workerArgv()
+		cmd := exec.Command(argv[0], argv[1:]...)
+		var out bytes.Buffer
+		cmd.Stdin, cmd.Stdout = &in, &out
+		err := cmd.Run()
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() == 0 {
+			t.Errorf("%s: err = %v, want a nonzero exit", tc.name, err)
+		}
+		for _, kind := range tc.replies {
+			if frame, err := readFrame(&out); err != nil || len(frame) == 0 || frame[0] != kind {
+				t.Errorf("%s: reply is not a kind-%d frame (err = %v)", tc.name, kind, err)
+			}
+		}
+		if _, err := readFrame(&out); err != io.EOF {
+			t.Errorf("%s: worker wrote an extra reply (err = %v)", tc.name, err)
+		}
 	}
 }
 

@@ -1,15 +1,15 @@
 // Package manager runs the two-round pipeline across worker processes,
-// syz-manager style: the manager owns the corpus and the work queue, and
-// workers are re-executed copies of the binary fed over pipes. In round 1
-// a worker runs the front end over each shard it is handed, keeps the
-// shard's ASTs, and replies with the shard's file records (observations and
-// declarations, no token). Every process then runs the same exchange over
-// all the records; in round 2 each worker checks the files it holds and
-// replies with their checker cells and the facts P6 needs, and the manager
-// finishes the run (see core.Finish). A worker that dies in round 1 has
-// its shards re-queued — round 1 is DB-independent, so any shard may run
-// on any worker — and one that dies in round 2 has its shards re-run
-// inline in the manager through the same core functions.
+// syz-manager style: the manager owns the corpus, split into one
+// byte-balanced shard per worker (core.Partition), and workers are
+// re-executed copies of the binary fed over pipes. In round 1 a worker
+// runs the front end over its shard, keeps the shard's ASTs, and replies
+// with the shard's file records (observations and declarations, no token).
+// Every process then runs the same exchange over all the records; in round
+// 2 each worker checks its shard's files and replies with their checker
+// cells and the facts P6 needs, and the manager finishes the run (see
+// core.Finish). One fault rule covers both rounds: a shard whose worker
+// failed to start or died runs inline in the manager through the same core
+// functions.
 package manager
 
 import (
@@ -24,16 +24,16 @@ import (
 
 // The wire protocol is deliberately minimal: length-prefixed frames over the
 // worker's stdin/stdout, each framing one bincodec-encoded message. The
-// conversation is lockstep per worker: init once, then shard/records pairs
-// (round 1), then at most one check/result pair (round 2) until stdin
-// closes. There is no error message kind: a worker that cannot reply exits
+// conversation is lockstep per worker: init, one shard/records pair (round
+// 1), one check/result pair (round 2). There is no error message kind: a
+// worker that cannot reply, or is sent frames in any other order, exits
 // nonzero, and the manager treats any read/decode failure as a worker death,
 // so protocol errors and crashes share one recovery path.
 const (
 	kInit    = 1 // manager→worker: knobs, checker selection, shared header map
-	kShard   = 2 // manager→worker: round 1, shard id + sources
-	kRecords = 3 // worker→manager: shard id + counters + the shard's file records
-	kCheck   = 4 // manager→worker: round 2, the file records of the shards the worker lacks
+	kShard   = 2 // manager→worker: round 1, the worker's shard's sources
+	kRecords = 3 // worker→manager: counters + the shard's file records
+	kCheck   = 4 // manager→worker: round 2, the file records of every other shard
 	kResult  = 5 // worker→manager: counters + cells + facts of the worker's files
 )
 
@@ -142,7 +142,6 @@ func decodeInit(b []byte) (initMsg, error) {
 }
 
 type shardMsg struct {
-	ID      int
 	Sources []cpg.Source
 }
 
@@ -153,7 +152,6 @@ func encodeShard(m shardMsg) []byte {
 	}
 	w := bincodec.NewWriter(sz)
 	w.U8(kShard)
-	w.U32(uint32(m.ID))
 	w.U32(uint32(len(m.Sources)))
 	for _, s := range m.Sources {
 		w.String(s.Path)
@@ -164,7 +162,7 @@ func encodeShard(m shardMsg) []byte {
 
 func decodeShard(b []byte) (shardMsg, error) {
 	r := reader(b, kShard)
-	m := shardMsg{ID: int(r.U32())}
+	var m shardMsg
 	n := r.Count()
 	for i := 0; i < n && r.Err() == nil; i++ {
 		m.Sources = append(m.Sources, cpg.Source{Path: r.String(), Content: r.String()})
@@ -200,7 +198,6 @@ func decodeCounters(r *bincodec.Reader) []counter {
 }
 
 type recordsMsg struct {
-	ID       int
 	Counters []counter
 	Records  []byte // cpg.EncodeRecords bytes
 }
@@ -208,7 +205,6 @@ type recordsMsg struct {
 func encodeRecords(m recordsMsg) []byte {
 	w := bincodec.NewWriter(64 + len(m.Records))
 	w.U8(kRecords)
-	w.U32(uint32(m.ID))
 	encodeCounters(w, m.Counters)
 	w.String(string(m.Records))
 	return w.Bytes()
@@ -216,8 +212,7 @@ func encodeRecords(m recordsMsg) []byte {
 
 func decodeRecords(b []byte) (recordsMsg, error) {
 	r := reader(b, kRecords)
-	m := recordsMsg{ID: int(r.U32())}
-	m.Counters = decodeCounters(r)
+	m := recordsMsg{Counters: decodeCounters(r)}
 	m.Records = []byte(r.String())
 	if err := r.Done(); err != nil {
 		return recordsMsg{}, err
@@ -225,9 +220,9 @@ func decodeRecords(b []byte) (recordsMsg, error) {
 	return m, nil
 }
 
-// checkMsg is the round-2 request: the records payload of every shard the
-// worker does not hold, as the round-1 replies (or the manager, for shards
-// it ran itself) encoded them. The worker adds its own shards' records.
+// checkMsg is the round-2 request: the records payload of every other
+// shard, as the round-1 replies (or the manager, for shards it ran itself)
+// encoded them. The worker adds its own shard's records.
 type checkMsg struct {
 	Records [][]byte
 }

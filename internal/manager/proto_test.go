@@ -73,7 +73,7 @@ func TestInitMsgRoundTrip(t *testing.T) {
 }
 
 func TestShardMsgRoundTrip(t *testing.T) {
-	m := shardMsg{ID: 7, Sources: []cpg.Source{
+	m := shardMsg{Sources: []cpg.Source{
 		{Path: "a.c", Content: "int x;"},
 		{Path: "b.c", Content: ""},
 	}}
@@ -95,7 +95,7 @@ func TestShardMsgRoundTrip(t *testing.T) {
 // TestRecordsMsgRoundTrip pins the round-1 reply frame, and that every
 // truncation of it fails to decode.
 func TestRecordsMsgRoundTrip(t *testing.T) {
-	m := recordsMsg{ID: 3, Counters: []counter{{"frontend.cache.hit", 2}, {"frontend.cache.miss", 1}},
+	m := recordsMsg{Counters: []counter{{"frontend.cache.hit", 2}, {"frontend.cache.miss", 1}},
 		Records: []byte{9, 8, 7}}
 	enc := encodeRecords(m)
 	got, err := decodeRecords(enc)
@@ -110,7 +110,7 @@ func TestRecordsMsgRoundTrip(t *testing.T) {
 			t.Fatalf("cut=%d decoded cleanly", cut)
 		}
 	}
-	if _, err := decodeRecords(encodeShard(shardMsg{ID: 3})); err == nil {
+	if _, err := decodeRecords(encodeShard(shardMsg{})); err == nil {
 		t.Error("wrong kind accepted as records")
 	}
 }
@@ -163,7 +163,7 @@ func TestRound1ReplyCarriesNoToken(t *testing.T) {
 	}
 	srcs, headers := managerCorpus()
 	req := core.Request{Headers: headers, Options: core.Options{Workers: 1}}
-	art, own, reply, err := localShard(context.Background(), req, encodeShard(shardMsg{ID: 1, Sources: srcs}))
+	art, own, reply, err := localShard(context.Background(), req, encodeShard(shardMsg{Sources: srcs}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,22 +17,23 @@ import (
 // WorkerOpts configures a worker loop.
 type WorkerOpts struct {
 	// ExitAfterShards, when positive, makes the worker call os.Exit(3)
-	// immediately after receiving its Nth work frame — a round-1 shard or
-	// the round-2 request, before replying — so the work in flight is lost.
-	// It is the crash-injection hook the recovery tests (and verify gate)
-	// use to exercise the manager's re-queue and inline paths with a real
-	// process death: N one past the worker's shard count kills it between
-	// the rounds.
+	// immediately after receiving its Nth work frame, before replying, so
+	// the work in flight is lost: 1 is the round-1 shard, 2 the round-2
+	// request (a death between the rounds). It is the crash-injection hook
+	// the recovery tests (and verify gate) use to exercise the manager's
+	// inline path with a real process death.
 	ExitAfterShards int
 }
 
-// Worker runs the worker half of the pipe protocol until r reaches EOF: read
-// the init frame, answer each round-1 shard with its file records while
-// keeping the shard's artifact, then answer the round-2 request by running
-// the exchange over every record and checking the files it holds. Between
-// runs a worker keeps nothing but what the shared tiered cache holds (when
-// the init frame names a cache directory), so per-file entries computed by
-// one run's workers are reused by the next run's.
+// Worker runs the worker half of the pipe protocol: read the init frame,
+// answer the round-1 shard frame with the shard's file records while
+// keeping its artifact, then answer the round-2 request by running the
+// exchange over every record and checking the shard's files, then wait for
+// stdin to end. A stdin that ends before a work frame is a clean shutdown; a
+// frame out of that order, or after the round-2 request, is an error.
+// Between runs a worker keeps nothing but what the shared tiered cache
+// holds (when the init frame names a cache directory), so per-file entries
+// computed by one run's workers are reused by the next run's.
 func Worker(r io.Reader, w io.Writer, opts WorkerOpts) error {
 	first, err := readFrame(r)
 	if err != nil {
@@ -68,12 +69,9 @@ func Worker(r io.Reader, w io.Writer, opts WorkerOpts) error {
 	}
 	ctx := context.Background()
 
-	// The shards this worker ran in round 1: their artifacts, ASTs kept,
-	// and their records.
-	var held []*cpg.ShardArtifact
+	var art *cpg.ShardArtifact // the shard's artifact, ASTs kept for round 2
 	var own []cpg.FileRecord
-	received := 0
-	for {
+	for received := 1; received <= 2; received++ {
 		frame, err := readFrame(r)
 		if err == io.EOF {
 			return nil // clean shutdown: manager closed our stdin
@@ -81,23 +79,17 @@ func Worker(r io.Reader, w io.Writer, opts WorkerOpts) error {
 		if err != nil {
 			return fmt.Errorf("manager worker: reading request: %w", err)
 		}
-		received++
-		if opts.ExitAfterShards > 0 && received == opts.ExitAfterShards {
+		if received == opts.ExitAfterShards {
 			os.Exit(3)
 		}
 		// A fresh trace per request isolates the counters this reply
 		// carries.
-		tr := obs.New("manager-worker")
-		req := core.Request{Headers: init.Headers, Options: opt, Trace: tr}
+		req := core.Request{Headers: init.Headers, Options: opt, Trace: obs.New("manager-worker")}
 		var reply []byte
-		if len(frame) > 0 && frame[0] == kCheck {
-			reply, err = checkHeld(ctx, req, frame, held, own)
+		if received == 1 {
+			art, own, reply, err = localShard(ctx, req, frame)
 		} else {
-			var art *cpg.ShardArtifact
-			var recs []cpg.FileRecord
-			art, recs, reply, err = localShard(ctx, req, frame)
-			held = append(held, art)
-			own = append(own, recs...)
+			reply, err = checkShard(ctx, req, frame, art, own)
 		}
 		if err != nil {
 			return fmt.Errorf("manager worker: %w", err)
@@ -106,9 +98,13 @@ func Worker(r io.Reader, w io.Writer, opts WorkerOpts) error {
 			return fmt.Errorf("manager worker: writing reply: %w", err)
 		}
 	}
+	if _, err := readFrame(r); err != io.EOF {
+		return fmt.Errorf("manager worker: want end of input after the round-2 reply")
+	}
+	return nil
 }
 
-// localShard answers a round-1 shard frame: it runs the local round and
+// localShard answers the round-1 shard frame: it runs the local round and
 // returns the shard's artifact and records, kept for round 2, with the
 // records reply.
 func localShard(ctx context.Context, req core.Request, frame []byte) (*cpg.ShardArtifact, []cpg.FileRecord, []byte, error) {
@@ -118,18 +114,18 @@ func localShard(ctx context.Context, req core.Request, frame []byte) (*cpg.Shard
 	}
 	art, err := core.LocalRound(ctx, req, sh.Sources)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("shard %d: %w", sh.ID, err)
+		return nil, nil, nil, fmt.Errorf("round 1: %w", err)
 	}
 	req.Trace.Done()
 	recs := art.Records()
-	return art, recs, encodeRecords(recordsMsg{ID: sh.ID, Counters: counters(req.Trace),
+	return art, recs, encodeRecords(recordsMsg{Counters: counters(req.Trace),
 		Records: cpg.EncodeRecords(recs)}), nil
 }
 
-// checkHeld answers the round-2 request, which carries the records of every
-// shard the worker does not hold: the exchange over those and its own
-// records, then the check round over the held shards' files.
-func checkHeld(ctx context.Context, req core.Request, frame []byte, held []*cpg.ShardArtifact, own []cpg.FileRecord) ([]byte, error) {
+// checkShard answers the round-2 request, which carries the records of
+// every other shard: the exchange over those and the shard's own records,
+// then the check round over the shard's files.
+func checkShard(ctx context.Context, req core.Request, frame []byte, art *cpg.ShardArtifact, own []cpg.FileRecord) ([]byte, error) {
 	m, err := decodeCheck(frame)
 	if err != nil {
 		return nil, fmt.Errorf("decoding round-2 request: %w", err)
@@ -144,7 +140,7 @@ func checkHeld(ctx context.Context, req core.Request, frame []byte, held []*cpg.
 	}
 	req.Options.DB = apidb.New()
 	x := cpg.ExchangeRecords(req.Options.DB, recs)
-	res, err := core.CheckRound(ctx, req, x, cpg.MergeShardArtifacts(held...))
+	res, err := core.CheckRound(ctx, req, x, art)
 	if err != nil {
 		return nil, fmt.Errorf("round 2: %w", err)
 	}

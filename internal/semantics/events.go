@@ -12,8 +12,6 @@
 package semantics
 
 import (
-	"strings"
-
 	"repro/internal/apidb"
 	"repro/internal/cast"
 	"repro/internal/cfg"
@@ -499,18 +497,4 @@ func outermost(origin []string) string {
 		return ""
 	}
 	return origin[0]
-}
-
-// EventsString renders events compactly for tests and debugging:
-// "G(np):of_find_matching_node P(from) D(sk) ...".
-func EventsString(evs []Event) string {
-	parts := make([]string, 0, len(evs))
-	for _, ev := range evs {
-		s := ev.Op.String()
-		if ev.Obj != "" {
-			s += "(" + ev.Obj + ")"
-		}
-		parts = append(parts, s)
-	}
-	return strings.Join(parts, " ")
 }

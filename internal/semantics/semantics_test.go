@@ -78,7 +78,7 @@ void f(struct device_node *np)
 }`, "f")
 	evs := allEvents(fe)
 	if countOp(evs, OpInc) != 1 || countOp(evs, OpDec) != 1 {
-		t.Fatalf("events = %s", EventsString(evs))
+		t.Fatalf("events = %s", eventsString(evs))
 	}
 	inc := findOp(evs, OpInc)
 	if inc.Obj != "np" || inc.API != "of_node_get" {
@@ -96,10 +96,10 @@ void f(void)
 	evs := allEvents(fe)
 	inc := findOp(evs, OpInc)
 	if inc == nil || inc.Obj != "np" || inc.API != "of_find_node_by_path" {
-		t.Fatalf("inc = %+v, events = %s", inc, EventsString(evs))
+		t.Fatalf("inc = %+v, events = %s", inc, eventsString(evs))
 	}
 	if countOp(evs, OpInc) != 1 {
-		t.Fatalf("double-counted inc: %s", EventsString(evs))
+		t.Fatalf("double-counted inc: %s", eventsString(evs))
 	}
 }
 
@@ -114,7 +114,7 @@ void f(void)
 	evs := allEvents(fe)
 	inc := findOp(evs, OpInc)
 	if inc == nil || inc.Obj != "np" {
-		t.Fatalf("inc = %+v events=%s", inc, EventsString(evs))
+		t.Fatalf("inc = %+v events=%s", inc, eventsString(evs))
 	}
 }
 
@@ -142,10 +142,10 @@ void f(struct device_node *from)
 	evs := allEvents(fe)
 	dec := findOp(evs, OpDec)
 	if dec == nil || dec.Obj != "from" || dec.API != "of_find_matching_node" {
-		t.Fatalf("hidden dec = %+v events=%s", dec, EventsString(evs))
+		t.Fatalf("hidden dec = %+v events=%s", dec, eventsString(evs))
 	}
 	if countOp(evs, OpDec) != 2 { // hidden + explicit put
-		t.Fatalf("events = %s", EventsString(evs))
+		t.Fatalf("events = %s", eventsString(evs))
 	}
 }
 
@@ -159,7 +159,7 @@ void f(void)
 	evs := allEvents(fe)
 	// Only the explicit of_node_put counts; NULL cursor is not decremented.
 	if countOp(evs, OpDec) != 1 {
-		t.Fatalf("events = %s", EventsString(evs))
+		t.Fatalf("events = %s", eventsString(evs))
 	}
 }
 
@@ -173,7 +173,7 @@ void f(struct sock *sk)
 }`, "f")
 	evs := allEvents(fe)
 	if countOp(evs, OpDeref) < 2 {
-		t.Fatalf("events = %s", EventsString(evs))
+		t.Fatalf("events = %s", eventsString(evs))
 	}
 	d := findOp(evs, OpDeref)
 	if d.Obj != "sk" {
@@ -191,7 +191,7 @@ void f(struct usb_serial *serial)
 }`, "f")
 	evs := allEvents(fe)
 	if countOp(evs, OpLock) != 1 || countOp(evs, OpUnlock) != 1 {
-		t.Fatalf("events = %s", EventsString(evs))
+		t.Fatalf("events = %s", eventsString(evs))
 	}
 	l := findOp(evs, OpLock)
 	if l.Obj != "serial->disc_mutex" {
@@ -208,7 +208,7 @@ void f(struct foo *p)
 }`, "f")
 	evs := allEvents(fe)
 	if countOp(evs, OpFree) != 2 {
-		t.Fatalf("events = %s", EventsString(evs))
+		t.Fatalf("events = %s", eventsString(evs))
 	}
 	for _, ev := range evs {
 		if ev.Op == OpFree && ev.Obj != "p" {
@@ -250,7 +250,7 @@ void f(struct bar *out, struct foo *p)
 	}
 	want := []string{"", "global", "outparam"}
 	if strings.Join(classes, ",") != strings.Join(want, ",") {
-		t.Fatalf("classes = %v, want %v (events %s)", classes, want, EventsString(evs))
+		t.Fatalf("classes = %v, want %v (events %s)", classes, want, eventsString(evs))
 	}
 }
 
@@ -271,7 +271,7 @@ void f(void)
 		}
 	}
 	if cond == nil {
-		t.Fatalf("no cond event: %s", EventsString(evs))
+		t.Fatalf("no cond event: %s", eventsString(evs))
 	}
 	if len(cond.NonNullFalse) != 1 || cond.NonNullFalse[0] != "hp" {
 		t.Errorf("cond facts = %+v", cond)
@@ -475,4 +475,18 @@ void f(struct device_node *np, int x)
 	if got := MatchTemplate(fe, tpl, 0); len(got) != 1 {
 		t.Fatalf("matches = %d", len(got))
 	}
+}
+
+// eventsString renders events compactly for failure messages:
+// "G(np):of_find_matching_node P(from) D(sk) ...".
+func eventsString(evs []Event) string {
+	parts := make([]string, 0, len(evs))
+	for _, ev := range evs {
+		s := ev.Op.String()
+		if ev.Obj != "" {
+			s += "(" + ev.Obj + ")"
+		}
+		parts = append(parts, s)
+	}
+	return strings.Join(parts, " ")
 }

@@ -271,12 +271,6 @@ func sigmoid(x float64) float64 {
 	return 1 / (1 + math.Exp(-x))
 }
 
-// Has reports whether the word is in the vocabulary.
-func (m *Model) Has(word string) bool {
-	_, ok := m.vocab[word]
-	return ok
-}
-
 // Vector returns the embedding for a word (nil if unknown).
 func (m *Model) Vector(word string) []float64 {
 	id, ok := m.vocab[word]

@@ -60,9 +60,6 @@ func TestUnknownWordsSimilarityZero(t *testing.T) {
 	if m.Vector("unhold") != nil {
 		t.Error("unknown word has a vector")
 	}
-	if m.Has("unhold") {
-		t.Error("Has(unhold) true")
-	}
 }
 
 func TestDeterministicTraining(t *testing.T) {
@@ -79,10 +76,10 @@ func TestMinCount(t *testing.T) {
 		{"common", "rare"},
 	}
 	m := Train(sentences, Config{Dim: 8, Epochs: 1, MinCount: 2, Seed: 1})
-	if m.Has("rare") {
+	if _, ok := m.vocab["rare"]; ok {
 		t.Error("rare word survived MinCount")
 	}
-	if !m.Has("common") {
+	if _, ok := m.vocab["common"]; !ok {
 		t.Error("common word missing")
 	}
 }

@@ -25,17 +25,22 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-# One pipeline, one cache read path, one payload format: names retired when
-# Analyze became the exported rounds, the front end lost its byte-API cache
-# read, each traced/untraced function pair became one function, and cpg's
-# payloads moved onto bincodec.Tabled must not come back. The manager keeps
-# its own pipe readFrame, so the frame grep covers internal/cpg only.
+# One pipeline, one cache read path, one payload format, one manager fault
+# rule: names retired when Analyze became the exported rounds, the front end
+# lost its byte-API cache read, each traced/untraced function pair became
+# one function, cpg's payloads moved onto bincodec.Tabled, and the manager
+# gave each worker one shard must not come back, nor may a declaration of
+# the exported functions deleted because only tests called them. The
+# manager keeps its own pipe readFrame, so the frame grep covers
+# internal/cpg only.
 if grep -rnw --include='*.go' \
     -e l1hold -e MemoryEnabled \
     -e assembleRound -e checkRound -e finishRun \
     -e ReplayAllSpan -e RunTrace -e ComputeGoldenTrace -e SelftestTrace \
     -e EvaluateNewBugsWorkers \
-    -e decTables -e feMagic -e recMagic -e saMagic . ||
+    -e decTables -e feMagic -e recMagic -e saMagic \
+    -e chunksPerProc -e newQueue -e shard.requeues . ||
+    grep -rnE --include='*.go' '^func (\([^)]*\) )?(Reachable|ReachesWithout|Intern|OutermostMacro|IsValid|NewCondStmt|NewChecker|Unregister|DeferralTable|EventsString|Computes|Closed|PairFor|Has)\(' . ||
     grep -rnF --include='*.go' 'func (c *Cache) Get(' . ||
     grep -rnE --include='*.go' '\b(frame|readFrame)\(' internal/cpg; then
     echo "verify: a retired name is back (see the list above)" >&2
@@ -153,8 +158,8 @@ fi
 
 # Multi-process manager gate: refcheck-manager must render the demo corpus
 # byte-identically to the single-process CLI at several shard counts, and
-# again with fault injection crashing one worker mid-shard (the manager
-# re-queues the lost work onto the survivors).
+# again with fault injection crashing one worker on its round-1 shard (the
+# manager runs that shard inline).
 go build -o "$tmp/refcheck-manager" ./cmd/refcheck-manager
 for n in 1 3; do
     "$tmp/refcheck-manager" -shards "$n" -demo > "$tmp/mgr-$n.txt"
@@ -168,18 +173,18 @@ cmp -s "$tmp/uncached.txt" "$tmp/mgr-kill.txt" || {
     echo "verify: refcheck-manager with a crashed worker differs from refcheck -demo" >&2
     exit 1
 }
-# A death between the rounds: at -shards 2 the demo corpus is dealt 4
-# shards per worker, so the first worker's 5th work frame is the round-2
-# request. It must die there (after round 1, so nothing is re-queued) and
-# the manager must redo its shards inline with identical bytes.
-"$tmp/refcheck-manager" -shards 2 -kill-worker-after 5 -demo -v \
+# A death between the rounds: a worker's 2nd work frame is the round-2
+# request. The first worker must die there, after delivering its round-1
+# records, and the manager must redo its one shard inline with identical
+# bytes.
+"$tmp/refcheck-manager" -shards 2 -kill-worker-after 2 -demo -v \
     > "$tmp/mgr-kill2.txt" 2> "$tmp/mgr-kill2.log"
 cmp -s "$tmp/uncached.txt" "$tmp/mgr-kill2.txt" || {
     echo "verify: refcheck-manager with a worker dead between rounds differs from refcheck -demo" >&2
     exit 1
 }
-grep -q 'workers: 1 deaths, 0 shards re-queued, 4 drained inline' "$tmp/mgr-kill2.log" || {
-    echo "verify: -kill-worker-after 5 did not kill a worker between the rounds" >&2
+grep -q 'workers: 1 deaths, 1 shards inline' "$tmp/mgr-kill2.log" || {
+    echo "verify: -kill-worker-after 2 did not kill a worker between the rounds" >&2
     cat "$tmp/mgr-kill2.log" >&2
     exit 1
 }
