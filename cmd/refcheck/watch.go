@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -55,6 +54,9 @@ func runWatch(opts *cliopts.Opts, dirs []string, apidbPath string, interval time
 	// tree is the previous run's load: a change tick re-reads only the
 	// files the poller reported (see loader.Reload).
 	var tree *loader.Tree
+	// out holds the rendered output; every run renders into the same
+	// storage.
+	var out []byte
 	runOnce := func(changed []string) error {
 		var err error
 		tree, err = loader.Reload(tree, dirs, changed)
@@ -88,17 +90,14 @@ func runWatch(opts *cliopts.Opts, dirs []string, apidbPath string, interval time
 		}
 		runs++
 
-		var buf bytes.Buffer
-		nreports, err := render.Output(&buf, run.Reports, run.Summary, opts.Pattern, opts.JSON)
-		if err != nil {
-			return err
-		}
+		var nreports int
+		out, nreports = render.AppendOutput(out[:0], run.Reports, run.Summary, opts.Pattern, opts.JSON)
 		if outFile != "" {
-			if err := writeAtomic(outFile, buf.Bytes()); err != nil {
+			if err := writeAtomic(outFile, out); err != nil {
 				return err
 			}
 		} else {
-			os.Stdout.Write(buf.Bytes())
+			os.Stdout.Write(out)
 		}
 
 		what := "initial scan"

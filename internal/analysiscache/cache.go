@@ -56,10 +56,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"os"
 	"strconv"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -385,14 +387,23 @@ func (c *Cache) Stats() Stats {
 // before hashing so distinct part lists can never collide by concatenation.
 func KeyOf(parts ...string) string {
 	h := sha256.New()
-	// One buffer, grown to the largest part, carries every write: parts
-	// include whole file contents, which a []byte(p) conversion copied.
-	var buf []byte
+	// Only the short prefix is copied; each part reaches the hash through
+	// a read-only view of its own bytes, since parts include whole file
+	// contents.
+	pre := make([]byte, 0, 24)
 	for _, p := range parts {
-		buf = strconv.AppendInt(buf[:0], int64(len(p)), 10)
-		buf = append(buf, ':')
-		buf = append(buf, p...)
-		h.Write(buf)
+		pre = strconv.AppendInt(pre[:0], int64(len(p)), 10)
+		h.Write(append(pre, ':'))
+		WriteString(h, p)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
+}
+
+// WriteString feeds s to h without copying it: a hash only reads what it
+// is given and keeps none of it, so a view of the string's bytes is safe.
+func WriteString(h hash.Hash, s string) {
+	if s != "" {
+		h.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
+	}
 }

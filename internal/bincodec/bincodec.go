@@ -80,8 +80,17 @@ func (w *Writer) String(s string) {
 // Uvarint writes v as an unsigned LEB128 varint (one byte below 128).
 func (w *Writer) Uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
 
-// Ref writes s as its uvarint id in t, adding s to t on first use.
-func (w *Writer) Ref(t *Table, s string) { w.Uvarint(uint64(t.ID(s))) }
+// Ref writes s as its uvarint id in t, adding s to t on first use. With a
+// nil t it writes s inline, uvarint-length-prefixed: the untabled form a
+// fingerprint hashes, which no Reader decodes.
+func (w *Writer) Ref(t *Table, s string) {
+	if t == nil {
+		w.Uvarint(uint64(len(s)))
+		w.b = append(w.b, s...)
+		return
+	}
+	w.Uvarint(uint64(t.ID(s)))
+}
 
 // Table assigns dense ids to strings in first-use order: the string table
 // of a deduplicated payload. The zero value is ready to use.

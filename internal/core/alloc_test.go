@@ -7,10 +7,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
+	"repro/internal/analysiscache"
 	"repro/internal/apidb"
+	"repro/internal/corpus"
 	"repro/internal/cpg"
 )
 
@@ -56,5 +59,50 @@ func shardRounds(t *testing.T, ctx context.Context, req Request, srcs []cpg.Sour
 	}
 	if cells, facts := res.Encode(); len(cells) == 0 || len(facts) == 0 {
 		t.Fatal("empty round-2 reply")
+	}
+}
+
+// TestWarmEditAllocationBudget pins what one steady comment edit allocates
+// through Analyze on a cache handle that has seen the tree before: a
+// scale-2 seed-1 tree on one worker, whose earlier edits already reused
+// the exchange. Such an edit parses, derives facts for and checks only the
+// edited file, so what it allocates beyond that is per-run bookkeeping
+// over the unchanged files: their keys, lookups and the function index.
+// The ceiling leaves about 5% headroom over the measured value.
+func TestWarmEditAllocationBudget(t *testing.T) {
+	const ceiling = 2_460_000
+	c := corpus.Generate(corpus.Spec{Seed: 1, Scale: 2})
+	srcs := make([]cpg.Source, len(c.Files))
+	for i, f := range c.Files {
+		srcs[i] = cpg.Source{Path: f.Path, Content: f.Content}
+	}
+	cache, err := analysiscache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	edit := func(n int) {
+		t.Helper()
+		srcs = withEdit(srcs, 0, fmt.Sprintf("edit %d", n))
+		if _, err := Analyze(context.Background(), Request{
+			Sources: srcs, Headers: c.Headers,
+			Options: Options{Workers: 1, Cache: cache},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The cold run and two edits fill the cache and reach the steady state.
+	for n := 0; n < 3; n++ {
+		edit(n)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	edit(3)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a warm edit allocated %d bytes", got)
+	if got > ceiling {
+		t.Errorf("a warm edit allocated %d bytes, over the %d ceiling", got, ceiling)
 	}
 }

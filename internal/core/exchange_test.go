@@ -22,7 +22,8 @@ func liveHeap() uint64 {
 
 // TestExchangeChargeMatchesHeap holds an exchange memo's memory-tier charge
 // to the heap it retains: a fresh DB plus the exchange over a scale-2
-// corpus's records, measured as the live-heap growth while the records
+// corpus's records and its defined-function index, measured as the
+// live-heap growth while the records
 // themselves stay alive. Too low a charge lets -cache-mem stop bounding
 // what the tier holds; too high evicts other entries for nothing.
 func TestExchangeChargeMatchesHeap(t *testing.T) {
@@ -46,6 +47,7 @@ func TestExchangeChargeMatchesHeap(t *testing.T) {
 	before := liveHeap()
 	db := apidb.New()
 	x := cpg.ExchangeRecords(db, recs)
+	x.Decls.Defined()
 	retained := float64(liveHeap()) - float64(before)
 	charge := float64(exchangeCharge(x, db))
 	runtime.KeepAlive(recs)

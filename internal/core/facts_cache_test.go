@@ -3,23 +3,43 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/analysiscache"
 	"repro/internal/cpg"
+	"repro/internal/facts"
 	"repro/internal/obs"
 )
 
 // factsEdit is one soundness scenario for the per-file facts entries: a
 // two-version corpus (sources and headers) where v2 makes one edit, the
-// facts entry outcome that edit must produce on a cache warmed by v1, and
-// whether the edit changes the reports at all.
+// files whose entries that edit must re-derive on a cache warmed by v1 (nil
+// for every file), and whether the edit changes the reports at all.
 type factsEdit struct {
 	name             string
 	v1, v2           []cpg.Source
 	h1, h2           map[string]string
-	hits, misses     int64
+	stale            []string
 	wantReportChange bool
+}
+
+// unitInputFiles returns the files that define an input of the unit-scoped
+// checkers (P6): the files whose facts a run reads even when their report
+// entries hit.
+func unitInputFiles(t *testing.T, u *cpg.Unit) map[string]bool {
+	t.Helper()
+	engine, err := NewEngineFor(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]bool{}
+	for _, name := range engine.unitInputs(u.DB, u.Decls) {
+		if f := u.Decls.Funcs[name]; f.Body {
+			files[f.File] = true
+		}
+	}
+	return files
 }
 
 // reportBytes is a full-fidelity encoding of a report list (witnesses
@@ -49,7 +69,9 @@ func analyzeFacts(t *testing.T, srcs []cpg.Source, headers map[string]string, ca
 // header it includes), while an edit that changes what event extraction
 // looks up (the API table, the global names) re-derives every file — in
 // each case including a file whose own text did not change but whose facts
-// did, which a key over the file alone would serve stale.
+// did, which a key over the file alone would serve stale. A stale file's
+// report entry misses too, so its facts entry is consulted and misses; of
+// the other files, only those defining a P6 input consult theirs, and hit.
 func TestFactsEntriesFollowTheirInputs(t *testing.T) {
 	user := cpg.Source{Path: "drivers/b/user.c", Content: `
 static int driver_start(struct my_pm_dev *dev)
@@ -103,14 +125,14 @@ static void hold(void)
 	}
 	cases := []factsEdit{
 		{name: "comment in one file", v1: v1, v2: with(1, user.Content+"\n/* edit */\n"), h1: h1, h2: h1,
-			hits: 2, misses: 1},
+			stale: []string{user.Path}},
 		{name: "header of one file", v1: v1, v2: v1, h1: h1,
-			h2:   map[string]string{"grab.h": "#define GRAB(p) lookup_path(p)\n"},
-			hits: 2, misses: 1, wantReportChange: true},
+			h2:    map[string]string{"grab.h": "#define GRAB(p) lookup_path(p)\n"},
+			stale: []string{grab.Path}, wantReportChange: true},
 		{name: "discovery", v1: v1, v2: with(0, string(apiEdited)+global), h1: h1, h2: h1,
-			hits: 0, misses: 3, wantReportChange: true},
+			wantReportChange: true},
 		{name: "global names", v1: v1, v2: with(0, api), h1: h1, h2: h1,
-			hits: 0, misses: 3, wantReportChange: true},
+			wantReportChange: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -131,9 +153,86 @@ static void hold(void)
 			if changed := !bytes.Equal(reportBytes(before.Reports), reportBytes(fresh.Reports)); changed != tc.wantReportChange {
 				t.Fatalf("fixture: edit changed the reports = %v, want %v", changed, tc.wantReportChange)
 			}
-			if hit, miss := after.Metric("cache.facts.hit"), after.Metric("cache.facts.miss"); hit != tc.hits || miss != tc.misses {
-				t.Fatalf("facts entries: %d hits, %d misses, want %d, %d", hit, miss, tc.hits, tc.misses)
+			stale := map[string]bool{}
+			for _, src := range tc.v2 {
+				stale[src.Path] = tc.stale == nil
+			}
+			for _, path := range tc.stale {
+				stale[path] = true
+			}
+			var hits, misses int64
+			for path, isStale := range stale {
+				switch {
+				case isStale:
+					misses++
+				case unitInputFiles(t, after.Unit)[path]:
+					hits++
+				}
+			}
+			if hit, miss := after.Metric("cache.facts.hit"), after.Metric("cache.facts.miss"); hit != hits || miss != misses {
+				t.Fatalf("facts entries: %d hits, %d misses, want %d, %d", hit, miss, hits, misses)
+			}
+			if hit, miss := after.Metric("cache.reports.hit"), after.Metric("cache.reports.miss"); hit != 3-misses || miss != misses {
+				t.Fatalf("report entries: %d hits, %d misses, want %d, %d", hit, miss, 3-misses, misses)
 			}
 		})
+	}
+}
+
+// TestWarmEditConsultsWhatItReads pins what a steady comment edit looks
+// up. Every file that defines functions gets one report entry lookup, and
+// only the edited file's misses. A facts entry is consulted only where the
+// run reads its facts: the edited file's (its report entry missed, so the
+// checkers run over it) and those of the files that define a P6 input. And
+// what depends on the exchange alone is derived once: the cold run derives
+// the per-exchange fingerprints, and the two edits, which reuse its
+// exchange, derive nothing.
+func TestWarmEditConsultsWhatItReads(t *testing.T) {
+	srcs, headers := demoSet()
+	cache, err := analysiscache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	cold := analyzeFacts(t, srcs, headers, cache)
+	if got := cold.Metric("exchange.derived"); got != 1 {
+		t.Fatalf("cold run derived the exchange's fingerprints %d times, want 1", got)
+	}
+	inputs := unitInputFiles(t, cold.Unit)
+	defines := map[string]bool{}
+	for _, f := range facts.NewUnit(cold.Unit).Files() {
+		defines[f.Path] = true
+	}
+	// One edit to a file outside the P6 input set, then one inside it.
+	edits := []int{-1, -1}
+	for i, src := range srcs {
+		k := 0
+		if inputs[src.Path] {
+			k = 1
+		}
+		if edits[k] < 0 && defines[src.Path] {
+			edits[k] = i
+		}
+	}
+	if edits[0] < 0 || edits[1] < 0 || len(inputs) < 2 {
+		t.Fatalf("fixture too weak: edits %v, %d P6 input files", edits, len(inputs))
+	}
+	for n, i := range edits {
+		srcs = withEdit(srcs, i, fmt.Sprintf("edit %d", n))
+		run := analyzeFacts(t, srcs, headers, cache)
+		edited := srcs[i].Path
+		consulted := int64(len(inputs))
+		if !inputs[edited] {
+			consulted++
+		}
+		if hit, miss := run.Metric("cache.facts.hit"), run.Metric("cache.facts.miss"); hit != consulted-1 || miss != 1 {
+			t.Errorf("edit of %s: facts entries %d hits, %d misses, want %d, 1", edited, hit, miss, consulted-1)
+		}
+		if hit, miss := run.Metric("cache.reports.hit"), run.Metric("cache.reports.miss"); hit != int64(len(defines))-1 || miss != 1 {
+			t.Errorf("edit of %s: report entries %d hits, %d misses, want %d, 1", edited, hit, miss, len(defines)-1)
+		}
+		if reused, derived := run.Metric("exchange.reused"), run.Metric("exchange.derived"); reused != 1 || derived != 0 {
+			t.Errorf("edit of %s: exchange reused %d, derived %d times, want 1, 0", edited, reused, derived)
+		}
 	}
 }

@@ -162,7 +162,16 @@ func DecodeShardResult(cells, factsData []byte) (*ShardResult, error) {
 // entries that missed; the caller makes them durable with one Flush (or
 // Close) once its run's entries are all queued.
 func CheckRound(ctx context.Context, req Request, x *cpg.Exchange, art *cpg.ShardArtifact) (*ShardResult, error) {
-	opt := req.Options
+	if req.Options.DB == nil {
+		req.Options.DB = apidb.New()
+	}
+	return checkMemo(ctx, req, &exchangeMemo{x: x, db: req.Options.DB}, art)
+}
+
+// checkMemo is CheckRound against an exchange's memo, whose derivations
+// it reads and, on first use, fills in.
+func checkMemo(ctx context.Context, req Request, m *exchangeMemo, art *cpg.ShardArtifact) (*ShardResult, error) {
+	opt, x := req.Options, m.x
 	engine, err := newEngine(opt)
 	if err != nil {
 		return nil, err
@@ -178,9 +187,10 @@ func CheckRound(ctx context.Context, req Request, x *cpg.Exchange, art *cpg.Shar
 	csp := root.Child("phase:check")
 	engine.Obs = csp
 	uf := facts.NewUnit(u)
+	ins := m.unitInputs(engine)
 	res := &ShardResult{uf: uf, names: uf.FunctionNames()}
 	if opt.Cache != nil {
-		res.pending = preloadFiles(opt.Cache, opt.ConfigFP, engine, u, uf, req.Trace.Reg())
+		res.pending = preloadFiles(opt.Cache, opt.ConfigFP, engine, m, ins, u, uf, req.Trace.Reg())
 	}
 	res.cells = engine.checkFunctions(ctx, uf, res.pending.cells)
 	if err := ctx.Err(); err != nil {
@@ -190,7 +200,7 @@ func CheckRound(ctx context.Context, req Request, x *cpg.Exchange, art *cpg.Shar
 		return nil, err
 	}
 	res.facts = map[string]*facts.Data{}
-	for _, name := range engine.unitInputs(u.DB, x.Decls) {
+	for _, name := range ins.names {
 		if ff := uf.Function(name); ff != nil {
 			res.facts[name] = ff.Data
 		}
@@ -266,8 +276,8 @@ func (r *ShardResult) storeFiles(cache *analysiscache.Cache) {
 	}
 	for _, m := range r.pending.reports {
 		rep := make(map[string][][]Report, len(m.names))
-		for _, name := range m.names {
-			rep[name] = stripCells(r.cells[sort.SearchStrings(r.names, name)])
+		for k, name := range m.names {
+			rep[name] = stripCells(r.cells[m.pos[k]])
 		}
 		_ = cache.PutValue(m.key, rep, encodeReportsEntry(rep))
 	}

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"sort"
 	"strconv"
+	"sync"
 
 	"repro/internal/analysiscache"
 	"repro/internal/apidb"
@@ -82,16 +83,19 @@ type unitEntry struct {
 // names the cross-file state they depend on explicitly.)
 func corpusFP(sources []cpg.Source, headers map[string]string) string {
 	h := sha256.New()
-	// One buffer, grown to the largest file, carries every write: a
-	// []byte(s) conversion per write copied the whole corpus per call.
-	var buf []byte
+	// Only the length prefix is copied; the content reaches the hash
+	// through a view of its own bytes.
+	pre := make([]byte, 0, 8)
 	add := func(s string) {
-		buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(len(s)))
-		buf = append(buf, s...)
-		h.Write(buf)
+		h.Write(binary.LittleEndian.AppendUint64(pre, uint64(len(s))))
+		analysiscache.WriteString(h, s)
 	}
-	sorted := append([]cpg.Source(nil), sources...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
+	sorted := sources
+	byPath := func(i, j int) bool { return sorted[i].Path < sorted[j].Path }
+	if !sort.SliceIsSorted(sorted, byPath) {
+		sorted = append([]cpg.Source(nil), sources...)
+		sort.Slice(sorted, byPath)
+	}
 	for _, s := range sorted {
 		add(s.Path)
 		add(s.Content)
@@ -172,11 +176,13 @@ func checkEnvFP(u *cpg.Unit) string {
 	return analysiscache.KeyOf(parts...)
 }
 
-// fileEntry is one file's facts or report entry that missed: its key and
-// the functions it must cover when stored.
+// fileEntry is one file's facts or report entry that missed: its key, the
+// functions it must cover when stored and their positions in the unit's
+// defined-function order (report entries only).
 type fileEntry struct {
 	key   string
 	names []string
+	pos   []int
 }
 
 // fileEntries is what the per-file cache entries give one round 2: the
@@ -188,21 +194,42 @@ type fileEntries struct {
 	cells          [][][]Report
 }
 
-// preloadFiles consults both per-file entries of every file that defines
-// functions: it seeds uf from the facts entries and collects the report
-// entries' cells, counting each file as cache.facts.hit/miss and
-// cache.reports.hit/miss. A file the build could not fingerprint (no
-// SourceFP) is neither looked up nor stored.
-func preloadFiles(cache *analysiscache.Cache, configFP string, engine *Engine, u *cpg.Unit, uf *facts.UnitFacts, reg *obs.Registry) fileEntries {
-	env, checkEnv, checkersFP := u.ExtractEnvFP(), checkEnvFP(u), engine.patternsFP()
-	fns := uf.FunctionNames()
-	out := fileEntries{cells: make([][][]Report, len(fns))}
-	for _, f := range uf.Files() {
+// preloadFiles looks up the report entry of every file that defines
+// functions and collects the cells of those that hit, counting each file
+// as cache.reports.hit/miss. It consults a file's facts entry only where
+// the file's facts will be read: its report entry missed (the checkers run
+// over its functions), or it defines an input of a unit-scoped checker
+// (ins). A consulted facts entry seeds uf and counts as cache.facts.hit or
+// cache.facts.miss. A file the build could not fingerprint (no SourceFP) is
+// neither looked up nor stored. The key components that are the same for
+// every file come from the exchange's memo m.
+func preloadFiles(cache *analysiscache.Cache, configFP string, engine *Engine, m *exchangeMemo, ins *unitInputs,
+	u *cpg.Unit, uf *facts.UnitFacts, reg *obs.Registry) fileEntries {
+	env, checkEnv := m.fingerprints(u, reg)
+	checkersFP := engine.patternsFP()
+	ix := uf.Index()
+	out := fileEntries{cells: make([][][]Report, len(ix.Names))}
+	for fi, f := range ix.Files {
 		src := u.SourceFP[f.Path]
 		if src == "" {
 			continue
 		}
-		key := factsCacheKey(configFP, env, src)
+		pos := ix.Positions(fi)
+		key := reportsCacheKey(configFP, env, src, checkEnv, checkersFP)
+		if v, ok := cache.GetValue(key, decodeReportsValue); ok && covers(v.(map[string][][]Report), f.Names, len(engine.Checkers)) {
+			reg.Add("cache.reports.hit", 1)
+			ent := v.(map[string][][]Report)
+			for k, name := range f.Names {
+				out.cells[pos[k]] = ent[name]
+			}
+			if !ins.files[f.Path] {
+				continue
+			}
+		} else {
+			reg.Add("cache.reports.miss", 1)
+			out.reports = append(out.reports, fileEntry{key: key, names: f.Names, pos: pos})
+		}
+		key = factsCacheKey(configFP, env, src)
 		// The snapshot may be L1-shared across runs; Preload only reads it,
 		// and checkers treat facts as immutable.
 		if v, ok := cache.GetValue(key, decodeFactsValue); ok && uf.Preload(f.Names, v.(map[string]*facts.Data)) {
@@ -211,17 +238,6 @@ func preloadFiles(cache *analysiscache.Cache, configFP string, engine *Engine, u
 			reg.Add("cache.facts.miss", 1)
 			out.facts = append(out.facts, fileEntry{key: key, names: f.Names})
 		}
-		key = reportsCacheKey(configFP, env, src, checkEnv, checkersFP)
-		if v, ok := cache.GetValue(key, decodeReportsValue); ok && covers(v.(map[string][][]Report), f.Names, len(engine.Checkers)) {
-			reg.Add("cache.reports.hit", 1)
-			ent := v.(map[string][][]Report)
-			for _, name := range f.Names {
-				out.cells[sort.SearchStrings(fns, name)] = ent[name]
-			}
-			continue
-		}
-		reg.Add("cache.reports.miss", 1)
-		out.reports = append(out.reports, fileEntry{key: key, names: f.Names})
 	}
 	return out
 }
@@ -345,6 +361,7 @@ func confirm(run *Run, opt Options) {
 // files keep their ASTs (and their L1 parse memos), so nothing is encoded
 // or reparsed — then the exchange runs over its records (or an earlier
 // run's identical exchange is reused, see exchangeOrReuse), CheckRound
+// (as checkMemo, so it reads and fills the exchange memo's derivations)
 // checks the whole unit against the exchange's DB and Finish turns its
 // cells into the report list. Finish runs unconfirmed: with a cache the
 // unit entry is stored under key, next to the per-file entries CheckRound
@@ -359,10 +376,11 @@ func compute(ctx context.Context, req Request, key string, run *Run) (*unitEntry
 		return nil, err
 	}
 	sp := req.Trace.Root().Child("phase:exchange")
-	x, db := exchangeOrReuse(req, art)
+	m := exchangeOrReuse(req, art)
 	sp.End()
-	req.Options.DB = db
-	res, err := CheckRound(ctx, req, x, art)
+	x := m.x
+	req.Options.DB = m.db
+	res, err := checkMemo(ctx, req, m, art)
 	if err != nil {
 		return nil, err
 	}
@@ -386,13 +404,61 @@ func compute(ctx context.Context, req Request, key string, run *Run) (*unitEntry
 }
 
 // exchangeMemo is an exchange kept in the cache's memory tier: the exchange
-// and the DB its discovery was applied to. Both are read-only once built —
-// assembly, extraction and the checkers only read the DB, and the
-// declaration table is read-only — so every run that reuses them shares
-// them.
+// and the DB its discovery was applied to, plus what the check round
+// derives from the two alone (see fingerprints and unitInputs), derived on
+// first use. All of it is read-only once built — assembly, extraction and
+// the checkers only read the DB, and the declaration table is read-only —
+// so every run that reuses the memo shares it, derivations included.
 type exchangeMemo struct {
 	x  *cpg.Exchange
 	db *apidb.DB
+
+	fpOnce        sync.Once
+	env, checkEnv string // see fingerprints
+
+	mu     sync.Mutex
+	inputs map[string]*unitInputs // by Engine.patternsFP
+}
+
+// unitInputs is the unit-scoped checkers' read set under one checker
+// selection: the names their Inputs list (a name may repeat) and the files
+// that define those names.
+type unitInputs struct {
+	names []string
+	files map[string]bool
+}
+
+// fingerprints returns the exchange's two per-file key components: the
+// extraction environment (cpg.Unit.ExtractEnvFP) and the check environment
+// (checkEnvFP). u is a unit assembled against the memo's exchange and DB.
+// The first caller derives them and counts exchange.derived.
+func (m *exchangeMemo) fingerprints(u *cpg.Unit, reg *obs.Registry) (env, checkEnv string) {
+	m.fpOnce.Do(func() {
+		m.env, m.checkEnv = u.ExtractEnvFP(), checkEnvFP(u)
+		reg.Add("exchange.derived", 1)
+	})
+	return m.env, m.checkEnv
+}
+
+// unitInputs returns the read set of e's unit-scoped checkers.
+func (m *exchangeMemo) unitInputs(e *Engine) *unitInputs {
+	fp := e.patternsFP()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if in := m.inputs[fp]; in != nil {
+		return in
+	}
+	in := &unitInputs{names: e.unitInputs(m.db, m.x.Decls), files: map[string]bool{}}
+	for _, name := range in.names {
+		if f := m.x.Decls.Funcs[name]; f.Body {
+			in.files[f.File] = true
+		}
+	}
+	if m.inputs == nil {
+		m.inputs = map[string]*unitInputs{}
+	}
+	m.inputs[fp] = in
+	return in
 }
 
 // exchangeCacheKey fingerprints an exchange's complete input: the DB's
@@ -405,14 +471,14 @@ func exchangeCacheKey(configFP, recordsFP string) string {
 
 // exchangeOrReuse runs the exchange over art's records, unless, under a
 // cache, an earlier run in this process already ran it over records with
-// the same fingerprints and the same config: then that run's exchange and DB are
-// reused and no observation is replayed (exchange.reused). Otherwise the
-// observations are replayed into req.Options.DB, extending it in place (a
-// fresh apidb.New() when nil), counted as exchange.applied, and the result
-// is kept in the cache's memory tier for later runs. A build without a
-// cache fingerprints no record and never consults the memo. It returns the
-// exchange and the DB that holds its discovery.
-func exchangeOrReuse(req Request, art *cpg.ShardArtifact) (*cpg.Exchange, *apidb.DB) {
+// the same fingerprints and the same config: then that run's memo — its
+// exchange, its DB and what was derived from them — is reused and no
+// observation is replayed (exchange.reused). Otherwise the observations
+// are replayed into req.Options.DB, extending it in place (a fresh
+// apidb.New() when nil), counted as exchange.applied, and the result is
+// kept in the cache's memory tier for later runs. A build without a cache
+// fingerprints no record and never consults the memo.
+func exchangeOrReuse(req Request, art *cpg.ShardArtifact) *exchangeMemo {
 	reg, cache := req.Trace.Reg(), req.Options.Cache
 	var key string
 	if cache != nil {
@@ -420,8 +486,7 @@ func exchangeOrReuse(req Request, art *cpg.ShardArtifact) (*cpg.Exchange, *apidb
 			key = exchangeCacheKey(req.Options.ConfigFP, fp)
 			if v, ok := cache.GetValue(key, memoryOnly); ok {
 				reg.Add("exchange.reused", 1)
-				m := v.(*exchangeMemo)
-				return m.x, m.db
+				return v.(*exchangeMemo)
 			}
 		}
 	}
@@ -429,12 +494,12 @@ func exchangeOrReuse(req Request, art *cpg.ShardArtifact) (*cpg.Exchange, *apidb
 	if db == nil {
 		db = apidb.New()
 	}
-	x := cpg.ExchangeRecords(db, art.Records())
+	m := &exchangeMemo{x: cpg.ExchangeRecords(db, art.Records()), db: db}
 	reg.Add("exchange.applied", 1)
 	if key != "" {
-		cache.PutMemory(key, &exchangeMemo{x: x, db: db}, exchangeCharge(x, db))
+		cache.PutMemory(key, m, exchangeCharge(m.x, db))
 	}
-	return x, db
+	return m
 }
 
 // exchangeEntryBytes is what an exchange memo retains per table entry: a
@@ -446,12 +511,19 @@ func exchangeOrReuse(req Request, art *cpg.ShardArtifact) (*cpg.Exchange, *apidb
 // TestExchangeChargeMatchesHeap holds the charge to that measurement.
 const exchangeEntryBytes = 116
 
+// indexEntryBytes is what the exchange's defined-function index
+// (cpg.Decls.Defined) retains per defined function: 99 bytes at scales 1,
+// 2 and 4, measured the same way.
+const indexEntryBytes = 99
+
 // exchangeCharge is an exchange memo's memory-tier charge: the heap it
-// retains, by exchangeEntryBytes per entry.
+// retains, by exchangeEntryBytes per entry plus indexEntryBytes per
+// defined function. It builds the index, which every cached check round
+// reads, so the memo is charged for it from the start.
 func exchangeCharge(x *cpg.Exchange, db *apidb.DB) int64 {
 	n := len(x.Decls.Funcs) + len(x.Decls.Structs) + len(x.Decls.Globals) +
 		len(db.APIs()) + len(db.Loops()) + len(db.RefStructs())
-	return int64(n) * exchangeEntryBytes
+	return int64(n)*exchangeEntryBytes + int64(len(x.Decls.Defined().Names))*indexEntryBytes
 }
 
 // memoryOnly is the decode callback of an entry that only the memory tier

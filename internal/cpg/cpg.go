@@ -80,6 +80,8 @@ type Unit struct {
 	// track include closures, so it is nil otherwise and for files that
 	// arrived as decoded artifacts.
 	SourceFP map[string]string
+
+	defined *FuncIndex // see Defined; set by assembly
 }
 
 // Source is one input file.
@@ -160,6 +162,7 @@ type frontMemo struct {
 	file   *cast.File
 	perrs  []error
 	decls  FileDecls
+	srcFP  string // the file's source fingerprint (see sourceFP)
 	recFP  string // the file's record fingerprint (see recordFP)
 	charge int64  // the entry's L1 charge: its encoded size, plus the parse once set
 }
@@ -313,7 +316,9 @@ func (fe *frontEnd) parseOne(src Source) *ArtFile {
 	// recompute; the current result is served from memory either way.
 	ent.Tokens = nil
 	m := &frontMemo{charge: int64(len(enc)) + parseBytes}
-	m.once.Do(func() { m.file, m.perrs, m.decls, m.recFP = af.file, af.errs[af.cppN:], af.decls, af.recFP })
+	m.once.Do(func() {
+		m.file, m.perrs, m.decls, m.srcFP, m.recFP = af.file, af.errs[af.cppN:], af.decls, fp, af.recFP
+	})
 	ent.memo = m
 	_ = fe.cache.PutValue(key, ent, enc)
 	fe.cache.Recharge(key, ent, m.charge)
@@ -344,10 +349,11 @@ func (fe *frontEnd) parseTokens(path string, toks []clex.Token) (*cast.File, []e
 
 // reuse serves one TU from an L1-shared front-end entry: the first build to
 // reach the entry parses its token stream into the memo, fingerprints the
-// file's record, drops the tokens, and re-charges the entry for the parse;
-// every later build reuses the memo and counts a frontend.parse.reused.
-// The observation comes from the entry either way. Sharing is sound because nothing downstream writes an AST or
-// an observation — CFG construction, event extraction, discovery replay,
+// file's source and record, drops the tokens, and re-charges the entry for
+// the parse; every later build reuses the memo and counts a
+// frontend.parse.reused. The observation comes from the entry either way.
+// Sharing is sound because nothing downstream writes an AST or an
+// observation — CFG construction, event extraction, discovery replay,
 // and the checkers only read them (TestAnalyzeLeavesInputsUntouched in
 // internal/core pins that) — and ent.Tokens is read and cleared only inside
 // the once.
@@ -359,6 +365,7 @@ func (fe *frontEnd) reuse(key, path string, ent *frontEntry) *ArtFile {
 		var parseBytes int64
 		m.file, m.perrs, parseBytes = fe.parseTokens(path, ent.Tokens)
 		m.decls = fileDecls(m.file)
+		m.srcFP = sourceFP(key, ent.Closure)
 		m.recFP = recordFP(&ent.Obs, &m.decls)
 		m.charge += parseBytes
 		ent.Tokens = nil
@@ -369,7 +376,7 @@ func (fe *frontEnd) reuse(key, path string, ent *frontEntry) *ArtFile {
 	}
 	return &ArtFile{Path: path, Obs: ent.Obs, file: m.file, decls: m.decls,
 		errs: append(cppErrors(ent.CppErrors), m.perrs...), cppN: len(ent.CppErrors),
-		fp: sourceFP(key, ent.Closure), recFP: m.recFP}
+		fp: m.srcFP, recFP: m.recFP}
 }
 
 // cppErrors turns cached preprocessor error strings back into errors, in a
@@ -569,10 +576,21 @@ func (b *Builder) assemble(art *ShardArtifact, x *Exchange, db *apidb.DB) *Unit 
 		globals[name] = true
 	}
 	env := &analysisEnv{ext: &semantics.Extractor{DB: db, GlobalNames: globals}}
+	defined := 0
 	for _, fn := range u.Functions {
 		if fn.Def.Body != nil {
 			fn.env = env
+			defined++
 		}
+	}
+	// The table's rule picked each defined function above, so the unit's
+	// defined functions are among the table's: equal counts mean the unit
+	// holds every file that defines one, and it shares the exchange's
+	// index. A shard (or a cancelled reparse) indexes its own.
+	if x.Decls.definedCount() == defined {
+		u.defined = x.Decls.Defined()
+	} else {
+		u.defined = u.indexDefined()
 	}
 	return u
 }
@@ -585,20 +603,6 @@ func (u *Unit) FunctionNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// DefinedFunctions returns the functions that have bodies (and therefore
-// graphs and event streams, once analyzed), in sorted name order — the unit
-// of work for the facts layer and the checker engine. Prototypes are
-// excluded.
-func (u *Unit) DefinedFunctions() []*Function {
-	var out []*Function
-	for _, name := range u.FunctionNames() {
-		if fn := u.Functions[name]; fn.env != nil {
-			out = append(out, fn)
-		}
-	}
-	return out
 }
 
 // ExtractEnvFP fingerprints the unit-wide state phase 3's event extraction

@@ -334,7 +334,7 @@ int body(struct device_node *np)
 	if fe := u.Functions["proto"].Extract(); fe != nil {
 		t.Fatal("a prototype was analyzed")
 	}
-	if got := len(u.DefinedFunctions()); got != 1 {
-		t.Fatalf("DefinedFunctions = %d, want 1 (prototypes excluded)", got)
+	if got := len(u.Defined().Names); got != 1 {
+		t.Fatalf("Defined indexes %d functions, want 1 (prototypes excluded)", got)
 	}
 }

@@ -3,6 +3,7 @@ package cpg
 import (
 	"crypto/sha256"
 	"sort"
+	"sync"
 
 	"repro/internal/analysiscache"
 	"repro/internal/apidb"
@@ -76,6 +77,9 @@ type Decls struct {
 	Funcs   map[string]FuncEntry
 	Structs map[string]*StructInfo
 	Globals map[string]*GlobalInfo
+
+	definedOnce sync.Once
+	defined     *FuncIndex // see Defined
 }
 
 // Exchange is what every process knows once the exchange has run: the
@@ -296,15 +300,15 @@ func encodeRecordBody(w *bincodec.Writer, t *bincodec.Table, o *apidb.FileObs, d
 }
 
 // recordFP fingerprints one record as the exchange reads it: its body
-// (encodeRecordBody) under a string table of its own, without path or
-// SourceFP. The manager ships records in this encoding and matches
-// Analyze byte for byte, so the encoding holds every input of
-// ExchangeRecords, and equal fingerprints mean equal inputs.
+// (encodeRecordBody) with every string written inline, length-prefixed,
+// rather than through a string table, and without path or SourceFP. The
+// manager ships records in this encoding and matches Analyze byte for
+// byte, so the encoding holds every input of ExchangeRecords, and equal
+// fingerprints mean equal inputs. The fingerprint never leaves memory.
 func recordFP(o *apidb.FileObs, d *FileDecls) string {
-	var t bincodec.Table
-	w := bincodec.NewWriter(256)
-	encodeRecordBody(w, &t, o, d)
-	sum := sha256.Sum256(bincodec.Tabled(recordsFormat, &t, w))
+	w := bincodec.NewWriter(512)
+	encodeRecordBody(w, nil, o, d)
+	sum := sha256.Sum256(w.Bytes())
 	return string(sum[:])
 }
 

@@ -51,6 +51,47 @@ func TestDeclTableRule(t *testing.T) {
 	}
 }
 
+// TestDefinedIndex pins the defined-function index: names sorted, grouped
+// by the file whose definition won, each file's positions pointing back
+// into the name order. A unit holding every defining file shares its
+// exchange's index; a shard holding only some indexes its own.
+func TestDefinedIndex(t *testing.T) {
+	srcs := []Source{
+		{Path: "a.c", Content: "int f(void) { return 0; }\nint z(void) { return 0; }\nint p(void);\n"},
+		{Path: "b.c", Content: "int f(void) { return 1; }\nint m(void) { return 1; }\n"},
+	}
+	u := (&Builder{Workers: 1}).Build(srcs)
+	ix := u.Defined()
+	if ix != u.Decls.Defined() {
+		t.Error("a unit holding every file does not share the exchange's index")
+	}
+	if want := []string{"f", "m", "z"}; !reflect.DeepEqual(ix.Names, want) {
+		t.Errorf("Names = %v, want %v", ix.Names, want)
+	}
+	if want := []FileFuncs{{Path: "a.c", Names: []string{"z"}}, {Path: "b.c", Names: []string{"f", "m"}}}; !reflect.DeepEqual(ix.Files, want) {
+		t.Errorf("Files = %+v, want %+v", ix.Files, want)
+	}
+	for i, f := range ix.Files {
+		for k, name := range f.Names {
+			if at, ok := ix.Lookup(name); !ok || ix.Positions(i)[k] != at || ix.Names[at] != name {
+				t.Errorf("%s: position %d, lookup %d (%v)", name, ix.Positions(i)[k], at, ok)
+			}
+		}
+	}
+	if _, ok := ix.Lookup("p"); ok {
+		t.Error("a prototype is indexed")
+	}
+
+	art := (&Builder{Workers: 1}).BuildArtifactContext(context.Background(), srcs[:1], false)
+	part := (&Builder{DB: apidb.New()}).AssembleShard(art, &Exchange{Files: 2, Decls: u.Decls})
+	if want := []FileFuncs{{Path: "a.c", Names: []string{"z"}}}; !reflect.DeepEqual(part.Defined().Files, want) {
+		t.Errorf("a.c's shard indexes %+v, want %+v", part.Defined().Files, want)
+	}
+	if got := part.Defined().Positions(0); !reflect.DeepEqual(got, []int{0}) {
+		t.Errorf("a.c's shard positions = %v, want [0]", got)
+	}
+}
+
 // TestRecordsRoundTrip pins the record codec: a real shard's records
 // survive encoding exactly, every truncation fails with
 // bincodec.ErrCorrupt, and no cpg payload kind decodes another's bytes.

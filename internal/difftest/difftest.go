@@ -122,9 +122,10 @@ const matrixWorkers = 8
 // every tier of the cache: a second run on the same handle must be served
 // out of the in-memory L1 tier, a run on a reopened handle must be served
 // from the disk packs into a cold L1, and editing one file must miss the
-// unit entry while the untouched files still hit the front-end cache and
-// their per-file facts and report entries (only the edited file's facts
-// re-derive and its functions are re-checked) — and, on a handle whose L1
+// unit entry while the untouched files still hit the front-end cache, their
+// per-file report entries and whichever facts entries the run consults
+// (see editSplit; only the edited file's facts re-derive and its functions
+// are re-checked) — and, on a handle whose L1
 // is warm, reuse their memoized parses (only the edited file is parsed
 // again). A handle with no memory tier (WithMemory(0)) gets a cold fill and
 // a one-file edit of its own: the edit still front-end-hits every untouched
@@ -163,12 +164,12 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 	// set rather than `want`.
 	edited := ss.Clone()
 	editedWant := ""
-	var wantFactsHit, wantFactsMiss int64
+	var wantSplit fileCounts
 	if len(edited.Sources) > 0 {
 		edited.Sources[0].Content += "\n/* difftest: invalidation probe */\n"
 		editedRun := traced(edited, 1, nil)
 		editedWant = RenderRun(editedRun)
-		wantFactsHit, wantFactsMiss = factsSplit(editedRun.Unit, edited.Sources[0].Path)
+		wantSplit = editSplit(editedRun.Unit, edited.Sources[0].Path)
 	}
 
 	// Both worker counts see every cache state: each order pair runs one
@@ -230,7 +231,7 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 				return nil, fmt.Errorf("difftest: edited-file run (workers=%d) should front-end-hit the %d untouched files, hit %d",
 					order[1], wantHits, inval.Metric("frontend.cache.hit"))
 			}
-			if err := fileSplit("edited-file", order[1], inval, wantFactsHit, wantFactsMiss); err != nil {
+			if err := fileSplit("edited-file", order[1], inval, wantSplit); err != nil {
 				os.RemoveAll(dir)
 				return nil, err
 			}
@@ -264,7 +265,7 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 				return nil, fmt.Errorf("difftest: L1-warm edited-file run (workers=%d) should reuse the %d untouched files' parses and miss 1: reused %d, missed %d",
 					order[1], wantReused, reused, miss)
 			}
-			if err := fileSplit("L1-warm edited-file", order[1], l1inval, wantFactsHit, wantFactsMiss); err != nil {
+			if err := fileSplit("L1-warm edited-file", order[1], l1inval, wantSplit); err != nil {
 				return nil, err
 			}
 			if got := RenderRun(l1inval); got != editedWant {
@@ -299,7 +300,7 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 				return nil, fmt.Errorf("difftest: no-memory-tier edited-file run (workers=%d) should front-end-hit the %d untouched files and reuse no parse: hit %d, reused %d",
 					order[1], wantHits, hit, reused)
 			}
-			if err := fileSplit("no-memory-tier edited-file", order[1], nomemInval, wantFactsHit, wantFactsMiss); err != nil {
+			if err := fileSplit("no-memory-tier edited-file", order[1], nomemInval, wantSplit); err != nil {
 				return nil, err
 			}
 			if got := RenderRun(nomemInval); got != editedWant {
@@ -342,31 +343,60 @@ func Matrix(ss SourceSet) (*core.Run, error) {
 	return base, nil
 }
 
-// factsSplit is the per-file cache outcome a one-file edit must produce,
-// for the facts entries and the report entries alike: the edited file's
-// entry misses (when it defines functions) and every other file's entry
-// hits.
-func factsSplit(u *cpg.Unit, edited string) (hits, misses int64) {
-	for _, f := range facts.NewUnit(u).Files() {
-		if f.Path == edited {
-			misses++
-		} else {
-			hits++
-		}
-	}
-	return hits, misses
+// fileCounts is a one-file edit's per-file cache outcome: hits and misses
+// for the facts entries and for the report entries.
+type fileCounts struct {
+	factsHit, factsMiss, reportsHit, reportsMiss int64
 }
 
-// fileSplit checks a one-file-edit run's per-file entries: the facts
-// entries and the report entries must both split hits/misses as factsSplit
-// says — only the edited file's facts are derived and its functions checked
-// again.
-func fileSplit(state string, workers int, run *core.Run, hits, misses int64) error {
-	for _, kind := range []string{"facts", "reports"} {
-		hit, miss := run.Metric("cache."+kind+".hit"), run.Metric("cache."+kind+".miss")
-		if hit != hits || miss != misses {
+// editSplit is the per-file cache outcome a one-file edit must produce. The
+// edited file's report entry misses (when it defines functions) and every
+// other file's hits. A facts entry is consulted only where its facts will
+// be read: the edited file's (it misses), and those of the other files
+// that define an input of a unit-scoped checker (they hit).
+func editSplit(u *cpg.Unit, edited string) fileCounts {
+	inputs := map[string]bool{}
+	engine, err := core.NewEngineFor(nil)
+	if err != nil {
+		panic("difftest: " + err.Error())
+	}
+	for _, c := range engine.Checkers {
+		if uc, ok := c.(core.UnitChecker); ok {
+			for _, name := range uc.Inputs(u.DB, u.Decls) {
+				if f := u.Decls.Funcs[name]; f.Body {
+					inputs[f.File] = true
+				}
+			}
+		}
+	}
+	var want fileCounts
+	for _, f := range facts.NewUnit(u).Files() {
+		switch {
+		case f.Path == edited:
+			want.factsMiss++
+			want.reportsMiss++
+		case inputs[f.Path]:
+			want.factsHit++
+			want.reportsHit++
+		default:
+			want.reportsHit++
+		}
+	}
+	return want
+}
+
+// fileSplit checks a one-file-edit run's per-file entries against
+// editSplit's outcome: only the edited file's facts are derived and its
+// functions checked again.
+func fileSplit(state string, workers int, run *core.Run, want fileCounts) error {
+	for _, c := range []struct {
+		kind      string
+		hit, miss int64
+	}{{"facts", want.factsHit, want.factsMiss}, {"reports", want.reportsHit, want.reportsMiss}} {
+		hit, miss := run.Metric("cache."+c.kind+".hit"), run.Metric("cache."+c.kind+".miss")
+		if hit != c.hit || miss != c.miss {
 			return fmt.Errorf("difftest: %s run (workers=%d) should miss only the edited file's %s entry: %d hits, %d misses, want %d, %d",
-				state, workers, kind, hit, miss, hits, misses)
+				state, workers, c.kind, hit, miss, c.hit, c.miss)
 		}
 	}
 	return nil

@@ -18,7 +18,6 @@
 package facts
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -194,29 +193,38 @@ type slot struct {
 type UnitFacts struct {
 	Unit *cpg.Unit
 
-	names    []string
-	slots    map[string]*slot
+	ix       *cpg.FuncIndex
+	slots    []slot // aligned with ix.Names
 	computes atomic.Int64
 }
 
-// NewUnit prepares (but does not compute) facts for every defined function.
+// NewUnit prepares (but does not compute) facts for every defined function
+// of the unit's index (cpg.Unit.Defined).
 func NewUnit(u *cpg.Unit) *UnitFacts {
-	uf := &UnitFacts{Unit: u, slots: map[string]*slot{}}
-	for _, fn := range u.DefinedFunctions() {
-		uf.names = append(uf.names, fn.Def.Name)
-		uf.slots[fn.Def.Name] = &slot{}
-	}
-	return uf
+	ix := u.Defined()
+	return &UnitFacts{Unit: u, ix: ix, slots: make([]slot, len(ix.Names))}
 }
 
 // FunctionNames returns the defined (body-carrying) function names in sorted
 // order — the engine's unit of work.
-func (uf *UnitFacts) FunctionNames() []string { return uf.names }
+func (uf *UnitFacts) FunctionNames() []string { return uf.ix.Names }
+
+// Index returns the unit's defined-function index, which FunctionNames and
+// Files read.
+func (uf *UnitFacts) Index() *cpg.FuncIndex { return uf.ix }
+
+// slot returns the named defined function's slot, or nil.
+func (uf *UnitFacts) slot(name string) *slot {
+	if i, ok := uf.ix.Lookup(name); ok {
+		return &uf.slots[i]
+	}
+	return nil
+}
 
 // Function returns the named function's facts, computing them on first use.
 // It returns nil for prototypes and unknown names.
 func (uf *UnitFacts) Function(name string) *FunctionFacts {
-	s := uf.slots[name]
+	s := uf.slot(name)
 	if s == nil {
 		return nil
 	}
@@ -245,8 +253,8 @@ func (uf *UnitFacts) Observe(reg *obs.Registry) {
 	computed := uf.computes.Load()
 	reg.Add("facts.computed", computed)
 	preloaded := int64(0)
-	for _, s := range uf.slots {
-		if s.pre != nil && s.ff != nil && s.ff.Data == s.pre {
+	for i := range uf.slots {
+		if s := &uf.slots[i]; s.pre != nil && s.ff != nil && s.ff.Data == s.pre {
 			preloaded++
 		}
 	}
@@ -255,27 +263,12 @@ func (uf *UnitFacts) Observe(reg *obs.Registry) {
 
 // FileFuncs is one source file's share of a unit's defined functions: the
 // granularity of the analysis cache's facts entries.
-type FileFuncs struct {
-	Path  string
-	Names []string // sorted
-}
+type FileFuncs = cpg.FileFuncs
 
 // Files groups the defined functions by defining file, files in path order.
 // A name defined in several files belongs to the file whose definition the
 // unit kept (cpg.Function.File).
-func (uf *UnitFacts) Files() []FileFuncs {
-	byFile := map[string][]string{}
-	for _, name := range uf.names {
-		path := uf.Unit.Functions[name].File
-		byFile[path] = append(byFile[path], name)
-	}
-	out := make([]FileFuncs, 0, len(byFile))
-	for path, names := range byFile {
-		out = append(out, FileFuncs{Path: path, Names: names})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}
+func (uf *UnitFacts) Files() []FileFuncs { return uf.ix.Files }
 
 // Preload seeds the named functions' slots from a cached snapshot when the
 // snapshot covers every name, and reports whether it did; an incomplete
@@ -286,19 +279,19 @@ func (uf *UnitFacts) Preload(names []string, snap map[string]*Data) bool {
 		return false
 	}
 	for _, name := range names {
-		if uf.slots[name] == nil || snap[name] == nil {
+		if uf.slot(name) == nil || snap[name] == nil {
 			return false
 		}
 	}
 	for _, name := range names {
-		uf.slots[name].pre = snap[name]
+		uf.slot(name).pre = snap[name]
 	}
 	return true
 }
 
 // Snapshot returns every defined function's serializable facts (forcing any
 // not yet computed), keyed by function name.
-func (uf *UnitFacts) Snapshot() map[string]*Data { return uf.SnapshotOf(uf.names) }
+func (uf *UnitFacts) Snapshot() map[string]*Data { return uf.SnapshotOf(uf.ix.Names) }
 
 // SnapshotOf is Snapshot restricted to the named defined functions — one
 // file's analysiscache facts entry.
