@@ -52,7 +52,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken after analysis) to this file")
 	pprofHTTP := flag.String("pprof-http", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the lifetime of the run")
 	watchMode := flag.Bool("watch", false, "poll DIR... for changes and re-analyze on edit (pairs with -cache for incremental runs)")
-	watchInterval := flag.Duration("watch-interval", time.Second, "with -watch: polling interval")
+	watchInterval := flag.Duration("watch-interval", time.Second, "with -watch: polling interval when file events are unavailable")
 	watchRuns := flag.Int("watch-runs", 0, "with -watch: exit after N analysis runs (0 = run until interrupted)")
 	watchOut := flag.String("watch-out", "", "with -watch: write each run's reports atomically to this file instead of stdout")
 	flag.Parse()

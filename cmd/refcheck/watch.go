@@ -18,8 +18,9 @@ import (
 	"repro/internal/watch"
 )
 
-// runWatch is the -watch mode: poll the directories for source changes and
-// re-analyze on every edit. The tiered cache handle (when -cache is set)
+// runWatch is the -watch mode: wait for source changes under the
+// directories (file events on Linux, polling elsewhere) and re-analyze on
+// every edit. The tiered cache handle (when -cache is set)
 // stays open across runs, so after the first analysis an edit re-reads,
 // re-parses, re-derives the facts of and re-checks exactly the changed
 // files — while the rendered output of every run is byte-identical to a
@@ -51,8 +52,8 @@ func runWatch(opts *cliopts.Opts, dirs []string, apidbPath string, interval time
 	defer stop()
 
 	runs := 0
-	// tree is the previous run's load: a change tick re-reads only the
-	// files the poller reported (see loader.Reload).
+	// tree is the previous run's load: a change re-reads only the files the
+	// watcher reported (see loader.Reload).
 	var tree *loader.Tree
 	// out holds the rendered output; every run renders into the same
 	// storage.
@@ -127,6 +128,9 @@ func runWatch(opts *cliopts.Opts, dirs []string, apidbPath string, interval time
 		Interval: interval,
 		MaxRuns:  maxRuns,
 		Run:      runOnce,
+		Mode: func(mode string) {
+			fmt.Fprintf(os.Stderr, "refcheck: watch: %s\n", mode)
+		},
 	})
 	switch {
 	case err == nil, errors.Is(err, context.Canceled):

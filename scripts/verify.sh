@@ -52,6 +52,9 @@ go vet ./...
 # so an API change that breaks refbench fails now, not in the benchmark run.
 go -C bench vet ./...
 go build ./...
+# File events are Linux-only; the poll fallback is what other platforms
+# build, so keep it compiling.
+GOOS=darwin go build ./...
 go test ./...
 go test -race ./...
 # The arena's reuse-after-release guards exist only under -tags arenadebug:
@@ -228,10 +231,10 @@ for run in cold warm; do
 done
 
 # Watch-mode gate: refgen a tree, take a cold reference run, then start
-# `refcheck -watch` with a warm cache and a 2-run budget, edit one file
-# between runs (EOF comment append — shifts no report lines), and require
-# the incremental re-run's report to be byte-identical to a cold run over
-# the edited tree.
+# `refcheck -watch` with a warm cache and a 2-run budget, check its
+# detection mode line, edit one file between runs (EOF comment append —
+# shifts no report lines), and require the incremental re-run's report to
+# be byte-identical to a cold run over the edited tree.
 "$tmp/refgen" -out "$tmp/wtree" > /dev/null
 "$tmp/refcheck" "$tmp/wtree" > "$tmp/watch-ref.txt"
 "$tmp/refcheck" -watch -watch-interval 100ms -watch-runs 2 \
@@ -249,6 +252,15 @@ while ! cmp -s "$tmp/watch-ref.txt" "$tmp/watch-out.txt" 2> /dev/null; do
     fi
     sleep 0.1
 done
+# Where the kernel offers inotify the watcher must wait for file events,
+# not poll, and say so before the initial run.
+if [ -d /proc/sys/fs/inotify ] &&
+    ! head -n 1 "$tmp/watch.log" | grep -Eq '^refcheck: watch: file events on [1-9][0-9]* directories$'; then
+    echo "verify: refcheck -watch did not report 'file events on N directories'" >&2
+    cat "$tmp/watch.log" >&2
+    kill "$WPID" 2> /dev/null || true
+    exit 1
+fi
 edit_file="$(find "$tmp/wtree" -name '*.c' | sort | head -1)"
 printf '/* verify watch edit */\n' >> "$edit_file"
 watch_status=0
