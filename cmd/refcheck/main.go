@@ -89,8 +89,28 @@ func main() {
 		return
 	}
 
+	// The profile covers the analysis: the one run, or every run of a
+	// watcher until it exits.
+	stopProfile := func() {}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "refcheck: %v\n", err)
+			os.Exit(1)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "refcheck: %v\n", err)
+			os.Exit(1)
+		}
+		stopProfile = func() {
+			pprof.StopCPUProfile()
+			f.Close()
+		}
+	}
+
 	if *watchMode {
 		code := runWatch(&opts, flag.Args(), *apidbPath, *watchInterval, *watchRuns, *watchOut)
+		stopProfile()
 		os.Exit(code)
 	}
 
@@ -116,18 +136,6 @@ func main() {
 	}
 	req.Options.DB = db
 	req.Options.ConfigFP = configFP
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "refcheck: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "refcheck: %v\n", err)
-			os.Exit(1)
-		}
-	}
 
 	// Interrupts cancel the pipeline at the next phase or work-queue
 	// boundary: the workers drain, and the partial run is discarded.
@@ -162,9 +170,7 @@ func main() {
 		}
 	}
 
-	if *cpuProfile != "" {
-		pprof.StopCPUProfile()
-	}
+	stopProfile()
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {

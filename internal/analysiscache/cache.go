@@ -59,6 +59,7 @@ import (
 	"hash"
 	"os"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -386,19 +387,32 @@ func (c *Cache) Stats() Stats {
 // KeyOf derives a cache key from its parts: each part is length-prefixed
 // before hashing so distinct part lists can never collide by concatenation.
 func KeyOf(parts ...string) string {
-	h := sha256.New()
-	// Only the short prefix is copied; each part reaches the hash through
-	// a read-only view of its own bytes, since parts include whole file
-	// contents.
-	pre := make([]byte, 0, 24)
+	// A run derives a key per file for several entry kinds, so the hash
+	// state and its buffers are reused: the key string is the one
+	// allocation.
+	k := keyers.Get().(*keyer)
+	defer keyers.Put(k)
+	k.h.Reset()
 	for _, p := range parts {
-		pre = strconv.AppendInt(pre[:0], int64(len(p)), 10)
-		h.Write(append(pre, ':'))
-		WriteString(h, p)
+		// Only the short prefix is copied; each part reaches the hash
+		// through a read-only view of its own bytes, since parts include
+		// whole file contents.
+		k.h.Write(append(strconv.AppendInt(k.pre[:0], int64(len(p)), 10), ':'))
+		WriteString(k.h, p)
 	}
-	var sum [sha256.Size]byte
-	return hex.EncodeToString(h.Sum(sum[:0]))
+	hex.Encode(k.hex[:], k.h.Sum(k.sum[:0]))
+	return string(k.hex[:])
 }
+
+// keyer is KeyOf's reusable state.
+type keyer struct {
+	h   hash.Hash
+	pre [24]byte
+	sum [sha256.Size]byte
+	hex [2 * sha256.Size]byte
+}
+
+var keyers = sync.Pool{New: func() any { return &keyer{h: sha256.New()} }}
 
 // WriteString feeds s to h without copying it: a hash only reads what it
 // is given and keeps none of it, so a view of the string's bytes is safe.

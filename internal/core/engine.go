@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"slices"
+	"sort"
 
 	"repro/internal/analysiscache"
 	"repro/internal/apidb"
@@ -23,6 +25,10 @@ import (
 // Checkers that own only part of a diagnosis emit candidates tagged with a
 // DeferralReason instead of skipping them inline — the engine's precedence
 // table (precedence.go) drops deferred candidates after collection.
+//
+// Every report names, as its File, the file that defines the function it
+// is about (for a unit-scoped checker, the function whose facts it found
+// the bug in): the engine finalizes file by file (see Engine.finish).
 type Checker interface {
 	ID() Pattern
 	Check(ff *facts.FunctionFacts) []Report
@@ -88,12 +94,14 @@ func (e *Engine) CheckUnit(u *cpg.Unit) []Report {
 func (e *Engine) CheckUnitFacts(uf *facts.UnitFacts) []Report {
 	cells := e.checkFunctions(context.Background(), uf, nil)
 	u := uf.Unit
-	return e.finish(cells, &UnitView{DB: u.DB, Decls: u.Decls, Facts: func(name string) *facts.Data {
+	units := e.runUnit(&UnitView{DB: u.DB, Decls: u.Decls, Facts: func(name string) *facts.Data {
 		if ff := uf.Function(name); ff != nil {
 			return ff.Data
 		}
 		return nil
-	}})
+	}}, false)
+	out, _, _ := e.finish(nil, cells, units, nil)
+	return out
 }
 
 // unitInputs lists the names in the unit-scoped checkers' read sets; a name
@@ -168,44 +176,196 @@ func (e *Engine) checkFunctions(ctx context.Context, uf *facts.UnitFacts, cells 
 	return cells
 }
 
-// finish turns the whole unit's cells — aligned with the defined function
-// names in sorted order, from one process or many — into the report list:
-// it runs the unit-scoped checkers (P6) over v on the coordinating
-// goroutine, merges in checker-major, function-name order — exactly the
-// order the sequential loop produced, so finalize sees an identical input
-// stream (duplicate survival and tie-breaks match byte for byte) — then
-// applies the deferral table and finalize.
-func (e *Engine) finish(cells [][][]Report, v *UnitView) []Report {
-	reg := e.Obs.Reg()
-	n := 0
-	for _, cell := range cells {
-		for _, rs := range cell {
-			n += len(rs)
-		}
-	}
-	all := make([]Report, 0, n)
+// unitReports is what the unit-scoped checkers reported over one unit:
+// their candidates per checker in the order they came, and the same
+// grouped by the file each names, one cell per engine checker (nil but at
+// the unit-scoped checkers' positions), with a fingerprint of each file's
+// cells when the run keeps per-file lists (see Engine.finish).
+type unitReports struct {
+	key    string // what the exchange memo keyed the reports on ("" when not kept)
+	all    [][]Report
+	byFile map[string][][]Report
+	fp     map[string]string
+}
+
+// runUnit runs the unit-scoped checkers (P6) over v on the coordinating
+// goroutine, each under a "pass" span. With withFP it fingerprints each
+// file's cells, which per-file lists reused across runs are keyed on.
+func (e *Engine) runUnit(v *UnitView, withFP bool) *unitReports {
+	ur := &unitReports{all: make([][]Report, len(e.Checkers)), byFile: map[string][][]Report{}}
 	for ci, c := range e.Checkers {
-		if uc, ok := c.(UnitChecker); ok {
-			sp := e.Obs.Child("pass").Str("pattern", string(c.ID()))
-			found := uc.CheckUnit(v)
-			sp.Int("candidates", len(found)).End()
-			all = append(all, found...)
+		uc, ok := c.(UnitChecker)
+		if !ok {
 			continue
 		}
-		for _, cell := range cells {
-			if cell != nil {
-				all = append(all, cell[ci]...)
+		sp := e.Obs.Child("pass").Str("pattern", string(c.ID()))
+		found := uc.CheckUnit(v)
+		sp.Int("candidates", len(found)).End()
+		ur.all[ci] = found
+		for _, r := range found {
+			row := ur.byFile[r.File]
+			if row == nil {
+				row = make([][]Report, len(e.Checkers))
+				ur.byFile[r.File] = row
+			}
+			row[ci] = append(row[ci], r)
+		}
+	}
+	if withFP {
+		ur.fp = make(map[string]string, len(ur.byFile))
+		for file, row := range ur.byFile {
+			ur.fp[file] = cellsFP(row)
+		}
+	}
+	return ur
+}
+
+// segment is one file's finalized report list, its share of a run's
+// output (in path order, finish returns every file's), with what it was
+// derived from: the file's defined functions and
+// the fingerprint of the unit-scoped reports it received ("" for none).
+// Its report entry keeps the latest one (reportsEntry.fin), so a run whose
+// inputs for the file are unchanged reuses it. Witness blocks are
+// stripped, and everything in it is immutable once published.
+type segment struct {
+	path    string
+	names   []string
+	unit    string
+	reports []Report
+	key     string // the segment's cache key; "" when it has none
+	size    int64  // its encoded size, the unit entry's charge for it
+}
+
+// newSegment is a segment that finish derived this run, with its encoding
+// when it is to be stored.
+type newSegment struct {
+	*segment
+	enc []byte
+}
+
+// finish turns the whole unit's cells — aligned with ix.Names, from one
+// process or many — and the unit-scoped checkers' reports into the report
+// list, one file at a time. A file's candidates are its functions' cells
+// and the unit-scoped reports that name it, merged in checker-major,
+// function-name order — the order the sequential loop produced, so
+// duplicate survival and tie-breaks match byte for byte — and the
+// deferral table and finalize run over them. Every report names the file
+// that defines its function (for P6, the acquiring function), and
+// finalize's keys and sort are file-major, so the path-ordered
+// concatenation of the files' lists equals one finalize over the whole
+// unit. A nil ix finishes the whole unit as one list: the same output,
+// for a run that has no file's list to reuse.
+//
+// With fe (an in-process run over the whole unit, under a cache) a file
+// whose report entry already holds a list finalized from the same
+// functions and the same unit-scoped reports reuses it. Every other file
+// is finalized (finish.files.refinalized counts the files a per-file
+// finish finalizes) and its list stored in its report entry; one that has
+// a key and is not empty is also returned, with its encoding, among the
+// new segments. finish returns the report list and every file's segment.
+func (e *Engine) finish(ix *cpg.FuncIndex, cells [][][]Report, units *unitReports, fe *fileEntries) ([]Report, []*segment, []newSegment) {
+	reg := e.Obs.Reg()
+	var segs []*segment
+	var made []newSegment
+	// one finalizes the file at path: the functions at pos (names) and the
+	// unit-scoped cells uc.
+	one := func(path string, pos []int, names []string, uc [][]Report, ufp string, ent *reportsEntry, key string) {
+		if ent != nil {
+			if s := ent.fin.Load(); s != nil && s.unit == ufp && slices.Equal(s.names, names) {
+				segs = append(segs, s)
+				return
+			}
+		}
+		n := 0
+		for _, rs := range uc {
+			n += len(rs)
+		}
+		for _, p := range pos {
+			for _, rs := range cells[p] {
+				n += len(rs)
+			}
+		}
+		cands := make([]Report, 0, n)
+		for ci, c := range e.Checkers {
+			if _, ok := c.(UnitChecker); ok {
+				if uc != nil {
+					cands = append(cands, uc[ci]...)
+				}
+				continue
+			}
+			for _, p := range pos {
+				if cells[p] != nil {
+					cands = append(cands, cells[p][ci]...)
+				}
+			}
+		}
+		s := &segment{path: path, names: names, unit: ufp,
+			reports: stripBlocks(finalize(applyDeferrals(cands, reg)))}
+		if ix != nil {
+			reg.Add("finish.files.refinalized", 1)
+		}
+		segs = append(segs, s)
+		if ent == nil {
+			return
+		}
+		if key != "" && len(s.reports) > 0 {
+			enc := encodeSegment(s.reports)
+			s.key, s.size = segmentKey(key, ufp, names), int64(len(enc))
+			made = append(made, newSegment{s, enc})
+		}
+		ent.fin.Store(s)
+	}
+	if ix != nil {
+		for path := range units.byFile {
+			i := sort.Search(len(ix.Files), func(i int) bool { return ix.Files[i].Path >= path })
+			if i == len(ix.Files) || ix.Files[i].Path != path {
+				ix = nil // a unit-scoped report on a file outside ix: finish as one list
+				break
 			}
 		}
 	}
-	out := finalize(applyDeferrals(all, reg))
-	if reg != nil {
-		reg.Add("reports.total", int64(len(out)))
-		for _, r := range out {
-			reg.Add("reports."+string(r.Pattern), 1)
+	if ix == nil {
+		all := make([]int, len(cells))
+		for i := range all {
+			all[i] = i
+		}
+		one("", all, nil, units.all, "", nil, "")
+	} else {
+		for fi, file := range ix.Files {
+			var ent *reportsEntry
+			var key string
+			if fe != nil {
+				ent, key = fe.ents[fi], fe.keys[fi]
+			}
+			one(file.Path, ix.Positions(fi), file.Names, units.byFile[file.Path], units.fp[file.Path], ent, key)
 		}
 	}
-	return out
+	var out []Report
+	if len(segs) == 1 && fe == nil {
+		out = segs[0].reports // no report entry keeps it, so it is the run's own
+	} else {
+		n := 0
+		for _, s := range segs {
+			n += len(s.reports)
+		}
+		out = make([]Report, 0, n)
+		for _, s := range segs {
+			out = append(out, s.reports...)
+		}
+	}
+	if reg != nil {
+		reg.Add("reports.total", int64(len(out)))
+		// Counted per pattern, then added once each: a run's output is
+		// thousands of reports, and a warm run derives few of them.
+		byPattern := map[Pattern]int64{}
+		for i := range out {
+			byPattern[out[i].Pattern]++
+		}
+		for p, n := range byPattern {
+			reg.Add("reports."+string(p), n)
+		}
+	}
+	return out, segs, made
 }
 
 // Options configures the one-call pipeline.

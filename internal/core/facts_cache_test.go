@@ -45,7 +45,7 @@ func unitInputFiles(t *testing.T, u *cpg.Unit) map[string]bool {
 // reportBytes is a full-fidelity encoding of a report list (witnesses
 // included), so equal bytes mean equal reports.
 func reportBytes(rs []Report) []byte {
-	return encodeUnitEntry(&unitEntry{Reports: stripWitnessBlocks(rs)})
+	return encodeSegment(stripBlocks(append([]Report(nil), rs...)))
 }
 
 func analyzeFacts(t *testing.T, srcs []cpg.Source, headers map[string]string, cache *analysiscache.Cache) *Run {

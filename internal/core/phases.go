@@ -113,9 +113,11 @@ type ShardResult struct {
 	facts map[string]*facts.Data
 
 	// uf and pending are what storeFiles needs: the shard's facts and the
-	// per-file cache entries that missed.
+	// per-file cache entries that missed. m is the exchange memo the round
+	// checked against, which keeps the unit-scoped checkers' reports.
 	uf      *facts.UnitFacts
 	pending fileEntries
+	m       *exchangeMemo
 }
 
 // Encode serializes the result: the cells in the per-file report entry's
@@ -188,7 +190,7 @@ func checkMemo(ctx context.Context, req Request, m *exchangeMemo, art *cpg.Shard
 	engine.Obs = csp
 	uf := facts.NewUnit(u)
 	ins := m.unitInputs(engine)
-	res := &ShardResult{uf: uf, names: uf.FunctionNames()}
+	res := &ShardResult{uf: uf, names: uf.FunctionNames(), m: m}
 	if opt.Cache != nil {
 		res.pending = preloadFiles(opt.Cache, opt.ConfigFP, engine, m, ins, u, uf, req.Trace.Reg())
 	}
@@ -218,18 +220,40 @@ func checkMemo(ctx context.Context, req Request, m *exchangeMemo, art *cpg.Shard
 // Finish ends a run from every process's round-2 results: it drops their
 // cells into the whole unit's slot array — every defined function, in name
 // order, each owned by exactly one result — runs the unit-scoped checkers,
-// the deferral table and finalize over it with the results' facts,
-// summarizes from the exchange and optionally confirms. req.Options.DB
-// must hold x's discovery.
+// then the deferral table and finalize (see Engine.finish) with the
+// results' facts, summarizes from the exchange and optionally confirms.
+// req.Options.DB must hold x's discovery.
 func Finish(ctx context.Context, req Request, x *cpg.Exchange, results []*ShardResult) (*Run, error) {
+	run, _, _, err := finishFiles(ctx, req, x, results)
+	return run, err
+}
+
+// finishFiles is Finish, also returning the run's segments and the
+// segments it derived afresh. The result of an in-process round 2 over
+// the whole unit under a cache (Analyze's) carries each file's report
+// entry, so it finishes file by file: a file whose entry holds a list
+// finalized from the same inputs keeps it, and the unit-scoped checkers'
+// reports come from the exchange memo while their inputs' files are
+// unchanged (see exchangeMemo.unitReports). Any other run has no list to
+// reuse and finishes the unit as one list, which is the same output.
+func finishFiles(ctx context.Context, req Request, x *cpg.Exchange, results []*ShardResult) (*Run, []*segment, []newSegment, error) {
 	opt := req.Options
 	engine, err := newEngine(opt)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
+	var ix *cpg.FuncIndex
 	var cells [][][]Report
-	if len(results) == 1 {
-		cells = results[0].cells // one process held the whole unit
+	var fe *fileEntries
+	if len(results) == 1 && results[0].uf != nil {
+		// One process held the unit; its cells follow its own index. Under
+		// a cache its report entries hold the files' finalized lists, so
+		// it finishes file by file.
+		r := results[0]
+		cells = r.cells
+		if r.pending.ents != nil {
+			ix, fe = r.uf.Index(), &r.pending
+		}
 	} else {
 		type slot struct {
 			name  string
@@ -258,10 +282,19 @@ func Finish(ctx context.Context, req Request, x *cpg.Exchange, results []*ShardR
 	run := &Run{Trace: req.Trace, Summary: summarize(x)}
 	csp := req.Trace.Root().Child("phase:check")
 	engine.Obs = csp
-	run.Reports = engine.finish(cells, &UnitView{DB: opt.DB, Decls: x.Decls, Facts: lookup})
+	v := &UnitView{DB: opt.DB, Decls: x.Decls, Facts: lookup}
+	var units *unitReports
+	if fe != nil {
+		units = results[0].m.unitReports(engine, results[0].uf.Unit.SourceFP, v)
+	} else {
+		units = engine.runUnit(v, false)
+	}
+	var segs []*segment
+	var made []newSegment
+	run.Reports, segs, made = engine.finish(ix, cells, units, fe)
 	csp.End()
 	confirm(run, opt)
-	return run, ctx.Err()
+	return run, segs, made, ctx.Err()
 }
 
 // storeFiles stores every per-file facts and report entry that missed. A
@@ -275,20 +308,21 @@ func (r *ShardResult) storeFiles(cache *analysiscache.Cache) {
 		_ = cache.PutValue(m.key, snap, facts.EncodeSnapshot(snap))
 	}
 	for _, m := range r.pending.reports {
-		rep := make(map[string][][]Report, len(m.names))
+		ent := &reportsEntry{cells: make(map[string][][]Report, len(m.names))}
 		for k, name := range m.names {
-			rep[name] = stripCells(r.cells[m.pos[k]])
+			ent.cells[name] = stripCells(r.cells[m.pos[k]])
 		}
-		_ = cache.PutValue(m.key, rep, encodeReportsEntry(rep))
+		r.pending.ents[m.file] = ent
+		_ = cache.PutValue(m.key, ent, encodeReportsEntry(ent.cells))
 	}
 }
 
 // stripCells copies one function's cells with witness blocks stripped (see
-// stripWitnessBlocks).
+// stripBlocks).
 func stripCells(fc [][]Report) [][]Report {
 	out := make([][]Report, len(fc))
 	for ci, cell := range fc {
-		out[ci] = stripWitnessBlocks(cell)
+		out[ci] = stripBlocks(append([]Report(nil), cell...))
 	}
 	return out
 }

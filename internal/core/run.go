@@ -2,13 +2,12 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/analysiscache"
 	"repro/internal/apidb"
@@ -66,58 +65,91 @@ func (r *Run) Metric(name string) int64 {
 	return r.Trace.Reg().Counter(name)
 }
 
-// unitEntry is the persisted whole-run result. Reports are stored before
-// refsim confirmation (Confirmed is recomputed on load — it is a pure
-// function of the witness, so this keeps one entry valid for both -confirm
-// modes) and with witness CFG block pointers stripped (see
-// stripWitnessBlocks).
+// unitEntry is the whole-run result a unit key resolves to: the summary
+// and the run's report list as its files' segments, in path order, empty
+// ones left out. Reports are kept before refsim confirmation (Confirmed is
+// recomputed on load — it is a pure function of the witness, so one entry
+// serves both -confirm modes) and with witness CFG block pointers stripped
+// (see stripBlocks). On disk it is a manifest (encodeManifest): the summary
+// and each segment's key, the segments being entries of their own, so a
+// run stores only the segments it finalized afresh — an edit's — plus the
+// manifest, never the whole list again.
 type unitEntry struct {
-	Summary UnitSummary
-	Reports []Report
+	Summary  UnitSummary
+	Segments []*segment
 }
 
-// corpusFP fingerprints the full sorted corpus content (sources and
-// headers). Reports have cross-file dependencies — API discovery and the
-// inter-paired checker read the whole unit — so the unit-level report key
-// must cover every file. (The facts entries are per file: factsCacheKey
-// names the cross-file state they depend on explicitly.)
-func corpusFP(sources []cpg.Source, headers map[string]string) string {
-	h := sha256.New()
-	// Only the length prefix is copied; the content reaches the hash
-	// through a view of its own bytes.
-	pre := make([]byte, 0, 8)
-	add := func(s string) {
-		h.Write(binary.LittleEndian.AppendUint64(pre, uint64(len(s))))
-		analysiscache.WriteString(h, s)
+// reports returns the entry's report list.
+func (e *unitEntry) reports() []Report {
+	n := 0
+	for _, s := range e.Segments {
+		n += len(s.reports)
 	}
-	sorted := sources
-	byPath := func(i, j int) bool { return sorted[i].Path < sorted[j].Path }
-	if !sort.SliceIsSorted(sorted, byPath) {
-		sorted = append([]cpg.Source(nil), sources...)
-		sort.Slice(sorted, byPath)
+	out := make([]Report, 0, n)
+	for _, s := range e.Segments {
+		out = append(out, s.reports...)
 	}
-	for _, s := range sorted {
-		add(s.Path)
-		add(s.Content)
+	return out
+}
+
+// charge is what the memory tier charges the entry: its manifest plus its
+// segments' encodings, a stable proxy for the report lists it holds (the
+// same proxy an entry that encoded the whole list would be charged).
+func (e *unitEntry) charge(manifest int) int64 {
+	n := int64(manifest)
+	for _, s := range e.Segments {
+		n += s.size
 	}
-	hpaths := make([]string, 0, len(headers))
-	for p := range headers {
-		hpaths = append(hpaths, p)
+	return n
+}
+
+// keyedSources returns sources sorted by path, each with its front-end key
+// (cpg.FrontKey), so the unit key and the front end hash each source once.
+func keyedSources(sources []cpg.Source) []cpg.Source {
+	out := append([]cpg.Source(nil), sources...)
+	byPath := func(i, j int) bool { return out[i].Path < out[j].Path }
+	if !sort.SliceIsSorted(out, byPath) {
+		sort.SliceStable(out, byPath)
 	}
-	sort.Strings(hpaths)
-	for _, p := range hpaths {
-		add(p)
-		add(headers[p])
+	for i := range out {
+		out[i].Key = cpg.FrontKey(out[i].Path, out[i].Content)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return out
 }
 
 // unitCacheKey fingerprints everything that can influence the report list:
 // a format version, the caller's checker-config fingerprint, the engine's
 // checker selection (so -checkers subset runs never collide with full
-// runs), and the full corpus content.
-func unitCacheKey(configFP, checkersFP, corpus string) string {
-	return analysiscache.KeyOf("unit-v5", configFP, checkersFP, corpus)
+// runs), and the full corpus content. Reports have cross-file dependencies
+// — API discovery and the inter-paired checker read the whole unit — so
+// the key covers every file: each source through its front-end key (which
+// covers its path and every byte of its content; sources as keyedSources
+// returns them), each header through its path and content.
+func unitCacheKey(configFP, checkersFP string, sources []cpg.Source, headers map[string]string) string {
+	hpaths := make([]string, 0, len(headers))
+	for p := range headers {
+		hpaths = append(hpaths, p)
+	}
+	sort.Strings(hpaths)
+	parts := make([]string, 0, 5+len(sources)+2*len(hpaths))
+	parts = append(parts, "unit-v6", configFP, checkersFP, strconv.Itoa(len(sources)))
+	for _, s := range sources {
+		parts = append(parts, s.Key)
+	}
+	parts = append(parts, strconv.Itoa(len(hpaths)))
+	for _, p := range hpaths {
+		parts = append(parts, p, headers[p])
+	}
+	return analysiscache.KeyOf(parts...)
+}
+
+// segmentKey fingerprints one file's segment: its report entry's key (the
+// cells of the functions it defines), the functions it holds and the
+// fingerprint of the unit-scoped reports it received.
+func segmentKey(reportsKey, unitFP string, names []string) string {
+	parts := make([]string, 0, 3+len(names))
+	parts = append(parts, "segment-v1", reportsKey, unitFP)
+	return analysiscache.KeyOf(append(parts, names...)...)
 }
 
 // factsCacheKey fingerprints one file's facts entry: the facts of the
@@ -177,21 +209,46 @@ func checkEnvFP(u *cpg.Unit) string {
 }
 
 // fileEntry is one file's facts or report entry that missed: its key, the
-// functions it must cover when stored and their positions in the unit's
-// defined-function order (report entries only).
+// functions it must cover when stored, their positions in the unit's
+// defined-function order and (report entries only) the file's index in
+// the unit's FuncIndex.Files.
 type fileEntry struct {
 	key   string
 	names []string
 	pos   []int
+	file  int
+}
+
+// reportsEntry is one file's report entry as the memory tier holds it: the
+// raw cells of the functions it defines, by name, and the file's latest
+// finalized list (see Engine.finish), which a later run reuses while the
+// file's functions and the unit-scoped reports it receives stay the same.
+// Only the cells are encoded.
+type reportsEntry struct {
+	cells map[string][][]Report
+	fin   atomic.Pointer[segment]
+}
+
+func decodeReportsEntry(data []byte) (any, error) {
+	v, err := decodeReportsValue(data)
+	if err != nil {
+		return nil, err
+	}
+	return &reportsEntry{cells: v.(map[string][][]Report)}, nil
 }
 
 // fileEntries is what the per-file cache entries give one round 2: the
 // facts and report entries that missed (stored after checking) and the
 // report hits' cells, aligned with UnitFacts.FunctionNames (nil for
-// functions still to check; Engine.checkFunctions fills those in).
+// functions still to check; Engine.checkFunctions fills those in). ents
+// and keys, aligned with the unit's FuncIndex.Files, hold each file's
+// report entry and its key (nil and "" for a file the build could not
+// fingerprint); a missed entry is filled in when it is stored.
 type fileEntries struct {
 	facts, reports []fileEntry
 	cells          [][][]Report
+	ents           []*reportsEntry
+	keys           []string
 }
 
 // preloadFiles looks up the report entry of every file that defines
@@ -208,7 +265,8 @@ func preloadFiles(cache *analysiscache.Cache, configFP string, engine *Engine, m
 	env, checkEnv := m.fingerprints(u, reg)
 	checkersFP := engine.patternsFP()
 	ix := uf.Index()
-	out := fileEntries{cells: make([][][]Report, len(ix.Names))}
+	out := fileEntries{cells: make([][][]Report, len(ix.Names)),
+		ents: make([]*reportsEntry, len(ix.Files)), keys: make([]string, len(ix.Files))}
 	for fi, f := range ix.Files {
 		src := u.SourceFP[f.Path]
 		if src == "" {
@@ -216,18 +274,20 @@ func preloadFiles(cache *analysiscache.Cache, configFP string, engine *Engine, m
 		}
 		pos := ix.Positions(fi)
 		key := reportsCacheKey(configFP, env, src, checkEnv, checkersFP)
-		if v, ok := cache.GetValue(key, decodeReportsValue); ok && covers(v.(map[string][][]Report), f.Names, len(engine.Checkers)) {
+		out.keys[fi] = key
+		if v, ok := cache.GetValue(key, decodeReportsEntry); ok && covers(v.(*reportsEntry).cells, f.Names, len(engine.Checkers)) {
 			reg.Add("cache.reports.hit", 1)
-			ent := v.(map[string][][]Report)
+			ent := v.(*reportsEntry)
+			out.ents[fi] = ent
 			for k, name := range f.Names {
-				out.cells[pos[k]] = ent[name]
+				out.cells[pos[k]] = ent.cells[name]
 			}
 			if !ins.files[f.Path] {
 				continue
 			}
 		} else {
 			reg.Add("cache.reports.miss", 1)
-			out.reports = append(out.reports, fileEntry{key: key, names: f.Names, pos: pos})
+			out.reports = append(out.reports, fileEntry{key: key, names: f.Names, pos: pos, file: fi})
 		}
 		key = factsCacheKey(configFP, env, src)
 		// The snapshot may be L1-shared across runs; Preload only reads it,
@@ -253,28 +313,28 @@ func covers(ent map[string][][]Report, names []string, nc int) bool {
 	return true
 }
 
-// stripWitnessBlocks copies reports with each witness event's CFG block
-// pointer cleared. Blocks form cycles (Succs/Preds) that no flat encoding
-// can represent — the report codec simply never writes them — and nothing
-// downstream of finalize reads them: refsim replays on Op/Obj/API/Info,
-// patch generation on Pos, so cached reports round-trip to the same
-// rendered output. The facts layer already strips blocks from its
-// normalized traces, so a witness without a block is shared rather than
-// copied (nothing writes witness events); this remains as a guard for
-// checkers that attach events from elsewhere.
-func stripWitnessBlocks(reports []Report) []Report {
-	out := append([]Report(nil), reports...)
-	for i := range out {
-		if !hasBlock(out[i].Witness) {
+// stripBlocks clears each witness event's CFG block pointer in reports,
+// copying the witness of a report that has any, and returns reports.
+// Blocks form cycles (Succs/Preds) that no flat encoding can represent —
+// the report codec simply never writes them — and nothing downstream of
+// finalize reads them: refsim replays on Op/Obj/API/Info, patch generation
+// on Pos, so cached reports round-trip to the same rendered output. The
+// facts layer already strips blocks from its normalized traces, so a
+// witness without a block is shared rather than copied (nothing writes
+// witness events); this remains as a guard for checkers that attach events
+// from elsewhere.
+func stripBlocks(reports []Report) []Report {
+	for i := range reports {
+		if !hasBlock(reports[i].Witness) {
 			continue
 		}
-		w := append([]semantics.Event(nil), out[i].Witness...)
+		w := append([]semantics.Event(nil), reports[i].Witness...)
 		for j := range w {
 			w[j].Block = nil
 		}
-		out[i].Witness = w
+		reports[i].Witness = w
 	}
-	return out
+	return reports
 }
 
 // admit acquires a compute slot from the options' admission gate; with no
@@ -299,22 +359,42 @@ func summarize(x *cpg.Exchange) UnitSummary {
 	}
 }
 
-// lookupUnit consults the tiered cache for a decoded unit entry. The value
-// may live in the cache's L1 and be shared with concurrent runs, so callers
-// must copy before mutating (serveCached does).
+// lookupUnit consults the tiered cache for a unit entry. The memory tier
+// serves the decoded entry; the disk tier holds its manifest, which names
+// the segments to read (see unitEntry). A segment that cannot be read
+// makes the entry a miss. The value may live in the cache's L1 and be
+// shared with concurrent runs, so callers must copy before mutating
+// (serveCached does).
 func lookupUnit(cache *analysiscache.Cache, key string) (*unitEntry, bool) {
+	manifest := 0
 	v, ok := cache.GetValue(key, func(data []byte) (any, error) {
-		ent := new(unitEntry)
-		if err := decodeUnitEntry(data, ent); err != nil {
+		ent, keys, err := decodeManifest(data)
+		if err != nil {
 			return nil, err
 		}
+		for _, k := range keys {
+			s, ok := cache.GetValue(k, decodeSegmentValue)
+			if !ok {
+				return nil, errMissingSegment
+			}
+			ent.Segments = append(ent.Segments, s.(*segment))
+		}
+		manifest = len(data)
 		return ent, nil
 	})
 	if !ok {
 		return nil, false
 	}
-	return v.(*unitEntry), true
+	ent := v.(*unitEntry)
+	if manifest > 0 {
+		// Decoded just now, so charged its manifest alone: charge it for
+		// the report lists it holds.
+		cache.Recharge(key, ent, ent.charge(manifest))
+	}
+	return ent, true
 }
+
+var errMissingSegment = errors.New("core: a unit entry's segment is missing")
 
 // hasBlock reports whether any event still carries a CFG block pointer.
 func hasBlock(evs []semantics.Event) bool {
@@ -340,7 +420,7 @@ func decodeFactsValue(data []byte) (any, error) {
 // replayed read-only, so they can stay shared.
 func serveCached(run *Run, ent *unitEntry, req Request, reg *obs.Registry) {
 	reg.Add("pipeline.files_skipped", int64(len(req.Sources)))
-	run.Reports = append([]Report(nil), ent.Reports...)
+	run.Reports = ent.reports()
 	run.Summary = ent.Summary
 	confirm(run, req.Options)
 }
@@ -363,13 +443,14 @@ func confirm(run *Run, opt Options) {
 // run's identical exchange is reused, see exchangeOrReuse), CheckRound
 // (as checkMemo, so it reads and fills the exchange memo's derivations)
 // checks the whole unit against the exchange's DB and Finish turns its
-// cells into the report list. Finish runs unconfirmed: with a cache the
-// unit entry is stored under key, next to the per-file entries CheckRound
-// queued, and a stored entry must stay confirmation-agnostic, so
-// confirming is the caller's job. One Flush then makes the run's entries
-// durable and visible to other processes. compute fills run in place, so a
-// cancelled call still leaves the partial Run visible, and returns the
-// stored unit entry (nil without a cache).
+// cells into the report list, file by file, reusing each file's list its
+// report entry already holds. Finish runs unconfirmed: with a cache the
+// segments it derived and the unit entry's manifest are stored, next to
+// the per-file entries CheckRound queued, and a stored entry must stay
+// confirmation-agnostic, so confirming is the caller's job. One Flush then
+// makes the run's entries durable and visible to other processes. compute
+// fills run in place, so a cancelled call still leaves the partial Run
+// visible, and returns the unit entry (nil without a cache).
 func compute(ctx context.Context, req Request, key string, run *Run) (*unitEntry, error) {
 	art, err := LocalRound(ctx, req, req.Sources)
 	if err != nil {
@@ -386,7 +467,7 @@ func compute(ctx context.Context, req Request, key string, run *Run) (*unitEntry
 	}
 	run.Unit = res.uf.Unit
 	req.Options.Confirm = false
-	fin, err := Finish(ctx, req, x, []*ShardResult{res})
+	fin, segs, made, err := finishFiles(ctx, req, x, []*ShardResult{res})
 	if err != nil {
 		return nil, err
 	}
@@ -396,8 +477,24 @@ func compute(ctx context.Context, req Request, key string, run *Run) (*unitEntry
 		return nil, nil
 	}
 	ssp := req.Trace.Root().Child("phase:cache-store")
-	ent := &unitEntry{Summary: run.Summary, Reports: stripWitnessBlocks(run.Reports)}
-	_ = cache.PutValue(key, ent, encodeUnitEntry(ent))
+	ent := &unitEntry{Summary: run.Summary}
+	keys := make([]string, 0, len(segs))
+	for _, s := range segs {
+		if len(s.reports) > 0 {
+			ent.Segments = append(ent.Segments, s)
+			keys = append(keys, s.key)
+		}
+	}
+	for _, s := range made {
+		_ = cache.Put(s.key, s.enc)
+	}
+	// A segment without a key (its file has no report entry) cannot be
+	// named, so such an entry stays unstored.
+	if !slices.Contains(keys, "") {
+		enc := encodeManifest(ent.Summary, keys)
+		_ = cache.PutValue(key, ent, enc)
+		cache.Recharge(key, ent, ent.charge(len(enc)))
+	}
 	_ = cache.Flush()
 	ssp.End()
 	return ent, nil
@@ -417,15 +514,17 @@ type exchangeMemo struct {
 	env, checkEnv string // see fingerprints
 
 	mu     sync.Mutex
-	inputs map[string]*unitInputs // by Engine.patternsFP
+	inputs map[string]*unitInputs  // by Engine.patternsFP
+	units  map[string]*unitReports // by Engine.patternsFP: the latest (see unitReports)
 }
 
 // unitInputs is the unit-scoped checkers' read set under one checker
 // selection: the names their Inputs list (a name may repeat) and the files
-// that define those names.
+// that define those names, as a set and in path order.
 type unitInputs struct {
 	names []string
 	files map[string]bool
+	paths []string
 }
 
 // fingerprints returns the exchange's two per-file key components: the
@@ -450,15 +549,53 @@ func (m *exchangeMemo) unitInputs(e *Engine) *unitInputs {
 	}
 	in := &unitInputs{names: e.unitInputs(m.db, m.x.Decls), files: map[string]bool{}}
 	for _, name := range in.names {
-		if f := m.x.Decls.Funcs[name]; f.Body {
+		if f := m.x.Decls.Funcs[name]; f.Body && !in.files[f.File] {
 			in.files[f.File] = true
+			in.paths = append(in.paths, f.File)
 		}
 	}
+	sort.Strings(in.paths)
 	if m.inputs == nil {
 		m.inputs = map[string]*unitInputs{}
 	}
 	m.inputs[fp] = in
 	return in
+}
+
+// unitReports returns what e's unit-scoped checkers report over v. They
+// read the memo's exchange and DB, which are fixed, and the facts of their
+// inputs, which a cached run derives from the defining files' source
+// fingerprints (srcFP) under the memo's extraction environment. So
+// the memo keeps each selection's latest reports keyed on those
+// fingerprints, and a run whose input files are unchanged reuses them
+// instead of running the checkers again. The reports carry per-file
+// fingerprints (see Engine.runUnit).
+func (m *exchangeMemo) unitReports(e *Engine, srcFP map[string]string, v *UnitView) *unitReports {
+	ins := m.unitInputs(e)
+	parts := make([]string, 0, 2*len(ins.paths))
+	for _, p := range ins.paths {
+		if srcFP[p] == "" {
+			return e.runUnit(v, true) // an input file without a fingerprint
+		}
+		parts = append(parts, p, srcFP[p])
+	}
+	key := analysiscache.KeyOf(parts...)
+	fp := e.patternsFP()
+	m.mu.Lock()
+	ur := m.units[fp]
+	m.mu.Unlock()
+	if ur != nil && ur.key == key {
+		return ur
+	}
+	ur = e.runUnit(v, true)
+	ur.key = key
+	m.mu.Lock()
+	if m.units == nil {
+		m.units = map[string]*unitReports{}
+	}
+	m.units[fp] = ur
+	m.mu.Unlock()
+	return ur
 }
 
 // exchangeCacheKey fingerprints an exchange's complete input: the DB's
@@ -585,7 +722,8 @@ func Analyze(ctx context.Context, req Request) (*Run, error) {
 	var key string
 	if cache != nil {
 		sp := req.Trace.Root().Child("phase:cache-lookup")
-		key = unitCacheKey(opt.ConfigFP, engine.patternsFP(), corpusFP(req.Sources, req.Headers))
+		req.Sources = keyedSources(req.Sources)
+		key = unitCacheKey(opt.ConfigFP, engine.patternsFP(), req.Sources, req.Headers)
 		ent, hit := lookupUnit(cache, key)
 		sp.End()
 		if hit {

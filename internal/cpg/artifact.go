@@ -43,6 +43,9 @@ type ArtFile struct {
 	// recFP is the file's record fingerprint (see recordFP), computed once
 	// per front-end cache entry; "" when the build had no cache.
 	recFP string
+	// memo is the front-end entry's parse memo the file came from; nil
+	// when the build had no cache.
+	memo *frontMemo
 }
 
 // ShardArtifact is the serializable output of a shard-local pass: the files

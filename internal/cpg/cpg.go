@@ -17,6 +17,7 @@ import (
 	"errors"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/analysiscache"
@@ -88,6 +89,11 @@ type Unit struct {
 type Source struct {
 	Path    string
 	Content string
+	// Key, when set, is FrontKey(Path, Content): a caller that has already
+	// hashed the content for a key of its own passes it, and the front end
+	// does not hash the content again. Empty means the front end derives
+	// it when it needs it.
+	Key string
 }
 
 // Builder configures unit construction.
@@ -165,6 +171,21 @@ type frontMemo struct {
 	srcFP  string // the file's source fingerprint (see sourceFP)
 	recFP  string // the file's record fingerprint (see recordFP)
 	charge int64  // the entry's L1 charge: its encoded size, plus the parse once set
+
+	// fns is the parse's latest function shells (see ArtFile.functions):
+	// an exchange reused across builds assembles the file from the same
+	// shells every time.
+	fns atomic.Pointer[fileFunctions]
+}
+
+// fileFunctions is the Functions entries one file contributes to units
+// assembled against one exchange: the functions whose winning declaration
+// lies in the file, each the file's pick by the table's rule (the last
+// declaration with a body, else the first prototype), analyzed in env.
+// They are read-only once built.
+type fileFunctions struct {
+	env *analysisEnv
+	fns []*Function
 }
 
 // frontEnd is the per-Build front-end state shared by all phase-1 workers.
@@ -195,10 +216,10 @@ type frontEnd struct {
 	lexStats clex.Stats
 }
 
-// frontKey is the front-end cache key of one source file. The preprocessor
+// FrontKey is the front-end cache key of one source file. The preprocessor
 // runs with no predefined macros, so path and content are its whole input
 // apart from the include closure, which each entry records and re-validates.
-func frontKey(path, content string) string {
+func FrontKey(path, content string) string {
 	return analysiscache.KeyOf("fe-v6", path, content)
 }
 
@@ -278,7 +299,9 @@ func (fe *frontEnd) parseOne(src Source) *ArtFile {
 
 	var key string
 	if fe.cache != nil {
-		key = frontKey(src.Path, src.Content)
+		if key = src.Key; key == "" {
+			key = FrontKey(src.Path, src.Content)
+		}
 		// The entry may live in the cache's L1 and be shared with every
 		// later build, so it lives in fresh storage — never the pooled
 		// buffer — and is treated as immutable from here.
@@ -319,7 +342,7 @@ func (fe *frontEnd) parseOne(src Source) *ArtFile {
 	m.once.Do(func() {
 		m.file, m.perrs, m.decls, m.srcFP, m.recFP = af.file, af.errs[af.cppN:], af.decls, fp, af.recFP
 	})
-	ent.memo = m
+	ent.memo, af.memo = m, m
 	_ = fe.cache.PutValue(key, ent, enc)
 	fe.cache.Recharge(key, ent, m.charge)
 	return af
@@ -376,7 +399,7 @@ func (fe *frontEnd) reuse(key, path string, ent *frontEntry) *ArtFile {
 	}
 	return &ArtFile{Path: path, Obs: ent.Obs, file: m.file, decls: m.decls,
 		errs: append(cppErrors(ent.CppErrors), m.perrs...), cppN: len(ent.CppErrors),
-		fp: m.srcFP, recFP: m.recFP}
+		fp: m.srcFP, recFP: m.recFP, memo: m}
 }
 
 // cppErrors turns cached preprocessor error strings back into errors, in a
@@ -532,7 +555,13 @@ func (b *Builder) db() *apidb.DB {
 // assemble merges art's files in sorted path order — errors, fingerprints,
 // and the functions x assigns to them — and prepares the per-function phase.
 func (b *Builder) assemble(art *ShardArtifact, x *Exchange, db *apidb.DB) *Unit {
-	u := &Unit{DB: db, Functions: map[string]*Function{}, Decls: x.Decls}
+	// Phase 3: per-function CFGs and events run on demand (Function.Analyze
+	// — in practice when the facts layer first derives a function's facts),
+	// so a function whose facts come from a cache is never analyzed at all.
+	// The extractor captures the DB and the corpus's global names.
+	env := x.env(db)
+	u := &Unit{DB: db, Functions: make(map[string]*Function, len(x.Decls.Funcs)), Decls: x.Decls}
+	defined := 0
 	for _, af := range art.Files {
 		if af.file == nil {
 			continue // a TU whose reparse was skipped by cancellation
@@ -545,12 +574,10 @@ func (b *Builder) assemble(art *ShardArtifact, x *Exchange, db *apidb.DB) *Unit 
 			u.SourceFP[af.Path] = af.fp
 		}
 		u.Files = append(u.Files, af.file)
-		for _, d := range af.file.Decls {
-			// Within the owning file the table's rule picks the same
-			// declaration: the last with a body, else the first prototype.
-			if fd, ok := d.(*cast.FuncDef); ok && x.Decls.Funcs[fd.Name].File == af.Path &&
-				(fd.Body != nil || u.Functions[fd.Name] == nil) {
-				u.Functions[fd.Name] = &Function{Def: fd, File: af.Path}
+		for _, fn := range af.functions(x, env) {
+			u.Functions[fn.Def.Name] = fn
+			if fn.env != nil {
+				defined++
 			}
 		}
 	}
@@ -567,22 +594,6 @@ func (b *Builder) assemble(art *ShardArtifact, x *Exchange, db *apidb.DB) *Unit 
 		Int("loops", len(u.DiscoveredLoops)).
 		End()
 
-	// Phase 3: per-function CFGs and events run on demand (Function.Analyze
-	// — in practice when the facts layer first derives a function's facts),
-	// so a function whose facts come from a cache is never analyzed at all.
-	// The extractor captures the DB and the corpus's global names.
-	globals := make(map[string]bool, len(x.Decls.Globals))
-	for name := range x.Decls.Globals {
-		globals[name] = true
-	}
-	env := &analysisEnv{ext: &semantics.Extractor{DB: db, GlobalNames: globals}}
-	defined := 0
-	for _, fn := range u.Functions {
-		if fn.Def.Body != nil {
-			fn.env = env
-			defined++
-		}
-	}
 	// The table's rule picked each defined function above, so the unit's
 	// defined functions are among the table's: equal counts mean the unit
 	// holds every file that defines one, and it shares the exchange's
@@ -593,6 +604,41 @@ func (b *Builder) assemble(art *ShardArtifact, x *Exchange, db *apidb.DB) *Unit 
 		u.defined = u.indexDefined()
 	}
 	return u
+}
+
+// functions returns the functions x assigns to the file, analyzed in env
+// (see fileFunctions). A memoized parse keeps the latest ones, so a build
+// against the exchange of an earlier build makes none.
+func (af *ArtFile) functions(x *Exchange, env *analysisEnv) []*Function {
+	if af.memo != nil {
+		if ff := af.memo.fns.Load(); ff != nil && ff.env == env {
+			return ff.fns
+		}
+	}
+	var fns []*Function
+	at := map[string]int{}
+	for _, d := range af.file.Decls {
+		// Within the owning file the table's rule picks the same
+		// declaration: the last with a body, else the first prototype.
+		fd, ok := d.(*cast.FuncDef)
+		if !ok || x.Decls.Funcs[fd.Name].File != af.Path {
+			continue
+		}
+		fn := &Function{Def: fd, File: af.Path}
+		if fd.Body != nil {
+			fn.env = env
+		}
+		if i, seen := at[fd.Name]; !seen {
+			at[fd.Name] = len(fns)
+			fns = append(fns, fn)
+		} else if fd.Body != nil {
+			fns[i] = fn
+		}
+	}
+	if af.memo != nil {
+		af.memo.fns.Store(&fileFunctions{env: env, fns: fns})
+	}
+	return fns
 }
 
 // FunctionNames returns defined function names in sorted order.

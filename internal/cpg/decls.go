@@ -9,6 +9,7 @@ import (
 	"repro/internal/apidb"
 	"repro/internal/bincodec"
 	"repro/internal/cast"
+	"repro/internal/semantics"
 )
 
 // FileRecord is what one file contributes to the exchange: its path and
@@ -89,6 +90,28 @@ type Exchange struct {
 	Files int
 	Disc  apidb.Discovery
 	Decls *Decls
+
+	envMu sync.Mutex
+	envDB *apidb.DB
+	ext   *analysisEnv // see env
+}
+
+// env returns the analysis environment of units assembled against the
+// exchange with db: an extractor over db and the table's global names. It
+// is built once per exchange and DB, so assembly against an exchange that
+// is reused across builds makes no new one, and the function shells a
+// memoized parse keeps for it stay valid (see ArtFile.functions).
+func (x *Exchange) env(db *apidb.DB) *analysisEnv {
+	x.envMu.Lock()
+	defer x.envMu.Unlock()
+	if x.ext == nil || x.envDB != db {
+		globals := make(map[string]bool, len(x.Decls.Globals))
+		for name := range x.Decls.Globals {
+			globals[name] = true
+		}
+		x.envDB, x.ext = db, &analysisEnv{ext: &semantics.Extractor{DB: db, GlobalNames: globals}}
+	}
+	return x.ext
 }
 
 // ExchangeRecords is the exchange: it replays the records' observations into

@@ -47,7 +47,7 @@ func TestParseMemoIsCharged(t *testing.T) {
 	}
 	var enc, full [16]int64
 	for _, src := range srcs {
-		key := frontKey(src.Path, src.Content)
+		key := FrontKey(src.Path, src.Content)
 		v, ok := probe.GetValue(key, decodeFrontValue)
 		if !ok {
 			t.Fatalf("%s: front-end entry not on disk", src.Path)
@@ -195,7 +195,7 @@ func TestStaleFrontEntriesAreMisses(t *testing.T) {
 		for _, v := range []uint32{1, 0, 0, 0, 0, 0, 0, 0, 0} {
 			w.U32(v)
 		}
-		if err := stale.Put(frontKey(src.Path, src.Content), w.Bytes()); err != nil {
+		if err := stale.Put(FrontKey(src.Path, src.Content), w.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -22,7 +22,10 @@ type Tree struct {
 // LoadDirs walks the roots recursively, loading .c files as sources and .h
 // files as headers. Paths in the result are relative to the respective root
 // when the file lies underneath it (keeping subsystem/module structure
-// intact for reporting), else absolute.
+// intact for reporting), else absolute. Only regular files are loaded: a
+// symbolic link named like a source or header is skipped, as the watch
+// loop skips it (package watch), since an edit to its target, which may
+// lie outside every root, is an edit no watch of the roots can see.
 func LoadDirs(roots ...string) (*Tree, error) {
 	t := &Tree{Headers: map[string]string{}}
 	for _, root := range roots {
@@ -31,7 +34,7 @@ func LoadDirs(roots ...string) (*Tree, error) {
 				return err
 			}
 			ext := filepath.Ext(path)
-			if ext != ".c" && ext != ".h" {
+			if (ext != ".c" && ext != ".h") || !d.Type().IsRegular() {
 				return nil
 			}
 			content, rerr := readFileString(path)
@@ -62,9 +65,10 @@ func LoadDirs(roots ...string) (*Tree, error) {
 // prev was read, named as a walk of the roots names them (the watch
 // poller's Diff). It re-reads only those files and shares every other
 // file's content with prev, which it leaves untouched. Anything it cannot
-// map with certainty — an added or removed file, a path under no root or
-// under several, a name another root also provides, an extension other
-// than .c/.h — makes it fall back to LoadDirs, as does a nil prev. The
+// map with certainty — an added or removed file, one that is no longer a
+// regular file, a path under no root or under several, a name another
+// root also provides, an extension other than .c/.h — makes it fall back
+// to LoadDirs, as does a nil prev. The
 // result equals LoadDirs' only if changed is complete: a file written
 // without being reported keeps its content from prev.
 func Reload(prev *Tree, roots []string, changed []string) (*Tree, error) {
@@ -77,9 +81,12 @@ func Reload(prev *Tree, roots []string, changed []string) (*Tree, error) {
 		if !ok {
 			return LoadDirs(roots...)
 		}
+		if info, err := os.Lstat(path); err != nil || !info.Mode().IsRegular() {
+			return LoadDirs(roots...) // removed, or no longer a regular file
+		}
 		content, err := readFileString(path)
 		if err != nil {
-			return LoadDirs(roots...) // removed, or no longer a file
+			return LoadDirs(roots...)
 		}
 		switch filepath.Ext(path) {
 		case ".c":

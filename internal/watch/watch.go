@@ -22,6 +22,12 @@
 // identical rewrite costs only cache hits. Changes that inotify cannot see,
 // such as writes made by another host to a network filesystem, are not
 // covered.
+//
+// Only regular files count: a symbolic link named like a source or header
+// is neither snapshotted nor reported, and loader.LoadDirs does not load
+// it. Its target may lie outside every root, where no watch and no walk of
+// the roots sees it change, so following links would leave the watcher's
+// output stale against a cold run.
 package watch
 
 import (
@@ -72,7 +78,7 @@ func scan(roots []string, dir func(path string) error) (Snapshot, error) {
 				}
 				return nil
 			}
-			if !isSource(path) {
+			if !isSource(path) || !d.Type().IsRegular() {
 				return nil
 			}
 			info, ierr := d.Info()
@@ -152,7 +158,7 @@ func (s Snapshot) apply(b *batch) []string {
 		seen[path] = true
 		prev, had := s[path]
 		info, err := os.Lstat(path)
-		if err != nil || info.IsDir() {
+		if err != nil || !info.Mode().IsRegular() {
 			if had {
 				delete(s, path)
 				changed = append(changed, path)

@@ -311,6 +311,16 @@ case "$run2" in
     exit 1
     ;;
 esac
+# ... and its report list the only one finalized again: every other file
+# keeps the list run 1 finalized.
+case "$run2" in
+*", finish: 1 files refinalized, "*) ;;
+*)
+    echo "verify: watch re-run should show ', finish: 1 files refinalized, '" >&2
+    cat "$tmp/watch.log" >&2
+    exit 1
+    ;;
+esac
 # A comment edit leaves every file record as it was, so the re-run reuses
 # run 1's exchange instead of replaying every observation.
 case "$run2" in
